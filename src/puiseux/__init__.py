@@ -20,6 +20,7 @@ from .algebraic import (
     NormalizationError,
     PartialSolution,
     SeriesPolynomial,
+    StepLimitError,
     UnresolvedBranch,
     VertexData,
     breaking_data,
@@ -92,7 +93,6 @@ from .series import (
     INF,
     BranchError,
     PoleError,
-    PowerExpansion,
     PrecisionError,
     PuiseuxSeries,
     format_series,

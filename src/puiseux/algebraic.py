@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .coefficients import as_coefficient, coefficient_sort_key, poly_roots
 from .contour import Contour, Line
+from .polyutils import pdeg, ptaylor_shift
 from .series import INF, PuiseuxSeries, SeriesError
 
 _MAX_STEPS = 4000
@@ -28,6 +29,10 @@ _MAX_STEPS = 4000
 
 class NormalizationError(SeriesError):
     """closed_form_root precondition (generic normalization) violated."""
+
+
+class StepLimitError(SeriesError):
+    """solve_algebraic took more than ``_MAX_STEPS`` branch steps."""
 
 
 @dataclass(frozen=True)
@@ -105,23 +110,7 @@ def breaking_data(p: SeriesPolynomial):
 
 def recenter(p: SeriesPolynomial, y0) -> SeriesPolynomial:
     """Coefficients of p(y0 + ybar) as a polynomial in ybar."""
-    y0 = _as_series(y0)
-    n = p.degree
-    y0_pow = [PuiseuxSeries.one()]
-    for _ in range(n):
-        y0_pow.append(y0_pow[-1] * y0)
-    binom = [[0] * (n + 1) for _ in range(n + 1)]
-    for l in range(n + 1):
-        binom[l][0] = 1
-        for i in range(1, l + 1):
-            binom[l][i] = binom[l - 1][i - 1] + (binom[l - 1][i] if i <= l - 1 else 0)
-    new_coeffs = []
-    for i in range(n + 1):
-        acc = PuiseuxSeries.zero()
-        for l in range(i, n + 1):
-            acc = acc + p.coeffs[l].scale(Fraction(binom[l][i])) * y0_pow[l - i]
-        new_coeffs.append(acc)
-    return SeriesPolynomial(new_coeffs)
+    return SeriesPolynomial(ptaylor_shift(p.coeffs, _as_series(y0)))
 
 
 @dataclass
@@ -177,7 +166,9 @@ def solve_algebraic(p: SeriesPolynomial, bound, mode="rational") -> AlgebraicSol
         q, prefix, mult, last = stack.pop()
         steps += 1
         if steps > _MAX_STEPS:
-            raise RuntimeError("algebraic solve exceeded the step limit")
+            raise StepLimitError(
+                f"algebraic solve exceeded the step limit of {_MAX_STEPS}"
+            )
         beta0 = q.coeffs[0]
         remaining = mult
         if beta0.is_exact_zero:
@@ -275,8 +266,6 @@ def _branch_at_vertex(q, prefix, v, mode, stack, result):
         term = PuiseuxSeries.x_power(v.x, root)
         stack.append((recenter(q, term), prefix + term, m, v.x))
     if roots.unresolved is not None:
-        from .polyutils import pdeg
-
         result.unresolved.append(
             UnresolvedBranch(prefix, v.x, tuple(roots.unresolved), pdeg(roots.unresolved))
         )

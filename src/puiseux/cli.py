@@ -10,8 +10,9 @@ Subcommands::
 
 All bounds are exact rationals (``--bound 9/2``); ``--json`` switches to a
 deterministic machine-readable report (identical input gives identical
-bytes).  Exit codes: 0 success, 2 parse error, 3 classification error,
-4 unresolved branches present, 5 verification failed.
+bytes).  Exit codes: 0 success, 2 parse error, 3 classification error
+or a solver limit was reached, 4 unresolved branches present,
+5 verification failed.
 """
 
 from __future__ import annotations

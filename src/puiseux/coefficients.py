@@ -31,6 +31,7 @@ from .polyutils import (
     pmonic,
     pmul,
     pstrip,
+    psub,
     refine_interval,
     squarefree_part,
 )
@@ -292,7 +293,7 @@ class AlgebraicNumber:
         while pdeg(r1) > 0:
             q, r = pdivmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, pmul(q, s1))
+            s0, s1 = s1, psub(s0, pmul(q, s1))
         lead = r1[0]
         inv = [c / lead for c in s1]
         return self.field.element(inv)
@@ -367,16 +368,6 @@ class AlgebraicNumber:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     __str__ = __repr__
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else Fraction(0)
-        y = b[i] if i < len(b) else Fraction(0)
-        out.append(x - y)
-    return pstrip(out)
 
 
 # -- free-constant polynomials ----------------------------------------------

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
-from .algebraic import SeriesPolynomial, solve_algebraic
+from .algebraic import SeriesPolynomial, _as_series, solve_algebraic
 from .liouville import Element, LiouvilleError, Tower
 from .ode import MonomialODE, verify_series
+from .polyutils import padd, pmul, psub
 from .ratfunc import RatFunc
 from .series import INF, PuiseuxSeries
 
@@ -358,21 +360,15 @@ def verify_constant(cand: FirstIntegralCandidate, P, Q) -> ConstantVerdict:
     P = [_as_element(tower, c) for c in P]
     Q = [_as_element(tower, c) for c in Q]
     dlog_alpha = cand.alpha.differentiate() / cand.alpha
-    residual = _ypoly_scale(_ypoly_mul_many(
-        [_ypoly_from_root(tower, r) for r in cand.roots]
-    ), dlog_alpha)
-    residual = _ypoly_mul(residual, Q, tower)
+    linear = [[-r, tower.one()] for r in cand.roots]
+    residual = [c * dlog_alpha for c in reduce(pmul, linear)]
+    residual = pmul(residual, Q)
     for i, (root, k) in enumerate(zip(cand.roots, cand.exponents)):
-        others = [
-            _ypoly_from_root(tower, r)
-            for j, r in enumerate(cand.roots)
-            if j != i
-        ]
-        prod = _ypoly_mul_many(others) if others else [tower.one()]
+        prod = reduce(pmul, linear[:i] + linear[i + 1:], [tower.one()])
         dli = root.differentiate()
-        piece = _ypoly_sub(P, _ypoly_scale(Q, dli))
-        piece = _ypoly_scale(piece, tower.rational(k))
-        residual = _ypoly_add(residual, _ypoly_mul(piece, prod, tower))
+        piece = psub(P, [c * dli for c in Q])
+        piece = [c * tower.rational(k) for c in piece]
+        residual = padd(residual, pmul(piece, prod))
     nonzero = [(i, c) for i, c in enumerate(residual) if not c.is_zero]
     if not nonzero:
         return ConstantVerdict(CONSTANT, residual)
@@ -393,47 +389,6 @@ def _as_element(tower, c):
     if isinstance(c, Element):
         return c
     return tower.rational(c if isinstance(c, (int, Fraction, RatFunc)) else Fraction(c))
-
-
-def _ypoly_from_root(tower, r):
-    return [-r, tower.one()]
-
-
-def _ypoly_add(a, b):
-    n = max(len(a), len(b))
-    tower = a[0].tower if a else b[0].tower
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else tower.zero()
-        y = b[i] if i < len(b) else tower.zero()
-        out.append(x + y)
-    return out
-
-
-def _ypoly_sub(a, b):
-    return _ypoly_add(a, [-c for c in b])
-
-
-def _ypoly_scale(a, s):
-    return [c * s for c in a]
-
-
-def _ypoly_mul(a, b, tower):
-    out = [tower.zero() for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _ypoly_mul_many(polys):
-    out = polys[0]
-    tower = out[0].tower
-    for p in polys[1:]:
-        out = _ypoly_mul(out, p, tower)
-    return out
 
 
 # -- ghost roots ------------------------------------------------------------------
@@ -467,18 +422,12 @@ def ghost_roots(roots, exponents, ode: MonomialODE = None, bound=4,
     """
     if len(roots) < 2:
         raise ValueError("ghost analysis needs at least two distinct roots")
-    roots = [_as_puiseux(r) for r in roots]
-    coeffs = None
-    for i, k in enumerate(exponents):
-        factors = [
-            [-roots[j], PuiseuxSeries.one()]
-            for j in range(len(roots))
-            if j != i
-        ]
-        prod = [PuiseuxSeries.constant(k)]
-        for f in factors:
-            prod = _series_poly_mul(prod, f)
-        coeffs = prod if coeffs is None else _series_poly_add(coeffs, prod)
+    roots = [_as_series(r) for r in roots]
+    linear = [[-r, PuiseuxSeries.one()] for r in roots]
+    coeffs = reduce(padd, (
+        reduce(pmul, linear[:i] + linear[i + 1:], [PuiseuxSeries.constant(k)])
+        for i, k in enumerate(exponents)
+    ))
     while coeffs and coeffs[-1].is_exact_zero:
         coeffs.pop()
     if len(coeffs) <= 1:
@@ -492,30 +441,6 @@ def ghost_roots(roots, exponents, ode: MonomialODE = None, bound=4,
         v = verify_series(ode, b.series)
         records.append(GhostRecord(b.series, v.valuation, v.valuation != INF))
     return GhostSet(records, unresolved=result.unresolved)
-
-
-def _as_puiseux(r):
-    if isinstance(r, PuiseuxSeries):
-        return r
-    return PuiseuxSeries.constant(r)
-
-
-def _series_poly_mul(a, b):
-    out = [PuiseuxSeries.zero() for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _series_poly_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else PuiseuxSeries.zero()
-        y = b[i] if i < len(b) else PuiseuxSeries.zero()
-        out.append(x + y)
-    return out
 
 
 # -- the Riccati bridge -------------------------------------------------------------

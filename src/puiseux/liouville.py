@@ -214,8 +214,10 @@ class Element:
         den = _reduce_roots(self.tower, den)
         if not den:
             raise ZeroDivisionError("denominator reduced to zero")
+        if not num:
+            den = {(): RatFunc.const(1)}  # zero has the one form 0/1
         # cancel a common pure-monomial denominator where legal
-        if len(den) == 1:
+        elif len(den) == 1:
             (dkey, dval), = den.items()
             if dkey and all(self._laurent_ok(dkey, nkey) for nkey in num):
                 num = {

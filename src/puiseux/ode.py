@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd as _gcd
 
-from .algebraic import SeriesPolynomial, solve_algebraic
+from .algebraic import SeriesPolynomial, _as_series, solve_algebraic
 from .coefficients import (
     ParamPoly,
     UnsupportedSymbolic,
@@ -33,6 +33,7 @@ from .coefficients import (
     substitute_parameter,
 )
 from .contour import Contour, Line
+from .polyutils import padd, pmul, ptaylor_shift
 from .series import (
     INF,
     BranchError,
@@ -141,12 +142,6 @@ class RationalODE:
         object.__setattr__(self, "numer", numer)
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "center", center)
-
-
-def _as_series(c):
-    if isinstance(c, PuiseuxSeries):
-        return c
-    return PuiseuxSeries.constant(as_coefficient(c))
 
 
 # -- contours and initial terms ----------------------------------------------
@@ -735,7 +730,7 @@ def continue_proper(
             if not resonance_pending and not pending:
                 break
 
-        next_level = _next_lattice_exponent(e, t, widened, processed)
+        next_level = _next_lattice_exponent(e, t, lattice, processed)
         series = series.with_trunc(min(next_level, data_cap + 1))
         prec = next_level if needs_prec else None
         final_res = series.differentiate() - e.substitute(
@@ -780,17 +775,19 @@ def _known_coefficient(series, e):
     return as_coefficient(0)
 
 
-def _next_lattice_exponent(e, t, widened, processed):
-    """Smallest admitted exponent strictly beyond ``processed``."""
-    probe = Fraction(processed) + 1
-    while True:
-        lat = index_lattice(e, t, probe, widen=widened)
-        beyond = [x for x in lat.elements if x > processed]
-        if beyond:
-            return beyond[0]
-        probe += 1
-        if probe > Fraction(processed) + 64:
-            return INF  # no admitted exponent ahead: the series is complete
+def _next_lattice_exponent(e, t, lattice, processed):
+    """Smallest admitted exponent strictly beyond ``processed``.
+
+    It lies at most one least positive generator above max(processed,
+    mu0); with no positive generator the lattice is {mu0} and the series
+    is complete.
+    """
+    step = min((g for g in lattice.generators if g > 0), default=None)
+    if step is None:
+        return INF
+    bound = max(processed, lattice.mu0) + step
+    ahead = index_lattice(e, t, bound, widen=lattice.widened_by).elements
+    return min(x for x in ahead if x > processed)
 
 
 # -- algebraic-type continuation ----------------------------------------------
@@ -1034,8 +1031,8 @@ def expand_rational(r: RationalODE, y_order: int) -> MonomialODE:
     expanded geometrically to ``y_order``; the returned equation records
     the truncation caps so residual certificates stay honest.
     """
-    p_c = _shift_poly(r.numer, r.center)
-    q_c = _shift_poly(r.denom, r.center)
+    p_c = ptaylor_shift(r.numer, r.center)
+    q_c = ptaylor_shift(r.denom, r.center)
     q_support = [i for i, c in enumerate(q_c) if c.terms]
     if not q_support:
         raise PoleError("Q vanishes identically at the expansion center")
@@ -1062,10 +1059,10 @@ def expand_rational(r: RationalODE, y_order: int) -> MonomialODE:
     inv = [PuiseuxSeries.one()] + [PuiseuxSeries.zero() for _ in range(y_order)]
     power = list(inv)
     for _ in range(y_order):
-        power = _ymul(power, [-c for c in u], y_order)
-        inv = _yadd(inv, power)
+        power = pmul(power, [-c for c in u])[: y_order + 1]
+        inv = padd(inv, power)
     inv = [c * q0.invert(prec=_inv_prec(q0)) for c in inv]
-    full = _ymul([c for c in p_c], inv, y_order)
+    full = pmul(p_c, inv)[: y_order + 1]
     monomials = []
     caps = []
     for i, c in enumerate(full):
@@ -1097,47 +1094,3 @@ def _inv_prec(q0):
     if len(q0.terms) == 1 and q0.trunc == INF:
         return None
     return q0.val_floor() + 20
-
-
-def _shift_poly(coeffs, center):
-    coeffs = [_as_series(c) for c in coeffs]
-    if center.is_exact_zero:
-        return coeffs
-    n = len(coeffs) - 1
-    powers = [PuiseuxSeries.one()]
-    for _ in range(n):
-        powers.append(powers[-1] * center)
-    binom = [[0] * (n + 1) for _ in range(n + 1)]
-    for l in range(n + 1):
-        binom[l][0] = 1
-        for i in range(1, l + 1):
-            binom[l][i] = binom[l - 1][i - 1] + (binom[l - 1][i] if i <= l - 1 else 0)
-    out = []
-    for i in range(n + 1):
-        acc = PuiseuxSeries.zero()
-        for l in range(i, n + 1):
-            acc = acc + coeffs[l].scale(Fraction(binom[l][i])) * powers[l - i]
-        out.append(acc)
-    return out
-
-
-def _ymul(a, b, order):
-    out = [PuiseuxSeries.zero() for _ in range(order + 1)]
-    for i, ca in enumerate(a):
-        if ca.is_exact_zero or i > order:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _yadd(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else PuiseuxSeries.zero()
-        y = b[i] if i < len(b) else PuiseuxSeries.zero()
-        out.append(x + y)
-    return out

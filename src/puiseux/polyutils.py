@@ -1,15 +1,20 @@
-"""Dense univariate polynomial helpers.
+"""Dense univariate polynomials: the one polynomial layer of the package.
 
 A polynomial is a plain list of coefficients, lowest degree first.  The
-generic helpers assume only field operations on the coefficients, so they
-work for ``Fraction``, number-field elements and rational functions alike.
-The root-finding machinery at the bottom (rational roots, Sturm isolation,
+helpers from ``pstrip`` to ``ptaylor_shift`` need only ring operations and
+a zero test on the coefficients (``pdivmod``, ``pmonic``, ``pgcd`` and
+``squarefree_part`` also divide), so callers use them over ``Fraction``,
+``AlgebraicNumber``, ``PuiseuxSeries`` and tower ``Element`` coefficients
+alike.  A coefficient that is always true, such as a series whose
+truncation order must survive, is never dropped as zero.  The
+root-finding machinery at the bottom (rational roots, Sturm isolation,
 quartic splitting) is specific to exact rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from math import gcd as int_gcd
 
 
@@ -100,6 +105,23 @@ def peval(p, x):
     for c in reversed(pstrip(p)):
         acc = acc * x + c
     return acc
+
+
+def ptaylor_shift(p, c):
+    """Coefficients of p(c + y) as a polynomial in y.
+
+    Coefficient i is p[i] + sum over l > i of p[l] * C(l, i) * c^(l - i).
+    """
+    c_pow = [c]  # c_pow[k] = c^(k + 1)
+    for _ in range(len(p) - 2):
+        c_pow.append(c_pow[-1] * c)
+    out = []
+    for i in range(len(p)):
+        acc = p[i]
+        for l in range(i + 1, len(p)):
+            acc = acc + p[l] * comb(l, i) * c_pow[l - i - 1]
+        out.append(acc)
+    return out
 
 
 def squarefree_part(p):

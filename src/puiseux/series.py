@@ -367,79 +367,6 @@ def substitute_series(monomials, y, prec=None, branches=None):
     return total
 
 
-# -- fractional-power expansion bookkeeping ----------------------------------
-
-
-class PowerExpansion:
-    """Expansion table for ``(1 + sum d_i x^(delta_i))**sigma``.
-
-    For every reachable composite shift ``delta`` below ``bound`` the table
-    lists the contributing count vectors ``n`` over the base shifts, each
-    with its multinomial weight and monomial value, so that the composite
-    coefficient is ``sum weight * prod d_i^(n_i)``.  This is the slow,
-    independently checkable route; :meth:`PuiseuxSeries.pow_rational` is the
-    fast one, and the two are compared in tests.
-    """
-
-    def __init__(self, tail_terms, sigma, bound):
-        self.sigma = Fraction(sigma)
-        self.bound = _as_exponent(bound)
-        self.base = [(Fraction(e), as_coefficient(d)) for e, d in tail_terms]
-        if any(e <= 0 for e, _ in self.base):
-            raise SeriesError("tail shifts must be positive")
-        self.entries = {}
-        counts = [0] * len(self.base)
-        self._collect(0, Fraction(0), counts)
-
-    def _collect(self, idx, total, counts):
-        if total >= self.bound:
-            return
-        if idx == len(self.base):
-            if any(counts):
-                weight = multinomial_weight(self.sigma, counts)
-                value = Fraction(1)
-                for (e, d), n in zip(self.base, counts):
-                    if n:
-                        value = value * d**n
-                entry = (tuple(counts), weight, value)
-                self.entries.setdefault(total, []).append(entry)
-            return
-        step = self.base[idx][0]
-        n = 0
-        while total + n * step < self.bound:
-            counts[idx] = n
-            self._collect(idx + 1, total + n * step, counts)
-            n += 1
-        counts[idx] = 0
-
-    def composite_coefficient(self, delta):
-        """d_k for the shift ``delta``: the summed weighted monomials."""
-        total = Fraction(0)
-        for _counts, weight, value in self.entries.get(Fraction(delta), ()):
-            total = total + weight * value
-        return total
-
-    def as_series(self):
-        terms = [(Fraction(0), Fraction(1))]
-        for delta in self.entries:
-            terms.append((delta, self.composite_coefficient(delta)))
-        return PuiseuxSeries(terms, self.bound)
-
-
-def multinomial_weight(sigma, counts):
-    """Weight of the monomial with count vector ``counts`` in the expansion
-    of ``(1 + sum d_i z_i)**sigma``: C(sigma, n) * n! / prod(n_i!), n = sum."""
-    n = sum(counts)
-    w = _binomial(Fraction(sigma), n)
-    rest = 1
-    for k in range(2, n + 1):
-        rest *= k
-    for c in counts:
-        for k in range(2, c + 1):
-            rest /= Fraction(k)
-    return w * rest
-
-
 # -- canonical text form ------------------------------------------------------
 
 

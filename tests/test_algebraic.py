@@ -6,6 +6,7 @@ route and the constructive route then have to agree with it and with each
 other.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from puiseux.algebraic import (
     recenter,
     solve_algebraic,
 )
+from puiseux.polyutils import peval, ptaylor_shift
 from puiseux.series import INF, PuiseuxSeries
 
 X = PuiseuxSeries.x_power
@@ -106,6 +108,18 @@ class TestRecenter:
         orig_sets = sorted(str(b.series - shift) for b in orig.branches)
         moved_sets = sorted(str(b.series) for b in moved.branches)
         assert orig_sets == moved_sets
+
+    def test_shift_over_fractions(self):
+        # ptaylor_shift is the Taylor shift behind recenter: checked by
+        # evaluating p(c + t) directly
+        rng = random.Random(7)
+        for degree in range(6):
+            p = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree + 1)]
+            c = F(rng.randint(-9, 9), rng.randint(1, 5))
+            shifted = ptaylor_shift(p, c)
+            assert len(shifted) == len(p)
+            for t in (F(0), F(1), F(-2, 3), F(5, 7)):
+                assert peval(shifted, t) == peval(p, c + t)
 
 
 class TestSolve:

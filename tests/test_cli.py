@@ -2,7 +2,9 @@
 
 import json
 
+from puiseux import algebraic
 from puiseux.cli import (
+    EXIT_CLASSIFY,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNRESOLVED,
@@ -41,6 +43,14 @@ class TestAlgebraic:
         code, _, err = run(capsys, "algebraic", "y^^2 = 0")
         assert code == EXIT_PARSE
         assert "parse error" in err
+
+    def test_step_limit_is_a_reported_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(algebraic, "_MAX_STEPS", 3)
+        code, out, err = run(capsys, "algebraic", "y - x*y - x = 0")
+        assert code == EXIT_CLASSIFY
+        assert out == ""
+        assert err.startswith("error: ") and "step limit" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestOde:

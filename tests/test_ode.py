@@ -535,6 +535,17 @@ class TestVerify:
         v = verify_branch(E_SQUARE, b)
         assert v.valuation == INF and v.certified_below == INF
 
+    def test_finite_guarantee_means_finite_trunc(self):
+        # dy/dx = x^100 y^2: the constant family's next lattice exponent is
+        # 101, far beyond the requested bound, and must still be printed
+        e = MonomialODE([(100, 2, 1)])
+        branches = solve_all(e, 10).branches
+        for b in branches:
+            if b.residual_guarantee != INF:
+                assert b.series.trunc != INF
+        family = [b for b in branches if b.status == RESONANT_FREE]
+        assert [b.series.trunc for b in family] == [101]
+
     def test_guarantees_met_across_suite(self):
         suite = [
             (E_SQUARE, 3),

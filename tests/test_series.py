@@ -9,14 +9,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import PowerExpansion, multinomial_weight
 from puiseux.series import (
     INF,
     PoleError,
-    PowerExpansion,
     PrecisionError,
     PuiseuxSeries,
     BranchError,
-    multinomial_weight,
     substitute_series,
 )
 
