@@ -364,7 +364,8 @@ def verify_constant(cand: FirstIntegralCandidate, P, Q) -> ConstantVerdict:
     residual = [c * dlog_alpha for c in reduce(pmul, linear)]
     residual = pmul(residual, Q)
     for i, (root, k) in enumerate(zip(cand.roots, cand.exponents)):
-        prod = reduce(pmul, linear[:i] + linear[i + 1:], [tower.one()])
+        others = linear[:i] + linear[i + 1:]
+        prod = reduce(pmul, others) if others else [tower.one()]
         dli = root.differentiate()
         piece = psub(P, [c * dli for c in Q])
         piece = [c * tower.rational(k) for c in piece]
@@ -428,8 +429,6 @@ def ghost_roots(roots, exponents, ode: MonomialODE = None, bound=4,
         reduce(pmul, linear[:i] + linear[i + 1:], [PuiseuxSeries.constant(k)])
         for i, k in enumerate(exponents)
     ))
-    while coeffs and coeffs[-1].is_exact_zero:
-        coeffs.pop()
     if len(coeffs) <= 1:
         return GhostSet([])  # degenerate numerator: no candidate roots
     result = solve_algebraic(SeriesPolynomial(coeffs), bound, mode=mode)

@@ -254,6 +254,9 @@ class Element:
     def is_zero(self):
         return not self.num
 
+    def __bool__(self):
+        return bool(self.num)
+
     def rational_constant(self):
         """The value as a plain Fraction when the element is one."""
         r = self.rational_value()

@@ -5,8 +5,8 @@ helpers from ``pstrip`` to ``ptaylor_shift`` need only ring operations and
 a zero test on the coefficients (``pdivmod``, ``pmonic``, ``pgcd`` and
 ``squarefree_part`` also divide), so callers use them over ``Fraction``,
 ``AlgebraicNumber``, ``PuiseuxSeries`` and tower ``Element`` coefficients
-alike.  A coefficient that is always true, such as a series whose
-truncation order must survive, is never dropped as zero.  The
+alike.  The zero test is truthiness; a series is false only when it is
+the exact zero, so an ``O(x^t)`` coefficient is never dropped.  The
 root-finding machinery at the bottom (rational roots, Sturm isolation,
 quartic splitting) is specific to exact rationals.
 """

@@ -106,6 +106,10 @@ class PuiseuxSeries:
     def is_exact_zero(self):
         return not self.terms and self.trunc == INF
 
+    def __bool__(self):
+        """False only for the exact zero; O(x^t) is not known to vanish."""
+        return not self.is_exact_zero
+
     def valuation(self):
         """Least exponent of the support; INF for an empty support."""
         return self.terms[0][0] if self.terms else INF

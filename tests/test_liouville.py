@@ -37,6 +37,16 @@ def test_inverse_exponential_folds():
     assert (t.exp_integral(f) * t.exp_integral(-f) - 1).is_zero
 
 
+def test_zero_is_false_with_denominator_one():
+    # a zero with a leftover denominator would grow every sum it enters
+    t = Tower()
+    q = t.x() / (t.exp_integral(t.x()) + 1)
+    zero = q - q
+    assert not zero and zero.is_zero and q
+    assert zero.den == t.zero().den
+    assert (zero + q).den == q.den
+
+
 def test_rational_scalar_folds_out_of_integrals():
     t = Tower()
     f = t.x() ** 2

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import PowerExpansion, multinomial_weight
+from puiseux.polyutils import pstrip
 from puiseux.series import (
     INF,
     PoleError,
@@ -90,6 +91,13 @@ class TestValuation:
 
     def test_zero_is_infinite(self):
         assert PuiseuxSeries.zero().valuation() == INF
+
+    def test_only_the_exact_zero_is_false(self):
+        # polynomial helpers drop false coefficients: O(x^3) must survive
+        assert not PuiseuxSeries.zero() and not X(2) - X(2)
+        assert PuiseuxSeries.zero(3) and X(1)
+        assert pstrip([X(1), PuiseuxSeries.zero(3), PuiseuxSeries.zero()]) == [
+            X(1), PuiseuxSeries.zero(3)]
 
     def test_derivative_drops_valuation_by_one(self):
         for a in (X(F(-1, 2)), X(2) + X(3), X(F(5, 3), 7)):
