@@ -663,7 +663,6 @@ def continue_proper(
         raise
 
     series = PuiseuxSeries.x_power(mu0, c0)
-    widened = ()
     obstruction = None
 
     def levels():
@@ -710,8 +709,7 @@ def continue_proper(
                 series = series + PuiseuxSeries.x_power(mu_r, value)
                 free_value, free_at = value, mu_r
                 status = RESONANT_FREE
-                widened = (mu_r - mu0,)
-                lattice = index_lattice(e, t, internal_bound, widen=widened)
+                lattice = index_lattice(e, t, internal_bound, widen=(mu_r - mu0,))
                 resonance_pending = False
                 pending = [x for x in levels() if x > mu_l]
                 processed = mu_l
