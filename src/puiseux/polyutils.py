@@ -14,7 +14,7 @@ quartic splitting) is specific to exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from math import gcd as int_gcd
 
 
@@ -368,25 +368,9 @@ def split_quartic(p):
     return None
 
 
-def _int_sqrt_exact(n: int):
-    if n < 0:
-        return None
-    r = int(n**0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == n:
-            return c
-    return None
-
-
 def _fraction_sqrt(q: Fraction):
     """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    a = _int_sqrt_exact(q.numerator)
-    b = _int_sqrt_exact(q.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
+    return fraction_nth_root(q, 2)
 
 
 def fraction_nth_root(q: Fraction, n: int):
@@ -408,13 +392,20 @@ def fraction_nth_root(q: Fraction, n: int):
 
 
 def _int_nth_root(m: int, n: int):
-    if m < 0:
-        return None
-    r = round(m ** (1.0 / n))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**n == m:
-            return c
-    return None
+    """The integer n-th root of m >= 0 when m is an exact n-th power, else None."""
+    if m < 2:
+        return m
+    if n == 2:
+        r = isqrt(m)
+    else:
+        # Newton's iteration from above stops at floor(m^(1/n))
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == m else None
 
 
 def irreducible_factors(p):

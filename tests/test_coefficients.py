@@ -13,6 +13,8 @@ from puiseux.coefficients import (
     sqrt_field,
 )
 from puiseux.polyutils import (
+    _fraction_sqrt,
+    fraction_nth_root,
     irreducible_factors,
     isolate_real_roots,
     rational_roots,
@@ -27,6 +29,23 @@ class TestPolyUtils:
         roots, rem = rational_roots(poly)
         assert dict(roots) == {F(1, 2): 2, F(-3): 1}
         assert rem == [F(1)]
+
+    def test_exact_square_roots_of_large_squares(self):
+        base = 10**17
+        for n in range(base - 27, base + 28):
+            assert _fraction_sqrt(F(n * n)) == n
+            assert _fraction_sqrt(F(n * n + 1)) is None
+            assert _fraction_sqrt(F(1, n * n)) == F(1, n)
+
+    def test_square_root_beyond_float_range(self):
+        assert _fraction_sqrt(F(10**400)) == 10**200
+        assert _fraction_sqrt(F(10**400 + 1)) is None
+
+    def test_exact_cube_root_of_large_cube(self):
+        n = 10**20 + 1
+        assert fraction_nth_root(F(n**3), 3) == n
+        assert fraction_nth_root(F(-(n**3), 7**3), 3) == F(-n, 7)
+        assert fraction_nth_root(F(n**3 + 1), 3) is None
 
     def test_sturm_isolation(self):
         # x^2 - 2: two real roots, isolated and disjoint
