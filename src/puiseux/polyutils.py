@@ -14,7 +14,7 @@ quartic splitting) is specific to exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, floor, isqrt
 from math import gcd as int_gcd
 
 
@@ -137,35 +137,6 @@ def squarefree_part(p):
 # -- exact rational root machinery -----------------------------------------
 
 
-def _trial_limit(n: int) -> int:
-    """Trial-division budget, shrinking as the input grows.
-
-    Coefficients blow up multiplicatively in deep recentering stages;
-    spending O(sqrt(n)) on each would dominate everything.  Past the
-    budget only divisor pairs with one small factor are seen, so a missed
-    candidate can only turn a findable rational root into an unresolved
-    report, never into a wrong answer.
-    """
-    if n < 10**12:
-        return 200_000
-    if n < 10**24:
-        return 20_000
-    return 2_000
-
-
-def _divisors(n: int):
-    n = abs(n)
-    out = set()
-    d = 1
-    limit = _trial_limit(n)
-    while d * d <= n and d <= limit:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _integerize(p):
     """Scale a Fraction polynomial to primitive integer coefficients."""
     denom = 1
@@ -184,10 +155,9 @@ def rational_roots(p):
     """All rational roots of ``p`` (Fraction coefficients) with multiplicity.
 
     Returns ``(roots, remainder)``: ``roots`` as ``(root, multiplicity)``
-    pairs and ``remainder`` the rational-root-free cofactor.  Candidates
-    num/den run over divisor pairs of the extreme coefficients, pruned by
-    the root bound and by the classic (num - den) | f(1) and
-    (num + den) | f(-1) filters before any exact evaluation.
+    pairs, zero first and the others ascending, and ``remainder`` the
+    rational-root-free cofactor.  The search is complete for every
+    coefficient size; see :func:`_root_candidates`.
     """
     p = pstrip(p)
     if pdeg(p) < 1:
@@ -200,60 +170,58 @@ def rational_roots(p):
         k += 1
     if k:
         roots.append((Fraction(0), k))
-    if pdeg(p) < 1:
-        return roots, p
-
-    def deflate(root):
+    for root in _root_candidates(p):
         mult = 0
-        nonlocal p
         while pdeg(p) >= 1 and not peval(p, root):
             p = pdivmod(p, [-root, Fraction(1)])[0]
             mult += 1
         if mult:
             roots.append((root, mult))
-        return mult
-
-    # +-1 first: they are also the pivots of the divisibility filters
-    deflate(Fraction(1))
-    deflate(Fraction(-1))
-    if pdeg(p) < 1:
-        return roots, pstrip(p)
-    ints = _integerize(p)
-    f_at_1 = sum(ints)
-    f_at_m1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    bound = root_bound(p)
-    found = []
-    for den in _divisors(ints[-1]):
-        for num in _divisors(ints[0]):
-            if int_gcd(num, den) != 1:
-                continue
-            if Fraction(num, den) > bound:
-                continue
-            for snum in (num, -num):
-                if (snum - den) and f_at_1 % (snum - den):
-                    continue
-                if (snum + den) and f_at_m1 % (snum + den):
-                    continue
-                if _int_eval_is_zero(ints, snum, den):
-                    found.append(Fraction(snum, den))
-    for root in sorted(found):
-        deflate(root)
-    return roots, pstrip(p)
+    return roots, p
 
 
-def _int_eval_is_zero(ints, num, den):
-    """den^deg * f(num/den) == 0, evaluated in integers.
+def _root_candidates(p):
+    """Ascending rationals among which lie all rational roots of ``p``.
 
-    Horner with the scheme acc <- acc*num + a_i * den^(deg-i).
+    Degrees 1 and 2 are solved in closed form.  Above that, every real
+    root of the squarefree part is isolated by Sturm sequences.  A
+    rational root has a denominator dividing the leading coefficient a_n
+    of the primitive integer form, so it is a multiple of 1/|a_n|.  Each
+    isolating interval is bisected on that grid down to one multiple,
+    the single candidate of that root.
     """
-    deg = len(ints) - 1
-    dens = [1] * (deg + 1)
-    for i in range(1, deg + 1):
-        dens[i] = dens[i - 1] * den
-    acc = 0
-    for i in range(deg, -1, -1):
-        acc = acc * num + ints[i] * dens[deg - i]
-    return acc == 0
+    deg = pdeg(p)
+    if deg < 1:
+        return []
+    if deg == 1:
+        return [-p[0] / p[1]]
+    if deg == 2:
+        c, b, a = p
+        s = _fraction_sqrt(b * b - 4 * a * c)
+        if s is None:
+            return []
+        return sorted({(-b - s) / (2 * a), (-b + s) / (2 * a)})
+    q = squarefree_part(p)
+    ints = _integerize(q)
+    deg, lead = len(ints) - 1, abs(ints[-1])
+    # y = a_n x turns q into an integer polynomial with leading
+    # coefficient +-1, whose values at integers y carry the sign of q
+    scaled = [c * lead ** (deg - 1 - i) for i, c in enumerate(ints[:-1])]
+    scaled.append(ints[-1] // lead)
+    out = []
+    for lo, hi in isolate_real_roots(q):
+        # q has one root in (lo, hi]: bisect the integers k_lo < k <= k_hi
+        k_lo, k_hi = floor(lo * lead), floor(hi * lead)
+        side = 1 if peval(q, lo) > 0 else -1
+        while k_hi - k_lo > 1:
+            mid = (k_lo + k_hi) // 2
+            if peval(scaled, mid) * side > 0:
+                k_lo = mid
+            else:
+                k_hi = mid
+        if k_hi > k_lo and not peval(scaled, k_hi):
+            out.append(Fraction(k_hi, lead))
+    return out
 
 
 def sturm_sequence(p):

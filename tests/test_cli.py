@@ -39,6 +39,15 @@ class TestAlgebraic:
         )
         assert code == EXIT_OK
 
+    def test_cube_root_with_large_coefficient(self, capsys):
+        n = 10**20 + 2
+        code, out, _ = run(
+            capsys, "algebraic", "--bound", "2", f"y^3 - {n**3}*x = 0"
+        )
+        # the two complex cube roots stay unresolved in rational mode
+        assert code == EXIT_UNRESOLVED
+        assert f"y = {n}*x^(1/3)   [mult 1" in out
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "algebraic", "y^^2 = 0")
         assert code == EXIT_PARSE

@@ -30,6 +30,21 @@ class TestPolyUtils:
         assert dict(roots) == {F(1, 2): 2, F(-3): 1}
         assert rem == [F(1)]
 
+    def test_rational_root_beside_large_irreducible_quadratic(self):
+        # (1000003 t - 1)(m t^2 + 1) with m = 10^18 + 9
+        m = 10**18 + 9
+        poly = [F(-1), F(1000003), F(-m), F(1000003 * m)]
+        roots, rem = rational_roots(poly)
+        assert roots == [(F(1, 1000003), 1)]
+        assert rem == [F(1000003), F(0), F(1000003 * m)]
+
+    def test_rational_roots_with_large_denominators(self):
+        # (k t - 1)(k t + 3) with k = 10^17 + 37
+        k = 10**17 + 37
+        roots, rem = rational_roots([F(-3), F(2 * k), F(k * k)])
+        assert roots == [(F(-3, k), 1), (F(1, k), 1)]
+        assert rem == [F(k * k)]
+
     def test_exact_square_roots_of_large_squares(self):
         base = 10**17
         for n in range(base - 27, base + 28):
