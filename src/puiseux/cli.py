@@ -46,7 +46,7 @@ from .parsing import (
     parse_integral_factor_problem,
     parse_ode,
 )
-from .series import INF, PuiseuxSeries, SeriesError, format_series
+from .series import INF, PoleError, PuiseuxSeries, SeriesError, format_series
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -220,8 +220,12 @@ def _run_ode(args):
             "coincidence_orders": [_num(c) for c in b.coincidence_orders],
             "note": b.note,
         }
-        check = verify_branch(eq, b)
-        entry["verified"] = check.meets(b.residual_guarantee)
+        try:
+            entry["verified"] = verify_branch(eq, b).meets(b.residual_guarantee)
+        except PoleError as err:
+            # a truncated branch the substitution oracle cannot evaluate
+            entry["verified"] = False
+            entry["note"] = "; ".join(filter(None, [b.note, f"not verified: {err}"]))
         branches.append(entry)
     unresolved = [
         {

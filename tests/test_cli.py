@@ -95,6 +95,19 @@ class TestOde:
         assert "y = 0" in out
         assert "validity window" in out
 
+    def test_unverifiable_branch_does_not_fail_report(self, capsys):
+        code, out, _ = run(
+            capsys, "ode", "--json", "--bound", "3", "dy/dx = x*y^(-1) + y"
+        )
+        assert code == EXIT_OK
+        branches = {b["series"]: b for b in json.loads(out)["branches"]}
+        free = branches["O(x^0)"]
+        assert free["c0"] == "FREE" and free["verified"] is False
+        assert "not verified: negative power" in free["note"]
+        for series in ("-x - 1/3*x^2 - 1/9*x^3 + O(x^4)",
+                       "x + 1/3*x^2 + 1/9*x^3 + O(x^4)"):
+            assert branches[series]["verified"] is True
+
     def test_center_reaches_constant_branches(self, capsys):
         code, out, _ = run(
             capsys, "ode", "--bound", "3", "--center", "1",
