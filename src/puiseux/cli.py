@@ -225,7 +225,8 @@ def _run_ode(args):
         except PoleError as err:
             # a truncated branch the substitution oracle cannot evaluate
             entry["verified"] = False
-            entry["note"] = "; ".join(filter(None, [b.note, f"not verified: {err}"]))
+            notes = [b.note, f"not verified: {err}"]
+            entry["note"] = "; ".join(n for n in notes if n)
         branches.append(entry)
     unresolved = [
         {

@@ -6,9 +6,17 @@ a zero test on the coefficients (``pdivmod``, ``pmonic``, ``pgcd`` and
 ``squarefree_part`` also divide), so callers use them over ``Fraction``,
 ``AlgebraicNumber``, ``PuiseuxSeries`` and tower ``Element`` coefficients
 alike.  The zero test is truthiness; a series is false only when it is
-the exact zero, so an ``O(x^t)`` coefficient is never dropped.  The
-root-finding machinery at the bottom (rational roots, Sturm isolation,
-quartic splitting) is specific to exact rationals.
+the exact zero, so an ``O(x^t)`` coefficient is never dropped.
+
+The root-finding machinery at the bottom is specific to exact rationals.
+``rational_roots`` is complete for every coefficient size and has no
+search budget: degrees 1 and 2 are solved in closed form, and above that
+each real root, isolated by Sturm sequences, is narrowed down to the one
+rational it could be, because the denominator of a rational root divides
+the leading coefficient (R. Loos, SIAM J. Comput. 12, 1983, reaches the
+same roots by p-adic expansion).  Exact integer square and n-th roots use ``math.isqrt`` and an
+integer Newton iteration, never floats.  ``irreducible_factors`` builds
+on these with Yun's squarefree decomposition and quartic splitting.
 """
 
 from __future__ import annotations
@@ -156,8 +164,10 @@ def rational_roots(p):
 
     Returns ``(roots, remainder)``: ``roots`` as ``(root, multiplicity)``
     pairs, zero first and the others ascending, and ``remainder`` the
-    rational-root-free cofactor.  The search is complete for every
-    coefficient size; see :func:`_root_candidates`.
+    rational-root-free cofactor.  After the ``x^k`` factor is split off,
+    :func:`_root_candidates` proposes at most one rational per real root,
+    and each one is divided out as often as it is a root.  No root is
+    missed whatever the size of the coefficients, and there is no budget.
     """
     p = pstrip(p)
     if pdeg(p) < 1:
