@@ -34,6 +34,13 @@ CASES = {
     "ode-riccati": (0, ["ode", "--bound", "4", "dy/dx = 2*y/x + x + y^2"]),
     "ode-algebraic-type": (
         0, ["ode", "--bound", "3", "dy/dx = x^(-2)*y^2 - x^(-1)"]),
+    "ode-power-half": (
+        0, ["ode", "--bound", "4", "--resonance", "values=4",
+            "dy/dx = y^(1/2) + x"]),
+    "ode-power-negative": (
+        4, ["ode", "--bound", "4", "--resonance", "values=4",
+            "dy/dx = x*y^(-2) - y^(3/2)"]),
+    "ode-cubic-symbolic": (4, ["ode", "--bound", "4", "dy/dx = y^3 + x"]),
     "ode-rational": (0, ["ode", "--bound", "2", "dy/dx = (y)/(y + 1)"]),
     "ode-rational-monomial-q": (
         0, ["ode", "--bound", "3", "dy/dx = (y + x^2)/(x*y)"]),
