@@ -40,6 +40,7 @@ from .series import (
     PoleError,
     PuiseuxSeries,
     SeriesError,
+    default_branch,
     substitute_series,
 )
 
@@ -619,6 +620,14 @@ def continue_proper(
     free constant (``c_r``, or a formal parameter when None), a nonzero
     obstruction terminates the branch.  The resonance decision is never
     left pending: the internal bound extends to mu_r when needed.
+
+    The level coefficient is the one right-hand-side coefficient at
+    mu_l - 1, computed on demand from the exact prefix (see
+    :class:`_RhsCoefficients`), so a level costs a number of coefficient
+    operations linear in the number of terms and nothing is truncated.
+    Only the final residual, which sets ``residual_guarantee``, is a full
+    substitution; its precision reaches next_level - 1 under every
+    monomial x^nu * y^sigma, also for nu < -1.
     """
     if classify(e, t) != PROPER:
         raise ClassificationError("continue_proper needs a proper initial term")
@@ -675,6 +684,7 @@ def continue_proper(
         m.y_exp < 0 or m.y_exp.denominator != 1 for m in e.monomials
     )
     data_cap = _cap_from_equation(e, PuiseuxSeries.x_power(mu0, 1))
+    rhs = _RhsCoefficients(e, branches)
 
     try:
         pending = levels()
@@ -683,11 +693,8 @@ def continue_proper(
             mu_l = pending.pop(0)
             if mu_l - 1 >= data_cap:
                 break  # the reduction's dropped tail reaches this level
-            prec = mu_l if needs_prec else None
-            residual = series.differentiate() - e.substitute(
-                series, prec=prec, branches=branches
-            )
-            level_coeff = _known_coefficient(residual, mu_l - 1)
+            # the residual at mu_l - 1: d/dx(series) has no term there yet
+            level_coeff = -rhs.at(series, mu_l)
             if resonance_pending and mu_l == mu_r:
                 if level_coeff:
                     obstruction = level_coeff
@@ -730,7 +737,10 @@ def continue_proper(
 
         next_level = _next_lattice_exponent(e, t, lattice, processed)
         series = series.with_trunc(min(next_level, data_cap + 1))
-        prec = next_level if needs_prec else None
+        # x^nu * y^sigma is known below nu + prec: reach next_level - 1
+        prec = None
+        if needs_prec:
+            prec = max(next_level, next_level - 1 - min(m.x_exp for m in e.monomials))
         final_res = series.differentiate() - e.substitute(
             series, prec=prec, branches=branches
         )
@@ -765,12 +775,86 @@ def continue_proper(
     )
 
 
-def _known_coefficient(series, e):
-    """Coefficient at e when certified, else the term value if present."""
-    for te, tc in series.terms:
-        if te == e:
-            return tc
-    return as_coefficient(0)
+class _RhsCoefficients:
+    """Coefficients of rhs(y), one at a time, for a prefix y that only grows
+    upward (the relaxed evaluation of van der Hoeven, "Relax, but don't be
+    too lazy", JSC 34, 2002).
+
+    ``at(y, level)`` is [x^(level - 1)] rhs(y) for an exact y whose terms
+    all lie below ``level``.  A monomial f*x^nu*y^sigma needs [y^sigma] at
+    the offset d = level - 1 - nu - sigma*m above sigma*m, m the leading
+    exponent of y.  Positive integer powers come from convolution with y,
+    which divides by nothing, so a formal free constant may lead y.  Every
+    other power comes from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    4.7) over the offsets delta_k and coefficients c_k of y,
+
+        p_d = sum_k c_k * ((sigma + 1)*delta_k - d) * p_(d - delta_k) / (d*c_0),
+
+    started at the branch ``pow_rational`` picks.  An entry is kept once
+    m + d lies below the level: it then depends only on terms of y that no
+    later level changes.
+    """
+
+    def __init__(self, e: MonomialODE, branches):
+        self.monomials = e.monomials
+        self.branches = branches
+        self.tables = {}  # sigma -> {offset d: p_d}, final entries only
+
+    def at(self, y: PuiseuxSeries, level):
+        target = level - 1
+        total = as_coefficient(0)
+        if not y.terms:
+            for mono in self.monomials:
+                if mono.y_exp < 0:
+                    raise PoleError("negative power of the zero series in substitution")
+                if mono.y_exp == 0 and mono.x_exp == target:
+                    total = total + mono.coefficient
+            return total
+        m, c0 = y.terms[0]
+        offsets = tuple((te - m, tc) for te, tc in y.terms)
+        ctx = (offsets, dict(offsets), c0, level - m)
+        for mono in self.monomials:
+            sigma = mono.y_exp
+            d = target - mono.x_exp - sigma * m
+            if d < 0 or (sigma == 0 and d):
+                continue
+            p = self._power(sigma, d, ctx)
+            if p:
+                total = total + mono.coefficient * p
+        return total
+
+    def _power(self, sigma, d, ctx):
+        """[y^sigma] at offset d above sigma*m; zero products are left out."""
+        offsets, lookup, c0, final = ctx
+        if sigma == 0:
+            return as_coefficient(1)
+        if sigma == 1:
+            return lookup.get(d, 0)
+        table = self.tables.setdefault(sigma, {})
+        if d in table:
+            return table[d]
+        value = as_coefficient(0)
+        if sigma.denominator == 1 and sigma > 0:
+            for delta, c in offsets:  # y * y^(sigma - 1)
+                if delta > d:
+                    break
+                p = self._power(sigma - 1, d - delta, ctx)
+                if p:
+                    value = value + c * p
+        elif not d:  # the branch pow_rational picks
+            branch = self.branches(sigma) if self.branches is not None else None
+            value = branch if branch is not None else default_branch(c0, sigma)
+        else:
+            for delta, c in offsets[1:]:
+                if delta > d:
+                    break
+                p = self._power(sigma, d - delta, ctx)
+                if p:
+                    value = value + c * ((sigma + 1) * delta - d) * p
+            value = value / (d * c0)
+        if d < final:
+            table[d] = value
+        return value
 
 
 def _next_lattice_exponent(e, t, lattice, processed):

@@ -121,6 +121,19 @@ class TestOde:
         assert code == EXIT_OK
         assert "1/4*x^2" in out
 
+    def test_obstruction_under_negative_x_powers(self, capsys):
+        code, out, _ = run(
+            capsys, "ode", "--json", "--bound", "4",
+            "dy/dx = 3*x^(-1)*y^(3/2) - x^(-3)*y^(3/2)",
+        )
+        assert code == EXIT_OK
+        (proper,) = [b for b in json.loads(out)["branches"]
+                     if b["kind"] == "proper"]
+        assert proper["status"] == "negative-resonance"
+        assert proper["obstruction"] == "192"
+        assert proper["series"] == "16*x^4 + O(x^6)"
+        assert "C1" not in out
+
     def test_json_deterministic_across_processes(self):
         import subprocess
         import sys

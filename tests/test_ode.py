@@ -34,8 +34,9 @@ from puiseux.ode import (
     solve_algebraic_type,
     solve_all,
     verify_branch,
+    verify_series,
 )
-from puiseux.series import INF, PuiseuxSeries
+from puiseux.series import INF, BranchError, PuiseuxSeries
 
 X = PuiseuxSeries.x_power
 ONE = PuiseuxSeries.one()
@@ -644,6 +645,77 @@ class TestRandomEquations:
         assert [b.status for b in first.branches] == [
             b.status for b in second.branches
         ]
+
+
+class TestLevelCoefficients:
+    """Level coefficients come from the exact prefix, never from a
+    truncated substitution: x^nu * y^sigma with nu < 0 and a negative or
+    fractional sigma still reaches level mu_l - 1."""
+
+    def test_obstruction_under_negative_x_powers(self):
+        # dy/dx = 3*x^-1*y^(3/2) - x^-3*y^(3/2): the x^5 level is 192, by hand
+        e = MonomialODE([(-1, F(3, 2), 3), (-3, F(3, 2), -1)])
+        (b,) = [b for b in solve_all(e, 4).branches if b.kind == PROPER]
+        assert b.status == NEGATIVE_RESONANCE
+        assert b.obstruction == 192
+        assert str(b.series) == "16*x^4 + O(x^6)"
+        assert b.free_constant is None
+
+    def test_exact_square_through_y_over_x(self):
+        # y = (x + x^2/2)^2 solves dy/dx = 2*y/x + x*y^(1/2) exactly
+        e = MonomialODE([(-1, 1, 2), (1, F(1, 2), 1)])
+        exact = PuiseuxSeries([(2, 1), (3, 1), (4, F(1, 4))])
+        assert verify_series(e, exact).valuation == INF
+        rep = solve_all(e, 6, resonance=[F(1)])
+        (b,) = [b for b in rep.branches if b.initial.case == "c"]
+        assert str(b.series) == "x^2 + x^3 + 1/4*x^4 + O(x^7)"
+        assert b.residual_guarantee >= 6
+        assert b.series.agrees_with(exact, INF)
+
+    def test_symbolic_family_keeps_its_constant_term(self):
+        # dy/dx = x^-2*y^(1/2) + 1: sqrt(y) = x^-1/2 + C1 + ..., so C1^2 at x^0
+        e = MonomialODE([(-2, F(1, 2), 1), (0, 0, 1)])
+        (b,) = [b for b in solve_all(e, 6).branches if b.kind == PROPER]
+        c1 = ParamPoly.parameter("C1")
+        assert b.series.coefficient(0) == c1 * c1
+        assert b.residual_guarantee >= 5
+        for value in (1, 2, F(-1, 3)):
+            inst = b.instantiate(value)
+            assert verify_branch(e, inst).meets(b.residual_guarantee)
+
+    @pytest.mark.parametrize("nu", [-2, -3])
+    def test_final_residual_reaches_the_bound(self, nu):
+        e = MonomialODE([(nu, F(1, 2), 1), (0, 0, 1)])
+        rep = solve_all(e, 6, resonance=[F(1)])
+        (b,) = [b for b in rep.branches if b.kind == PROPER]
+        assert b.residual_guarantee == 6
+        assert verify_branch(e, b).meets(6)
+
+    def test_seeded_proper_branches_meet_their_guarantee(self):
+        import random
+
+        rng = random.Random(4)
+        sigmas = [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3)]
+        branches = 0
+        for _ in range(100):
+            monos = {}
+            while len(monos) < rng.choice([2, 3]):
+                key = (F(rng.randint(-3, 2)), rng.choice(sigmas))
+                monos[key] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+            e = MonomialODE([(nu, s, f) for (nu, s), f in monos.items()])
+            for t in initial_terms(e).terms:
+                if classify(e, t) != PROPER:
+                    continue
+                for c_r in (1, 2):
+                    try:
+                        b = continue_proper(e, t, 4, c_r=c_r)
+                    except BranchError:
+                        continue  # no rational root branch for this c0
+                    branches += 1
+                    g = b.residual_guarantee
+                    assert b.series.trunc <= g + 1, (monos, str(b.series), g)
+                    assert verify_branch(e, b).meets(g), (monos, str(b.series))
+        assert branches > 100
 
 
 class TestExpandRational:
