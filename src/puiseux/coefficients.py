@@ -19,6 +19,7 @@ Fractions mixed in.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .polyutils import (
     FactorizationLimit,
@@ -171,11 +172,16 @@ class NumberField:
 
 
 def _squarefree_core(n: int):
-    """(s, core) with n = s^2 * core and core squarefree."""
+    """(s, core) with n = s^2 * core and core squarefree.
+
+    Trial division stops once d^3 exceeds the cofactor m: every prime
+    factor of m is then at least d, so m is 1, p, p*q or p^2, and one
+    integer square root test finds the square.
+    """
     s, core = 1, 1
     d = 2
     m = n
-    while d * d <= m:
+    while d * d * d <= m:
         exp = 0
         while m % d == 0:
             m //= d
@@ -185,8 +191,10 @@ def _squarefree_core(n: int):
             if exp % 2:
                 core *= d
         d += 1
-    core *= m
-    return s, core
+    r = isqrt(m)
+    if r > 1 and r * r == m:
+        return s * r, core
+    return s, core * m
 
 
 def canonical_sqrt(radicand):

@@ -48,6 +48,14 @@ class TestAlgebraic:
         assert code == EXIT_UNRESOLVED
         assert f"y = {n}*x^(1/3)   [mult 1" in out
 
+    def test_large_prime_discriminant(self, capsys):
+        code, out, _ = run(
+            capsys, "algebraic", "--roots", "algebraic", "--bound", "1",
+            "y^2 - 2305843009213693951 = 0",
+        )
+        assert code == EXIT_OK
+        assert "sqrt(2305843009213693951)" in out
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "algebraic", "y^^2 = 0")
         assert code == EXIT_PARSE

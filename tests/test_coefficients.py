@@ -9,6 +9,8 @@ from puiseux.coefficients import (
     NumberField,
     ParamPoly,
     UnsupportedSymbolic,
+    _squarefree_core,
+    canonical_sqrt,
     poly_roots,
     sqrt_field,
 )
@@ -118,6 +120,31 @@ class TestNumberField:
         i = field.generator()
         assert i * i == -1
         assert isinstance(field.approx(), complex)
+
+    def test_squarefree_core_matches_full_trial_division(self):
+        def full(n):
+            s, core, d, m = 1, 1, 2, n
+            while d * d <= m:
+                exp = 0
+                while m % d == 0:
+                    m, exp = m // d, exp + 1
+                s, core, d = s * d ** (exp // 2), core * d ** (exp % 2), d + 1
+            return s, core * m
+
+        for n in range(1, 3000):
+            assert _squarefree_core(n) == full(n), n
+
+    def test_squarefree_core_square_of_a_large_prime_cofactor(self):
+        p, q = 10**6 + 3, 10**6 + 33  # primes
+        assert _squarefree_core(p * p * 7) == (p, 7)
+        assert _squarefree_core(p * p) == (p, 1)
+        assert _squarefree_core(p * q * 4) == (2, p * q)
+
+    def test_sqrt_of_a_large_prime_is_prompt(self):
+        p = 2**61 - 1  # prime: trial division up to sqrt(p) would hang
+        assert _squarefree_core(p) == (1, p)
+        r = canonical_sqrt(p)
+        assert r * r == p
 
 
 class TestParamPoly:
