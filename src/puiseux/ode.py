@@ -803,10 +803,12 @@ class _RhsCoefficients:
     def at(self, y: PuiseuxSeries, level):
         target = level - 1
         total = as_coefficient(0)
-        if not y.terms:
+        if not y.terms:  # a zero start (c_r = 0) until a level adds a term
             for mono in self.monomials:
                 if mono.y_exp < 0:
-                    raise PoleError("negative power of the zero series in substitution")
+                    raise PoleError(
+                        "negative power of the zero series in substitution"
+                    )
                 if mono.y_exp == 0 and mono.x_exp == target:
                     total = total + mono.coefficient
             return total
