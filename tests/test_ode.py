@@ -698,8 +698,8 @@ class TestLevelCoefficients:
         sigmas = [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3)]
         branches = 0
         for _ in range(100):
-            monos = {}
-            while len(monos) < rng.choice([2, 3]):
+            monos, size = {}, rng.choice([2, 3])
+            while len(monos) < size:
                 key = (F(rng.randint(-3, 2)), rng.choice(sigmas))
                 monos[key] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
             e = MonomialODE([(nu, s, f) for (nu, s), f in monos.items()])
