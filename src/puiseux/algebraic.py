@@ -158,10 +158,31 @@ def solve_algebraic(p: SeriesPolynomial, bound, mode="rational") -> AlgebraicSol
     algebraic numbers where certifiable; with ``mode='rational'`` they are
     reported in ``unresolved``.
     """
+    return _solve_from(p, PuiseuxSeries.zero(), p.degree, None, bound, mode)
+
+
+def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
+    """The roots of ``p`` that differ from the exact ``prefix`` only beyond
+    the exponent ``last``, solved as ``solve_algebraic`` would from there.
+
+    One Taylor shift recenters ``p`` at ``prefix``.  The roots of the
+    shifted polynomial with valuation above ``last`` number the smallest
+    index active on its contour at ``last``; when the shifted constant
+    coefficient vanishes exactly, that count includes the zero root.
+    """
+    q = recenter(p, prefix)
+    mult = min(line.key for line in contour_of(q).active(last))
+    if not mult:
+        return AlgebraicSolveResult()
+    return _solve_from(q, prefix, mult, last, bound, mode)
+
+
+def _solve_from(q, prefix, mult, last, bound, mode):
+    """The contour loop started at the state ``(q, prefix, mult, last)``."""
     bound = Fraction(bound)
     result = AlgebraicSolveResult()
     steps = 0
-    stack = [(p, PuiseuxSeries.zero(), p.degree, None)]
+    stack = [(q, prefix, mult, last)]
     while stack:
         q, prefix, mult, last = stack.pop()
         steps += 1

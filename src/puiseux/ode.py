@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd as _gcd
 
-from .algebraic import SeriesPolynomial, _as_series, solve_algebraic
+from .algebraic import SeriesPolynomial, _as_series, _solve_beyond
 from .coefficients import (
     ParamPoly,
     UnsupportedSymbolic,
@@ -883,6 +883,15 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
     Round k solves rhs(y) - d/dx(y_{k-1}) = 0 and trusts its root below
     the coincidence order mu0 + (k+1)*Delta, Delta = mu0 - 1 - f(mu0);
     the recorded coincidence orders grow by exactly Delta per round.
+
+    Each round is warm-started in w = y^(1/s): round 0 at the initial
+    term, round k at the exact terms of round k-1's root below its
+    trusted bound, so only the roots through that prefix are solved for
+    (the term-by-term ``solve_algebraic`` from the empty prefix gives the
+    same roots).  A root that leaves the prefix is still rejected by the
+    coincidence check.  Starting at the prefix also keeps a branch whose
+    round polynomial has an unknown constant coefficient, where a solve
+    from the empty prefix could not take its first step.
     """
     if classify(e, t) != ALGEBRAIC_TYPE:
         raise ClassificationError("solve_algebraic_type needs an algebraic-type term")
@@ -896,7 +905,6 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
     shift = min(Fraction(0), min(e.sigmas()))
 
     t_root = t.branch_root if t.branch_root is not None else t.coefficient
-    lead_exp = mu0 / s
 
     # states track the w = y^(1/s) prefix: the root-branch identity lives
     # in w-space, where conjugate w-roots of the same y stay distinct
@@ -906,21 +914,23 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
         w_prev, prev_bw, k, orders = states.pop()
         c_k = mu0 + (k + 1) * delta
         y_prev = None
-        if w_prev is not None:
+        if w_prev is None:
+            last = mu0 / s
+            start = PuiseuxSeries.x_power(last, t_root)
+        else:
             y_prev = w_prev.pow_rational(Fraction(s)).truncate(orders[-1])
+            start = PuiseuxSeries(
+                tuple((x, c) for x, c in w_prev.terms if x < prev_bw)
+            )
+            last = start.terms[-1][0]
         poly = _modified_polynomial(e, y_prev, s, shift)
         bound_w = c_k - (s - 1) * mu0 / s
-        res = solve_algebraic(poly, bound_w, mode=mode)
-        matches = []
-        for b in res.branches:
-            if not b.series.terms:
-                continue
-            le, lc = b.series.leading()
-            if k == 0:
-                if le == lead_exp and lc == t_root:
-                    matches.append(b)
-            elif b.series.agrees_with(w_prev, prev_bw):
-                matches.append(b)
+        res = _solve_beyond(poly, start, last, bound_w, mode=mode)
+        matches = [
+            b
+            for b in res.branches
+            if w_prev is None or b.series.agrees_with(w_prev, prev_bw)
+        ]
         for b in matches:
             new_orders = orders + (c_k,)
             if b.residual_bound == INF:

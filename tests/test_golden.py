@@ -34,6 +34,9 @@ CASES = {
     "ode-riccati": (0, ["ode", "--bound", "4", "dy/dx = 2*y/x + x + y^2"]),
     "ode-algebraic-type": (
         0, ["ode", "--bound", "3", "dy/dx = x^(-2)*y^2 - x^(-1)"]),
+    "ode-algebraic-type-constant": (
+        0, ["ode", "--bound", "6",
+            "dy/dx = -2*x^(-2)*y + x^(-2)*y^2 + 2*x^2*y^3"]),
     "ode-power-half": (
         0, ["ode", "--bound", "4", "--resonance", "values=4",
             "dy/dx = y^(1/2) + x"]),

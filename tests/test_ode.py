@@ -385,6 +385,111 @@ class TestAlgebraicType:
         assert verify_branch(e, b).valuation == INF
 
 
+def random_monomial_odes(rng, count):
+    """``count`` seeded monomial ODEs with two or three distinct monomials."""
+    sigmas = [F(-2), F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3)]
+    out = []
+    for _ in range(count):
+        monos, size = {}, rng.choice([2, 3])
+        while len(monos) < size:
+            key = (F(rng.randint(-3, 2)), rng.choice(sigmas))
+            monos[key] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+        out.append(MonomialODE([(nu, s, f) for (nu, s), f in monos.items()]))
+    return out
+
+
+class TestWarmStart:
+    """Each algebraic-type round starts at the previous round's root."""
+
+    def test_constant_start_branch_is_kept(self):
+        # y = 2 + a*x^k balances at k = 4, a = -8 (by hand); the first
+        # round's polynomial has an unknown constant coefficient O(x^0)
+        e = MonomialODE([(-2, 1, -2), (-2, 2, 1), (2, 3, 2)])
+        rep = solve_all(e, 6)
+        (b,) = [b for b in rep.branches if b.initial and b.initial.case == "a"]
+        assert str(b.series) == "2 - 8*x^4 - 16*x^5 + O(x^6)"
+        assert b.residual_guarantee >= 4
+        assert verify_branch(e, b).meets(b.residual_guarantee)
+        assert not [n for n in rep.notes if "nonzero constant" in n]
+
+    def test_constant_start_branch_with_fractional_power(self):
+        # y = 4 + a*x^k balances at k = 3, a = -8 (by hand)
+        e = MonomialODE([(-2, 1, -2), (-2, F(3, 2), 1), (1, 1, 2)])
+        (b,) = [b for b in solve_all(e, 6).branches
+                if b.initial and b.initial.case == "a"]
+        assert str(b.series) == "4 - 8*x^3 - 24*x^4 - 96*x^5 + O(x^6)"
+        assert verify_branch(e, b).meets(b.residual_guarantee)
+
+    @staticmethod
+    def cross_check(monkeypatch, e, bound, mode="rational"):
+        """Solve every algebraic-type term of ``e``; each round's
+        from-scratch matches (``solve_algebraic`` plus the prefix filter)
+        must be among the warm-start roots when the round polynomial has a
+        known constant term.  Returns the number of matches compared."""
+        from puiseux import ode
+        from puiseux.algebraic import solve_algebraic
+
+        rounds = []
+        warm_start = ode._solve_beyond
+
+        def recorded(p, prefix, last, bound_w, mode="rational"):
+            res = warm_start(p, prefix, last, bound_w, mode=mode)
+            rounds.append((p, prefix, bound_w, res))
+            return res
+
+        monkeypatch.setattr(ode, "_solve_beyond", recorded)
+        compared = 0
+        for t in initial_terms(e, mode=mode).terms:
+            if classify(e, t) != ALGEBRAIC_TYPE:
+                continue
+            mu0 = t.exponent
+            delta = mu0 - 1 - ode_contour(e).value(mu0)
+            rounds.clear()
+            branches = solve_algebraic_type(e, t, bound, mode=mode)
+            for p, prefix, bound_w, res in rounds:
+                if not p.coeffs[0].terms:
+                    continue
+                prev_bw = bound_w - delta
+                first = prev_bw == prefix.valuation()
+                scratch = [
+                    b for b in solve_algebraic(p, bound_w, mode=mode).branches
+                    if b.series.terms and (
+                        b.series.leading() == prefix.leading() if first
+                        else b.series.agrees_with(prefix, prev_bw))
+                ]
+                warm = {(b.series, b.residual_bound) for b in res.branches}
+                for b in scratch:
+                    assert (b.series, b.residual_bound) in warm, (e, str(b.series))
+                compared += len(scratch)
+            for b in branches:
+                assert verify_branch(e, b).meets(b.residual_guarantee), (
+                    e, str(b.series))
+                orders = b.coincidence_orders
+                assert all(y - x == delta for x, y in zip(orders, orders[1:]))
+        return compared
+
+    def test_seeded_rounds_match_the_from_scratch_route(self, monkeypatch):
+        import random
+
+        compared = 0
+        for e in random_monomial_odes(random.Random(1), 120):
+            for bound in (2, F(7, 2)):
+                compared += self.cross_check(monkeypatch, e, bound)
+        assert compared > 100
+
+    def test_algebraic_mode_rounds_match_the_from_scratch_route(self, monkeypatch):
+        e = MonomialODE([(-2, 2, 1), (-1, 0, -2)])  # c0 = +-sqrt(2)
+        assert self.cross_check(monkeypatch, e, F(7, 2), mode="algebraic") >= 10
+
+    def test_constant_note_only_without_a_constant_term(self):
+        import random
+
+        for e in random_monomial_odes(random.Random(8), 300):
+            if any(t.case == "a" for t in initial_terms(e).terms):
+                notes = solve_all(e, 2).notes
+                assert not [n for n in notes if "nonzero constant" in n], e
+
+
 def rescale_y(e: MonomialODE, m: F) -> MonomialODE:
     """The equation satisfied by z = x^-m * y.
 
