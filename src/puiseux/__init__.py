@@ -36,7 +36,7 @@ from .coefficients import (
     canonical_sqrt,
     sqrt_field,
 )
-from .contour import BreakPoint, Contour, Line
+from .contour import Contour, Line
 from .first_integrals import (
     CaseError,
     ConstantVerdict,
@@ -68,14 +68,12 @@ from .ode import (
     SolutionBranch,
     SolveAllReport,
     VerifyResult,
-    branch_count_bound,
     classify,
     continue_proper,
     expand_rational,
     index_lattice,
     initial_terms,
     ode_contour,
-    rhs_contour,
     solve_algebraic_type,
     solve_all,
     verify_branch,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coefficients import as_coefficient, coefficient_sort_key, poly_roots
 from .contour import Contour, Line
-from .polyutils import pdeg, ptaylor_shift
+from .polyutils import pdeg, peval, ptaylor_shift
 from .series import INF, PuiseuxSeries, SeriesError
 
 _MAX_STEPS = 4000
@@ -55,17 +55,8 @@ class SeriesPolynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def evaluate(self, y, prec=None):
-        acc = PuiseuxSeries.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc
-
-    def derivative_in_y(self):
-        coeffs = [
-            self.coeffs[i].scale(Fraction(i)) for i in range(1, len(self.coeffs))
-        ]
-        return SeriesPolynomial(coeffs)
+    def evaluate(self, y):
+        return peval(self.coeffs, y)
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)

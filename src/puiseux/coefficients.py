@@ -24,15 +24,20 @@ from math import isqrt
 from .polyutils import (
     FactorizationLimit,
     _fraction_sqrt,
+    count_real_roots,
     irreducible_factors,
     isolate_real_roots,
+    padd,
     pdeg,
     pdivmod,
     peval,
+    pformat,
     pmonic,
     pmul,
+    ppow,
     pstrip,
     psub,
+    rational_roots,
     refine_interval,
     squarefree_part,
 )
@@ -151,8 +156,6 @@ class NumberField:
             hi = min(self.region[1], other.region[1])
             if hi <= lo:
                 return False
-            from .polyutils import count_real_roots
-
             return count_real_roots(list(self.minpoly), lo, hi) == 1
         (rl1, rh1), (il1, ih1) = self.region
         (rl2, rh2), (il2, ih2) = other.region
@@ -323,14 +326,7 @@ class AlgebraicNumber:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.lift(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ppow(self, n, self.field.lift(1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -358,22 +354,7 @@ class AlgebraicNumber:
         return acc
 
     def __repr__(self):
-        parts = []
-        g = self.field.label
-        for i, c in enumerate(self.vec):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-                continue
-            power = g if i == 1 else f"{g}^{i}"
-            if c == 1:
-                parts.append(power)
-            elif c == -1:
-                parts.append(f"-{power}")
-            else:
-                parts.append(f"{c}*{power}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        return pformat(self.vec, self.field.label)
 
     __str__ = __repr__
 
@@ -425,13 +406,9 @@ class ParamPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        c = [
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (o.coeffs[i] if i < len(o.coeffs) else 0)
-            for i in range(n)
-        ]
-        return ParamPoly(c, self.symbol if self.coeffs else o.symbol)
+        return ParamPoly(
+            padd(self.coeffs, o.coeffs), self.symbol if self.coeffs else o.symbol
+        )
 
     __radd__ = __add__
 
@@ -451,13 +428,7 @@ class ParamPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return ParamPoly([], self.symbol)
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return ParamPoly(out, self.symbol if self.coeffs else o.symbol)
+        return ParamPoly(pmul(self.coeffs, o.coeffs), self.symbol)
 
     __rmul__ = __mul__
 
@@ -486,10 +457,7 @@ class ParamPoly:
             if self.degree == 0 and self.coeffs:
                 return ParamPoly([self.coeffs[0] ** n], self.symbol)
             raise UnsupportedSymbolic("negative power of a free constant")
-        result = ParamPoly([1], self.symbol)
-        for _ in range(n):
-            result = result * self
-        return result
+        return ppow(self, n, ParamPoly([1], self.symbol))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -508,30 +476,11 @@ class ParamPoly:
         return hash((self.coeffs, self.symbol))
 
     def substitute(self, value):
-        acc = as_coefficient(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return as_coefficient(peval(self.coeffs, value))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                power = self.symbol if i == 1 else f"{self.symbol}^{i}"
-                if c == 1:
-                    parts.append(power)
-                elif c == -1:
-                    parts.append(f"-{power}")
-                else:
-                    parts.append(f"{c}*{power}")
-        body = " + ".join(parts).replace("+ -", "- ")
-        return body if len(parts) == 1 else f"({body})"
+        body = pformat(self.coeffs, self.symbol)
+        return f"({body})" if sum(map(bool, self.coeffs)) > 1 else body
 
     __str__ = __repr__
 
@@ -592,8 +541,6 @@ def poly_roots(coeffs, mode="rational"):
 
 
 def _roots_over_q(coeffs, mode):
-    from .polyutils import rational_roots
-
     roots, remainder = rational_roots(coeffs)
     roots = [(Fraction(r), m) for r, m in roots]
     if pdeg(remainder) < 1:
@@ -689,8 +636,6 @@ def _linear_root_in_field(poly, field):
         if r is None:
             return _field_root_via_quadratic(poly, field)
         rational.append(r)
-    from .polyutils import rational_roots
-
     roots, _rem = rational_roots(rational)
     if roots:
         return field.lift(roots[0][0])
@@ -759,7 +704,7 @@ def _quadratic_sqrt(field, a, b):
     A = p * p - 4 * q
     B = 2 * b * p - 4 * a
     C = b * b
-    for w in _rational_quadratic_roots(A, B, C):
+    for w, _mult in rational_roots([C, B, A])[0]:
         if w <= 0:
             continue
         v = _fraction_sqrt(w)
@@ -771,15 +716,3 @@ def _quadratic_sqrt(field, a, b):
             if cand * cand == field.element([a, b]):
                 return cand
     return None
-
-
-def _rational_quadratic_roots(A, B, C):
-    if not A:
-        if not B:
-            return []
-        return [-C / B]
-    disc = B * B - 4 * A * C
-    s = _fraction_sqrt(disc)
-    if s is None:
-        return []
-    return [(-B + s) / (2 * A), (-B - s) / (2 * A)]

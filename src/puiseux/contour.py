@@ -67,12 +67,3 @@ class Contour:
             f"{line.intercept}+{line.slope}x" for line in self.lines
         )
         return f"Contour({body})"
-
-
-@dataclass(frozen=True)
-class BreakPoint:
-    """A breaking point with the keys of the lines active there."""
-
-    x: Fraction
-    active_keys: tuple
-    envelope_value: Fraction

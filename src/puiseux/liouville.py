@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .polyutils import ppow
 from .ratfunc import RatFunc
 
 
@@ -362,14 +363,7 @@ class Element:
             return NotImplemented
         if n < 0:
             return (self.tower.one() / self) ** (-n)
-        out = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return ppow(self, n, self.tower.one())
 
     def __eq__(self, other):
         o = self._coerce(other)

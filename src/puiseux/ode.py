@@ -157,13 +157,6 @@ def ode_contour(e: MonomialODE) -> Contour:
     return Contour(lines)
 
 
-def rhs_contour(e: MonomialODE) -> Contour:
-    """Envelope of the monomial lines only (the right-hand side)."""
-    return Contour(
-        [Line(m.y_exp, m.x_exp, key=(m.x_exp, m.y_exp)) for m in e.monomials]
-    )
-
-
 @dataclass(frozen=True)
 class InitialTerm:
     """An admissible leading term c0 * x^mu0 of a solution branch."""
@@ -218,11 +211,15 @@ def initial_terms(e: MonomialODE, mode="rational") -> InitialTermsResult:
     for x_b in contour.breaking_points():
         if x_b == 0:
             continue
-        active = contour.active(x_b)
-        keys = [line.key for line in active]
+        keys = {line.key for line in contour.active(x_b)}
+        active = [m for m in e.monomials if (m.x_exp, m.y_exp) in keys]
+        pairs = [(m.y_exp, m.coefficient) for m in active]
         deriv = DERIVATIVE in keys
-        mono_keys = [k for k in keys if k != DERIVATIVE]
-        _vertex_terms(e, x_b, mono_keys, deriv, mode, result)
+        if deriv:
+            pairs.append((Fraction(1), -x_b))  # -d/dx(c0*x^mu0) at the vertex
+        _vertex_terms(
+            e, x_b, pairs, active, mode, result, case="b", derivative_active=deriv
+        )
     _coincident_terms(e, contour, result)
     _constant_terms(e, mode, result)
     _drop_outside_validity(e, result)
@@ -265,22 +262,21 @@ def _root_scale(e):
     return s
 
 
-def _vertex_terms(e, mu0, mono_keys, deriv, mode, result):
-    monomials = [m for m in e.monomials if (m.x_exp, m.y_exp) in set(mono_keys)]
-    sigmas = [m.y_exp for m in monomials]
-    if deriv:
-        sigmas.append(Fraction(1))
+def _vertex_terms(e, mu0, pairs, resonant, mode, result, **fields):
+    """Initial terms c0*x^mu0, one per nonzero root t = c0^(1/s) of the
+    vertex polynomial sum f * t^((sigma - smin)*s) over the (sigma, f)
+    pairs.  ``resonant`` holds the monomials of the resonant index (None:
+    no index); ``fields`` are the remaining InitialTerm fields.
+    """
     # the branch variable is t = c0^(1/s) with the EQUATION-wide scale, so
     # that one t value fixes every fractional power the equation contains
     s = _root_scale(e)
+    sigmas = [sig for sig, _f in pairs]
     smin = min(sigmas)
-    degree = lambda sig: int((sig - smin) * s)
-    size = max(degree(sig) for sig in sigmas) + 1
-    poly = [as_coefficient(0)] * size
-    for m in monomials:
-        poly[degree(m.y_exp)] = poly[degree(m.y_exp)] + m.coefficient
-    if deriv:
-        poly[degree(Fraction(1))] = poly[degree(Fraction(1))] - mu0
+    poly = [as_coefficient(0)] * (int((max(sigmas) - smin) * s) + 1)
+    for sig, f in pairs:
+        d = int((sig - smin) * s)
+        poly[d] = poly[d] + f
     # strip the t^k factor: only nonzero roots t are admissible
     shift = 0
     while shift < len(poly) and not poly[shift]:
@@ -294,17 +290,15 @@ def _vertex_terms(e, mu0, mono_keys, deriv, mode, result):
             UnresolvedInitial(mu0, tuple(roots.unresolved), s)
         )
     for t_root, _mult in roots.roots:
-        c0 = t_root**s if s > 1 else t_root
-        mu_r = _resonant_index(monomials, t_root, s)
+        mu_r = None if resonant is None else _resonant_index(resonant, t_root, s)
         result.terms.append(
             InitialTerm(
                 mu0,
-                c0,
-                "b",
+                t_root**s if s > 1 else t_root,
                 resonant_index=mu_r,
-                derivative_active=deriv,
                 root_scale=s,
                 branch_root=t_root if s > 1 else None,
+                **fields,
             )
         )
 
@@ -319,9 +313,7 @@ def _resonant_index(monomials, t_root, s):
         r = acc.rational_value()
         if r is not None:
             return r
-    if isinstance(acc, Fraction):
-        return acc
-    return acc  # non-rational resonant index: carried, never matched
+    return acc  # a non-rational resonant index is carried, never matched
 
 
 def _coincident_terms(e, contour, result):
@@ -350,46 +342,21 @@ def _coincident_terms(e, contour, result):
 
 def _constant_terms(e, mode, result):
     nu0 = min(m.x_exp for m in e.monomials)
-    level = [m for m in e.monomials if m.x_exp == nu0]
     if nu0 + 1 > 0:
         result.terms.append(InitialTerm(Fraction(0), FREE, "a"))
         return
+    level = [m for m in e.monomials if m.x_exp == nu0]
     boundary = nu0 + 1 == 0
-    sigmas = [m.y_exp for m in level]
-    if len(set(sigmas)) < 2:
-        return  # no breaking point of the lowest level at 0: no roots
-    s = _root_scale(e)
-    smin = min(sigmas)
-    size = max(int((sig - smin) * s) for sig in sigmas) + 1
-    poly = [as_coefficient(0)] * size
-    for m in level:
-        d = int((m.y_exp - smin) * s)
-        poly[d] = poly[d] + m.coefficient
-    shift = 0
-    while shift < len(poly) and not poly[shift]:
-        shift += 1
-    poly = poly[shift:]
-    if len(poly) <= 1:
-        return
-    roots = poly_roots(poly, mode=mode)
-    if roots.unresolved is not None:
-        result.unresolved.append(
-            UnresolvedInitial(Fraction(0), tuple(roots.unresolved), s)
-        )
-    for t_root, _mult in roots.roots:
-        c0 = t_root**s if s > 1 else t_root
-        mu_r = _resonant_index(level, t_root, s) if boundary else None
-        result.terms.append(
-            InitialTerm(
-                Fraction(0),
-                c0,
-                "a",
-                resonant_index=mu_r,
-                boundary=boundary,
-                root_scale=s,
-                branch_root=t_root if s > 1 else None,
-            )
-        )
+    _vertex_terms(
+        e,
+        Fraction(0),
+        [(m.y_exp, m.coefficient) for m in level],
+        level if boundary else None,
+        mode,
+        result,
+        case="a",
+        boundary=boundary,
+    )
 
 
 @dataclass
@@ -442,26 +409,6 @@ class IndexLattice:
     elements: tuple
     bound: Fraction
     widened_by: tuple = ()
-
-    def __contains__(self, x):
-        return Fraction(x) in set(self.elements)
-
-    def nondecomposable_for(self, target):
-        """Generating shifts that are non-decomposable in the shift
-        semigroup and occur in some decomposition of ``target - mu0``."""
-        target = Fraction(target) - self.mu0
-        shifts = sorted({g for g in self.generators if g > 0})
-        sums = _semigroup(shifts, target)
-        out = []
-        for g in shifts:
-            decomposable = any(
-                a > 0 and (g - a) in sums for a in sums if 0 < a < g
-            )
-            if decomposable:
-                continue
-            if target == g or (target - g) in sums or target - g == 0:
-                out.append(g)
-        return tuple(out)
 
 
 def _semigroup(generators, bound):
@@ -554,9 +501,9 @@ class VerifyResult:
         return self.valuation >= target
 
 
-def verify_branch(e: MonomialODE, b: SolutionBranch, window=None) -> VerifyResult:
+def verify_branch(e: MonomialODE, b: SolutionBranch) -> VerifyResult:
     """Residual valuation of d/dx(series) - rhs(series), by substitution."""
-    return verify_series(e, b.series, window=window, branches=_branches_of(b))
+    return verify_series(e, b.series, branches=_branches_of(b))
 
 
 def _branches_of(b):
@@ -565,14 +512,14 @@ def _branches_of(b):
     return None
 
 
-def verify_series(e: MonomialODE, series: PuiseuxSeries, window=None, branches=None):
+def verify_series(e: MonomialODE, series: PuiseuxSeries, branches=None):
     prec = None
     if series.trunc == INF:
         needs_prec = any(
             m.y_exp < 0 or m.y_exp.denominator != 1 for m in e.monomials
-        ) and any(series.terms) and not _is_monomial_series(series)
+        ) and len(series.terms) > 1
         if needs_prec:
-            prec = Fraction(window) if window is not None else _default_window(series)
+            prec = _default_window(series)
     rhs = e.substitute(series, prec=prec, branches=branches)
     residual = series.differentiate() - rhs
     certified = residual.trunc
@@ -581,10 +528,6 @@ def verify_series(e: MonomialODE, series: PuiseuxSeries, window=None, branches=N
     if val != INF and val >= certified:
         val = INF  # terms at/after the certified window are not evidence
     return VerifyResult(val, certified)
-
-
-def _is_monomial_series(s):
-    return len(s.terms) == 1
 
 
 def _default_window(series):
@@ -619,7 +562,10 @@ def continue_proper(
     mu_r the dichotomy is decided exactly: zero obstruction inserts the
     free constant (``c_r``, or a formal parameter when None), a nonzero
     obstruction terminates the branch.  The resonance decision is never
-    left pending: the internal bound extends to mu_r when needed.
+    left pending: the internal bound extends to mu_r when needed.  The
+    instance ``c_r = 0`` of a free start is continued only when every
+    sigma is a nonnegative integer; otherwise it is returned as a
+    no-continuation branch ``O(x^0)``.
 
     The level coefficient is the one right-hand-side coefficient at
     mu_l - 1, computed on demand from the exact prefix (see
@@ -634,6 +580,21 @@ def continue_proper(
     bound = Fraction(bound)
     mu0 = t.exponent
     branches = t.branch_map()
+    needs_prec = any(
+        m.y_exp < 0 or m.y_exp.denominator != 1 for m in e.monomials
+    )
+    zero_start = t.coefficient is FREE and c_r is not None and not as_coefficient(c_r)
+    if zero_start and needs_prec:
+        # a negative or fractional y^sigma has no expansion about y = 0, so
+        # the lattice of mu0 says nothing about the instance c = 0
+        return SolutionBranch(
+            t,
+            PuiseuxSeries.zero(Fraction(0)),
+            NO_CONTINUATION_BRANCH,
+            "none",
+            note="the instance c = 0 leaves the lattice analysis: a negative "
+            "or fractional power of y has no expansion about y = 0",
+        )
 
     free_value = None
     free_at = None
@@ -666,10 +627,7 @@ def continue_proper(
     if resonance_pending:
         internal_bound = max(bound, mu_r)
 
-    try:
-        lattice = index_lattice(e, t, internal_bound)
-    except ClassificationError:
-        raise
+    lattice = index_lattice(e, t, internal_bound)
 
     series = PuiseuxSeries.x_power(mu0, c0)
     obstruction = None
@@ -680,9 +638,6 @@ def continue_proper(
             pts.add(mu_r)
         return sorted(pts)
 
-    needs_prec = any(
-        m.y_exp < 0 or m.y_exp.denominator != 1 for m in e.monomials
-    )
     data_cap = _cap_from_equation(e, PuiseuxSeries.x_power(mu0, 1))
     rhs = _RhsCoefficients(e, branches)
 
@@ -805,10 +760,6 @@ class _RhsCoefficients:
         total = as_coefficient(0)
         if not y.terms:  # a zero start (c_r = 0) until a level adds a term
             for mono in self.monomials:
-                if mono.y_exp < 0:
-                    raise PoleError(
-                        "negative power of the zero series in substitution"
-                    )
                 if mono.y_exp == 0 and mono.x_exp == target:
                     total = total + mono.coefficient
             return total
@@ -969,18 +920,6 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
         )
     out.sort(key=SolutionBranch.sort_key)
     return out
-
-
-def branch_count_bound(e: MonomialODE) -> int:
-    """s * 2^((sigma_max - sigma_min)*s - 1) over the sigma spread."""
-    sigmas = e.sigmas()
-    s = 1
-    for sig in sigmas:
-        s = s * sig.denominator // _gcd(s, sig.denominator)
-    spread = int((max(sigmas) - min(sigmas)) * s)
-    if spread < 1:
-        return s
-    return s * 2 ** (spread * s - 1) if spread * s >= 1 else s
 
 
 def _modified_polynomial(e, y_prev, s, shift):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .algebraic import SeriesPolynomial
 from .first_integrals import IntegralFactorProblem, YSeries
 from .ode import MonomialODE, RationalODE
+from .polyutils import ppow
 from .ratfunc import RatFunc
 from .series import INF, PuiseuxSeries
 
@@ -83,7 +84,6 @@ class _Val:
         if len(self.den) == 1:
             (s, c), = self.den.items()
             if len(c.terms) == 1 and c.trunc == INF:
-                e, coef = c.terms[0]
                 inv = c.invert()
                 self.num = {
                     key - s: val * inv for key, val in self.num.items()
@@ -130,10 +130,7 @@ class _Val:
         if exponent.denominator == 1:
             n = exponent.numerator
             if n >= 0:
-                out = _Val.const(1)
-                for _ in range(n):
-                    out = out * self
-                return out
+                return ppow(self, n, _Val.const(1))
             return _Val.const(1) / self.pow(Fraction(-n))
         # fractional power: only a single monomial has a canonical branch
         if len(self.num) != 1 or len(self.den) != 1:
@@ -314,7 +311,9 @@ def parse_algebraic_equation(text: str) -> SeriesPolynomial:
     if rhs is not None:
         value = value - _eval(rhs)
     value = _clear_denominator(value)
-    coeffs = _as_polynomial(value, text)
+    if not value.num:
+        raise ParseError("the polynomial is identically zero")
+    coeffs = _y_coefficients(value.num, "algebraic mode needs integer powers of y")
     return SeriesPolynomial(coeffs)
 
 
@@ -328,7 +327,7 @@ def parse_ode(text: str):
             if not body.startswith("="):
                 raise ParseError("expected '=' after dy/dx", len(prefix))
             value = _eval(body[1:])
-            return _value_to_ode(value, text)
+            return _value_to_ode(value)
     raise ParseError("an ODE starts with 'dy/dx ='", 0)
 
 
@@ -367,42 +366,22 @@ def _clear_denominator(value):
     return _Val(value.num)
 
 
-def _as_polynomial(value, text):
-    degrees = sorted(value.num)
-    if not degrees:
-        raise ParseError("the polynomial is identically zero")
-    if degrees[0] < 0 or any(d.denominator != 1 for d in degrees):
-        raise ParseError("algebraic mode needs integer powers of y")
-    n = int(degrees[-1])
-    coeffs = [PuiseuxSeries.zero() for _ in range(n + 1)]
-    for d, c in value.num.items():
-        coeffs[int(d)] = c
-    return coeffs
-
-
-def _value_to_ode(value, text):
-    den = value.den
-    if len(den) == 1:
-        (s, c), = den.items()
-        if len(c.terms) == 1:
-            # monomial denominator folds exactly
-            e, coef = c.terms[0]
-            inv = c.invert()
-            monomials = []
-            for sig, series in value.num.items():
-                scaled = series * inv
-                for nu, f in scaled.terms:
-                    monomials.append((nu, sig - s, f))
-            return MonomialODE(monomials)
-    numer = _as_y_coeff_list(value.num, "P")
-    denom = _as_y_coeff_list(value.den, "Q")
+def _value_to_ode(value):
+    # _Val has already folded every single-term denominator into value.num
+    if value.den == {Fraction(0): PuiseuxSeries.one()}:
+        return MonomialODE(
+            (nu, sig, f) for sig, series in value.num.items() for nu, f in series.terms
+        )
+    numer = _y_coefficients(value.num, "P must be a polynomial in y")
+    denom = _y_coefficients(value.den, "Q must be a polynomial in y")
     return RationalODE(numer, denom)
 
 
-def _as_y_coeff_list(ydict, side):
+def _y_coefficients(ydict, message):
+    """The coefficient list, by power of y, of a y-dict with integer keys >= 0."""
     degrees = sorted(ydict)
     if degrees and (degrees[0] < 0 or any(d.denominator != 1 for d in degrees)):
-        raise ParseError(f"{side} must be a polynomial in y")
+        raise ParseError(message)
     n = int(degrees[-1]) if degrees else 0
     out = [PuiseuxSeries.zero() for _ in range(n + 1)]
     for d, c in ydict.items():

@@ -8,6 +8,12 @@ a zero test on the coefficients (``pdivmod``, ``pmonic``, ``pgcd`` and
 alike.  The zero test is truthiness; a series is false only when it is
 the exact zero, so an ``O(x^t)`` coefficient is never dropped.
 
+Two helpers serve every ring of the package rather than coefficient
+lists: ``ppow`` is the one ring power (repeated squaring) behind the
+``**`` of series, number fields, rational functions, free-constant
+polynomials and tower elements, and ``pformat`` is the one printer of a
+dense polynomial in a named symbol.
+
 The root-finding machinery at the bottom is specific to exact rationals.
 ``rational_roots`` is complete for every coefficient size and has no
 search budget: degrees 1 and 2 are solved in closed form, and above that
@@ -113,6 +119,40 @@ def peval(p, x):
     for c in reversed(pstrip(p)):
         acc = acc * x + c
     return acc
+
+
+def ppow(base, n, one):
+    """``base**n`` for an integer n >= 0 by repeated squaring; ``one`` is
+    the ring's unit.  The last squaring, whose result is never used, is
+    skipped."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def pformat(coeffs, symbol):
+    """Text of ``sum coeffs[i] * symbol^i``, lowest degree first: zero
+    terms are left out, unit coefficients print as ``symbol^i`` or
+    ``-symbol^i``, and an empty sum prints as ``0``."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        power = symbol if i == 1 else f"{symbol}^{i}"
+        if i == 0:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(power)
+        elif c == -1:
+            parts.append(f"-{power}")
+        else:
+            parts.append(f"{c}*{power}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def ptaylor_shift(p, c):

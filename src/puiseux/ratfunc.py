@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyutils import padd, pderiv, pdivmod, pgcd, pmul, pneg, pstrip
+from .polyutils import padd, pderiv, pdivmod, pformat, pgcd, pmul, pneg, ppow, pstrip
 
 
 class RatFunc:
@@ -115,14 +115,7 @@ class RatFunc:
             return NotImplemented
         if n < 0:
             return RatFunc(list(self.den), list(self.num)) ** (-n)
-        out = RatFunc.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return ppow(self, n, RatFunc.const(1))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -143,10 +136,10 @@ class RatFunc:
     # -- text ------------------------------------------------------------------
 
     def __str__(self):
-        num = _poly_str(self.num)
+        num = pformat(self.num, "x")
         if self.den == (Fraction(1),):
             return num
-        den = _poly_str(self.den)
+        den = pformat(self.den, "x")
         num_p = num if _atomic(num) else f"({num})"
         den_p = den if _atomic(den) else f"({den})"
         return f"{num_p}/{den_p}"
@@ -156,27 +149,3 @@ class RatFunc:
 
 def _atomic(text):
     return "+" not in text and "-" not in text.lstrip("-")[1:] and " " not in text
-
-
-def _poly_str(coeffs):
-    if not coeffs:
-        return "0"
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        if i == 0:
-            body = str(c)
-        else:
-            xpow = "x" if i == 1 else f"x^{i}"
-            if c == 1:
-                body = xpow
-            elif c == -1:
-                body = f"-{xpow}"
-            else:
-                body = f"{c}*{xpow}"
-        parts.append(body)
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out

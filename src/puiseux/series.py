@@ -10,7 +10,7 @@ domains of :mod:`puiseux.coefficients`.  All values are immutable and all
 operations are pure, so series can be shared freely between threads.
 
 The canonical text form is ``c0*x^(p0/q0) + ... + O(x^(pt/qt))`` and
-round-trips bit-exactly through :func:`parse_series`.
+round-trips bit-exactly through :func:`puiseux.parsing.parse_series_text`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coefficients import as_coefficient
-from .polyutils import fraction_nth_root
+from .polyutils import fraction_nth_root, ppow
 
 INF = float("inf")
 
@@ -97,10 +97,6 @@ class PuiseuxSeries:
     def is_zero(self):
         """No known terms (there may still be unknown terms past trunc)."""
         return not self.terms
-
-    @property
-    def is_exact(self):
-        return self.trunc == INF
 
     @property
     def is_exact_zero(self):
@@ -253,14 +249,7 @@ class PuiseuxSeries:
             return PuiseuxSeries.one()
         if sigma.denominator == 1 and sigma > 0:
             # plain ring power: no leading-coefficient root or inverse needed
-            result = PuiseuxSeries.one()
-            base = self
-            n = sigma.numerator
-            while n:
-                if n & 1:
-                    result = result * base
-                base = base * base if n > 1 else base
-                n >>= 1
+            result = ppow(self, sigma.numerator, PuiseuxSeries.one())
             if prec is not None:
                 result = result.truncate(prec)
             return result
@@ -342,8 +331,9 @@ def substitute_series(monomials, y, prec=None, branches=None):
     """Evaluate ``sum f * x^nu * y^sigma`` at a series ``y``.
 
     ``monomials`` is any iterable of ``(nu, sigma, f)`` triples (objects with
-    ``x_exp``/``y_exp``/``coefficient`` attributes work too).  ``branches``
-    optionally maps sigma to the root branch used for ``y**sigma``.
+    ``x_exp``/``y_exp``/``coefficient`` attributes work too).  ``branches``,
+    when given, is a callable from sigma to the root branch used for
+    ``y**sigma`` (None for the default branch).
     """
     triples = []
     for m in monomials:
@@ -363,9 +353,7 @@ def substitute_series(monomials, y, prec=None, branches=None):
             continue
         if not y.terms and sigma < 0:
             raise PoleError("negative power of the zero series in substitution")
-        branch = None
-        if branches is not None:
-            branch = branches.get(sigma) if hasattr(branches, "get") else branches(sigma)
+        branch = branches(sigma) if branches is not None else None
         ypow = y.pow_rational(sigma, branch=branch, prec=prec)
         total = total + xpart * ypow
     return total
@@ -416,10 +404,3 @@ def format_series(s: PuiseuxSeries) -> str:
     if not parts:
         return "0"
     return " ".join(parts)
-
-
-def parse_series(text: str) -> PuiseuxSeries:
-    """Parse the canonical series text form back into a series."""
-    from .parsing import parse_series_text
-
-    return parse_series_text(text)

@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the tests."""
 
 from fractions import Fraction
+from math import gcd
 
 from puiseux.coefficients import as_coefficient
+from puiseux.ode import _semigroup
 from puiseux.series import PuiseuxSeries, SeriesError, _as_exponent, _binomial
 
 
@@ -74,3 +76,34 @@ def multinomial_weight(sigma, counts):
         for k in range(2, c + 1):
             rest /= Fraction(k)
     return w * rest
+
+
+def branch_count_bound(e) -> int:
+    """s * 2^((sigma_max - sigma_min)*s - 1) over the sigma spread of a
+    MonomialODE."""
+    sigmas = e.sigmas()
+    s = 1
+    for sig in sigmas:
+        s = s * sig.denominator // gcd(s, sig.denominator)
+    spread = int((max(sigmas) - min(sigmas)) * s)
+    if spread < 1:
+        return s
+    return s * 2 ** (spread * s - 1) if spread * s >= 1 else s
+
+
+def nondecomposable_for(lattice, target):
+    """Generating shifts of an IndexLattice that are non-decomposable in the
+    shift semigroup and occur in some decomposition of ``target - mu0``."""
+    target = Fraction(target) - lattice.mu0
+    shifts = sorted({g for g in lattice.generators if g > 0})
+    sums = _semigroup(shifts, target)
+    out = []
+    for g in shifts:
+        decomposable = any(
+            a > 0 and (g - a) in sums for a in sums if 0 < a < g
+        )
+        if decomposable:
+            continue
+        if target == g or (target - g) in sums or target - g == 0:
+            out.append(g)
+    return tuple(out)

@@ -32,7 +32,6 @@ from puiseux.ode import (
     NEGATIVE_RESONANCE,
     RESONANT_FREE,
     UNIQUE,
-    branch_count_bound,
     continue_proper,
     initial_terms,
     solve_algebraic_type,
@@ -43,6 +42,7 @@ from puiseux.ratfunc import RatFunc
 from puiseux.series import INF, PuiseuxSeries
 
 import test_series_properties as laws
+from oracles import branch_count_bound
 from test_ode import naive_ansatz_solve
 
 X = PuiseuxSeries.x_power

@@ -89,6 +89,30 @@ class TestOde:
         assert code == EXIT_OK
         assert "x + 5*x^2 + 25*x^3" in out
 
+    def test_zero_instance_is_not_continued(self, capsys):
+        # y = x^2 does not start a solution of y' = y^(1/2) + 2x (y' - rhs
+        # = -x), and y^(-1) has no expansion about y = 0: the instance
+        # c = 0 of the free family is reported, not continued or fatal
+        for rhs in ("y^(1/2) + 2*x", "y^(-1) + 2*x"):
+            code, out, _ = run(
+                capsys, "ode", "--bound", "4", "--resonance", "values=0",
+                "--json", f"dy/dx = {rhs}",
+            )
+            assert code == EXIT_UNRESOLVED, rhs
+            (branch,) = json.loads(out)["branches"]
+            assert branch["series"] == "O(x^0)"
+            assert branch["status"] == "no-continuation"
+            assert "c = 0 leaves the lattice analysis" in branch["note"]
+
+    def test_zero_instance_with_integer_powers(self, capsys):
+        code, out, _ = run(
+            capsys, "ode", "--bound", "4", "--resonance", "values=0,1",
+            "dy/dx = y + 2*x",
+        )
+        assert code == EXIT_OK
+        assert "y = 1 + x + 3/2*x^2 + 1/2*x^3 + 1/8*x^4 + O(x^5)" in out
+        assert out.count("y = x^2 + 1/3*x^3 + 1/12*x^4 + O(x^5)") == 2
+
     def test_rational_rhs(self, capsys):
         code, out, _ = run(capsys, "ode", "--bound", "3", "dy/dx = (y)/(1+y)")
         assert code == EXIT_OK

@@ -1,5 +1,6 @@
 """Coefficient domains: number fields, free constants, root search."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,9 +20,14 @@ from puiseux.polyutils import (
     fraction_nth_root,
     irreducible_factors,
     isolate_real_roots,
+    pformat,
+    ppow,
     rational_roots,
     split_quartic,
 )
+from puiseux.liouville import Tower
+from puiseux.ratfunc import RatFunc
+from puiseux.series import PuiseuxSeries
 
 
 class TestPolyUtils:
@@ -164,6 +170,74 @@ class TestParamPoly:
         C = ParamPoly.parameter()
         assert not (C - C)
         assert C != 0
+
+
+def _plain_value(p, v):
+    """p(v) in plain Fraction arithmetic, independent of polyutils."""
+    return sum((c * v**i for i, c in enumerate(p.coeffs)), F(0))
+
+
+class TestSharedLayer:
+    def test_param_poly_is_an_evaluation_homomorphism(self):
+        rng = random.Random(6)
+
+        def draw():
+            degree = rng.randint(-1, 4)  # -1: the zero polynomial
+            return ParamPoly(
+                [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(degree + 1)]
+            )
+
+        points = [F(0), F(1), F(-2), F(3, 7), F(-5, 2)]
+        for _ in range(60):
+            p, q = draw(), draw()
+            for v in points:
+                pv, qv = _plain_value(p, v), _plain_value(q, v)
+                assert p.substitute(v) == pv and isinstance(p.substitute(v), F)
+                assert _plain_value(p + q, v) == pv + qv
+                assert _plain_value(p - q, v) == pv - qv
+                assert _plain_value(p * q, v) == pv * qv
+                for n in range(5):
+                    assert _plain_value(p**n, v) == pv**n
+
+    def test_ppow_matches_repeated_multiplication(self):
+        field = sqrt_field(2)
+        tower = Tower()
+        C = ParamPoly.parameter()
+        cases = [
+            (F(-3, 2), F(1)),
+            (C - F(1, 2), ParamPoly([1])),
+            (RatFunc([1, -2], [F(1, 3), 0, 1]), RatFunc.const(1)),
+            (field.element([F(1, 2), -1]), field.lift(1)),
+            (
+                PuiseuxSeries([(0, 1), (F(1, 2), F(-2, 3)), (1, 3)]),
+                PuiseuxSeries.one(),
+            ),
+            (tower.exp_integral(tower.x()) + tower.x(), tower.one()),
+        ]
+        for base, one in cases:
+            expected = one
+            for n in range(10):
+                assert ppow(base, n, one) == expected, (base, n)
+                expected = expected * base
+
+    def test_pformat_in_each_printer(self):
+        assert pformat([], "C") == "0"
+        assert pformat([0, -1, F(1, 2)], "x") == "-x + 1/2*x^2"
+        assert str(ParamPoly([0, -1, F(1, 2)])) == "(-C + 1/2*C^2)"
+        assert str(ParamPoly([F(-3, 4), 0, 1], "C1")) == "(-3/4 + C1^2)"
+        assert str(ParamPoly([0, 0, -1])) == "-C^2"
+        assert str(ParamPoly([F(-1, 2)])) == "-1/2"
+        assert str(ParamPoly([])) == "0"
+        field = sqrt_field(2)
+        assert str(field.element([F(1, 2), -1])) == "1/2 - sqrt(2)"
+        assert str(field.element([0, F(-3, 2)])) == "-3/2*sqrt(2)"
+        assert str(field.element([-1, 1])) == "-1 + sqrt(2)"
+        assert str(field.element([0, 0])) == "0"
+        assert str(RatFunc([0, -1, F(1, 2)])) == "-x + 1/2*x^2"
+        assert str(RatFunc([F(-1, 3), 0, -1], [1, 1])) == "(-1/3 - x^2)/(1 + x)"
+        assert str(RatFunc([0, -1], [F(1, 2), 0, 0, 1])) == "-x/(1/2 + x^3)"
+        assert str(RatFunc([1], [0, 0, 1])) == "1/x^2"
+        assert str(RatFunc([])) == "0"
 
 
 class TestPolyRoots:

@@ -24,7 +24,6 @@ from puiseux.ode import (
     RESONANT_FREE,
     RationalODE,
     UNIQUE,
-    branch_count_bound,
     classify,
     continue_proper,
     expand_rational,
@@ -37,6 +36,8 @@ from puiseux.ode import (
     verify_series,
 )
 from puiseux.series import INF, BranchError, PuiseuxSeries
+
+from oracles import branch_count_bound, nondecomposable_for
 
 X = PuiseuxSeries.x_power
 ONE = PuiseuxSeries.one()
@@ -202,14 +203,14 @@ class TestIndexLattice:
         e = MonomialODE([(0, 2, 1), (1, 3, 1)])
         t = InitialTerm(F(1), F(1), "b", resonant_index=F(0))
         lat = index_lattice(e, t, 9)
-        assert set(lat.nondecomposable_for(F(7))) <= set(lat.generators)
+        assert set(nondecomposable_for(lat, F(7))) <= set(lat.generators)
 
     def test_branch_exponents_confined(self):
         t = [t for t in initial_terms(E_NEGRES).terms if t.case == "b"][1]
         b = continue_proper(E_NEGRES, t, 5)
         lat = index_lattice(E_NEGRES, t, 6)
         for e, _c in b.series.terms:
-            assert e in lat
+            assert e in lat.elements
 
 
 class TestContinueProper:
