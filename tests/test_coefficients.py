@@ -20,6 +20,9 @@ from puiseux.polyutils import (
     fraction_nth_root,
     irreducible_factors,
     isolate_real_roots,
+    pdeg,
+    pdivmod,
+    peval,
     pformat,
     ppow,
     rational_roots,
@@ -291,3 +294,56 @@ class TestPolyRoots:
         # (t + 2)^3
         res = poly_roots([F(8), F(12), F(6), F(1)])
         assert res.roots == [(F(-2), 3)]
+
+
+class TestRootsOverNumberField:
+    """Root search over Q(sqrt2), each root checked by evaluation and each
+    multiplicity recounted by repeated exact division."""
+
+    @staticmethod
+    def _check(poly, field):
+        res = poly_roots(poly)
+        one = field.lift(1)
+        for root, mult in res.roots:
+            assert not peval(poly, root)
+            count, rest = 0, poly
+            while pdeg(rest) >= 1 and not peval(rest, root):
+                rest = pdivmod(rest, [-root, one])[0]
+                count += 1
+            assert count == mult
+        unresolved = 0 if res.unresolved is None else pdeg(res.unresolved)
+        assert sum(m for _r, m in res.roots) + unresolved == pdeg(poly)
+        return res
+
+    def test_rational_root_then_conjugate_pair(self):
+        field = sqrt_field(2)
+        r2 = field.generator()
+        # (t - 1)(t^2 - 2) = t^3 - t^2 - 2t + 2
+        poly = [field.lift(c) for c in (2, -2, -1, 1)]
+        res = self._check(poly, field)
+        assert res.roots == [(field.lift(1), 1), (r2, 1), (-r2, 1)]
+        assert res.complete
+
+    def test_double_root_from_a_zero_square_root(self):
+        field = sqrt_field(2)
+        r2 = field.generator()
+        # (t - sqrt2)^2 = t^2 - 2*sqrt2*t + 2
+        poly = [field.lift(2), -2 * r2, field.lift(1)]
+        res = self._check(poly, field)
+        assert res.roots == [(r2, 2)]
+
+    def test_quadratic_with_irrational_coefficients(self):
+        field = sqrt_field(2)
+        r2 = field.generator()
+        # (t - sqrt2)(t - 1 - sqrt2) = t^2 - (1 + 2*sqrt2)*t + (2 + sqrt2)
+        poly = [2 + r2, -(1 + 2 * r2), field.lift(1)]
+        res = self._check(poly, field)
+        assert res.roots == [(1 + r2, 1), (r2, 1)]
+
+    def test_no_root_in_the_field_is_unresolved(self):
+        field = sqrt_field(2)
+        # t^3 - 2 has no root in Q(sqrt2)
+        poly = [field.lift(c) for c in (-2, 0, 0, 1)]
+        res = self._check(poly, field)
+        assert res.roots == []
+        assert pdeg(res.unresolved) == 3

@@ -32,6 +32,11 @@ CASES = {
     "ode-monomial": (0, ["ode", "--bound", "4", "dy/dx = x^2*y^2"]),
     "ode-resonant": (0, ["ode", "--bound", "4", "dy/dx = y/x + x"]),
     "ode-riccati": (0, ["ode", "--bound", "4", "dy/dx = 2*y/x + x + y^2"]),
+    # resonance mu_r = 5 past the bound: free constant, then obstruction
+    "ode-resonance-past-bound": (
+        0, ["ode", "--bound", "2", "dy/dx = 5*y/x + x"]),
+    "ode-resonance-past-bound-obstructed": (
+        0, ["ode", "--bound", "2", "dy/dx = 5*y/x + x + y^2"]),
     "ode-algebraic-type": (
         0, ["ode", "--bound", "3", "dy/dx = x^(-2)*y^2 - x^(-1)"]),
     "ode-algebraic-type-constant": (
