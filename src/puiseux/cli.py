@@ -220,8 +220,10 @@ def _run_ode(args):
             "coincidence_orders": [_num(c) for c in b.coincidence_orders],
             "note": b.note,
         }
+        claim = b.residual_guarantee
         try:
-            entry["verified"] = verify_branch(eq, b).meets(b.residual_guarantee)
+            # a branch that claims nothing is not substituted
+            entry["verified"] = claim is None or verify_branch(eq, b).meets(claim)
         except PoleError as err:
             # a truncated branch the substitution oracle cannot evaluate
             entry["verified"] = False

@@ -519,10 +519,10 @@ class RootSearchResult:
 def poly_roots(coeffs, mode="rational"):
     """Roots of ``sum coeffs[i]*t^i`` inside the coefficient domain.
 
-    ``mode='rational'`` keeps the search in the current field (Q or the
-    common number field of the coefficients); ``mode='algebraic'`` adjoins
-    roots of certified irreducible factors over Q, and linear/quadratic
-    factors over an existing quadratic field.
+    ``mode='rational'`` keeps the search in Q; ``mode='algebraic'``
+    adjoins roots of certified irreducible factors over Q.  Over the
+    common number field of the coefficients both modes search that field
+    only (:func:`_roots_over_field`).
     """
     coeffs = [as_coefficient(c) for c in pstrip(list(coeffs))]
     if any(has_parameter(c) for c in coeffs):
@@ -537,7 +537,7 @@ def poly_roots(coeffs, mode="rational"):
             field = c.field
     if field is None:
         return _roots_over_q([Fraction(c) for c in coeffs], mode)
-    return _roots_over_field(coeffs, field, mode)
+    return _roots_over_field(coeffs, field)
 
 
 def _roots_over_q(coeffs, mode):
@@ -595,93 +595,50 @@ def _adjoin_roots(factor):
     return None
 
 
-def _roots_over_field(coeffs, field, mode):
-    lifted = [c if isinstance(c, AlgebraicNumber) else field.lift(c) for c in coeffs]
+def _roots_over_field(coeffs, field):
+    """Roots inside ``field`` of a polynomial over it, in one pass.
+
+    A rational-valued polynomial gives its rational roots, in
+    :func:`rational_roots` order, and its rational-root-free remainder.  A
+    remainder of degree 1 is solved directly, one of degree 2 through a
+    square root in the field, (-b + s)/2a before (-b - s)/2a; anything
+    else is reported unresolved.
+    """
+    poly = [c if isinstance(c, AlgebraicNumber) else field.lift(c) for c in coeffs]
     roots = []
-    poly = lifted
-    # peel linear factors by direct search: rational candidates embed in
-    # the field, and in-field roots show up through exact division tests
-    changed = True
-    while pdeg(poly) >= 1 and changed:
-        changed = False
-        root = _linear_root_in_field(poly, field)
-        if root is not None:
-            mult = 0
-            while pdeg(poly) >= 1 and not peval(poly, root):
-                poly = pdivmod(poly, [-root, field.lift(1)])[0]
-                mult += 1
-            roots.append((root, mult))
-            changed = True
-    if pdeg(poly) < 1:
-        return RootSearchResult(roots)
-    if pdeg(poly) == 2:
-        found = _quadratic_roots_in_field(poly, field, mode)
-        if found is not None:
-            return RootSearchResult(roots + [(r, 1) for r in found])
-    return RootSearchResult(roots, unresolved=poly)
-
-
-def _linear_root_in_field(poly, field):
-    """One root of ``poly`` lying in the field, found through the rational
-    roots of the norm-like rational polynomial obtained by zero-testing
-    candidates; degree-1 polynomials are solved directly."""
-    poly = pstrip(poly)
-    if pdeg(poly) == 1:
-        return -poly[0] / poly[1]
-    # rational candidates: roots of the polynomial of rational parts when
-    # all coefficients are rational-valued
-    rational = []
-    for c in poly:
-        r = c.rational_value()
-        if r is None:
-            return _field_root_via_quadratic(poly, field)
-        rational.append(r)
-    roots, _rem = rational_roots(rational)
-    if roots:
-        return field.lift(roots[0][0])
-    return _field_root_via_quadratic(poly, field)
-
-
-def _field_root_via_quadratic(poly, field):
-    if pdeg(poly) != 2:
-        return None
-    roots = _quadratic_roots_in_field(poly, field, mode="rational")
-    if roots:
-        return roots[0]
-    return None
-
-
-def _quadratic_roots_in_field(poly, field, mode):
-    a, b, c = poly[2], poly[1], poly[0]
-    disc = b * b - 4 * a * c
-    s = _field_sqrt(disc, field)
-    if s is None:
-        return None
-    two_a = 2 * a
-    return [(-b + s) / two_a, (-b - s) / two_a]
+    rational = [c.rational_value() for c in poly]
+    if None not in rational:
+        found, remainder = rational_roots(rational)
+        roots = [(field.lift(r), m) for r, m in found]
+        poly = [field.lift(c) for c in remainder]
+    deg = pdeg(poly)
+    if deg == 1:
+        roots.append((-poly[0] / poly[1], 1))
+    elif deg == 2:
+        a, b, c = poly[2], poly[1], poly[0]
+        s = _field_sqrt(b * b - 4 * a * c, field)
+        if s is None:
+            return RootSearchResult(roots, unresolved=poly)
+        if s:
+            roots += [((-b + s) / (2 * a), 1), ((-b - s) / (2 * a), 1)]
+        else:
+            roots.append((-b / (2 * a), 2))
+    elif deg > 2:
+        return RootSearchResult(roots, unresolved=poly)
+    return RootSearchResult(roots)
 
 
 def _field_sqrt(d, field):
     """sqrt of a field element inside the field, or None.
 
-    Exact for rational-valued elements and for quadratic fields; deeper
-    cases return None (the caller reports the branch unresolved).
+    Exact for quadratic fields and for rational squares; deeper cases
+    return None (the caller reports the branch unresolved).
     """
-    if not d:
-        return field.lift(0)
-    r = d.rational_value()
-    if r is not None:
-        s = _fraction_sqrt(r)
-        if s is not None:
-            return field.lift(s)
-        if field.degree == 2:
-            # does sqrt(r) live in Q(theta) with theta^2 = m - p*theta ...?
-            cand = _quadratic_sqrt(field, Fraction(r), Fraction(0))
-            return cand
-        return None
     if field.degree == 2:
         return _quadratic_sqrt(field, d.vec[0], d.vec[1])
-    return None
+    r = d.rational_value()
+    s = _fraction_sqrt(r) if r is not None else None
+    return field.lift(s) if s is not None else None
 
 
 def _quadratic_sqrt(field, a, b):

@@ -451,8 +451,6 @@ def index_lattice(e: MonomialODE, t: InitialTerm, bound, widen=()) -> IndexLatti
 UNIQUE = "unique"
 RESONANT_FREE = "resonant-free"
 NEGATIVE_RESONANCE = "negative-resonance"
-ALGEBRAIC_BRANCH = "algebraic-type"
-NO_CONTINUATION_BRANCH = "no-continuation"
 ZERO_BRANCH = "zero"
 
 
@@ -487,6 +485,29 @@ class SolutionBranch:
         return (self.kind, mu, case, str(self.series))
 
 
+def _no_continuation(t, note):
+    """The start ``t`` has no Puiseux continuation: O(x^0), claiming nothing."""
+    return SolutionBranch(
+        t,
+        PuiseuxSeries.zero(Fraction(0)),
+        NO_CONTINUATION,
+        "none",
+        note=note,
+    )
+
+
+def _zero_branch(t):
+    """y = 0, an exact solution when every sigma is positive."""
+    return SolutionBranch(
+        t,
+        PuiseuxSeries.zero(),
+        UNIQUE,
+        ZERO_BRANCH,
+        residual_guarantee=INF,
+        note="y = 0 solves the equation exactly",
+    )
+
+
 @dataclass
 class VerifyResult:
     """Residual valuation of a branch, with its certified window."""
@@ -503,23 +524,19 @@ class VerifyResult:
 
 def verify_branch(e: MonomialODE, b: SolutionBranch) -> VerifyResult:
     """Residual valuation of d/dx(series) - rhs(series), by substitution."""
-    return verify_series(e, b.series, branches=_branches_of(b))
+    branches = b.initial.branch_map() if b.initial is not None else None
+    return verify_series(e, b.series, branches=branches)
 
 
-def _branches_of(b):
-    if b.initial is not None:
-        return b.initial.branch_map()
-    return None
+def _needs_prec(e):
+    """A negative or fractional power of y: substitution needs a precision."""
+    return any(m.y_exp < 0 or m.y_exp.denominator != 1 for m in e.monomials)
 
 
 def verify_series(e: MonomialODE, series: PuiseuxSeries, branches=None):
     prec = None
-    if series.trunc == INF:
-        needs_prec = any(
-            m.y_exp < 0 or m.y_exp.denominator != 1 for m in e.monomials
-        ) and len(series.terms) > 1
-        if needs_prec:
-            prec = _default_window(series)
+    if series.trunc == INF and len(series.terms) > 1 and _needs_prec(e):
+        prec = _default_window(series)
     rhs = e.substitute(series, prec=prec, branches=branches)
     residual = series.differentiate() - rhs
     certified = residual.trunc
@@ -557,15 +574,18 @@ def continue_proper(
 ) -> SolutionBranch:
     """Continue a proper initial term through the linear recurrences.
 
-    At each admitted exponent mu_l the residual coefficient at level
-    mu_l - 1 determines c_l through division by mu_l - mu_r; at mu_l =
-    mu_r the dichotomy is decided exactly: zero obstruction inserts the
-    free constant (``c_r``, or a formal parameter when None), a nonzero
-    obstruction terminates the branch.  The resonance decision is never
-    left pending: the internal bound extends to mu_r when needed.  The
-    instance ``c_r = 0`` of a free start is continued only when every
-    sigma is a nonnegative integer; otherwise it is returned as a
-    no-continuation branch ``O(x^0)``.
+    At each admitted exponent mu_l the new coefficient solves the level
+    equation (mu_l - mu_r) * c_l = r_l, where r_l is the residual
+    coefficient at mu_l - 1 and mu_r the resonant index (0 in case a).
+    The divisor vanishes only at a rational mu_r above mu0, which is
+    admitted by widening the lattice by mu_r - mu0 (the internal bound
+    reaches mu_r, so the decision is never left pending).  There 0 * c =
+    r_l decides the resonance exactly: r_l = 0 inserts the free constant
+    (``c_r``, or a formal parameter when None), r_l != 0 ends the branch
+    as a negative resonance.  The instance ``c_r = 0`` of a free start is
+    continued only when every sigma is a nonnegative integer; otherwise
+    it is y = 0 when every sigma is positive, and a no-continuation
+    branch ``O(x^0)`` when some sigma is not.
 
     The level coefficient is the one right-hand-side coefficient at
     mu_l - 1, computed on demand from the exact prefix (see
@@ -580,115 +600,66 @@ def continue_proper(
     bound = Fraction(bound)
     mu0 = t.exponent
     branches = t.branch_map()
-    needs_prec = any(
-        m.y_exp < 0 or m.y_exp.denominator != 1 for m in e.monomials
-    )
-    zero_start = t.coefficient is FREE and c_r is not None and not as_coefficient(c_r)
-    if zero_start and needs_prec:
+    needs_prec = _needs_prec(e)
+    free = as_coefficient(c_r) if c_r is not None else ParamPoly.parameter(symbol)
+    if t.coefficient is FREE and c_r is not None and not free and needs_prec:
         # a negative or fractional y^sigma has no expansion about y = 0, so
         # the lattice of mu0 says nothing about the instance c = 0
-        return SolutionBranch(
+        if all(m.y_exp > 0 for m in e.monomials):
+            return _zero_branch(t)
+        return _no_continuation(
             t,
-            PuiseuxSeries.zero(Fraction(0)),
-            NO_CONTINUATION_BRANCH,
-            "none",
-            note="the instance c = 0 leaves the lattice analysis: a negative "
-            "or fractional power of y has no expansion about y = 0",
+            "the instance c = 0 leaves the lattice analysis: a negative or "
+            "fractional power of y has no expansion about y = 0",
         )
 
-    free_value = None
+    c0 = free if t.coefficient is FREE else t.coefficient
+    # where a free constant was placed: an instantiated case-(a) start has
+    # exactly one continuation; the coincident-line start is the resonant
+    # value itself
     free_at = None
-    status = UNIQUE
-
-    if t.coefficient is FREE:
-        c0 = as_coefficient(c_r) if c_r is not None else ParamPoly.parameter(symbol)
-        free_value = c0
+    if t.coefficient is FREE and (t.case != "a" or c_r is None):
         free_at = mu0
-        # an instantiated case-(a) start has exactly one continuation; the
-        # coincident-line start is the resonant value itself
-        if t.case == "a" and c_r is not None:
-            status = UNIQUE
-            free_value = None
-            free_at = None
-        else:
-            status = RESONANT_FREE
-        mu_r = t.resonant_index  # mu0 itself for case c, None for case a
-        resonance_pending = False
-    else:
-        c0 = t.coefficient
-        mu_r = t.resonant_index
-        resonance_pending = isinstance(mu_r, Fraction) and mu_r > mu0
-
-    # the linear term of the level equation is mu_l - mu_r; an absent
-    # resonant index (case a) means no zero-shift monomials, so mu_r = 0
-    mu_r_div = mu_r if mu_r is not None else Fraction(0)
-
+    # mu0 itself for case c; an absent resonant index (case a) means no
+    # zero-shift monomials, so mu_r = 0
+    mu_r = t.resonant_index if t.resonant_index is not None else Fraction(0)
+    widen = ()
     internal_bound = bound
-    if resonance_pending:
+    if isinstance(mu_r, Fraction) and mu_r > mu0:
+        widen = (mu_r - mu0,)
         internal_bound = max(bound, mu_r)
-
-    lattice = index_lattice(e, t, internal_bound)
-
+    lattice = index_lattice(e, t, internal_bound, widen=widen)
     series = PuiseuxSeries.x_power(mu0, c0)
-    obstruction = None
-
-    def levels():
-        pts = set(x for x in lattice.elements if x > mu0)
-        if resonance_pending:
-            pts.add(mu_r)
-        return sorted(pts)
-
     data_cap = _cap_from_equation(e, PuiseuxSeries.x_power(mu0, 1))
     rhs = _RhsCoefficients(e, branches)
 
     try:
-        pending = levels()
         processed = mu0
-        while pending:
-            mu_l = pending.pop(0)
+        for mu_l in lattice.elements[1:]:
             if mu_l - 1 >= data_cap:
                 break  # the reduction's dropped tail reaches this level
             # the residual at mu_l - 1: d/dx(series) has no term there yet
             level_coeff = -rhs.at(series, mu_l)
-            if resonance_pending and mu_l == mu_r:
+            divisor = mu_l - mu_r
+            if divisor:
                 if level_coeff:
-                    obstruction = level_coeff
-                    series = series.truncate(mu_r)
-                    return SolutionBranch(
-                        t,
-                        series,
-                        NEGATIVE_RESONANCE,
-                        PROPER,
-                        residual_guarantee=mu_r - 1,
-                        resonant_index=mu_r,
-                        obstruction=obstruction,
-                    )
-                value = (
-                    as_coefficient(c_r)
-                    if c_r is not None
-                    else ParamPoly.parameter(symbol)
+                    # adding c_l x^mu_l changes the residual at mu_l - 1 by
+                    # c_l * (mu_l - mu_r), so cancel exactly:
+                    series = series - PuiseuxSeries.x_power(mu_l, level_coeff / divisor)
+            elif level_coeff:
+                return SolutionBranch(
+                    t,
+                    series.truncate(mu_l),
+                    NEGATIVE_RESONANCE,
+                    PROPER,
+                    residual_guarantee=mu_l - 1,
+                    resonant_index=mu_l,
+                    obstruction=level_coeff,
                 )
-                series = series + PuiseuxSeries.x_power(mu_r, value)
-                free_value, free_at = value, mu_r
-                status = RESONANT_FREE
-                lattice = index_lattice(e, t, internal_bound, widen=(mu_r - mu0,))
-                resonance_pending = False
-                pending = [x for x in levels() if x > mu_l]
-                processed = mu_l
-                continue
-            divisor = mu_l - mu_r_div
-            if not divisor:
-                raise ClassificationError(
-                    f"recurrence degenerates at {mu_l} without a resonance plan"
-                )
-            if level_coeff:
-                c_l = level_coeff / divisor
-                # residual = d/dx(series) - rhs; adding c_l x^mu_l changes the
-                # level by c_l * (mu_l - mu_r), so cancel exactly:
-                series = series - PuiseuxSeries.x_power(mu_l, c_l)
+            else:
+                series = series + PuiseuxSeries.x_power(mu_l, free)
+                free_at = mu_l
             processed = mu_l
-            if not resonance_pending and not pending:
-                break
 
         next_level = _next_lattice_exponent(e, t, lattice, processed)
         series = series.with_trunc(min(next_level, data_cap + 1))
@@ -719,14 +690,23 @@ def continue_proper(
         guarantee = INF
     else:
         guarantee = min(final_res.val_floor(), data_cap)
+    if free_at is None:
+        return SolutionBranch(
+            t,
+            series,
+            UNIQUE,
+            PROPER,
+            residual_guarantee=guarantee,
+            resonant_index=t.resonant_index,
+        )
     return SolutionBranch(
         t,
         series,
-        status,
+        RESONANT_FREE,
         PROPER,
         residual_guarantee=guarantee,
-        resonant_index=free_at if status == RESONANT_FREE else t.resonant_index,
-        free_constant=free_value if status == RESONANT_FREE else None,
+        resonant_index=free_at,
+        free_constant=free,
     )
 
 
@@ -859,8 +839,9 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
 
     # states track the w = y^(1/s) prefix: the root-branch identity lives
     # in w-space, where conjugate w-roots of the same y stay distinct
+    data_cap = _cap_from_equation(e, PuiseuxSeries.x_power(mu0, 1))
     states = [(None, None, 0, ())]
-    finished = []
+    out = []
     while states:
         w_prev, prev_bw, k, orders = states.pop()
         c_k = mu0 + (k + 1) * delta
@@ -884,40 +865,34 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
         ]
         for b in matches:
             new_orders = orders + (c_k,)
+            exact = False
             if b.residual_bound == INF:
                 # the algebraic solve closed exactly; if the full series
                 # also solves the ODE exactly there is nothing to iterate
-                y_exact = b.series.pow_rational(Fraction(s))
-                check = verify_series(e, y_exact, branches=t.branch_map())
-                if check.valuation == INF and check.certified_below == INF:
-                    finished.append((y_exact, k + 1, new_orders, True))
-                    continue
-            if c_k >= bound:
-                y_k = b.series.pow_rational(Fraction(s)).truncate(c_k)
-                finished.append((y_k, k + 1, new_orders, False))
-            else:
+                y_k = b.series.pow_rational(Fraction(s))
+                check = verify_series(e, y_k, branches=t.branch_map())
+                exact = check.valuation == INF and check.certified_below == INF
+            if exact:
+                guarantee = INF
+            elif c_k < bound:
                 states.append((b.series, bound_w, k + 1, new_orders))
-    data_cap = _cap_from_equation(e, PuiseuxSeries.x_power(mu0, 1))
-    out = []
-    for y_k, iterations, orders, exact in finished:
-        if exact:
-            guarantee = INF
-        else:
-            guarantee = min(mu0 - 1 + (iterations - 1) * delta, data_cap)
-        if data_cap != INF and not exact:
-            y_k = y_k.truncate(data_cap + 1)
-        out.append(
-            SolutionBranch(
-                t,
-                y_k,
-                ALGEBRAIC_BRANCH,
-                ALGEBRAIC_TYPE,
-                residual_guarantee=guarantee,
-                resonant_index=t.resonant_index,
-                iterations=iterations,
-                coincidence_orders=orders,
+                continue
+            else:
+                guarantee = min(mu0 - 1 + k * delta, data_cap)
+                y_k = b.series.pow_rational(Fraction(s))
+                y_k = y_k.truncate(min(c_k, data_cap + 1))
+            out.append(
+                SolutionBranch(
+                    t,
+                    y_k,
+                    ALGEBRAIC_TYPE,
+                    ALGEBRAIC_TYPE,
+                    residual_guarantee=guarantee,
+                    resonant_index=t.resonant_index,
+                    iterations=k + 1,
+                    coincidence_orders=new_orders,
+                )
             )
-        )
     out.sort(key=SolutionBranch.sort_key)
     return out
 
@@ -986,26 +961,9 @@ def solve_all(e: MonomialODE, bound, resonance="symbolic", mode="rational"):
                 if t.boundary
                 else "no Puiseux continuation (a logarithm would be needed)"
             )
-            report.branches.append(
-                SolutionBranch(
-                    t,
-                    PuiseuxSeries.zero(Fraction(0)),
-                    NO_CONTINUATION_BRANCH,
-                    "none",
-                    note=reason,
-                )
-            )
+            report.branches.append(_no_continuation(t, reason))
     if all(m.y_exp > 0 for m in e.monomials) and not free_family_seen:
-        report.branches.append(
-            SolutionBranch(
-                None,
-                PuiseuxSeries.zero(),
-                UNIQUE,
-                ZERO_BRANCH,
-                residual_guarantee=INF,
-                note="y = 0 solves the equation exactly",
-            )
-        )
+        report.branches.append(_zero_branch(None))
     nu0 = min(m.x_exp for m in e.monomials)
     if nu0 + 1 <= 0 and not any(
         b.initial is not None and b.initial.case == "a" for b in report.branches

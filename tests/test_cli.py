@@ -104,6 +104,30 @@ class TestOde:
             assert branch["status"] == "no-continuation"
             assert "c = 0 leaves the lattice analysis" in branch["note"]
 
+    def test_zero_instance_is_y_zero_when_every_sigma_is_positive(self, capsys):
+        # every sigma > 0: y = 0 solves the equation exactly
+        for values, rhs in (("values=0,1", "x^2*y^(1/2)"), ("values=0", "-y^(3/2)")):
+            code, out, _ = run(
+                capsys, "ode", "--bound", "3", "--resonance", values,
+                f"dy/dx = {rhs}",
+            )
+            assert code == EXIT_OK, rhs
+            (line,) = [ln for ln in out.splitlines() if ln.startswith("  y = 0 ")]
+            assert "[zero/unique" in line, rhs
+            assert line.endswith("residual >= inf, verified=True]"), rhs
+
+    def test_branch_claiming_nothing_is_not_substituted(self, capsys):
+        # O(x^0) claims no residual order, so y^(-1) of it is never formed
+        code, out, _ = run(
+            capsys, "ode", "--bound", "4", "--resonance", "values=0", "--json",
+            "dy/dx = y^(-1) + 2*x",
+        )
+        assert code == EXIT_UNRESOLVED
+        (branch,) = json.loads(out)["branches"]
+        assert branch["residual_guarantee"] is None
+        assert branch["verified"] is True
+        assert "not verified" not in branch["note"]
+
     def test_zero_instance_with_integer_powers(self, capsys):
         code, out, _ = run(
             capsys, "ode", "--bound", "4", "--resonance", "values=0,1",
