@@ -418,14 +418,18 @@ def _dict_derivative(tower, d):
 def _reduce_roots(tower, d):
     """Rewrite root-generator powers past their degree via the minimal
     polynomial; returns a plain dict (the rewrite never adds denominators
-    because minimal polynomials are stored monic)."""
+    because minimal polynomials are stored monic).
+
+    The reduction terminates: the minimal-polynomial coefficients are
+    checked to be rational, so a rewrite of g_i^e, e >= deg, adds keys
+    whose i-th exponent e - deg + j (j < deg) is lower and whose other
+    exponents are unchanged.  Each rewrite thus lowers the total root
+    exponent of a key, and every key is rewritten at most that total
+    many times.
+    """
     pending = dict(d)
     out = {}
-    guard = 0
     while pending:
-        guard += 1
-        if guard > 10000:
-            raise LiouvilleError("root reduction did not terminate")
         key, coeff = pending.popitem()
         if not coeff:
             continue

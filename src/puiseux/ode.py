@@ -40,7 +40,9 @@ from .series import (
     PoleError,
     PuiseuxSeries,
     SeriesError,
+    _semigroup,
     default_branch,
+    miller_step,
     substitute_series,
 )
 
@@ -408,27 +410,10 @@ class IndexLattice:
     generators: tuple
     elements: tuple
     bound: Fraction
-    widened_by: tuple = ()
 
 
-def _semigroup(generators, bound):
-    """All sums of >= 1 generators up to ``bound`` (inclusive)."""
-    sums = set()
-    frontier = {Fraction(0)}
-    while frontier:
-        nxt = set()
-        for base in frontier:
-            for g in generators:
-                v = base + g
-                if v <= bound and v not in sums:
-                    sums.add(v)
-                    nxt.add(v)
-        frontier = nxt
-    return sums
-
-
-def index_lattice(e: MonomialODE, t: InitialTerm, bound, widen=()) -> IndexLattice:
-    mu0 = t.exponent
+def _generators(e, mu0, widen):
+    """The sorted shifts nu + 1 + (sigma - 1)*mu0, plus the widening."""
     gens = []
     for m in e.monomials:
         g = m.x_exp + 1 + (m.y_exp - 1) * mu0
@@ -437,12 +422,17 @@ def index_lattice(e: MonomialODE, t: InitialTerm, bound, widen=()) -> IndexLatti
                 f"negative index shift {g}; the branch is algebraic-type"
             )
         gens.append(g)
-    gens = sorted(set(gens) | {Fraction(w) for w in widen})
+    return sorted(set(gens) | {Fraction(w) for w in widen})
+
+
+def index_lattice(e: MonomialODE, t: InitialTerm, bound, widen=()) -> IndexLattice:
+    mu0 = t.exponent
+    gens = _generators(e, mu0, widen)
     bound = Fraction(bound)
     positive = [g for g in gens if g > 0]
     sums = _semigroup(positive, bound - mu0)
     elements = sorted({mu0} | {mu0 + s for s in sums})
-    return IndexLattice(mu0, tuple(gens), tuple(elements), bound, tuple(widen))
+    return IndexLattice(mu0, tuple(gens), tuple(elements), bound)
 
 
 # -- solution branches ---------------------------------------------------------
@@ -591,18 +581,19 @@ def continue_proper(
     mu_l - 1, computed on demand from the exact prefix (see
     :class:`_RhsCoefficients`), so a level costs a number of coefficient
     operations linear in the number of terms and nothing is truncated.
-    Only the final residual, which sets ``residual_guarantee``, is a full
-    substitution; its precision reaches next_level - 1 under every
-    monomial x^nu * y^sigma, also for nu < -1.
+    One lattice, built one least positive generator past the last level
+    walked, also gives the next level, where the series is truncated.
+    The guarantee is the residual that :func:`verify_series` certifies:
+    every generator is >= 0, so under every monomial x^nu * y^sigma the
+    residual is known up to next_level - 1, also for nu < -1.
     """
     if classify(e, t) != PROPER:
         raise ClassificationError("continue_proper needs a proper initial term")
     bound = Fraction(bound)
     mu0 = t.exponent
     branches = t.branch_map()
-    needs_prec = _needs_prec(e)
     free = as_coefficient(c_r) if c_r is not None else ParamPoly.parameter(symbol)
-    if t.coefficient is FREE and c_r is not None and not free and needs_prec:
+    if t.coefficient is FREE and c_r is not None and not free and _needs_prec(e):
         # a negative or fractional y^sigma has no expansion about y = 0, so
         # the lattice of mu0 says nothing about the instance c = 0
         if all(m.y_exp > 0 for m in e.monomials):
@@ -628,16 +619,22 @@ def continue_proper(
     if isinstance(mu_r, Fraction) and mu_r > mu0:
         widen = (mu_r - mu0,)
         internal_bound = max(bound, mu_r)
-    lattice = index_lattice(e, t, internal_bound, widen=widen)
+    # the level after the last one walked lies at most one least positive
+    # generator above max(internal_bound, mu0)
+    step = min((g for g in _generators(e, mu0, widen) if g > 0), default=0)
+    reach = max(internal_bound, mu0) + step
+    elements = index_lattice(e, t, reach, widen=widen).elements
     series = PuiseuxSeries.x_power(mu0, c0)
     data_cap = _cap_from_equation(e, PuiseuxSeries.x_power(mu0, 1))
     rhs = _RhsCoefficients(e, branches)
 
     try:
-        processed = mu0
-        for mu_l in lattice.elements[1:]:
-            if mu_l - 1 >= data_cap:
-                break  # the reduction's dropped tail reaches this level
+        next_level = INF  # no positive generator: the lattice is {mu0}
+        for mu_l in elements[1:]:
+            # past the bound, or the reduction's dropped tail reaches mu_l
+            if mu_l > internal_bound or mu_l - 1 >= data_cap:
+                next_level = mu_l
+                break
             # the residual at mu_l - 1: d/dx(series) has no term there yet
             level_coeff = -rhs.at(series, mu_l)
             divisor = mu_l - mu_r
@@ -659,17 +656,9 @@ def continue_proper(
             else:
                 series = series + PuiseuxSeries.x_power(mu_l, free)
                 free_at = mu_l
-            processed = mu_l
 
-        next_level = _next_lattice_exponent(e, t, lattice, processed)
         series = series.with_trunc(min(next_level, data_cap + 1))
-        # x^nu * y^sigma is known below nu + prec: reach next_level - 1
-        prec = None
-        if needs_prec:
-            prec = max(next_level, next_level - 1 - min(m.x_exp for m in e.monomials))
-        final_res = series.differentiate() - e.substitute(
-            series, prec=prec, branches=branches
-        )
+        check = verify_series(e, series, branches=branches)
     except (UnsupportedSymbolic, BranchError) as err:
         symbolic = has_parameter_series(series) or has_parameter(c0)
         if isinstance(err, BranchError) and not symbolic:
@@ -686,10 +675,7 @@ def continue_proper(
             note="continuation past the free constant needs a numeric value",
         )
 
-    if final_res.is_exact_zero and data_cap == INF:
-        guarantee = INF
-    else:
-        guarantee = min(final_res.val_floor(), data_cap)
+    guarantee = min(check.valuation, check.certified_below)
     if free_at is None:
         return SolutionBranch(
             t,
@@ -720,12 +706,9 @@ class _RhsCoefficients:
     the offset d = level - 1 - nu - sigma*m above sigma*m, m the leading
     exponent of y.  Positive integer powers come from convolution with y,
     which divides by nothing, so a formal free constant may lead y.  Every
-    other power comes from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
-    4.7) over the offsets delta_k and coefficients c_k of y,
-
-        p_d = sum_k c_k * ((sigma + 1)*delta_k - d) * p_(d - delta_k) / (d*c_0),
-
-    started at the branch ``pow_rational`` picks.  An entry is kept once
+    other power comes from the Miller step that ``pow_rational`` also uses
+    (:func:`puiseux.series.miller_step`), started at the branch
+    ``pow_rational`` picks.  An entry is kept once
     m + d lies below the level: it then depends only on terms of y that no
     later level changes.
     """
@@ -778,31 +761,12 @@ class _RhsCoefficients:
             branch = self.branches(sigma) if self.branches is not None else None
             value = branch if branch is not None else default_branch(c0, sigma)
         else:
-            for delta, c in offsets[1:]:
-                if delta > d:
-                    break
-                p = self._power(sigma, d - delta, ctx)
-                if p:
-                    value = value + c * ((sigma + 1) * delta - d) * p
-            value = value / (d * c0)
+            value = miller_step(
+                sigma, d, offsets[1:], c0, lambda lower: self._power(sigma, lower, ctx)
+            )
         if d < final:
             table[d] = value
         return value
-
-
-def _next_lattice_exponent(e, t, lattice, processed):
-    """Smallest admitted exponent strictly beyond ``processed``.
-
-    It lies at most one least positive generator above max(processed,
-    mu0); with no positive generator the lattice is {mu0} and the series
-    is complete.
-    """
-    step = min((g for g in lattice.generators if g > 0), default=None)
-    if step is None:
-        return INF
-    bound = max(processed, lattice.mu0) + step
-    ahead = index_lattice(e, t, bound, widen=lattice.widened_by).elements
-    return min(x for x in ahead if x > processed)
 
 
 # -- algebraic-type continuation ----------------------------------------------
@@ -927,7 +891,9 @@ def solve_all(e: MonomialODE, bound, resonance="symbolic", mode="rational"):
 
     ``resonance`` is either ``"symbolic"`` (free constants carried as
     formal parameters) or a list of numeric values, one branch per value
-    at every free constant.
+    at every free constant.  A value whose instance needs a root outside
+    Q (a fractional power of a value with no rational root) is reported
+    as unresolved at mu0, with vertex polynomial t^s - value.
     """
     bound = Fraction(bound)
     init = initial_terms(e, mode=mode)
@@ -944,9 +910,17 @@ def solve_all(e: MonomialODE, bound, resonance="symbolic", mode="rational"):
                 for value in resonance:
                     if has_parameter_series(branch.series):
                         report.branches.append(branch.instantiate(value))
-                    else:
+                        continue
+                    try:
                         report.branches.append(
                             continue_proper(e, t, bound, c_r=value)
+                        )
+                    except BranchError:
+                        # the instance needs a root t of t^s = value outside Q
+                        s = _root_scale(e)
+                        vertex = (-as_coefficient(value),) + (Fraction(0),) * (s - 1)
+                        report.unresolved.append(
+                            UnresolvedInitial(t.exponent, vertex + (Fraction(1),), s)
                         )
             else:
                 report.branches.append(branch)

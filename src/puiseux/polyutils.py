@@ -443,25 +443,16 @@ def irreducible_factors(p):
         for r, m in roots:
             out.append(([-r, Fraction(1)], mult * m))
         rem = pmonic(rem)
-        while pdeg(rem) >= 2:
-            d = pdeg(rem)
-            if d in (2, 3):
-                # no rational roots, so degree 2 and 3 are irreducible
-                out.append((rem, mult))
-                break
-            if d == 4:
-                pair = split_quartic(rem)
-                if pair is None:
-                    out.append((rem, mult))
-                    break
-                q1, q2 = pair
-                for q in (q1, q2):
-                    rr, q_rem = rational_roots(q)
-                    for r, m in rr:
-                        out.append(([-r, Fraction(1)], mult * m))
-                    if pdeg(q_rem) >= 2:
-                        out.append((pmonic(q_rem), mult))
-                break
+        d = pdeg(rem)
+        if d in (2, 3):
+            # no rational roots, so degree 2 and 3 are irreducible
+            out.append((rem, mult))
+        elif d == 4:
+            # a rational-root-free quartic is irreducible or the product
+            # of two irreducible quadratics
+            pair = split_quartic(rem)
+            out.extend((q, mult) for q in (pair or (rem,)))
+        elif d > 4:
             raise FactorizationLimit(rem)
     return out
 

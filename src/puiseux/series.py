@@ -237,6 +237,14 @@ class PuiseuxSeries:
         caller may pass the chosen ``branch`` (any b with b^q = c^p for
         sigma = p/q); by default the canonical exact rational root is used
         when it exists.
+
+        A positive integer power is a plain ring power, which divides by
+        nothing.  Every other power of y = c_0*x^m + sum c_k*x^(m + delta_k)
+        is x^(sigma*m) * sum p_d*x^d with p_0 = the branch and p_d from
+        :func:`miller_step`, filled in ascending order over the semigroup
+        the offsets delta_k generate.  The result is known below
+        sigma*m + bound, bound = min(trunc - m, prec - sigma*m); an exact
+        series with more than one term needs ``prec``.
         """
         sigma = Fraction(sigma)
         if not self.terms:
@@ -263,31 +271,22 @@ class PuiseuxSeries:
                     f"branch {branch} is not a {sigma.denominator}-th root "
                     f"of {c}^{sigma.numerator}"
                 )
-        u = self.shift(-m).scale(c**-1) - 1
-        bound = u.trunc
+        offsets = tuple((e - m, tc) for e, tc in self.terms[1:])
+        bound = self.trunc - m
         if prec is not None:
             bound = min(bound, _as_exponent(prec) - sigma * m)
-        integral = sigma.denominator == 1 and sigma >= 0
-        if bound == INF and u.terms and not integral:
+        if bound == INF and offsets:
             raise PrecisionError(
                 "prec is required for a non-terminating power expansion"
             )
-        acc = PuiseuxSeries.one().truncate(bound)
-        upow = PuiseuxSeries.one()
-        k = 0
-        step = u.val_floor()
-        while True:
-            k += 1
-            coef = _binomial(sigma, k)
-            if not coef:
-                break
-            if bound != INF and k * step >= bound:
-                break
-            upow = (upow * u).truncate(bound)
-            if upow.is_zero and upow.trunc == INF:
-                break
-            acc = acc + upow.scale(coef)
-        return acc.shift(sigma * m).scale(branch)
+        table = {Fraction(0): branch}
+        support = _semigroup([delta for delta, _c in offsets], bound)
+        for d in sorted(support):
+            if d < bound:
+                table[d] = miller_step(sigma, d, offsets, c, table.get)
+        return PuiseuxSeries(
+            tuple((sigma * m + d, p) for d, p in table.items()), bound + sigma * m
+        )
 
     # -- text form --------------------------------------------------------
 
@@ -298,15 +297,40 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({format_series(self)})"
 
 
-def _binomial(sigma, k):
-    """Generalized binomial coefficient C(sigma, k) for rational sigma."""
-    num = Fraction(1)
-    for j in range(k):
-        num *= sigma - j
-    den = 1
-    for j in range(2, k + 1):
-        den *= j
-    return num / den
+def _semigroup(generators, bound):
+    """All sums of >= 1 generators up to ``bound`` (inclusive)."""
+    sums = set()
+    frontier = {Fraction(0)}
+    while frontier:
+        nxt = set()
+        for base in frontier:
+            for g in generators:
+                v = base + g
+                if v <= bound and v not in sums:
+                    sums.add(v)
+                    nxt.add(v)
+        frontier = nxt
+    return sums
+
+
+def miller_step(sigma, d, offsets, c0, power):
+    """[y^sigma] at the offset d > 0 above sigma*m, m the leading exponent
+    of y, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+
+        p_d = sum_k c_k * ((sigma + 1)*delta_k - d) * p_(d - delta_k) / (d*c_0).
+
+    ``offsets`` are the ascending pairs (delta_k > 0, c_k) of y's terms
+    above its leading coefficient ``c0``; ``power(d')`` is p at a lower
+    offset, falsy when it vanishes.  Zero products are left out.
+    """
+    value = as_coefficient(0)
+    for delta, c in offsets:
+        if delta > d:
+            break
+        p = power(d - delta)
+        if p:
+            value = value + c * ((sigma + 1) * delta - d) * p
+    return value / (d * c0)
 
 
 def default_branch(c, sigma):

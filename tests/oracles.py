@@ -4,8 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 from puiseux.coefficients import as_coefficient
-from puiseux.ode import _semigroup
-from puiseux.series import PuiseuxSeries, SeriesError, _as_exponent, _binomial
+from puiseux.series import PuiseuxSeries, SeriesError, _as_exponent, _semigroup
 
 
 class PowerExpansion:
@@ -62,6 +61,17 @@ class PowerExpansion:
         for delta in self.entries:
             terms.append((delta, self.composite_coefficient(delta)))
         return PuiseuxSeries(terms, self.bound)
+
+
+def _binomial(sigma, k):
+    """Generalized binomial coefficient C(sigma, k) for rational sigma."""
+    num = Fraction(1)
+    for j in range(k):
+        num *= sigma - j
+    den = 1
+    for j in range(2, k + 1):
+        den *= j
+    return num / den
 
 
 def multinomial_weight(sigma, counts):

@@ -89,6 +89,24 @@ class TestOde:
         assert code == EXIT_OK
         assert "x + 5*x^2 + 25*x^3" in out
 
+    def test_value_without_rational_root_is_unresolved(self, capsys):
+        # (-2)^(3/2) and 3^(3/2) have no rational branch: those instances
+        # are reported unresolved, and every other branch is kept
+        for values, vertex in (
+            ("values=-2,3", [["2", "0", "1"], ["-3", "0", "1"]]),
+            ("values=4,3", [["-3", "0", "1"]]),
+        ):
+            code, out, _ = run(
+                capsys, "ode", "--bound", "3", "--resonance", values, "--json",
+                "dy/dx = 1 - 2*x*y^(3/2)",
+            )
+            assert code == EXIT_UNRESOLVED, values
+            payload = json.loads(out)
+            series = [b["series"] for b in payload["branches"]]
+            assert "4*x^(-4) + 1/7*x + O(x^6)" in series, values
+            assert [u["vertex_poly"] for u in payload["unresolved"]] == vertex
+            assert {u["at_exponent"] for u in payload["unresolved"]} == {"0"}
+
     def test_zero_instance_is_not_continued(self, capsys):
         # y = x^2 does not start a solution of y' = y^(1/2) + 2x (y' - rhs
         # = -x), and y^(-1) has no expansion about y = 0: the instance

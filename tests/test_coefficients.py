@@ -24,6 +24,7 @@ from puiseux.polyutils import (
     pdivmod,
     peval,
     pformat,
+    pmul,
     ppow,
     rational_roots,
     split_quartic,
@@ -98,6 +99,16 @@ class TestPolyUtils:
         as_set = {(tuple(f), m) for f, m in factors}
         assert ((F(-1), F(1)), 2) in as_set
         assert ((F(1), F(0), F(1)), 1) in as_set
+
+    def test_irreducible_factors_split_quartic(self):
+        # (x^2+1)^2 (x^2-2)^2: the squarefree part is a rational-root-free
+        # quartic that splits into two quadratics
+        quartic = [F(-2), F(0), F(-1), F(0), F(1)]
+        factors = irreducible_factors(pmul(quartic, quartic))
+        assert sorted((tuple(f), m) for f, m in factors) == [
+            ((F(-2), F(0), F(1)), 2),
+            ((F(1), F(0), F(1)), 2),
+        ]
 
 
 class TestNumberField:
