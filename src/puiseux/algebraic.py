@@ -22,7 +22,7 @@ from fractions import Fraction
 from .coefficients import as_coefficient, coefficient_sort_key, poly_roots
 from .contour import Contour, Line
 from .polyutils import pdeg, peval, ptaylor_shift
-from .series import INF, PuiseuxSeries, SeriesError
+from .series import INF, PuiseuxSeries, SeriesError, format_series
 
 _MAX_STEPS = 4000
 
@@ -179,7 +179,9 @@ def _solve_from(q, prefix, mult, last, bound, mode):
         steps += 1
         if steps > _MAX_STEPS:
             raise StepLimitError(
-                f"algebraic solve exceeded the step limit of {_MAX_STEPS}"
+                f"algebraic solve exceeded the step limit of {_MAX_STEPS} "
+                f"while expanding the prefix {format_series(prefix)} "
+                f"(last exponent {'none' if last is None else last})"
             )
         beta0 = q.coeffs[0]
         remaining = mult

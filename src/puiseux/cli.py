@@ -259,7 +259,10 @@ def _run_ode(args):
     for n in report.notes:
         lines.append(f"  note: {n}")
     for u in unresolved:
-        lines.append(f"  unresolved initial term at x^{u['at_exponent']}")
+        lines.append(
+            f"  unresolved initial term at x^{u['at_exponent']}: vertex "
+            f"polynomial {u['vertex_poly']}"
+        )
     _emit(args, payload, "\n".join(lines))
     return EXIT_UNRESOLVED if unresolved else EXIT_OK
 

@@ -39,7 +39,6 @@ from .polyutils import (
     psub,
     rational_roots,
     refine_interval,
-    squarefree_part,
 )
 
 
@@ -119,8 +118,8 @@ class NumberField:
     def refine(self):
         """Halve the real isolating interval (no-op for complex regions)."""
         if self.is_real:
-            p = squarefree_part(list(self.minpoly))
-            self.region = refine_interval(p, *self.region)
+            # an irreducible minpoly is already squarefree
+            self.region = refine_interval(self.minpoly, *self.region)
             self._approx = None
 
     def approx(self):
@@ -147,6 +146,8 @@ class NumberField:
         they shrink as approximations are requested, so two fields compare
         equal exactly when their regions isolate the same root.
         """
+        if self is other:
+            return True
         if not isinstance(other, NumberField) or self.minpoly != other.minpoly:
             return False
         if self.is_real != other.is_real:

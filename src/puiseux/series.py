@@ -9,13 +9,24 @@ Exponents are ``fractions.Fraction``; coefficients live in one of the exact
 domains of :mod:`puiseux.coefficients`.  All values are immutable and all
 operations are pure, so series can be shared freely between threads.
 
+Every series is canonical: exponents strictly increase and lie below
+``trunc``, and no coefficient is zero.  The public constructor
+``PuiseuxSeries(terms, trunc)`` canonicalises outside input (merging equal
+exponents, sorting, dropping zeros and terms past ``trunc``).  The ring and
+calculus operations build their results canonical by construction and pass
+them to the trusted ``_canonical`` without that pass; the coefficient
+domains have no zero divisors, so a product of nonzero coefficients is
+never zero.
+
 The canonical text form is ``c0*x^(p0/q0) + ... + O(x^(pt/qt))`` and
 round-trips bit-exactly through :func:`puiseux.parsing.parse_series_text`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 from .coefficients import as_coefficient
 from .polyutils import fraction_nth_root, ppow
@@ -47,6 +58,43 @@ def _as_exponent(e):
     if e == INF:
         return INF
     return Fraction(e)
+
+
+def _canonical(terms, trunc):
+    """A series from a ``terms`` tuple and ``trunc`` that are already
+    canonical; nothing is checked."""
+    s = object.__new__(PuiseuxSeries)
+    object.__setattr__(s, "terms", terms)
+    object.__setattr__(s, "trunc", trunc)
+    return s
+
+
+def _below(terms, t):
+    """The canonical ``terms`` with exponent below ``t``."""
+    return terms[: bisect_left(terms, t, key=itemgetter(0))]
+
+
+def _merge(a, b):
+    """The terms of the sum of the canonical term tuples ``a`` and ``b``:
+    one pass over both, zero sums dropped."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ea, ca = a[i]
+        eb, cb = b[j]
+        if ea < eb:
+            out.append(a[i])
+            i += 1
+        elif eb < ea:
+            out.append(b[j])
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                out.append((ea, c))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 class PuiseuxSeries:
@@ -133,10 +181,11 @@ class PuiseuxSeries:
         t = _as_exponent(t)
         if t >= self.trunc:
             return self
-        return PuiseuxSeries(self.terms, t)
+        return self.with_trunc(t)
 
     def with_trunc(self, t):
-        return PuiseuxSeries(self.terms, t)
+        t = _as_exponent(t)
+        return _canonical(_below(self.terms, t), t)
 
     # -- ring operations -------------------------------------------------
 
@@ -145,14 +194,14 @@ class PuiseuxSeries:
             other = PuiseuxSeries.constant(other)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return PuiseuxSeries(
-            self.terms + other.terms, min(self.trunc, other.trunc)
-        )
+        trunc = min(self.trunc, other.trunc)
+        terms = _merge(_below(self.terms, trunc), _below(other.terms, trunc))
+        return _canonical(terms, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(tuple((e, -c) for e, c in self.terms), self.trunc)
+        return _canonical(tuple((e, -c) for e, c in self.terms), self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -178,7 +227,7 @@ class PuiseuxSeries:
                     acc[e] = acc[e] + c1 * c2
                 else:
                     acc[e] = c1 * c2
-        return PuiseuxSeries(tuple(acc.items()), trunc)
+        return _canonical(tuple((e, acc[e]) for e in sorted(acc) if acc[e]), trunc)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -186,14 +235,14 @@ class PuiseuxSeries:
     def scale(self, c):
         c = as_coefficient(c)
         if not c:
-            return PuiseuxSeries.zero()
-        return PuiseuxSeries(tuple((e, c * tc) for e, tc in self.terms), self.trunc)
+            return _canonical((), INF)
+        return _canonical(tuple((e, c * tc) for e, tc in self.terms), self.trunc)
 
     def shift(self, e):
         """Multiply by x^e."""
         e = _as_exponent(e)
         t = self.trunc if self.trunc == INF else self.trunc + e
-        return PuiseuxSeries(tuple((te + e, tc) for te, tc in self.terms), t)
+        return _canonical(tuple((te + e, tc) for te, tc in self.terms), t)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,7 +267,7 @@ class PuiseuxSeries:
         """Termwise d/dx; constants vanish and trunc drops by one."""
         t = self.trunc if self.trunc == INF else self.trunc - 1
         terms = tuple((e - 1, c * e) for e, c in self.terms if e)
-        return PuiseuxSeries(terms, t)
+        return _canonical(terms, t)
 
     # -- multiplicative structure ----------------------------------------
 
@@ -284,8 +333,9 @@ class PuiseuxSeries:
         for d in sorted(support):
             if d < bound:
                 table[d] = miller_step(sigma, d, offsets, c, table.get)
-        return PuiseuxSeries(
-            tuple((sigma * m + d, p) for d, p in table.items()), bound + sigma * m
+        return _canonical(
+            tuple((sigma * m + d, p) for d, p in table.items() if p and d < bound),
+            bound + sigma * m,
         )
 
     # -- text form --------------------------------------------------------

@@ -60,6 +60,8 @@ class TestAlgebraic:
         assert out == ""
         assert err.startswith("error: ") and "step limit" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        # the message names the branch that hit the limit
+        assert "while expanding the prefix x + x^2 + x^3 (last exponent 3)" in err
 
 
 class TestOde:
@@ -106,6 +108,18 @@ class TestOde:
             assert "4*x^(-4) + 1/7*x + O(x^6)" in series, values
             assert [u["vertex_poly"] for u in payload["unresolved"]] == vertex
             assert {u["at_exponent"] for u in payload["unresolved"]} == {"0"}
+
+    def test_unresolved_human_output_shows_vertex_polynomial(self, capsys):
+        code, out, _ = run(
+            capsys, "ode", "--bound", "3", "--resonance", "values=-2,3",
+            "dy/dx = 1 - 2*x*y^(3/2)",
+        )
+        assert code == EXIT_UNRESOLVED
+        unresolved = [ln.strip() for ln in out.splitlines() if "unresolved" in ln]
+        assert unresolved == [
+            "unresolved initial term at x^0: vertex polynomial ['2', '0', '1']",
+            "unresolved initial term at x^0: vertex polynomial ['-3', '0', '1']",
+        ]
 
     def test_zero_instance_is_not_continued(self, capsys):
         # y = x^2 does not start a solution of y' = y^(1/2) + 2x (y' - rhs

@@ -1,5 +1,6 @@
 """Coefficient domains: number fields, free constants, root search."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from puiseux.coefficients import (
 )
 from puiseux.polyutils import (
     _fraction_sqrt,
+    count_real_roots,
     fraction_nth_root,
     irreducible_factors,
     isolate_real_roots,
@@ -134,6 +136,22 @@ class TestNumberField:
     def test_approx_selects_embedding(self):
         pos = sqrt_field(2)
         assert abs(pos.generator().approx() - 2**0.5) < 1e-9
+
+    def test_cubic_embeddings_stay_isolated(self):
+        # c^3 - 3c + 1 has the three real roots 2*cos(2*pi*k/9), k = 1, 2, 4
+        minpoly = [F(1), F(-3), F(0), F(1)]
+        regions = sorted(isolate_real_roots(minpoly))
+        fields = [NumberField(minpoly, region) for region in regions]
+        expected = sorted(2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4))
+        for field, value in zip(fields, expected):
+            assert abs(field.approx() - value) < 1e-9
+            assert count_real_roots(minpoly, *field.region) == 1
+            assert field == field
+        for i, field in enumerate(fields):
+            # a fresh field on the unrefined region is the same field
+            assert field == NumberField(minpoly, regions[i])
+            for j, other in enumerate(fields):
+                assert (field == other) == (i == j)
 
     def test_complex_region(self):
         field = sqrt_field(-1)

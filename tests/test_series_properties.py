@@ -2,12 +2,15 @@
 
 Six law families at 200 cases each (1200 total) cover the ring axioms on
 truncations, valuation additivity, the derivative-valuation identity, the
-Leibniz rule, inversion and the power/root inverse identities.
+Leibniz rule, inversion and the power/root inverse identities.  A seventh
+checks that every operation returns a canonical series, over rational,
+free-constant and Q(sqrt2) coefficients.
 """
 
 import random
 from fractions import Fraction as F
 
+from puiseux.coefficients import AlgebraicNumber, ParamPoly, sqrt_field
 from puiseux.series import INF, PuiseuxSeries
 
 EXPONENT_POOL = [
@@ -108,6 +111,80 @@ def test_power_root_inverse():
         target = base.pow_rational(F(p), prec=3)
         w = min(back.trunc, target.trunc, F(3))
         assert back.agrees_with(target, w)
+
+
+SQRT2 = sqrt_field(2)
+
+
+def random_coefficient(rng, domain, unit=False):
+    """A coefficient of ``domain`` ('Q', 'C' for free constants, 'sqrt2'),
+    possibly zero; with ``unit``, an invertible one."""
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    if unit:
+        return SQRT2.element([a, b or 1]) if domain == "sqrt2" else F(a or 1)
+    if domain == "C" and rng.random() < 0.5:
+        return ParamPoly([a, b])
+    if domain == "sqrt2" and rng.random() < 0.5:
+        return SQRT2.element([a, b])
+    return F(a)
+
+
+def random_input(rng, domain, lead=None):
+    """Public-constructor input with repeated exponents and zero
+    coefficients; ``lead`` puts a term below every exponent in the pool."""
+    terms = [
+        (rng.choice(EXPONENT_POOL), random_coefficient(rng, domain))
+        for _ in range(rng.randint(0, 7))
+    ]
+    if lead is not None:
+        terms.append((F(-3), lead))
+    trunc = INF
+    if rng.random() < 0.5:
+        trunc = rng.choice(EXPONENT_POOL[5:]) + rng.randint(0, 2)
+    return PuiseuxSeries(terms, trunc)
+
+
+def assert_canonical(s):
+    assert s == PuiseuxSeries(s.terms, s.trunc)
+    assert hash(s) == hash(PuiseuxSeries(s.terms, s.trunc))
+    assert s.trunc == INF or isinstance(s.trunc, F)
+    exps = [e for e, _c in s.terms]
+    assert all(isinstance(e, F) for e in exps)
+    assert all(e1 < e2 for e1, e2 in zip(exps, exps[1:]))
+    assert all(e < s.trunc for e in exps)
+    for _e, c in s.terms:
+        assert isinstance(c, (F, ParamPoly, AlgebraicNumber)) and c
+
+
+def test_operations_return_canonical_series():
+    rng = random.Random(20260816)
+    for _ in range(CASES):
+        domain = rng.choice(["Q", "C", "sqrt2"])
+        a = random_input(rng, domain)
+        # b shares, cancels or repeats part of a's support
+        b = PuiseuxSeries(
+            [(e, -c if rng.random() < 0.5 else c) for e, c in a.terms
+             if rng.random() < 0.7] + list(random_input(rng, domain).terms),
+            rng.choice([a.trunc, INF, F(rng.randint(1, 5), 2)]),
+        )
+        t = F(rng.randint(-6, 8), rng.choice([1, 2, 3]))
+        unit = random_coefficient(rng, domain, unit=True)
+        results = [
+            a + b, a - b, b - a, a - a, -a, a * b,
+            a.scale(random_coefficient(rng, domain)), a.scale(unit),
+            a.shift(t), a.truncate(t), a.with_trunc(t), a.with_trunc(INF),
+            a.differentiate(), a.pow_rational(rng.choice([1, 2, 3])),
+        ]
+        c = random_input(rng, domain, lead=unit)
+        for sigma in (F(-1), F(-2), F(1, 2), F(-3, 2)):
+            # a window of -1 leaves nothing known below prec
+            prec = sigma * -3 + rng.randint(-1, 5)
+            branch = unit**sigma.numerator if sigma.denominator == 2 else None
+            square = c.scale(unit) if branch is not None else c
+            results.append(square.pow_rational(sigma, branch=branch, prec=prec))
+        results.append(c.invert(prec=rng.randint(2, 8)))
+        for r in results:
+            assert_canonical(r)
 
 
 def test_case_count_is_at_least_1000():
