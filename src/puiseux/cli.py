@@ -220,6 +220,9 @@ def _run_ode(args):
             "coincidence_orders": [_num(c) for c in b.coincidence_orders],
             "note": b.note,
         }
+        if b.initial and b.initial.branch_root is not None:
+            # the chosen t = c0^(1/s); conjugate branches share c0
+            entry["branch_root"] = _coef(b.initial.branch_root)
         claim = b.residual_guarantee
         try:
             # a branch that claims nothing is not substituted
@@ -248,8 +251,9 @@ def _run_ode(args):
     lines = [f"{len(branches)} branch(es)"]
     for b in branches:
         head = f"  y = {b['series']}"
+        root = f", t={b['branch_root']}" if "branch_root" in b else ""
         tail = (
-            f"[{b['kind']}/{b['status']}, mu0={b['mu0']}, case={b['case']}, "
+            f"[{b['kind']}/{b['status']}, mu0={b['mu0']}{root}, case={b['case']}, "
             f"mu_r={b['mu_r']}, residual >= {b['residual_guarantee']}, "
             f"verified={b['verified']}]"
         )

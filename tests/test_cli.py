@@ -121,6 +121,25 @@ class TestOde:
             "unresolved initial term at x^0: vertex polynomial ['-3', '0', '1']",
         ]
 
+    def test_conjugate_branches_report_their_root(self, capsys):
+        # t = 1 and t = -1 both give c0 = t^2 = 1 and the same printed
+        # series; the chosen root tells the two branches apart
+        argv = ("ode", "--bound", "3", "--resonance", "values=1,4",
+                "dy/dx = 1 - 2*x*y^(3/2)")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        branches = json.loads(out)["branches"]
+        twins = [b for b in branches if b["series"] == "x + O(x^(7/2))"]
+        assert sorted(b["branch_root"] for b in twins) == ["-1", "1"]
+        assert {b["c0"] for b in twins} == {"1"}
+        free = [b for b in branches if b["c0"] == "FREE"]
+        assert free and all("branch_root" not in b for b in free)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        lines = [ln for ln in out.splitlines() if "x + O(x^(7/2))" in ln]
+        assert sorted("t=-1," in ln for ln in lines) == [False, True]
+        assert sorted("t=1," in ln for ln in lines) == [False, True]
+
     def test_zero_instance_is_not_continued(self, capsys):
         # y = x^2 does not start a solution of y' = y^(1/2) + 2x (y' - rhs
         # = -x), and y^(-1) has no expansion about y = 0: the instance
