@@ -368,6 +368,14 @@ class ParamPoly:
 
     Carries a free parameter (a resonance constant) through otherwise
     numeric series computations.  Division is only defined by units.
+
+    ``coeffs`` is a tuple of Fractions, lowest degree first, with no
+    trailing zero.  The public constructor ``ParamPoly(coeffs, symbol)``
+    coerces outside input to that form; every arithmetic result is built
+    in it already (``padd`` and ``pmul`` return stripped Fraction lists,
+    and an int or Fraction operand adds to the constant term or scales
+    the tuple) and goes through the trusted ``_param`` without a second
+    pass.
     """
 
     __slots__ = ("coeffs", "symbol")
@@ -390,46 +398,57 @@ class ParamPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def _coerce(self, other):
-        if isinstance(other, ParamPoly):
-            if other.coeffs and self.coeffs and other.symbol != self.symbol:
-                raise CoefficientError("mixed free-constant symbols")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly([Fraction(other)], self.symbol)
+    def _check_symbol(self, other):
+        if other.coeffs and self.coeffs and other.symbol != self.symbol:
+            raise CoefficientError("mixed free-constant symbols")
+
+    @staticmethod
+    def _unsupported(other):
         if isinstance(other, AlgebraicNumber):
             raise UnsupportedSymbolic(
                 "free constants over algebraic coefficients are not supported"
             )
-        return None
+        return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ParamPoly(
-            padd(self.coeffs, o.coeffs), self.symbol if self.coeffs else o.symbol
-        )
+        coeffs = self.coeffs
+        if isinstance(other, ParamPoly):
+            self._check_symbol(other)
+            return _param(
+                tuple(padd(coeffs, other.coeffs)),
+                self.symbol if coeffs else other.symbol,
+            )
+        if isinstance(other, (int, Fraction)):
+            if not coeffs:
+                return _param((Fraction(other),) if other else (), self.symbol)
+            head = coeffs[0] + other
+            if not head and len(coeffs) == 1:
+                return _param((), self.symbol)
+            return _param((head, *coeffs[1:]), self.symbol)
+        return self._unsupported(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly([-c for c in self.coeffs], self.symbol)
+        return _param(tuple(-c for c in self.coeffs), self.symbol)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (ParamPoly, int, Fraction)):
+            return self + (-other)
+        return self._unsupported(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ParamPoly(pmul(self.coeffs, o.coeffs), self.symbol)
+        if isinstance(other, ParamPoly):
+            self._check_symbol(other)
+            return _param(tuple(pmul(self.coeffs, other.coeffs)), self.symbol)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return _param((), self.symbol)
+            return _param(tuple(c * other for c in self.coeffs), self.symbol)
+        return self._unsupported(other)
 
     __rmul__ = __mul__
 
@@ -437,7 +456,7 @@ class ParamPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError
-            return ParamPoly([c / other for c in self.coeffs], self.symbol)
+            return _param(tuple(c / other for c in self.coeffs), self.symbol)
         if isinstance(other, ParamPoly):
             if other.degree == 0 and other.coeffs:
                 return self / other.coeffs[0]
@@ -484,6 +503,15 @@ class ParamPoly:
         return f"({body})" if sum(map(bool, self.coeffs)) > 1 else body
 
     __str__ = __repr__
+
+
+def _param(coeffs, symbol):
+    """A ParamPoly from a tuple of Fractions with no trailing zero;
+    nothing is checked."""
+    p = object.__new__(ParamPoly)
+    p.coeffs = coeffs
+    p.symbol = symbol
+    return p
 
 
 def substitute_parameter(c, value):

@@ -47,20 +47,31 @@ class Contour:
     def breaking_points(self):
         """Sorted abscissas where the active set changes.
 
-        These are exactly the points where two envelope lines of distinct
-        slope meet on the envelope.
+        These are the points where two envelope lines of distinct slope
+        meet on the envelope.  At each x the minimum of intercept +
+        slope*x is attained on the lower convex hull of the points
+        (slope, intercept), so the breaking points are the negated slopes
+        of the hull's edges: keep the least intercept per slope, sort
+        once, and make one monotone-chain pass.
         """
-        points = set()
-        n = len(self.lines)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = self.lines[i], self.lines[j]
-                if a.slope == b.slope:
-                    continue
-                x = (b.intercept - a.intercept) / (a.slope - b.slope)
-                if a.value(x) == self.value(x):
-                    points.add(x)
-        return sorted(points)
+        least = {}
+        for line in self.lines:
+            b = least.get(line.slope)
+            if b is None or line.intercept < b:
+                least[line.slope] = line.intercept
+        hull = []
+        for s, b in sorted(least.items()):
+            # drop the last vertex while it is not strictly below the
+            # chord from the one before it to (s, b)
+            while len(hull) >= 2:
+                (s1, b1), (s2, b2) = hull[-2], hull[-1]
+                if (b2 - b1) * (s - s1) < (b - b1) * (s2 - s1):
+                    break
+                hull.pop()
+            hull.append((s, b))
+        return sorted(
+            (b1 - b2) / (s2 - s1) for (s1, b1), (s2, b2) in zip(hull, hull[1:])
+        )
 
     def __repr__(self):
         body = ", ".join(

@@ -158,7 +158,9 @@ def pformat(coeffs, symbol):
 def ptaylor_shift(p, c):
     """Coefficients of p(c + y) as a polynomial in y.
 
-    Coefficient i is p[i] + sum over l > i of p[l] * C(l, i) * c^(l - i).
+    Coefficient i is p[i] + sum over l > i of p[l] * (C(l, i) * c^(l - i)):
+    with the binomial folded into the power, a one-term shift c (one
+    recenter step) makes each term a single one-term product.
     """
     c_pow = [c]  # c_pow[k] = c^(k + 1)
     for _ in range(len(p) - 2):
@@ -167,7 +169,10 @@ def ptaylor_shift(p, c):
     for i in range(len(p)):
         acc = p[i]
         for l in range(i + 1, len(p)):
-            acc = acc + p[l] * comb(l, i) * c_pow[l - i - 1]
+            term = c_pow[l - i - 1]
+            if i:  # C(l, 0) = 1 needs no product
+                term = term * comb(l, i)
+            acc = acc + p[l] * term
         out.append(acc)
     return out
 

@@ -16,7 +16,16 @@ exponents, sorting, dropping zeros and terms past ``trunc``).  The ring and
 calculus operations build their results canonical by construction and pass
 them to the trusted ``_canonical`` without that pass; the coefficient
 domains have no zero divisors, so a product of nonzero coefficients is
-never zero.
+never zero.  The coefficient domains keep the same invariant: a
+``ParamPoly`` result is built from stripped Fraction tuples by the
+trusted ``coefficients._param``.
+
+The product has two paths besides the general convolution.  When a
+factor has one term, the product is one ordered pass over the other
+factor's terms below the new trunc: no accumulation, no sort and no zero
+test.  When both factors are the same object (every squaring inside
+``ppow``), each unordered pair of distinct terms is multiplied once and
+doubled.
 
 The canonical text form is ``c0*x^(p0/q0) + ... + O(x^(pt/qt))`` and
 round-trips bit-exactly through :func:`puiseux.parsing.parse_series_text`.
@@ -217,16 +226,36 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return self.scale(other)
         trunc = min(self.val_floor() + other.trunc, other.val_floor() + self.trunc)
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            ((e1, c1),) = a
+            terms = tuple((e1 + e2, c1 * c2) for e2, c2 in _below(b, trunc - e1))
+            return _canonical(terms, trunc)
+        if len(b) == 1:
+            ((e2, c2),) = b
+            terms = tuple((e1 + e2, c1 * c2) for e1, c1 in _below(a, trunc - e2))
+            return _canonical(terms, trunc)
         acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
+        if other is self:
+            # a square: each unordered pair of distinct terms once, doubled
+            for i, (e1, c1) in enumerate(a):
+                e = e1 + e1
                 if e >= trunc:
-                    continue
-                if e in acc:
-                    acc[e] = acc[e] + c1 * c2
-                else:
-                    acc[e] = c1 * c2
+                    break
+                acc[e] = acc[e] + c1 * c1 if e in acc else c1 * c1
+                for e2, c2 in a[i + 1:]:
+                    e = e1 + e2
+                    if e >= trunc:
+                        break
+                    p = c1 * c2
+                    acc[e] = acc[e] + (p + p) if e in acc else p + p
+        else:
+            for e1, c1 in a:
+                for e2, c2 in b:
+                    e = e1 + e2
+                    if e >= trunc:
+                        break
+                    acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
         return _canonical(tuple((e, acc[e]) for e in sorted(acc) if acc[e]), trunc)
 
     def __rmul__(self, other):

@@ -117,3 +117,18 @@ def nondecomposable_for(lattice, target):
         if target == g or (target - g) in sums or target - g == 0:
             out.append(g)
     return tuple(out)
+
+
+def pairwise_breaking_points(lines):
+    """Breaking points of the lower envelope of ``lines`` by brute force:
+    every pair of distinct slopes whose meeting point lies on the
+    envelope."""
+    points = set()
+    for i, a in enumerate(lines):
+        for b in lines[i + 1:]:
+            if a.slope == b.slope:
+                continue
+            x = (b.intercept - a.intercept) / (a.slope - b.slope)
+            if a.value(x) == min(line.value(x) for line in lines):
+                points.add(x)
+    return sorted(points)

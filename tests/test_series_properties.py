@@ -4,7 +4,10 @@ Six law families at 200 cases each (1200 total) cover the ring axioms on
 truncations, valuation additivity, the derivative-valuation identity, the
 Leibniz rule, inversion and the power/root inverse identities.  A seventh
 checks that every operation returns a canonical series, over rational,
-free-constant and Q(sqrt2) coefficients.
+free-constant and Q(sqrt2) coefficients.  The last two pin the trusted
+constructions: free-constant polynomial arithmetic with polynomial, int
+and Fraction operands, and the one-term and squaring paths of the series
+product against a plain convolution.
 """
 
 import random
@@ -185,6 +188,93 @@ def test_operations_return_canonical_series():
         results.append(c.invert(prec=rng.randint(2, 8)))
         for r in results:
             assert_canonical(r)
+
+
+def random_param_poly(rng):
+    return ParamPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+
+
+def random_param_operand(rng):
+    """A ParamPoly, int or Fraction operand, possibly zero."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_param_poly(rng)
+    if kind == 1:
+        return rng.randint(-2, 2)
+    return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def value_at(x, v):
+    return x.substitute(v) if isinstance(x, ParamPoly) else F(x)
+
+
+def assert_canonical_param(r):
+    fresh = ParamPoly(list(r.coeffs), r.symbol)
+    assert r == fresh
+    assert hash(r) == hash(fresh)
+    assert all(type(c) is F for c in r.coeffs)
+    assert not r.coeffs or r.coeffs[-1]
+
+
+def test_param_poly_arithmetic_is_canonical():
+    rng = random.Random(20261018)
+    for _ in range(CASES):
+        a = random_param_poly(rng)
+        b = random_param_operand(rng)
+        k = rng.choice([rng.randint(-2, 2), F(rng.randint(-3, 3), 2)])
+        head = a.coeffs[0] if a.coeffs else F(0)
+        cases = [
+            (a + b, lambda v: value_at(a, v) + value_at(b, v)),
+            (b + a, lambda v: value_at(a, v) + value_at(b, v)),
+            (a - b, lambda v: value_at(a, v) - value_at(b, v)),
+            (b - a, lambda v: value_at(b, v) - value_at(a, v)),
+            (a * b, lambda v: value_at(a, v) * value_at(b, v)),
+            (b * a, lambda v: value_at(a, v) * value_at(b, v)),
+            (-a, lambda v: -value_at(a, v)),
+            # cancelling to zero and to a constant
+            (a - a, lambda v: 0),
+            (a + (k - a), lambda v: k),
+            ((a + k) - a, lambda v: k),
+            (a - head, lambda v: value_at(a, v) - head),
+            (ParamPoly([head]) + (-head), lambda v: 0),
+            (a * 0, lambda v: 0),
+        ]
+        for r, expected in cases:
+            assert isinstance(r, ParamPoly)
+            assert_canonical_param(r)
+            for v in (F(-2), F(1, 3), F(5)):
+                assert r.substitute(v) == expected(v)
+
+
+def convolution(a, b):
+    """The product of two series by the public constructor, independent of
+    the product's fast paths."""
+    trunc = min(a.val_floor() + b.trunc, b.val_floor() + a.trunc)
+    terms = [(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]
+    return PuiseuxSeries(terms, trunc)
+
+
+def test_square_and_one_term_products_match_convolution():
+    rng = random.Random(20261019)
+    squares = 0
+    for _ in range(CASES):
+        domain = rng.choice(["Q", "C", "sqrt2"])
+        s = random_input(rng, domain)
+        twin = PuiseuxSeries(s.terms, s.trunc)
+        assert twin is not s
+        square = s * s
+        assert square == s * twin == convolution(s, s)
+        assert_canonical(square)
+        squares += len(s.terms) > 1
+        e = rng.choice(EXPONENT_POOL)
+        c = random_coefficient(rng, domain)
+        c = c or random_coefficient(rng, domain, unit=True)
+        term = PuiseuxSeries([(e, c)], rng.choice([INF, e + rng.randint(1, 4)]))
+        for x, y in ((term, s), (s, term), (term, term)):
+            r = x * y
+            assert r == convolution(x, y)
+            assert_canonical(r)
+    assert squares > CASES // 2
 
 
 def test_case_count_is_at_least_1000():
