@@ -10,7 +10,9 @@ Three exact domains are supported:
   polynomial; the isolating region is only ever refined to *select* or
   order roots, never to compute with them.
 * :class:`ParamPoly` -- a polynomial in one formal free constant over Q,
-  used to carry a free parameter through a series computation exactly.
+  used to carry a free parameter through a series computation exactly;
+  stored as integer numerators over one denominator, so its arithmetic
+  is integer polynomial arithmetic and one content gcd per result.
 
 All domains are immutable values and support ``+ - * / **`` with ints and
 Fractions mixed in.
@@ -19,7 +21,7 @@ Fractions mixed in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .polyutils import (
     FactorizationLimit,
@@ -40,6 +42,8 @@ from .polyutils import (
     rational_roots,
     refine_interval,
 )
+
+_RATIONAL = (int, Fraction)
 
 
 class CoefficientError(TypeError):
@@ -254,12 +258,13 @@ class AlgebraicNumber:
         return any(self.vec)
 
     def _coerce(self, other):
+        """``other`` as a field element or an unlifted rational, else None."""
         if isinstance(other, AlgebraicNumber):
             if other.field == self.field:
                 return other
             raise CoefficientError("mixed number fields")
-        if isinstance(other, (int, Fraction)):
-            return self.field.lift(other)
+        if isinstance(other, _RATIONAL):
+            return other
         if isinstance(other, ParamPoly):
             raise UnsupportedSymbolic(
                 "free constants over algebraic coefficients are not supported"
@@ -270,6 +275,8 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not isinstance(o, AlgebraicNumber):
+            return AlgebraicNumber(self.field, (self.vec[0] + o, *self.vec[1:]))
         return AlgebraicNumber(self.field, tuple(a + b for a, b in zip(self.vec, o.vec)))
 
     __radd__ = __add__
@@ -290,8 +297,9 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = pmul(list(self.vec), list(o.vec))
-        return self.field.element(prod)
+        if isinstance(o, AlgebraicNumber):
+            return self.field.element(pmul(list(self.vec), list(o.vec)))
+        return AlgebraicNumber(self.field, tuple(a * o for a in self.vec))
 
     __rmul__ = __mul__
 
@@ -314,13 +322,15 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        if isinstance(o, AlgebraicNumber):
+            return self * o.inverse()
+        return AlgebraicNumber(self.field, tuple(a / o for a in self.vec))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * o
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -330,7 +340,7 @@ class AlgebraicNumber:
         return ppow(self, n, self.field.lift(1))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             return self.vec[0] == other and not any(self.vec[1:])
         if isinstance(other, AlgebraicNumber):
             return self.field == other.field and self.vec == other.vec
@@ -369,37 +379,44 @@ class ParamPoly:
     Carries a free parameter (a resonance constant) through otherwise
     numeric series computations.  Division is only defined by units.
 
-    ``coeffs`` is a tuple of Fractions, lowest degree first, with no
-    trailing zero.  The public constructor ``ParamPoly(coeffs, symbol)``
-    coerces outside input to that form; every arithmetic result is built
-    in it already (``padd`` and ``pmul`` return stripped Fraction lists,
-    and an int or Fraction operand adds to the constant term or scales
-    the tuple) and goes through the trusted ``_param`` without a second
-    pass.
+    Stored fraction-free, like FLINT's ``fmpq_poly``: the polynomial is
+    ``sum(nums[i] * C^i) / den``, ``nums`` a tuple of ints, lowest degree
+    first, with no trailing zero, and ``den`` > 0 coprime to them all, so
+    the form is canonical; ``coeffs`` gives the Fractions back.  Arithmetic
+    runs ``padd``/``pmul`` on ``nums``, an int or Fraction operand scales
+    ``nums``/``den`` or adds to the constant term, and each result takes
+    one content gcd in the trusted ``_param``.
     """
 
-    __slots__ = ("coeffs", "symbol")
+    __slots__ = ("nums", "den", "symbol")
 
     def __init__(self, coeffs, symbol="C"):
         coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        den = 1
+        for c in coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        self.nums = tuple(pstrip([c.numerator * den // c.denominator for c in coeffs]))
+        self.den = den
         self.symbol = symbol
 
     @classmethod
     def parameter(cls, symbol="C"):
         return cls([0, 1], symbol)
 
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def _check_symbol(self, other):
-        if other.coeffs and self.coeffs and other.symbol != self.symbol:
+        if other.nums and self.nums and other.symbol != self.symbol:
             raise CoefficientError("mixed free-constant symbols")
 
     @staticmethod
@@ -410,30 +427,39 @@ class ParamPoly:
             )
         return NotImplemented
 
+    def _scaled(self, p, q):
+        """``self * p/q`` for ints p and q != 0."""
+        if q < 0:
+            p, q = -p, -q
+        nums = tuple(n * p for n in self.nums) if p else ()
+        return _param(nums, self.den * q, self.symbol)
+
     def __add__(self, other):
-        coeffs = self.coeffs
+        nums, den = self.nums, self.den
         if isinstance(other, ParamPoly):
             self._check_symbol(other)
-            return _param(
-                tuple(padd(coeffs, other.coeffs)),
-                self.symbol if coeffs else other.symbol,
-            )
-        if isinstance(other, (int, Fraction)):
-            if not coeffs:
-                return _param((Fraction(other),) if other else (), self.symbol)
-            head = coeffs[0] + other
-            if not head and len(coeffs) == 1:
-                return _param((), self.symbol)
-            return _param((head, *coeffs[1:]), self.symbol)
+            symbol = self.symbol if nums else other.symbol
+            if den == other.den:
+                return _param(tuple(padd(nums, other.nums)), den, symbol)
+            g = gcd(den, other.den)
+            a, b = other.den // g, den // g
+            total = padd([n * a for n in nums], [n * b for n in other.nums])
+            return _param(tuple(total), den * a, symbol)
+        if isinstance(other, _RATIONAL):
+            g = gcd(den, other.denominator)
+            a = other.denominator // g
+            head = (nums[0] if nums else 0) * a + other.numerator * (den // g)
+            tail = tuple(n * a for n in nums[1:])
+            return _param((head, *tail) if head or tail else (), den * a, self.symbol)
         return self._unsupported(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _param(tuple(-c for c in self.coeffs), self.symbol)
+        return _param(tuple(-n for n in self.nums), self.den, self.symbol)
 
     def __sub__(self, other):
-        if isinstance(other, (ParamPoly, int, Fraction)):
+        if isinstance(other, (ParamPoly, *_RATIONAL)):
             return self + (-other)
         return self._unsupported(other)
 
@@ -443,73 +469,75 @@ class ParamPoly:
     def __mul__(self, other):
         if isinstance(other, ParamPoly):
             self._check_symbol(other)
-            return _param(tuple(pmul(self.coeffs, other.coeffs)), self.symbol)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _param((), self.symbol)
-            return _param(tuple(c * other for c in self.coeffs), self.symbol)
+            nums = tuple(pmul(self.nums, other.nums))
+            return _param(nums, self.den * other.den, self.symbol)
+        if isinstance(other, _RATIONAL):
+            return self._scaled(other.numerator, other.denominator)
         return self._unsupported(other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             if not other:
                 raise ZeroDivisionError
-            return _param(tuple(c / other for c in self.coeffs), self.symbol)
+            return self._scaled(other.denominator, other.numerator)
         if isinstance(other, ParamPoly):
-            if other.degree == 0 and other.coeffs:
-                return self / other.coeffs[0]
+            if other.degree == 0:
+                return self._scaled(other.den, other.nums[0])
             raise UnsupportedSymbolic(
                 "division by a free-constant polynomial of positive degree"
             )
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if self.degree == 0 and self.coeffs:
-            return ParamPoly([Fraction(other) / self.coeffs[0]], self.symbol)
+        if self.degree == 0:
+            return ParamPoly([other], self.symbol)._scaled(self.den, self.nums[0])
         raise UnsupportedSymbolic("inverse of a free constant")
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            if self.degree == 0 and self.coeffs:
-                return ParamPoly([self.coeffs[0] ** n], self.symbol)
-            raise UnsupportedSymbolic("negative power of a free constant")
-        return ppow(self, n, ParamPoly([1], self.symbol))
+        one = _param((1,), 1, self.symbol)
+        if n >= 0:
+            return ppow(self, n, one)
+        if self.degree == 0:
+            return one._scaled(self.den**-n, self.nums[0] ** -n)
+        raise UnsupportedSymbolic("negative power of a free constant")
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
+        if isinstance(other, _RATIONAL):
+            if not self.nums:
                 return other == 0
-            return self.degree == 0 and self.coeffs[0] == other
+            return self.nums == (other.numerator,) and self.den == other.denominator
         if isinstance(other, ParamPoly):
-            return self.coeffs == other.coeffs and (
-                not self.coeffs or not other.coeffs or self.symbol == other.symbol
+            return (self.nums, self.den) == (other.nums, other.den) and (
+                not self.nums or not other.nums or self.symbol == other.symbol
             )
         return NotImplemented
 
     def __hash__(self):
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
-        return hash((self.coeffs, self.symbol))
+        if len(self.nums) <= 1:
+            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
+        return hash((self.nums, self.den, self.symbol))
 
     def substitute(self, value):
         return as_coefficient(peval(self.coeffs, value))
 
     def __repr__(self):
         body = pformat(self.coeffs, self.symbol)
-        return f"({body})" if sum(map(bool, self.coeffs)) > 1 else body
+        return f"({body})" if sum(map(bool, self.nums)) > 1 else body
 
     __str__ = __repr__
 
 
-def _param(coeffs, symbol):
-    """A ParamPoly from a tuple of Fractions with no trailing zero;
-    nothing is checked."""
+def _param(nums, den, symbol):
+    """A ParamPoly from a tuple of ints with no trailing zero over a
+    positive ``den``, divided by their content gcd; nothing is checked."""
+    g = gcd(den, *nums)
     p = object.__new__(ParamPoly)
-    p.coeffs = coeffs
+    p.nums = nums if g == 1 else tuple(n // g for n in nums)
+    p.den = den // g
     p.symbol = symbol
     return p
 

@@ -26,6 +26,7 @@ from .algebraic import SeriesPolynomial, _as_series, _solve_beyond
 from .coefficients import (
     ParamPoly,
     UnsupportedSymbolic,
+    _param,
     as_coefficient,
     coefficient_sort_key,
     has_parameter,
@@ -40,6 +41,7 @@ from .series import (
     PoleError,
     PuiseuxSeries,
     SeriesError,
+    _canonical,
     _semigroup,
     default_branch,
     miller_step,
@@ -968,17 +970,17 @@ def _renumber_free_constants(branches):
         new = f"C{counter}"
         if old == new:
             continue
+        # a new name changes no exponent and zeroes no coefficient
         terms = tuple(
-            (ex, ParamPoly(c.coeffs, new) if isinstance(c, ParamPoly) else c)
+            (ex, _param(c.nums, c.den, new) if isinstance(c, ParamPoly) else c)
             for ex, c in b.series.terms
         )
-        branches[i] = replace(b, series=PuiseuxSeries(terms, b.series.trunc))
+        branches[i] = replace(b, series=_canonical(terms, b.series.trunc))
         if isinstance(b.free_constant, str):
             branches[i].free_constant = new
-        elif isinstance(branches[i].free_constant, ParamPoly):
-            branches[i].free_constant = ParamPoly(
-                branches[i].free_constant.coeffs, new
-            )
+        elif isinstance(b.free_constant, ParamPoly):
+            free = b.free_constant
+            branches[i].free_constant = _param(free.nums, free.den, new)
 
 
 def has_parameter_series(series: PuiseuxSeries) -> bool:

@@ -45,12 +45,9 @@ def pdeg(p) -> int:
 
 
 def padd(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(x + y)
+    n = min(len(a), len(b))
+    out = [x + y for x, y in zip(a, b)]
+    out += a[n:] or b[n:]
     return pstrip(out)
 
 

@@ -17,8 +17,8 @@ calculus operations build their results canonical by construction and pass
 them to the trusted ``_canonical`` without that pass; the coefficient
 domains have no zero divisors, so a product of nonzero coefficients is
 never zero.  The coefficient domains keep the same invariant: a
-``ParamPoly`` result is built from stripped Fraction tuples by the
-trusted ``coefficients._param``.
+``ParamPoly`` result is built from integer numerators over one
+denominator by the trusted ``coefficients._param``.
 
 The product has two paths besides the general convolution.  When a
 factor has one term, the product is one ordered pass over the other

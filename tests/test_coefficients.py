@@ -153,6 +153,40 @@ class TestNumberField:
             for j, other in enumerate(fields):
                 assert (field == other) == (i == j)
 
+    def test_rational_operand_matches_lifted_operand(self):
+        # a rational acts on the vector directly; the reference lifts it
+        # into the field and runs the field operation
+        cubic = [F(1), F(-3), F(0), F(1)]  # c^3 - 3c + 1
+        fields = [
+            sqrt_field(2),
+            sqrt_field(-3),
+            NumberField(cubic, sorted(isolate_real_roots(cubic))[-1]),
+        ]
+        rng = random.Random(11)
+        for field in fields:
+            for _ in range(40):
+                vec = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+                a = field.element(vec[: field.degree])
+                q = F(rng.randint(-9, 9), rng.randint(1, 9))
+                q = rng.choice([rng.randint(-4, 4), q])
+                lq = field.lift(q)
+                pairs = [
+                    (a + q, a + lq), (q + a, lq + a),
+                    (a - q, a - lq), (q - a, lq - a),
+                    (a * q, a * lq), (q * a, lq * a),
+                ]
+                if q:
+                    pairs.append((a / q, a / lq))
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        _ = a / q
+                if a:
+                    pairs.append((q / a, lq / a))
+                for got, expected in pairs:
+                    assert got == expected, (field, a, q)
+                    assert len(got.vec) == field.degree
+                    assert all(type(c) is F for c in got.vec)
+
     def test_complex_region(self):
         field = sqrt_field(-1)
         i = field.generator()
@@ -202,6 +236,12 @@ class TestParamPoly:
         C = ParamPoly.parameter()
         assert not (C - C)
         assert C != 0
+
+    def test_constant_compares_with_its_fraction(self):
+        half = ParamPoly([F(1, 2)])
+        assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+        assert half != F(1, 3) and half != 1 and ParamPoly([2]) == 2
+        assert ParamPoly([]) == 0 and ParamPoly([0, 0]) == F(0)
 
 
 def _plain_value(p, v):

@@ -716,6 +716,37 @@ class TestSolveAll:
                     break
         assert names == [f"C{i+1}" for i in range(len(names))]
 
+    def test_renaming_reaches_every_coefficient(self):
+        # dy/dx = y - 2*y^2: the family is built as C2, after the pole
+        # start, and is the first free family in branch order
+        e = MonomialODE([(0, 2, -2), (0, 1, 1)])
+        branches = solve_all(e, 4).branches
+        (family,) = [b for b in branches if b.status == RESONANT_FREE]
+        assert isinstance(family.free_constant, ParamPoly)
+        assert family.free_constant.symbol == "C1"
+        params = [c for _e, c in family.series.terms if isinstance(c, ParamPoly)]
+        assert {c.symbol for c in params} == {"C1"}
+        assert str(family.series).startswith("C1 + (C1 - 2*C1^2)*x + ")
+
+    def test_deep_family_matches_the_numeric_walk(self):
+        # dy/dx = y/x + x + y^2: from bound 48 on the family is a polynomial
+        # of degree 24 in C1.  The walk with a numeric c_r builds no free
+        # constant at all, so each instance is checked against a
+        # construction that shares no polynomial arithmetic with it.
+        e = MonomialODE([(-1, 1, 1), (1, 0, 1), (0, 2, 1)])
+        (family,) = [
+            b for b in solve_all(e, 48).branches
+            if isinstance(b.free_constant, ParamPoly)
+        ]
+        params = [c for _e, c in family.series.terms if isinstance(c, ParamPoly)]
+        assert max(c.degree for c in params) >= 20
+        for value in (0, 1, F(-2, 3), F(7, 5)):
+            instance = family.instantiate(value)
+            walk = continue_proper(e, family.initial, 48, c_r=value)
+            assert instance.series.terms == walk.series.terms
+            assert instance.series.trunc == walk.series.trunc
+            assert verify_branch(e, instance).meets(family.residual_guarantee)
+
 
 class TestRandomEquations:
     def test_every_branch_of_random_equations_verifies(self):

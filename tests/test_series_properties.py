@@ -4,14 +4,16 @@ Six law families at 200 cases each (1200 total) cover the ring axioms on
 truncations, valuation additivity, the derivative-valuation identity, the
 Leibniz rule, inversion and the power/root inverse identities.  A seventh
 checks that every operation returns a canonical series, over rational,
-free-constant and Q(sqrt2) coefficients.  The last two pin the trusted
+free-constant and Q(sqrt2) coefficients.  The last three pin the trusted
 constructions: free-constant polynomial arithmetic with polynomial, int
-and Fraction operands, and the one-term and squaring paths of the series
-product against a plain convolution.
+and Fraction operands (also with denominators of 40 digits and more),
+and the one-term and squaring paths of the series product against a
+plain convolution.
 """
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 from puiseux.coefficients import AlgebraicNumber, ParamPoly, sqrt_field
 from puiseux.series import INF, PuiseuxSeries
@@ -214,6 +216,13 @@ def assert_canonical_param(r):
     assert hash(r) == hash(fresh)
     assert all(type(c) is F for c in r.coeffs)
     assert not r.coeffs or r.coeffs[-1]
+    # the integer form: numerators over one positive, coprime denominator
+    assert all(type(n) is int for n in r.nums) and type(r.den) is int
+    assert r.den > 0
+    assert gcd(r.den, *r.nums) == 1
+    assert not r.nums or r.nums[-1] != 0
+    if r.degree <= 0:
+        assert hash(r) == hash(r.coeffs[0] if r.coeffs else F(0))
 
 
 def test_param_poly_arithmetic_is_canonical():
@@ -244,6 +253,44 @@ def test_param_poly_arithmetic_is_canonical():
             assert_canonical_param(r)
             for v in (F(-2), F(1, 3), F(5)):
                 assert r.substitute(v) == expected(v)
+
+
+def test_param_poly_long_denominators():
+    # operands with denominators of 40 digits and more, every result
+    # checked by plain Fraction evaluation of the operands' coefficients
+    rng = random.Random(20261101)
+
+    def big():
+        return F(rng.randint(-10**45, 10**45), rng.randint(10**40, 10**46))
+
+    def plain(coeffs, v):
+        return sum((c * v**i for i, c in enumerate(coeffs)), F(0))
+
+    points = (F(0), F(1), F(-2), F(3, 7), F(-11, 5))
+    for _ in range(60):
+        ca = [big() for _ in range(rng.randint(0, 4))]
+        cb = [big() for _ in range(rng.randint(0, 4))]
+        a, b = ParamPoly(ca), ParamPoly(cb)
+        k = rng.choice([big(), rng.randint(-10**50, 10**50)]) or 1
+        unit = ParamPoly([k])
+        cases = [
+            (a + b, lambda v: plain(ca, v) + plain(cb, v)),
+            (a - b, lambda v: plain(ca, v) - plain(cb, v)),
+            (a * b, lambda v: plain(ca, v) * plain(cb, v)),
+            (a + k, lambda v: plain(ca, v) + k),
+            (k - a, lambda v: k - plain(ca, v)),
+            (a * k, lambda v: plain(ca, v) * k),
+            (a / k, lambda v: plain(ca, v) / k),
+            (a / unit, lambda v: plain(ca, v) / k),
+            (k / unit, lambda v: F(1)),
+            (unit**-2, lambda v: F(1) / (k * k)),
+            (a**3, lambda v: plain(ca, v) ** 3),
+            ((a + b) - b, lambda v: plain(ca, v)),
+        ]
+        for r, expected in cases:
+            assert_canonical_param(r)
+            for v in points:
+                assert plain(r.coeffs, v) == expected(v)
 
 
 def convolution(a, b):
