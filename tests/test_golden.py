@@ -60,6 +60,8 @@ CASES = {
         0, ["ode", "--bound", "2", "--center", "2",
             "dy/dx = (y + x)/(y + 1)"]),
     "wfactor-case-a": (0, ["wfactor", "--levels", "2", "P=2*y^2 + x*y; Q=1"]),
+    "wfactor-case-a-deep": (
+        0, ["wfactor", "--levels", "6", "P=2*y^2 + x*y; Q=1"]),
     "wfactor-case-b": (0, ["wfactor", "--levels", "4", "P=1; Q=y"]),
     "verify-constant": (
         0, ["verify", "--ode=dy/dx = 2*x^(-2)*y^2", "--alpha=2/x",
@@ -67,6 +69,10 @@ CASES = {
     "verify-not-constant": (
         5, ["verify", "--ode=dy/dx = 3*x^(-2)*y^2", "--alpha=3/x",
             "--roots=x/(3); 0", "--k=-1,1", "--ghosts"]),
+    # the README example: non-monomial denominators in alpha and the roots
+    "verify-readme": (
+        0, ["verify", "--ode", "dy/dx = x^(-2)*y^2", "--alpha", "1/(1-x)",
+            "--roots", "x; x/(1-x)", "--k", "1,-1", "--ghosts"]),
     "verify-ghost": (
         5, ["verify", "--ode", "dy/dx = x^(-2)*y^2", "--alpha", "1",
             "--roots", "0; x", "--k", "1,1", "--ghosts"]),
