@@ -12,6 +12,13 @@ Integrals are never evaluated (``int`` of a rational *constant* folds to
 structural on the normal form, with generators treated as independent.
 An element reports which generators it involves so callers can flag
 verdicts that silently rely on that independence.
+
+An element's ``num`` and ``den`` map exponent keys to nonzero ``RatFunc``
+coefficients.  Every stored key is trimmed (no trailing zero exponent),
+so the key of a product of monomials is the trimmed sum of their keys.
+Every element whose denominator is 1 holds the one shared dict
+``_UNIT``, which is never mutated; a product with it is a copy of the
+other side, and normalising over it divides nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +32,10 @@ from .ratfunc import RatFunc
 
 class LiouvilleError(ValueError):
     pass
+
+
+_ONE = RatFunc.const(1)
+_UNIT = {(): _ONE}
 
 
 INT, EXPINT, ROOT = "int", "expint", "root"
@@ -58,7 +69,7 @@ class Tower:
     def rational(self, f):
         if isinstance(f, (int, Fraction)):
             f = RatFunc.const(f)
-        return Element(self, {(): f} if f else {}, {(): RatFunc.const(1)})
+        return Element(self, {(): f} if f else {}, _UNIT)
 
     def x(self):
         return self.rational(RatFunc.x())
@@ -71,7 +82,7 @@ class Tower:
 
     def _gen_element(self, index, power=1):
         key = tuple([0] * index + [power])
-        return Element(self, {key: RatFunc.const(1)}, {(): RatFunc.const(1)})
+        return Element(self, {key: _ONE}, _UNIT)
 
     def integral(self, f):
         """The formal integral of ``f`` as an element.
@@ -177,6 +188,11 @@ def _dict_neg(a):
 
 
 def _dict_mul(a, b):
+    # the unit's key () adds nothing to a trimmed key
+    if b is _UNIT:
+        return dict(a)
+    if a is _UNIT:
+        return dict(b)
     out = {}
     for k1, v1 in a.items():
         for k2, v2 in b.items():
@@ -216,7 +232,7 @@ class Element:
         if not den:
             raise ZeroDivisionError("denominator reduced to zero")
         if not num:
-            den = {(): RatFunc.const(1)}  # zero has the one form 0/1
+            den = _UNIT  # zero has the one form 0/1
         # cancel a common pure-monomial denominator where legal
         elif len(den) == 1:
             (dkey, dval), = den.items()
@@ -233,10 +249,11 @@ class Element:
                     ): v / dval
                     for k, v in num.items()
                 }
-                den = {(): RatFunc.const(1)}
+                den = _UNIT
             elif not dkey:
-                num = {k: v / dval for k, v in num.items()}
-                den = {(): RatFunc.const(1)}
+                if dval != _ONE:
+                    num = {k: v / dval for k, v in num.items()}
+                den = _UNIT
         self.num = num
         self.den = den
 
@@ -378,8 +395,8 @@ class Element:
     def differentiate(self):
         n = _dict_derivative(self.tower, self.num)
         d = _dict_derivative(self.tower, self.den)
-        den_e = Element(self.tower, self.den, {(): RatFunc.const(1)})
-        num_e = Element(self.tower, self.num, {(): RatFunc.const(1)})
+        den_e = Element(self.tower, self.den, _UNIT)
+        num_e = Element(self.tower, self.num, _UNIT)
         return (n * den_e - num_e * d) / (den_e * den_e)
 
     # -- text ----------------------------------------------------------------
@@ -397,10 +414,7 @@ class Element:
 def _dict_derivative(tower, d):
     total = tower.zero()
     for key, coeff in d.items():
-        mono = Element(tower, {key: RatFunc.const(1)}, {(): RatFunc.const(1)})
-        total = total + Element(
-            tower, {key: coeff.derivative()}, {(): RatFunc.const(1)}
-        )
+        total = total + Element(tower, {key: coeff.derivative()}, _UNIT)
         for i, e in enumerate(key):
             if not e:
                 continue
@@ -409,7 +423,7 @@ def _dict_derivative(tower, d):
             lower_mono = Element(
                 tower,
                 {_trim(tuple(lowered)): coeff * Fraction(e)},
-                {(): RatFunc.const(1)},
+                _UNIT,
             )
             total = total + lower_mono * tower._derivative_of_gen(i)
     return total
@@ -542,7 +556,7 @@ def _dict_sexpr(tower, d):
 
 def element_sexpr(e: Element) -> str:
     num = _dict_sexpr(e.tower, e.num)
-    if len(e.den) == 1 and () in e.den and e.den[()] == RatFunc.const(1):
+    if e.den is _UNIT:
         return num
     return f"(/ {num} {_dict_sexpr(e.tower, e.den)})"
 
@@ -665,7 +679,7 @@ def _parse_root(tokens, tower):
 def _exp_of(arg, tower):
     """exp is only closed over integrals: match (exp (int f))."""
     # the argument element must be a pure integral generator combination
-    if not arg.num or arg.den != {(): RatFunc.const(1)}:
+    if not arg.num or arg.den is not _UNIT:
         raise LiouvilleError("exp only applies to (int f) forms")
     if len(arg.num) != 1:
         raise LiouvilleError("exp only applies to a single (int f) form")

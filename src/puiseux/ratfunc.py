@@ -1,4 +1,20 @@
-"""The rational function field Q(x) with d/dx, the base differential field."""
+"""The rational function field Q(x) with d/dx, the base differential field.
+
+Every ``RatFunc`` is reduced: ``num`` and ``den`` are tuples of
+``Fraction`` (lowest degree first) with no trailing zero, ``den`` is
+monic and coprime to ``num``, and zero is ``()`` over ``(1,)``.  So equal
+functions have equal tuples, and a constant compares and hashes like its
+``Fraction``.
+
+The public constructor ``RatFunc(num, den)`` is the one canonicaliser:
+it coerces, strips, cancels the gcd and makes the denominator monic.
+Parsing, ``Tower.integral`` and every meeting of two proper fractions go
+through it.  Results that are reduced by construction are built by the
+trusted ``_rf`` without that pass: constants and ``x``, negation,
+scaling by a nonzero rational, a polynomial added to any fraction
+(gcd(n + p*d, d) = gcd(n, d) = 1), and the product and derivative of
+polynomials.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +22,23 @@ from fractions import Fraction
 
 from .polyutils import padd, pderiv, pdivmod, pformat, pgcd, pmul, pneg, ppow, pstrip
 
+_ONE = (Fraction(1),)
+
+
+def _rf(num, den):
+    """A RatFunc from tuples that are already reduced; nothing is checked."""
+    r = object.__new__(RatFunc)
+    r.num = num
+    r.den = den
+    return r
+
 
 class RatFunc:
     """A reduced fraction of Fraction polynomials (dense, low degree first)."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(Fraction(1),)):
+    def __init__(self, num, den=_ONE):
         num = [Fraction(c) for c in pstrip(list(num))]
         den = [Fraction(c) for c in pstrip(list(den))]
         if not den:
@@ -34,11 +60,12 @@ class RatFunc:
 
     @classmethod
     def const(cls, q):
-        return cls([Fraction(q)])
+        q = Fraction(q)
+        return _rf((q,) if q else (), _ONE)
 
     @classmethod
     def x(cls):
-        return cls([Fraction(0), Fraction(1)])
+        return _rf((Fraction(0), Fraction(1)), _ONE)
 
     # -- predicates ------------------------------------------------------
 
@@ -63,17 +90,30 @@ class RatFunc:
             return RatFunc.const(other)
         return None
 
+    def _scaled(self, q):
+        """``self * q`` for a rational ``q``."""
+        if not q:
+            return _rf((), _ONE)
+        if q == 1:
+            return self
+        return _rf(tuple(c * q for c in self.num), self.den)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = padd(pmul(list(self.num), list(o.den)), pmul(list(o.num), list(self.den)))
-        return RatFunc(num, pmul(list(self.den), list(o.den)))
+        a, b = (self, o) if o.den == _ONE else (o, self)
+        if b.den == _ONE:
+            # a polynomial b keeps n/d reduced: gcd(n + b*d, d) = gcd(n, d)
+            bd = b.num if a.den == _ONE else pmul(b.num, a.den)
+            return _rf(tuple(padd(a.num, bd)), a.den)
+        num = padd(pmul(self.num, o.den), pmul(o.num, self.den))
+        return RatFunc(num, pmul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(pneg(list(self.num)), list(self.den))
+        return _rf(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -88,9 +128,13 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(
-            pmul(list(self.num), list(o.num)), pmul(list(self.den), list(o.den))
-        )
+        if o.is_constant:
+            return self._scaled(o.constant_value())
+        if self.is_constant:
+            return o._scaled(self.constant_value())
+        if self.den == _ONE and o.den == _ONE:
+            return _rf(tuple(pmul(self.num, o.num)), _ONE)
+        return RatFunc(pmul(self.num, o.num), pmul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -100,9 +144,9 @@ class RatFunc:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(
-            pmul(list(self.num), list(o.den)), pmul(list(self.den), list(o.num))
-        )
+        if o.is_constant:
+            return self._scaled(1 / o.num[0])
+        return RatFunc(pmul(self.num, o.den), pmul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -114,7 +158,7 @@ class RatFunc:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return RatFunc(list(self.den), list(self.num)) ** (-n)
+            return RatFunc(self.den, self.num) ** (-n)
         return ppow(self, n, RatFunc.const(1))
 
     def __eq__(self, other):
@@ -124,12 +168,17 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a constant hashes like the Fraction it equals
+        if self.is_constant:
+            return hash(self.constant_value())
         return hash((self.num, self.den))
 
     # -- calculus ------------------------------------------------------------
 
     def derivative(self):
-        n, d = list(self.num), list(self.den)
+        if self.den == _ONE:
+            return _rf(tuple(pderiv(self.num)), _ONE)
+        n, d = self.num, self.den
         num = padd(pmul(pderiv(n), d), pneg(pmul(n, pderiv(d))))
         return RatFunc(num, pmul(d, d))
 
@@ -137,7 +186,7 @@ class RatFunc:
 
     def __str__(self):
         num = pformat(self.num, "x")
-        if self.den == (Fraction(1),):
+        if self.den == _ONE:
             return num
         den = pformat(self.den, "x")
         num_p = num if _atomic(num) else f"({num})"
