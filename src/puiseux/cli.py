@@ -10,8 +10,8 @@ Subcommands::
 
 All bounds are exact rationals (``--bound 9/2``); ``--json`` switches to a
 deterministic machine-readable report (identical input gives identical
-bytes).  Exit codes: 0 success, 2 parse error, 3 classification error
-or a solver limit was reached, 4 unresolved branches present,
+bytes).  Exit codes: 0 success, 2 parse or usage error, 3 classification
+error or a solver limit was reached, 4 unresolved branches present,
 5 verification failed.
 """
 
@@ -117,6 +117,8 @@ def main(argv=None):
     p_v.add_argument("--json", action="store_true")
 
     args = parser.parse_args(argv)
+    if args.mode == "wfactor" and args.levels < 0:
+        p_w.error("argument --levels: must be a nonnegative integer")
     try:
         if args.mode == "algebraic":
             return _run_algebraic(args)

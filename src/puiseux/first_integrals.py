@@ -196,6 +196,8 @@ def solve_w(problem: IntegralFactorProblem, mu0: int, levels: int,
     needs mu0 = 0, a caller seed w_0 (default -x), and solves every later
     level by field operations alone.
     """
+    if levels < 0:
+        raise ValueError(f"levels must be nonnegative, got {levels}")
     tower = tower or Tower()
     p = [tower.rational(problem.P.coefficient(problem.mu_p + i)) for i in range(levels + 1)]
     q = [tower.rational(problem.Q.coefficient(problem.mu_q + j)) for j in range(levels + 1)]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from puiseux import algebraic
 from puiseux.cli import (
     EXIT_CLASSIFY,
@@ -263,6 +265,14 @@ class TestWfactor:
         payload = json.loads(out)
         assert payload["case"] == "A"
         assert payload["verified_levels"] == [True, True, True]
+
+    def test_negative_levels_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wfactor", "--levels", "-2", "--json", "P=2*y^2 + x*y; Q=1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_PARSE
+        assert captured.out == ""
+        assert "--levels" in captured.err
 
 
 class TestVerify:

@@ -116,6 +116,12 @@ class TestSolveW:
         with pytest.raises(CaseError):
             solve_w(problem_b, -1, 2)
 
+    def test_negative_levels_rejected(self):
+        # no level at all would make the all-levels-verified check vacuous
+        problem = IntegralFactorProblem(YSeries(2, [1]), YSeries(0, [1]))
+        with pytest.raises(ValueError):
+            solve_w(problem, -1, -2)
+
     def test_random_problems_verify_all_levels(self):
         rng = random.Random(555)
         for _ in range(40):
