@@ -199,7 +199,7 @@ def assert_element_form(e):
     assert _trimmed(e.num) and _trimmed(e.den)
     if e.den == {(): RatFunc.const(1)}:
         assert e.den is liouville._UNIT
-    assert liouville._UNIT == {(): RatFunc.const(1)}
+    assert liouville._UNIT == {(): RatFunc.const(1)}  # shared, never mutated
 
 
 def test_unit_product_is_a_copy_of_the_trimmed_other_side():
