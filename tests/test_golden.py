@@ -29,6 +29,12 @@ CASES = {
     "algebraic-algebraic-recenter": (
         0, ["algebraic", "--roots", "algebraic", "--bound", "3",
             "y^2 + x*y - 3*x = 0"]),
+    # x = t^4 ramification: x^(k/4) exponents, unresolved at 1/4
+    "algebraic-ramified-quartic": (
+        4, ["algebraic", "--bound", "4", "y^4 + x*y - x = 0"]),
+    # a fractional exponent in the input and a half-integral residual bound
+    "algebraic-fractional-input": (
+        0, ["algebraic", "--bound", "3", "y^2 - x^3 - x^(7/2) = 0"]),
     "ode-monomial": (0, ["ode", "--bound", "4", "dy/dx = x^2*y^2"]),
     "ode-resonant": (0, ["ode", "--bound", "4", "dy/dx = y/x + x"]),
     "ode-riccati": (0, ["ode", "--bound", "4", "dy/dx = 2*y/x + x + y^2"]),
