@@ -9,6 +9,17 @@ coefficient, which is the residual of the current prefix; a branch stops
 once that valuation and the next admissible exponent both reach the
 requested bound.
 
+Each solve runs in t with x = t^Q, Q = lcm(1, ..., N) times the lcm of
+the exponent denominators of its input (the coefficients' exponents and
+finite truncs, the prefix and the last exponent), N the degree in y.
+Every root of an exact polynomial has a ramification index of at most N
+over the input's exponents, so its valuation, and with it every breaking
+point (the valuation of a root minus the prefix), is an integer in t,
+and the whole contour loop runs on ``int`` exponents.  The branches are
+mapped back to x at the end.  Correctness never rests on this: a
+breaking point that is not integral in t (truncated data can produce
+one) stays an exact ``Fraction``.
+
 ``closed_form_root`` implements the explicit one-root formula available
 under the generic normalization (monic, single negative leading index) and
 serves as an independent cross-check of the constructive route.
@@ -18,11 +29,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .coefficients import as_coefficient, coefficient_sort_key, poly_roots
 from .contour import Contour, Line
 from .polyutils import pdeg, peval, ptaylor_shift
-from .series import INF, PuiseuxSeries, SeriesError, format_series
+from .series import (
+    INF,
+    PuiseuxSeries,
+    SeriesError,
+    _canonical,
+    _exponent,
+    format_series,
+)
 
 _MAX_STEPS = 4000
 
@@ -74,7 +93,7 @@ def contour_of(p: SeriesPolynomial) -> Contour:
     lines = []
     for i, alpha in enumerate(p.coeffs):
         if alpha.terms:
-            lines.append(Line(Fraction(i), alpha.valuation(), key=i))
+            lines.append(Line(i, alpha.valuation(), key=i))
     return Contour(lines)
 
 
@@ -87,9 +106,11 @@ class VertexData:
     vertex_coeffs: tuple  # coefficient of c^i for i in active_indices
 
 
-def breaking_data(p: SeriesPolynomial):
-    """All breaking points of the contour with their vertex polynomials."""
-    contour = contour_of(p)
+def breaking_data(p: SeriesPolynomial, contour=None):
+    """All breaking points of the contour with their vertex polynomials;
+    ``contour`` is ``contour_of(p)`` when the caller has built it."""
+    if contour is None:
+        contour = contour_of(p)
     out = []
     for x in contour.breaking_points():
         active = contour.active(x)
@@ -149,40 +170,74 @@ def solve_algebraic(p: SeriesPolynomial, bound, mode="rational") -> AlgebraicSol
     algebraic numbers where certifiable; with ``mode='rational'`` they are
     reported in ``unresolved``.
     """
-    return _solve_from(p, PuiseuxSeries.zero(), p.degree, None, bound, mode)
+    return _solve_beyond(p, PuiseuxSeries.zero(), None, bound, mode)
 
 
 def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
     """The roots of ``p`` that differ from the exact ``prefix`` only beyond
-    the exponent ``last``, solved as ``solve_algebraic`` would from there.
+    the exponent ``last``, solved as ``solve_algebraic`` would from there;
+    all roots of ``p`` when ``last`` is None.
 
-    One Taylor shift recenters ``p`` at ``prefix``.  The roots of the
-    shifted polynomial with valuation above ``last`` number the smallest
-    index active on its contour at ``last``; when the shifted constant
+    The solve runs in t with x = t^Q (see the module docstring).  One
+    Taylor shift recenters ``p`` at ``prefix``.  The roots of the shifted
+    polynomial with valuation above ``last`` number the smallest index
+    active on its contour at ``last``; when the shifted constant
     coefficient vanishes exactly, that count includes the zero root.
     """
-    q = recenter(p, prefix)
-    mult = min(line.key for line in contour_of(q).active(last))
-    if not mult:
-        return AlgebraicSolveResult()
-    return _solve_from(q, prefix, mult, last, bound, mode)
+    inputs = (*p.coeffs, prefix)
+    ram = lcm(
+        *range(1, p.degree + 1),
+        *(e.denominator for s in inputs for e, _c in s.terms),
+        *(s.trunc.denominator for s in inputs if s.trunc != INF),
+        1 if last is None else last.denominator,
+    )
+    q = SeriesPolynomial([_ramify(c, ram) for c in p.coeffs])
+    prefix, contour, mult = _ramify(prefix, ram), None, q.degree
+    if last is not None:
+        last = _exponent(last * ram)
+        q = recenter(q, prefix)
+        contour = contour_of(q)
+        mult = min(line.key for line in contour.active(last))
+        if not mult:
+            return AlgebraicSolveResult()
+    bound = _exponent(Fraction(bound) * ram)
+    back = Fraction(1, ram)
+    try:
+        result = _solve_from(q, prefix, mult, last, bound, mode, contour)
+    except StepLimitError as exc:
+        prefix, last = exc.args
+        raise StepLimitError(
+            f"algebraic solve exceeded the step limit of {_MAX_STEPS} "
+            f"while expanding the prefix {format_series(_ramify(prefix, back))} "
+            f"(last exponent {'none' if last is None else last * back})"
+        ) from None
+    for b in result.branches:
+        b.series = _ramify(b.series, back)
+        b.residual_bound = _exponent(b.residual_bound * back)
+    for u in result.unresolved:
+        u.prefix = _ramify(u.prefix, back)
+        u.at_exponent = _exponent(u.at_exponent * back)
+    return result
 
 
-def _solve_from(q, prefix, mult, last, bound, mode):
-    """The contour loop started at the state ``(q, prefix, mult, last)``."""
-    bound = Fraction(bound)
+def _ramify(s, k):
+    """``s`` with x replaced by x^k, for a rational k > 0."""
+    terms = tuple((_exponent(e * k), c) for e, c in s.terms)
+    return _canonical(terms, _exponent(s.trunc * k))
+
+
+def _solve_from(q, prefix, mult, last, bound, mode, contour=None):
+    """The contour loop started at the state ``(q, prefix, mult, last)``;
+    ``contour`` is ``contour_of(q)`` when the caller has built it.  Past
+    ``_MAX_STEPS`` states it raises StepLimitError(prefix, last)."""
     result = AlgebraicSolveResult()
     steps = 0
-    stack = [(q, prefix, mult, last)]
+    stack = [(q, prefix, mult, last, contour)]
     while stack:
-        q, prefix, mult, last = stack.pop()
+        q, prefix, mult, last, contour = stack.pop()
         steps += 1
         if steps > _MAX_STEPS:
-            raise StepLimitError(
-                f"algebraic solve exceeded the step limit of {_MAX_STEPS} "
-                f"while expanding the prefix {format_series(prefix)} "
-                f"(last exponent {'none' if last is None else last})"
-            )
+            raise StepLimitError(prefix, last)
         beta0 = q.coeffs[0]
         remaining = mult
         if beta0.is_exact_zero:
@@ -199,10 +254,12 @@ def _solve_from(q, prefix, mult, last, bound, mode):
             )
             continue
         residual = beta0.val_floor()
+        if contour is None:
+            contour = contour_of(q)
         vertices = [
             v
-            for v in breaking_data(q)
-            if (last is None or v.x > last) and _phantom_safe(q, v.x)
+            for v in breaking_data(q, contour)
+            if (last is None or v.x > last) and _phantom_safe(q, v.x, contour)
         ]
         if not vertices:
             result.branches.append(PartialSolution(prefix, remaining, residual))
@@ -250,10 +307,10 @@ def _zero_root_multiplicity(q):
     raise SeriesError("polynomial is identically zero")
 
 
-def _phantom_safe(q, x):
+def _phantom_safe(q, x, contour):
     """True when no unknown coefficient (empty support, finite trunc) could
-    reach down to the envelope at ``x``."""
-    env = contour_of(q).value(x)
+    reach down to the envelope of ``contour``, q's contour, at ``x``."""
+    env = contour.value(x)
     for i, alpha in enumerate(q.coeffs):
         if not alpha.terms and alpha.trunc != INF:
             if alpha.trunc + i * x <= env:
@@ -278,7 +335,7 @@ def _branch_at_vertex(q, prefix, v, mode, stack, result):
     roots = poly_roots(poly, mode=mode)
     for root, m in roots.roots:
         term = PuiseuxSeries.x_power(v.x, root)
-        stack.append((recenter(q, term), prefix + term, m, v.x))
+        stack.append((recenter(q, term), prefix + term, m, v.x, None))
     if roots.unresolved is not None:
         result.unresolved.append(
             UnresolvedBranch(prefix, v.x, tuple(roots.unresolved), pdeg(roots.unresolved))

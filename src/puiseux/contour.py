@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .series import _as_exponent, _exponent
+
 
 @dataclass(frozen=True)
 class Line:
@@ -35,12 +37,12 @@ class Contour:
             raise ValueError("contour needs at least one line")
 
     def value(self, x):
-        x = Fraction(x)
-        return min(line.value(x) for line in self.lines)
+        x = _as_exponent(x)
+        return _exponent(min(line.value(x) for line in self.lines))
 
     def active(self, x):
         """Lines achieving the minimum at ``x`` (coincident lines all count)."""
-        x = Fraction(x)
+        x = _as_exponent(x)
         v = self.value(x)
         return [line for line in self.lines if line.value(x) == v]
 
@@ -70,7 +72,8 @@ class Contour:
                 hull.pop()
             hull.append((s, b))
         return sorted(
-            (b1 - b2) / (s2 - s1) for (s1, b1), (s2, b2) in zip(hull, hull[1:])
+            _exponent(Fraction(b1 - b2, s2 - s1))
+            for (s1, b1), (s2, b2) in zip(hull, hull[1:])
         )
 
     def __repr__(self):

@@ -813,7 +813,7 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
         c_k = mu0 + (k + 1) * delta
         y_prev = None
         if w_prev is None:
-            last = mu0 / s
+            last = Fraction(mu0, s)
             start = PuiseuxSeries.x_power(last, t_root)
         else:
             y_prev = w_prev.pow_rational(Fraction(s)).truncate(orders[-1])
@@ -822,7 +822,7 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
             )
             last = start.terms[-1][0]
         poly = _modified_polynomial(e, y_prev, s, shift)
-        bound_w = c_k - (s - 1) * mu0 / s
+        bound_w = c_k - Fraction((s - 1) * mu0, s)
         res = _solve_beyond(poly, start, last, bound_w, mode=mode)
         matches = [
             b

@@ -5,8 +5,14 @@ terms together with a truncation exponent ``trunc``: every term with exponent
 below ``trunc`` is exactly known, everything at or above it is unknown.  An
 exact series (a Puiseux polynomial) has ``trunc == INF``.
 
-Exponents are ``fractions.Fraction``; coefficients live in one of the exact
-domains of :mod:`puiseux.coefficients`.  All values are immutable and all
+Every exponent, and every finite ``trunc``, is an ``int`` when it is
+integral and a ``fractions.Fraction`` otherwise.  The two are equal, hash
+alike and print alike, so the rule changes no value and no output; it
+keeps the common integral exponents in machine integer arithmetic.
+``_as_exponent`` applies the rule to outside input, and ``_exponent``
+wherever a sum or product of two Fractions can land on an integer.
+Coefficients live in one of the exact domains of
+:mod:`puiseux.coefficients`.  All values are immutable and all
 operations are pure, so series can be shared freely between threads.
 
 Every series is canonical: exponents strictly increase and lie below
@@ -59,14 +65,15 @@ class PrecisionError(SeriesError):
     """The requested data lies at or beyond the truncation bound."""
 
 
+def _exponent(e):
+    """``e`` under the exponent rule: an integral Fraction as an int."""
+    return e.numerator if type(e) is Fraction and e.denominator == 1 else e
+
+
 def _as_exponent(e):
-    if isinstance(e, Fraction):
+    if type(e) is int or e == INF:
         return e
-    if isinstance(e, int):
-        return Fraction(e)
-    if e == INF:
-        return INF
-    return Fraction(e)
+    return _exponent(Fraction(e))
 
 
 def _canonical(terms, trunc):
@@ -138,11 +145,11 @@ class PuiseuxSeries:
 
     @classmethod
     def one(cls):
-        return cls(((Fraction(0), Fraction(1)),))
+        return cls(((0, Fraction(1)),))
 
     @classmethod
     def constant(cls, c):
-        return cls(((Fraction(0), as_coefficient(c)),))
+        return cls(((0, as_coefficient(c)),))
 
     @classmethod
     def x_power(cls, e, c=1):
@@ -226,14 +233,13 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return self.scale(other)
         trunc = min(self.val_floor() + other.trunc, other.val_floor() + self.trunc)
+        trunc = _exponent(trunc)
         a, b = self.terms, other.terms
-        if len(a) == 1:
-            ((e1, c1),) = a
-            terms = tuple((e1 + e2, c1 * c2) for e2, c2 in _below(b, trunc - e1))
-            return _canonical(terms, trunc)
-        if len(b) == 1:
-            ((e2, c2),) = b
-            terms = tuple((e1 + e2, c1 * c2) for e1, c1 in _below(a, trunc - e2))
+        if len(a) == 1 or len(b) == 1:
+            ((e1, c1),), b = (a, b) if len(a) == 1 else (b, a)
+            terms = tuple(
+                (_exponent(e1 + e2), c1 * c2) for e2, c2 in _below(b, trunc - e1)
+            )
             return _canonical(terms, trunc)
         acc = {}
         if other is self:
@@ -256,7 +262,8 @@ class PuiseuxSeries:
                     if e >= trunc:
                         break
                     acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
-        return _canonical(tuple((e, acc[e]) for e in sorted(acc) if acc[e]), trunc)
+        terms = tuple((_exponent(e), acc[e]) for e in sorted(acc) if acc[e])
+        return _canonical(terms, trunc)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -270,8 +277,8 @@ class PuiseuxSeries:
     def shift(self, e):
         """Multiply by x^e."""
         e = _as_exponent(e)
-        t = self.trunc if self.trunc == INF else self.trunc + e
-        return _canonical(tuple((te + e, tc) for te, tc in self.terms), t)
+        terms = tuple((_exponent(te + e), tc) for te, tc in self.terms)
+        return _canonical(terms, _exponent(self.trunc + e))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -357,15 +364,14 @@ class PuiseuxSeries:
             raise PrecisionError(
                 "prec is required for a non-terminating power expansion"
             )
-        table = {Fraction(0): branch}
+        table = {0: branch}
         support = _semigroup([delta for delta, _c in offsets], bound)
         for d in sorted(support):
             if d < bound:
                 table[d] = miller_step(sigma, d, offsets, c, table.get)
-        return _canonical(
-            tuple((sigma * m + d, p) for d, p in table.items() if p and d < bound),
-            bound + sigma * m,
-        )
+        base = _exponent(sigma * m)
+        terms = [(_exponent(base + d), p) for d, p in table.items() if p and d < bound]
+        return _canonical(tuple(terms), _exponent(bound + base))
 
     # -- text form --------------------------------------------------------
 
@@ -379,7 +385,7 @@ class PuiseuxSeries:
 def _semigroup(generators, bound):
     """All sums of >= 1 generators up to ``bound`` (inclusive)."""
     sums = set()
-    frontier = {Fraction(0)}
+    frontier = {0}
     while frontier:
         nxt = set()
         for base in frontier:

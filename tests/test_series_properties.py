@@ -4,11 +4,14 @@ Six law families at 200 cases each (1200 total) cover the ring axioms on
 truncations, valuation additivity, the derivative-valuation identity, the
 Leibniz rule, inversion and the power/root inverse identities.  A seventh
 checks that every operation returns a canonical series, over rational,
-free-constant and Q(sqrt2) coefficients.  The last three pin the trusted
-constructions: free-constant polynomial arithmetic with polynomial, int
-and Fraction operands (also with denominators of 40 digits and more),
-and the one-term and squaring paths of the series product against a
-plain convolution.
+free-constant and Q(sqrt2) coefficients; canonical includes the exponent
+rule (an exponent or finite trunc is an int exactly when it is integral).
+The next three pin the trusted constructions: free-constant polynomial
+arithmetic with polynomial, int and Fraction operands (also with
+denominators of 40 digits and more), and the one-term and squaring paths
+of the series product against a plain convolution.  The last two pin the
+exponent rule where Fraction arithmetic lands on an integer: products,
+shifts, derivatives and powers of series on odd halves, and parsing.
 """
 
 import random
@@ -16,6 +19,7 @@ from fractions import Fraction as F
 from math import gcd
 
 from puiseux.coefficients import AlgebraicNumber, ParamPoly, sqrt_field
+from puiseux.parsing import parse_series_text
 from puiseux.series import INF, PuiseuxSeries
 
 EXPONENT_POOL = [
@@ -149,12 +153,19 @@ def random_input(rng, domain, lead=None):
     return PuiseuxSeries(terms, trunc)
 
 
+def follows_exponent_rule(e):
+    """An int exactly when integral, a Fraction otherwise."""
+    if type(e) is int:
+        return True
+    return type(e) is F and e.denominator != 1
+
+
 def assert_canonical(s):
     assert s == PuiseuxSeries(s.terms, s.trunc)
     assert hash(s) == hash(PuiseuxSeries(s.terms, s.trunc))
-    assert s.trunc == INF or isinstance(s.trunc, F)
+    assert s.trunc == INF or follows_exponent_rule(s.trunc)
     exps = [e for e, _c in s.terms]
-    assert all(isinstance(e, F) for e in exps)
+    assert all(follows_exponent_rule(e) for e in exps)
     assert all(e1 < e2 for e1, e2 in zip(exps, exps[1:]))
     assert all(e < s.trunc for e in exps)
     for _e, c in s.terms:
@@ -322,6 +333,70 @@ def test_square_and_one_term_products_match_convolution():
             assert r == convolution(x, y)
             assert_canonical(r)
     assert squares > CASES // 2
+
+
+ODD_HALVES = [F(n, 2) for n in range(-3, 9, 2)]
+
+
+def half_series(rng):
+    """Terms on odd halves, so that every product of two terms, and every
+    shift by an odd half, lands on an integer exponent."""
+    exps = rng.sample(ODD_HALVES, rng.randint(2, 4))
+    terms = [(e, F(rng.choice([-3, -2, -1, 1, 2, 3]))) for e in exps]
+    terms.append((rng.randint(-1, 3), F(rng.randint(-2, 2))))
+    return PuiseuxSeries(terms, rng.choice([INF, F(rng.randrange(1, 13, 2), 2), 5]))
+
+
+def test_fraction_exponents_that_land_on_integers_become_ints():
+    rng = random.Random(20261021)
+    for s in (PuiseuxSeries.x_power(F(4, 2)), PuiseuxSeries([(F(4, 2), 1)], F(6, 2)),
+              PuiseuxSeries.zero(F(2, 2)), PuiseuxSeries.one().with_trunc(F(8, 4))):
+        assert_canonical(s)
+    root = PuiseuxSeries.x_power(F(1, 2))
+    assert_canonical(root * root)
+    assert (root * root).terms == ((1, 1),) and type((root * root).terms[0][0]) is int
+    assert root.shift(F(-1, 2)) == PuiseuxSeries.one()
+    assert type(root.shift(F(-1, 2)).terms[0][0]) is int
+    for _ in range(CASES):
+        a, b = half_series(rng), half_series(rng)
+        term = PuiseuxSeries(
+            [(rng.choice(ODD_HALVES), F(rng.randint(1, 3)))],
+            rng.choice([INF, F(rng.randrange(1, 13, 2), 2)]),
+        )
+        h = F(rng.randrange(-3, 5, 2), 2)
+        cases = [
+            # the general, square and one-term product paths
+            (a * b, convolution(a, b)),
+            (a * a, convolution(a, a)),
+            (term * a, convolution(term, a)),
+            (a * term, convolution(a, term)),
+            (term * term, convolution(term, term)),
+            (a.shift(h), PuiseuxSeries([(e + h, c) for e, c in a.terms], a.trunc + h)),
+            (a.differentiate(), PuiseuxSeries(
+                [(e - 1, c * e) for e, c in a.terms], a.trunc - 1)),
+        ]
+        for r, expected in cases:
+            assert_canonical(r)
+            assert r == expected
+        # sigma*m integral: y = x^(3/2)*(1 + ...), y^(2/3) = x*(1 + ...),
+        # checked by cubing back; and 1/y from a leading x^(1/2)
+        y = PuiseuxSeries.x_power(F(3, 2)) + half_series(rng).shift(4)
+        y23 = y.pow_rational(F(2, 3), branch=1, prec=4)
+        assert_canonical(y23)
+        assert y23.valuation() == 1 and type(y23.valuation()) is int
+        cube = y23.pow_rational(3)
+        assert cube.agrees_with(y * y, min(cube.trunc, (y * y).trunc))
+        z = PuiseuxSeries.x_power(F(1, 2)) + half_series(rng).shift(3)
+        inv = z.invert(prec=3)
+        assert_canonical(inv)
+        assert (z * inv).agrees_with(PuiseuxSeries.one(), (z * inv).trunc)
+
+
+def test_parsed_integral_exponents_are_ints():
+    s = parse_series_text("x^(4/2) - 3*x^(6/4) + O(x^(10/2))")
+    assert_canonical(s)
+    assert s == PuiseuxSeries([(F(3, 2), -3), (2, 1)], 5)
+    assert [type(e) for e, _c in s.terms] == [F, int] and type(s.trunc) is int
 
 
 def test_case_count_is_at_least_1000():
