@@ -226,9 +226,9 @@ def _ramify(s, k):
     return _canonical(terms, _exponent(s.trunc * k))
 
 
-def _solve_from(q, prefix, mult, last, bound, mode, contour=None):
+def _solve_from(q, prefix, mult, last, bound, mode, contour):
     """The contour loop started at the state ``(q, prefix, mult, last)``;
-    ``contour`` is ``contour_of(q)`` when the caller has built it.  Past
+    ``contour`` is ``contour_of(q)``, or None when not built yet.  Past
     ``_MAX_STEPS`` states it raises StepLimitError(prefix, last)."""
     result = AlgebraicSolveResult()
     steps = 0
