@@ -185,8 +185,7 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
     coefficient vanishes exactly, that count includes the zero root.
     """
     inputs = (*p.coeffs, prefix)
-    ram = lcm(
-        *range(1, p.degree + 1),
+    ram = lcm(*range(1, p.degree + 1)) * lcm(
         *(e.denominator for s in inputs for e, _c in s.terms),
         *(s.trunc.denominator for s in inputs if s.trunc != INF),
         1 if last is None else last.denominator,

@@ -21,6 +21,8 @@ from puiseux.algebraic import (
     recenter,
     solve_algebraic,
 )
+from puiseux.contour import Contour
+from puiseux.parsing import parse_algebraic_equation
 from puiseux.polyutils import peval, ptaylor_shift
 from puiseux.series import INF, PuiseuxSeries
 
@@ -77,6 +79,27 @@ class TestBreakingPoints:
         assert [v.x for v in data] == [0, 1]
         assert data[0].active_indices == (1, 2)
         assert data[1].active_indices == (0, 1)
+
+    @pytest.mark.parametrize("text", [
+        "y^2 - x^(1/2) = 0",
+        "y^4 + x*y - x = 0",
+        "y^3 - x^(1/2)*y - x^(2/3) = 0",
+        "y^2 - x^3 - x^(7/2) = 0",
+    ])
+    def test_exact_polynomials_break_at_ints_in_t(self, monkeypatch, text):
+        # every breaking point is a root valuation minus the prefix, an
+        # integer once x = t^Q; lcm(1..N) alone misses x^(1/4) in the first
+        seen = []
+        original = Contour.breaking_points
+
+        def recording(contour):
+            points = original(contour)
+            seen.extend(points)
+            return points
+
+        monkeypatch.setattr(Contour, "breaking_points", recording)
+        solve_algebraic(parse_algebraic_equation(text), 3, mode="algebraic")
+        assert seen and all(type(x) is int for x in seen)
 
 
 class TestRecenter:
