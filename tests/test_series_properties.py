@@ -349,8 +349,13 @@ def half_series(rng):
 
 def test_fraction_exponents_that_land_on_integers_become_ints():
     rng = random.Random(20261021)
-    for s in (PuiseuxSeries.x_power(F(4, 2)), PuiseuxSeries([(F(4, 2), 1)], F(6, 2)),
-              PuiseuxSeries.zero(F(2, 2)), PuiseuxSeries.one().with_trunc(F(8, 4))):
+    # the public entry points
+    for s in (
+        PuiseuxSeries.x_power(F(4, 2)),
+        PuiseuxSeries([(F(4, 2), 1)], F(6, 2)),
+        PuiseuxSeries.zero(F(2, 2)),
+        PuiseuxSeries.one().with_trunc(F(8, 4)),
+    ):
         assert_canonical(s)
     root = PuiseuxSeries.x_power(F(1, 2))
     assert_canonical(root * root)
@@ -379,7 +384,7 @@ def test_fraction_exponents_that_land_on_integers_become_ints():
             assert_canonical(r)
             assert r == expected
         # sigma*m integral: y = x^(3/2)*(1 + ...), y^(2/3) = x*(1 + ...),
-        # checked by cubing back; and 1/y from a leading x^(1/2)
+        # checked by cubing back; and 1/z from a leading x^(1/2)
         y = PuiseuxSeries.x_power(F(3, 2)) + half_series(rng).shift(4)
         y23 = y.pow_rational(F(2, 3), branch=1, prec=4)
         assert_canonical(y23)
