@@ -45,6 +45,9 @@ CASES = {
         0, ["ode", "--bound", "2", "dy/dx = 5*y/x + x + y^2"]),
     "ode-algebraic-type": (
         0, ["ode", "--bound", "3", "dy/dx = x^(-2)*y^2 - x^(-1)"]),
+    # integral algebraic-type rounds: mu0 = 1, coincidence orders 2, 3, 4
+    "ode-algebraic-type-integral": (
+        0, ["ode", "--bound", "4", "dy/dx = x^(-3)*y^2 - x^(-1)"]),
     "ode-algebraic-type-constant": (
         0, ["ode", "--bound", "6",
             "dy/dx = -2*x^(-2)*y + x^(-2)*y^2 + 2*x^2*y^3"]),
