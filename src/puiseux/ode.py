@@ -14,6 +14,13 @@ algebraic solves whose coincidence order grows linearly each round.
 Every returned branch carries a residual guarantee that
 :func:`verify_branch` re-checks by substitution, independent of the
 construction path.
+
+Exponents follow the rule of :mod:`puiseux.series`: every monomial,
+contour, lattice, resonance, coincidence and guarantee exponent is an
+``int`` when it is integral and a ``fractions.Fraction`` otherwise.
+:class:`MonomialODE` applies ``series._as_exponent`` once to the
+monomial exponents of outside input, and ``series._exponent`` reduces
+wherever Fraction arithmetic can land on an integer.
 """
 
 from __future__ import annotations
@@ -41,7 +48,9 @@ from .series import (
     PoleError,
     PuiseuxSeries,
     SeriesError,
+    _as_exponent,
     _canonical,
+    _exponent,
     _semigroup,
     default_branch,
     miller_step,
@@ -74,8 +83,8 @@ class ClassificationError(SeriesError):
 
 @dataclass(frozen=True)
 class Monomial:
-    x_exp: Fraction
-    y_exp: Fraction
+    x_exp: object  # int or Fraction
+    y_exp: object  # int or Fraction
     coefficient: object
 
     def __iter__(self):
@@ -105,7 +114,7 @@ class MonomialODE:
                 nu, sigma, f = m.x_exp, m.y_exp, m.coefficient
             else:
                 nu, sigma, f = m
-            nu, sigma = Fraction(nu), Fraction(sigma)
+            nu, sigma = _as_exponent(nu), _as_exponent(sigma)
             f = as_coefficient(f)
             key = (nu, sigma)
             merged[key] = merged[key] + f if key in merged else f
@@ -157,7 +166,7 @@ def ode_contour(e: MonomialODE) -> Contour:
     lines = [
         Line(m.y_exp, m.x_exp, key=(m.x_exp, m.y_exp)) for m in e.monomials
     ]
-    lines.append(Line(Fraction(1), Fraction(-1), key=DERIVATIVE))
+    lines.append(Line(1, -1, key=DERIVATIVE))
     return Contour(lines)
 
 
@@ -165,10 +174,10 @@ def ode_contour(e: MonomialODE) -> Contour:
 class InitialTerm:
     """An admissible leading term c0 * x^mu0 of a solution branch."""
 
-    exponent: Fraction
+    exponent: object  # int or Fraction
     coefficient: object  # coefficient value or FREE
     case: str  # "a" | "b" | "c"
-    resonant_index: object = None  # Fraction (or field element), None for case a
+    resonant_index: object = None  # int, Fraction or field element; None for case a
     derivative_active: bool = False
     boundary: bool = False  # mu0 = 0, nu0 + 1 = 0 diagnostic case
     root_scale: int = 1  # s with y^(1/s) the branch variable
@@ -181,7 +190,7 @@ class InitialTerm:
         s, t = self.root_scale, as_coefficient(self.branch_root)
 
         def choose(sigma):
-            p = Fraction(sigma) * s
+            p = sigma * s
             if p.denominator != 1:
                 return None
             return t ** int(p)
@@ -220,7 +229,7 @@ def initial_terms(e: MonomialODE, mode="rational") -> InitialTermsResult:
         pairs = [(m.y_exp, m.coefficient) for m in active]
         deriv = DERIVATIVE in keys
         if deriv:
-            pairs.append((Fraction(1), -x_b))  # -d/dx(c0*x^mu0) at the vertex
+            pairs.append((1, -x_b))  # -d/dx(c0*x^mu0) at the vertex
         _vertex_terms(
             e, x_b, pairs, active, mode, result, case="b", derivative_active=deriv
         )
@@ -234,7 +243,7 @@ def initial_terms(e: MonomialODE, mode="rational") -> InitialTermsResult:
 def _drop_outside_validity(e, result):
     if e.y_order_cap is None:
         return
-    slope = e.tail_slope if e.tail_slope is not None else Fraction(0)
+    slope = e.tail_slope if e.tail_slope is not None else 0
     kept = []
     for t in result.terms:
         if t.exponent + slope <= 0:
@@ -313,19 +322,18 @@ def _resonant_index(monomials, t_root, s):
     for m in monomials:
         power = int((m.y_exp - 1) * s)
         acc = acc + m.coefficient * (t_root**power) * m.y_exp
-    if hasattr(acc, "rational_value"):
-        r = acc.rational_value()
-        if r is not None:
-            return r
-    return acc  # a non-rational resonant index is carried, never matched
+    rational = getattr(acc, "rational_value", lambda: None)()
+    # a non-rational resonant index is carried, never matched
+    return _exponent(acc if rational is None else rational)
 
 
 def _coincident_terms(e, contour, result):
     for m in e.monomials:
-        if (m.x_exp, m.y_exp) != (Fraction(-1), Fraction(1)):
+        if (m.x_exp, m.y_exp) != (-1, 1):
             continue
         f = m.coefficient
-        mu0 = f if isinstance(f, Fraction) else getattr(f, "rational_value", lambda: None)()
+        f = f if isinstance(f, Fraction) else getattr(f, "rational_value", lambda: None)()
+        mu0 = _exponent(f)
         if not mu0:
             return
         active_keys = {line.key for line in contour.active(mu0)}
@@ -347,13 +355,13 @@ def _coincident_terms(e, contour, result):
 def _constant_terms(e, mode, result):
     nu0 = min(m.x_exp for m in e.monomials)
     if nu0 + 1 > 0:
-        result.terms.append(InitialTerm(Fraction(0), FREE, "a"))
+        result.terms.append(InitialTerm(0, FREE, "a"))
         return
     level = [m for m in e.monomials if m.x_exp == nu0]
     boundary = nu0 + 1 == 0
     _vertex_terms(
         e,
-        Fraction(0),
+        0,
         [(m.y_exp, m.coefficient) for m in level],
         level if boundary else None,
         mode,
@@ -367,7 +375,7 @@ def _constant_terms(e, mode, result):
 class UnresolvedInitial:
     """A vertex polynomial whose roots left the coefficient domain."""
 
-    exponent: Fraction
+    exponent: object  # int or Fraction
     vertex_poly: tuple
     root_scale: int
 
@@ -408,32 +416,32 @@ class IndexLattice:
     widening appends mu_r - mu0.
     """
 
-    mu0: Fraction
+    mu0: object  # int or Fraction, as are the generators, elements and bound
     generators: tuple
     elements: tuple
-    bound: Fraction
+    bound: object
 
 
 def _generators(e, mu0, widen):
     """The sorted shifts nu + 1 + (sigma - 1)*mu0, plus the widening."""
     gens = []
     for m in e.monomials:
-        g = m.x_exp + 1 + (m.y_exp - 1) * mu0
+        g = _exponent(m.x_exp + 1 + (m.y_exp - 1) * mu0)
         if g < 0:
             raise ClassificationError(
                 f"negative index shift {g}; the branch is algebraic-type"
             )
         gens.append(g)
-    return sorted(set(gens) | {Fraction(w) for w in widen})
+    return sorted(set(gens) | {_as_exponent(w) for w in widen})
 
 
 def index_lattice(e: MonomialODE, t: InitialTerm, bound, widen=()) -> IndexLattice:
     mu0 = t.exponent
     gens = _generators(e, mu0, widen)
-    bound = Fraction(bound)
+    bound = _as_exponent(bound)
     positive = [g for g in gens if g > 0]
     sums = _semigroup(positive, bound - mu0)
-    elements = sorted({mu0} | {mu0 + s for s in sums})
+    elements = sorted({mu0} | {_exponent(mu0 + s) for s in sums})
     return IndexLattice(mu0, tuple(gens), tuple(elements), bound)
 
 
@@ -452,7 +460,7 @@ class SolutionBranch:
     series: PuiseuxSeries
     status: str
     kind: str  # "proper" | "algebraic-type" | "zero" | "none"
-    residual_guarantee: object = None  # Fraction or INF
+    residual_guarantee: object = None  # int, Fraction or INF
     resonant_index: object = None
     free_constant: object = None  # chosen value, or the ParamPoly symbol name
     obstruction: object = None
@@ -481,7 +489,7 @@ def _no_continuation(t, note):
     """The start ``t`` has no Puiseux continuation: O(x^0), claiming nothing."""
     return SolutionBranch(
         t,
-        PuiseuxSeries.zero(Fraction(0)),
+        PuiseuxSeries.zero(0),
         NO_CONTINUATION,
         "none",
         note=note,
@@ -504,7 +512,7 @@ def _zero_branch(t):
 class VerifyResult:
     """Residual valuation of a branch, with its certified window."""
 
-    valuation: object  # Fraction or INF (no nonzero residual term seen)
+    valuation: object  # int, Fraction or INF (no nonzero residual term seen)
     certified_below: object
 
     def meets(self, guarantee):
@@ -541,20 +549,19 @@ def verify_series(e: MonomialODE, series: PuiseuxSeries, branches=None):
 
 def _default_window(series):
     v = series.val_floor()
-    base = Fraction(0) if v == INF else Fraction(v)
-    return base + 12
+    return (0 if v == INF else v) + 12
 
 
 def _cap_from_equation(e, series):
     cap = INF
     v = series.val_floor()
     for y_power, trunc in e.coeff_caps:
-        cap = min(cap, trunc + y_power * v)
+        cap = min(cap, _exponent(trunc + y_power * v))
     if e.y_order_cap is not None and e.tail_slope is not None:
         rate = e.tail_slope + v
         if rate <= 0:
             return -INF  # outside the reduction's validity: nothing certified
-        cap = min(cap, e.tail_base + (e.y_order_cap + 1) * rate)
+        cap = min(cap, _exponent(e.tail_base + (e.y_order_cap + 1) * rate))
     return cap
 
 
@@ -591,7 +598,7 @@ def continue_proper(
     """
     if classify(e, t) != PROPER:
         raise ClassificationError("continue_proper needs a proper initial term")
-    bound = Fraction(bound)
+    bound = _as_exponent(bound)
     mu0 = t.exponent
     branches = t.branch_map()
     free = as_coefficient(c_r) if c_r is not None else ParamPoly.parameter(symbol)
@@ -615,10 +622,10 @@ def continue_proper(
         free_at = mu0
     # mu0 itself for case c; an absent resonant index (case a) means no
     # zero-shift monomials, so mu_r = 0
-    mu_r = t.resonant_index if t.resonant_index is not None else Fraction(0)
+    mu_r = t.resonant_index if t.resonant_index is not None else 0
     widen = ()
     internal_bound = bound
-    if isinstance(mu_r, Fraction) and mu_r > mu0:
+    if isinstance(mu_r, (int, Fraction)) and mu_r > mu0:  # not a field element
         widen = (mu_r - mu0,)
         internal_bound = max(bound, mu_r)
     # the level after the last one walked lies at most one least positive
@@ -792,14 +799,14 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
     """
     if classify(e, t) != ALGEBRAIC_TYPE:
         raise ClassificationError("solve_algebraic_type needs an algebraic-type term")
-    bound = Fraction(bound)
+    bound = _as_exponent(bound)
     mu0 = t.exponent
     fval = ode_contour(e).value(mu0)
     delta = mu0 - 1 - fval
     if delta <= 0:
         raise ClassificationError("algebraic-type precondition violated")
     s = _root_scale(e)
-    shift = min(Fraction(0), min(e.sigmas()))
+    shift = min(0, min(e.sigmas()))
 
     t_root = t.branch_root if t.branch_root is not None else t.coefficient
 
@@ -810,19 +817,19 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
     out = []
     while states:
         w_prev, prev_bw, k, orders = states.pop()
-        c_k = mu0 + (k + 1) * delta
+        c_k = _exponent(mu0 + (k + 1) * delta)
         y_prev = None
         if w_prev is None:
-            last = Fraction(mu0, s)
+            last = _exponent(Fraction(mu0, s))
             start = PuiseuxSeries.x_power(last, t_root)
         else:
-            y_prev = w_prev.pow_rational(Fraction(s)).truncate(orders[-1])
+            y_prev = w_prev.pow_rational(s).truncate(orders[-1])
             start = PuiseuxSeries(
                 tuple((x, c) for x, c in w_prev.terms if x < prev_bw)
             )
             last = start.terms[-1][0]
         poly = _modified_polynomial(e, y_prev, s, shift)
-        bound_w = c_k - Fraction((s - 1) * mu0, s)
+        bound_w = _exponent(c_k - Fraction((s - 1) * mu0, s))
         res = _solve_beyond(poly, start, last, bound_w, mode=mode)
         matches = [
             b
@@ -835,7 +842,7 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
             if b.residual_bound == INF:
                 # the algebraic solve closed exactly; if the full series
                 # also solves the ODE exactly there is nothing to iterate
-                y_k = b.series.pow_rational(Fraction(s))
+                y_k = b.series.pow_rational(s)
                 check = verify_series(e, y_k, branches=t.branch_map())
                 exact = check.valuation == INF and check.certified_below == INF
             if exact:
@@ -844,8 +851,8 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
                 states.append((b.series, bound_w, k + 1, new_orders))
                 continue
             else:
-                guarantee = min(mu0 - 1 + k * delta, data_cap)
-                y_k = b.series.pow_rational(Fraction(s))
+                guarantee = min(_exponent(mu0 - 1 + k * delta), data_cap)
+                y_k = b.series.pow_rational(s)
                 y_k = y_k.truncate(min(c_k, data_cap + 1))
             out.append(
                 SolutionBranch(
@@ -867,14 +874,14 @@ def _modified_polynomial(e, y_prev, s, shift):
     """rhs(y) - d/dx(y_prev) cleared to a polynomial in w = y^(1/s)."""
     degree = lambda sig: int((sig - shift) * s)
     size = max(degree(sig) for sig in e.sigmas()) + 1
-    size = max(size, degree(Fraction(0)) + 1)
+    size = max(size, degree(0) + 1)
     coeffs = [PuiseuxSeries.zero() for _ in range(size)]
     for m in e.monomials:
         coeffs[degree(m.y_exp)] = coeffs[degree(m.y_exp)] + PuiseuxSeries.x_power(
             m.x_exp, m.coefficient
         )
     if y_prev is not None:
-        coeffs[degree(Fraction(0))] = coeffs[degree(Fraction(0))] - y_prev.differentiate()
+        coeffs[degree(0)] = coeffs[degree(0)] - y_prev.differentiate()
     return SeriesPolynomial(coeffs)
 
 
@@ -897,7 +904,7 @@ def solve_all(e: MonomialODE, bound, resonance="symbolic", mode="rational"):
     Q (a fractional power of a value with no rational root) is reported
     as unresolved at mu0, with vertex polynomial t^s - value.
     """
-    bound = Fraction(bound)
+    bound = _as_exponent(bound)
     init = initial_terms(e, mode=mode)
     report = SolveAllReport([], list(init.unresolved), list(init.notes))
     symbol_counter = 0
@@ -1015,9 +1022,9 @@ def expand_rational(r: RationalODE, y_order: int) -> MonomialODE:
                 continue
             quotient = c * qm.invert(prec=None if qm.terms and len(qm.terms) == 1 else 20)
             for nu, f in quotient.terms:
-                monomials.append((nu, Fraction(i - m), f))
+                monomials.append((nu, i - m, f))
             if quotient.trunc != INF:
-                caps.append((Fraction(i - m), quotient.trunc))
+                caps.append((i - m, quotient.trunc))
         return MonomialODE(monomials, coeff_caps=caps)
     if not q_c[0].terms:
         raise PoleError("Q(center) = 0: pick a different expansion center")
@@ -1036,17 +1043,17 @@ def expand_rational(r: RationalODE, y_order: int) -> MonomialODE:
         if c.is_exact_zero:
             continue
         for nu, f in c.terms:
-            monomials.append((nu, Fraction(i), f))
+            monomials.append((nu, i, f))
         if c.trunc != INF:
-            caps.append((Fraction(i), c.trunc))
-    tail_slope = Fraction(0)
+            caps.append((i, c.trunc))
+    tail_slope = 0
     vq0 = q0.val_floor()
     for j, c in enumerate(q_c[1:], start=1):
         if c.terms:
-            tail_slope = min(tail_slope, Fraction(c.valuation() - vq0, j))
+            tail_slope = min(tail_slope, _exponent(Fraction(c.valuation() - vq0, j)))
     tail_base = min(
-        (c.val_floor() - j * tail_slope for j, c in enumerate(full) if c.terms),
-        default=Fraction(0),
+        (_exponent(c.val_floor() - j * tail_slope) for j, c in enumerate(full) if c.terms),
+        default=0,
     )
     return MonomialODE(
         monomials,

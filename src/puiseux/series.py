@@ -145,15 +145,16 @@ class PuiseuxSeries:
 
     @classmethod
     def one(cls):
-        return cls(((0, Fraction(1)),))
+        return _canonical(((0, Fraction(1)),), INF)
 
     @classmethod
     def constant(cls, c):
-        return cls(((0, as_coefficient(c)),))
+        return cls.x_power(0, c)
 
     @classmethod
     def x_power(cls, e, c=1):
-        return cls(((_as_exponent(e), as_coefficient(c)),))
+        c = as_coefficient(c)
+        return _canonical(((_as_exponent(e), c),) if c else (), INF)
 
     # -- structure -----------------------------------------------------
 

@@ -45,6 +45,21 @@ def oracle_add(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+class TestOneTermConstructors:
+    def test_exponent_follows_the_rule(self):
+        s = X(F(4, 2), 3)
+        assert s.terms == ((2, F(3)),) and s.trunc == INF
+        assert type(s.terms[0][0]) is int
+        assert type(X(F(1, 2)).terms[0][0]) is F
+        assert type(X(1).terms[0][1]) is F  # coefficients are coerced once
+
+    def test_zero_coefficient_gives_the_exact_zero(self):
+        assert X(F(3, 2), 0).is_exact_zero
+        assert PuiseuxSeries.constant(0).is_exact_zero
+        assert PuiseuxSeries.constant(F(5)).terms == ((0, F(5)),)
+        assert PuiseuxSeries.one() == PuiseuxSeries.constant(1)
+
+
 class TestAdd:
     def test_additive_inverse(self):
         assert (X(F(1, 2)) + (-X(F(1, 2)))).is_exact_zero

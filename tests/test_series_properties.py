@@ -9,9 +9,10 @@ rule (an exponent or finite trunc is an int exactly when it is integral).
 The next three pin the trusted constructions: free-constant polynomial
 arithmetic with polynomial, int and Fraction operands (also with
 denominators of 40 digits and more), and the one-term and squaring paths
-of the series product against a plain convolution.  The last two pin the
-exponent rule where Fraction arithmetic lands on an integer: products,
-shifts, derivatives and powers of series on odd halves, and parsing.
+of the series product against a plain convolution.  The last three pin
+the exponent rule where Fraction arithmetic lands on an integer: products,
+shifts, derivatives and powers of series on odd halves, parsing, and every
+exponent the ODE layer builds, from monomials to coincidence orders.
 """
 
 import random
@@ -19,8 +20,21 @@ from fractions import Fraction as F
 from math import gcd
 
 from puiseux.coefficients import AlgebraicNumber, ParamPoly, sqrt_field
-from puiseux.parsing import parse_series_text
-from puiseux.series import INF, PuiseuxSeries
+from puiseux.ode import (
+    PROPER,
+    MonomialODE,
+    RationalODE,
+    classify,
+    expand_rational,
+    index_lattice,
+    initial_terms,
+    ode_contour,
+    solve_all,
+    verify_branch,
+    verify_series,
+)
+from puiseux.parsing import parse_ode, parse_series_text
+from puiseux.series import INF, PoleError, PuiseuxSeries
 
 EXPONENT_POOL = [
     F(-2), F(-3, 2), F(-1), F(-1, 2), F(-1, 3), F(0),
@@ -402,6 +416,95 @@ def test_parsed_integral_exponents_are_ints():
     assert_canonical(s)
     assert s == PuiseuxSeries([(F(3, 2), -3), (2, 1)], 5)
     assert [type(e) for e, _c in s.terms] == [F, int] and type(s.trunc) is int
+
+
+ODE_SIGMAS = [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2)]
+# the equations of the ode-rational* golden cases, with their centers
+RATIONAL_ODES = [
+    ("dy/dx = (y)/(y + 1)", None),
+    ("dy/dx = (y^2 + x)/(y^2 - y + 1)", None),
+    ("dy/dx = (y)/(y + 1)", 1),
+    ("dy/dx = (y + x)/(y + 1)", 2),
+    # tail slopes -1/2 (tail bases 1/2 and 1) and -1 of the dropped y-tail
+    ("dy/dx = (x + y)/(1 + x^(-1)*y^2)", None),
+    ("dy/dx = (x + y^2)/(1 + x^(-1)*y^2)", None),
+    ("dy/dx = (x^2 + y^2)/(1 + x^(-1)*y + x^(-1)*y^2)", None),
+]
+
+
+def seeded_odes(rng, count):
+    """Monomial ODEs with nu in [-3, 2] on halves, given as Fractions."""
+    for _ in range(count):
+        monos = {}
+        for _ in range(rng.choice([1, 2, 3])):
+            key = (F(rng.randint(-6, 4), 2), rng.choice(ODE_SIGMAS))
+            monos[key] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+        yield MonomialODE([(nu, s, f) for (nu, s), f in monos.items()])
+
+
+def rational_odes():
+    """The ode-rational* equations, and two with a negative tail slope,
+    through ``expand_rational`` at the CLI's default y-order; (y + x^2)/(x*y)
+    has a monomial Q, which the parser divides out itself, so it is built
+    as a RationalODE here."""
+    x = PuiseuxSeries.x_power
+    yield expand_rational(RationalODE([x(2), x(0)], [x(0, 0), x(1)]), 6)
+    # a truncated quotient: coefficient caps under y^2 at a start x^(1/2)
+    yield expand_rational(RationalODE([x(F(1, 2)), x(0, 0), x(0)], [x(1) + x(2)]), 6)
+    for text, center in RATIONAL_ODES:
+        r = parse_ode(text)
+        if center is not None:
+            r = RationalODE(r.numer, r.denom, center=PuiseuxSeries.constant(center))
+        yield expand_rational(r, 6)
+
+
+def test_ode_layer_exponents_follow_the_rule():
+    def rational(v):
+        return type(v) in (int, F)
+
+    rng = random.Random(20261019)
+    seen = {int: 0, F: 0}
+    for e in [*seeded_odes(rng, 80), *rational_odes()]:
+        exps = [x for m in e.monomials for x in (m.x_exp, m.y_exp)]
+        exps += [cap for _power, cap in e.coeff_caps]
+        exps += [v for v in (e.tail_slope, e.tail_base) if v is not None]
+        exps += ode_contour(e).breaking_points()
+        init = initial_terms(e)
+        exps += [u.exponent for u in init.unresolved]
+        for t in init.terms:
+            exps.append(t.exponent)
+            # the caps of a rational reduction at the one-term start x^mu0
+            start = verify_series(e, PuiseuxSeries.x_power(t.exponent))
+            exps += [v for v in (start.valuation, start.certified_below)
+                     if v not in (INF, -INF)]
+            if rational(t.resonant_index):
+                exps.append(t.resonant_index)
+            if classify(e, t) == PROPER:
+                bound = rng.choice([F(5, 2), F(6, 2)])
+                lattice = index_lattice(e, t, bound, widen=(F(4, 2), F(3, 2)))
+                exps += [lattice.mu0, lattice.bound, *lattice.generators]
+                exps += lattice.elements
+        for b in solve_all(e, rng.choice([2, F(5, 2), 3])).branches:
+            assert_canonical(b.series)
+            try:
+                check = verify_branch(e, b)
+            except PoleError:  # O(x^0) under a negative power of y
+                check = None
+            if check is not None:
+                exps += [v for v in (check.valuation, check.certified_below)
+                         if v not in (INF, -INF)]
+            exps += b.coincidence_orders
+            if b.initial is not None:
+                exps.append(b.initial.exponent)
+            if rational(b.resonant_index):
+                exps.append(b.resonant_index)
+            if b.residual_guarantee not in (None, INF, -INF):
+                exps.append(b.residual_guarantee)
+        for x in exps:
+            assert follows_exponent_rule(x), (e.monomials, x)
+            seen[type(x)] += 1
+    # both kinds occur, so the check is not vacuous in either direction
+    assert seen[int] > 500 and seen[F] > 200
 
 
 def test_case_count_is_at_least_1000():
