@@ -51,7 +51,7 @@ class TestOneTermConstructors:
         assert s.terms == ((2, F(3)),) and s.trunc == INF
         assert type(s.terms[0][0]) is int
         assert type(X(F(1, 2)).terms[0][0]) is F
-        assert type(X(1).terms[0][1]) is F  # coefficients are coerced once
+        assert type(X(1).terms[0][1]) is F  # an int coefficient is coerced
 
     def test_zero_coefficient_gives_the_exact_zero(self):
         assert X(F(3, 2), 0).is_exact_zero

@@ -443,14 +443,14 @@ def seeded_odes(rng, count):
 
 
 def rational_odes():
-    """The ode-rational* equations, and two with a negative tail slope,
+    """The ode-rational* equations, and three with a negative tail slope,
     through ``expand_rational`` at the CLI's default y-order; (y + x^2)/(x*y)
     has a monomial Q, which the parser divides out itself, so it is built
     as a RationalODE here."""
-    x = PuiseuxSeries.x_power
-    yield expand_rational(RationalODE([x(2), x(0)], [x(0, 0), x(1)]), 6)
+    x, zero = PuiseuxSeries.x_power, PuiseuxSeries.zero()
+    yield expand_rational(RationalODE([x(2), x(0)], [zero, x(1)]), 6)
     # a truncated quotient: coefficient caps under y^2 at a start x^(1/2)
-    yield expand_rational(RationalODE([x(F(1, 2)), x(0, 0), x(0)], [x(1) + x(2)]), 6)
+    yield expand_rational(RationalODE([x(F(1, 2)), zero, x(0)], [x(1) + x(2)]), 6)
     for text, center in RATIONAL_ODES:
         r = parse_ode(text)
         if center is not None:
@@ -462,12 +462,15 @@ def test_ode_layer_exponents_follow_the_rule():
     def rational(v):
         return type(v) in (int, F)
 
+    def finite(*values):
+        return [v for v in values if v not in (None, INF, -INF)]
+
     rng = random.Random(20261019)
     seen = {int: 0, F: 0}
     for e in [*seeded_odes(rng, 80), *rational_odes()]:
         exps = [x for m in e.monomials for x in (m.x_exp, m.y_exp)]
         exps += [cap for _power, cap in e.coeff_caps]
-        exps += [v for v in (e.tail_slope, e.tail_base) if v is not None]
+        exps += finite(e.tail_slope, e.tail_base)
         exps += ode_contour(e).breaking_points()
         init = initial_terms(e)
         exps += [u.exponent for u in init.unresolved]
@@ -475,8 +478,7 @@ def test_ode_layer_exponents_follow_the_rule():
             exps.append(t.exponent)
             # the caps of a rational reduction at the one-term start x^mu0
             start = verify_series(e, PuiseuxSeries.x_power(t.exponent))
-            exps += [v for v in (start.valuation, start.certified_below)
-                     if v not in (INF, -INF)]
+            exps += finite(start.valuation, start.certified_below)
             if rational(t.resonant_index):
                 exps.append(t.resonant_index)
             if classify(e, t) == PROPER:
@@ -489,17 +491,15 @@ def test_ode_layer_exponents_follow_the_rule():
             try:
                 check = verify_branch(e, b)
             except PoleError:  # O(x^0) under a negative power of y
-                check = None
-            if check is not None:
-                exps += [v for v in (check.valuation, check.certified_below)
-                         if v not in (INF, -INF)]
+                pass
+            else:
+                exps += finite(check.valuation, check.certified_below)
             exps += b.coincidence_orders
             if b.initial is not None:
                 exps.append(b.initial.exponent)
             if rational(b.resonant_index):
                 exps.append(b.resonant_index)
-            if b.residual_guarantee not in (None, INF, -INF):
-                exps.append(b.residual_guarantee)
+            exps += finite(b.residual_guarantee)
         for x in exps:
             assert follows_exponent_rule(x), (e.monomials, x)
             seen[type(x)] += 1
