@@ -68,7 +68,11 @@ CASES = {
     "ode-rational-center2": (
         0, ["ode", "--bound", "2", "--center", "2",
             "dy/dx = (y + x)/(y + 1)"]),
-    "wfactor-case-a": (0, ["wfactor", "--levels", "2", "P=2*y^2 + x*y; Q=1"]),
+    # at a simple root of Q: the singular branches y = -1 +- sqrt(2)*x^(1/2)
+    "ode-rational-singular": (
+        0, ["ode", "--bound", "3", "--center", "-1", "--roots", "algebraic",
+            "dy/dx = 1/(1+y)"]),
+    "wfactor-case-a":(0, ["wfactor", "--levels", "2", "P=2*y^2 + x*y; Q=1"]),
     "wfactor-case-a-deep": (
         0, ["wfactor", "--levels", "6", "P=2*y^2 + x*y; Q=1"]),
     "wfactor-case-b": (0, ["wfactor", "--levels", "4", "P=1; Q=y"]),
