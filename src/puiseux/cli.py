@@ -91,11 +91,9 @@ def main(argv=None):
     p_ode.add_argument("--bound", type=_q, default=Fraction(4))
     p_ode.add_argument("--resonance", default="symbolic",
                        help="'symbolic' or values=v1,v2,...")
-    p_ode.add_argument("--y-order", type=int, default=6,
-                       help="expansion order for rational right-hand sides")
     p_ode.add_argument("--center", type=_q, default=None,
-                       help="expansion center y0 for rational right-hand "
-                       "sides; branches describe y - y0")
+                       help="translate y by y0 in a rational right-hand "
+                       "side P(y)/Q(y); branches describe y - y0")
     p_ode.add_argument("--roots", choices=["rational", "algebraic"],
                        default="rational", dest="root_mode")
     p_ode.add_argument("--json", action="store_true")
@@ -192,10 +190,8 @@ def _run_algebraic(args):
 def _run_ode(args):
     eq = parse_ode(args.equation)
     if isinstance(eq, RationalODE):
-        if args.center is not None:
-            eq = RationalODE(eq.numer, eq.denom,
-                             center=PuiseuxSeries.constant(args.center))
-        eq = expand_rational(eq, args.y_order)
+        center = PuiseuxSeries.constant(args.center or 0)
+        eq = expand_rational(RationalODE(eq.numer, eq.denom, center=center))
     elif args.center is not None:
         raise ParseError("--center applies to rational right-hand sides")
     resonance = args.resonance

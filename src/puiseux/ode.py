@@ -1,19 +1,21 @@
 """Formal Puiseux-series branch analysis of first-order ODEs.
 
-The right-hand side is a finite monomial form ``sum f * x^nu * y^sigma``
-(:class:`MonomialODE`); a rational form P(y)/Q(y) reduces to it through
-:func:`expand_rational`.  Solving proceeds exactly as the theory
-prescribes: the equation contour (monomial lines plus the derivative line
-``x - 1``) yields the admissible initial terms; each is classified as
-proper (the derivative participates in the first solving step) or
-algebraic-type (it does not); proper branches continue through linear
-coefficient recurrences over an exponent lattice, with the resonance
-dichotomy decided exactly; algebraic-type branches continue by iterated
-algebraic solves whose coincidence order grows linearly each round.
+The equation is a finite monomial form ``Q(y)*dy/dx = P(y)``
+(:class:`MonomialODE`, Q = 1 by default); a right-hand side P(y)/Q(y)
+converts to it exactly through :func:`expand_rational`.  Solving proceeds
+exactly as the theory prescribes: the equation contour (the lines of P
+plus a derivative line ``a + (b+1)*x - 1`` per monomial of Q) yields the
+admissible initial terms; each is classified as proper (the derivative
+participates in the first solving step) or algebraic-type (it does not);
+proper branches continue through linear coefficient recurrences over an
+exponent lattice, with the resonance dichotomy decided exactly;
+algebraic-type branches continue by iterated algebraic solves whose
+coincidence order grows linearly each round.
 
-Every returned branch carries a residual guarantee that
-:func:`verify_branch` re-checks by substitution, independent of the
-construction path.
+Every returned branch carries a residual guarantee, a lower bound on the
+valuation of dy/dx - P/Q, that :func:`verify_branch` re-checks by
+substitution, independent of the construction path.  A start where the
+lowest part of Q(y) cancels is named in a note instead.
 
 Exponents follow the rule of :mod:`puiseux.series`: every monomial,
 contour, lattice, resonance, coincidence and guarantee exponent is an
@@ -41,11 +43,10 @@ from .coefficients import (
     substitute_parameter,
 )
 from .contour import Contour, Line
-from .polyutils import padd, pmul, ptaylor_shift
+from .polyutils import ptaylor_shift
 from .series import (
     INF,
     BranchError,
-    PoleError,
     PuiseuxSeries,
     SeriesError,
     _as_exponent,
@@ -57,7 +58,7 @@ from .series import (
     substitute_series,
 )
 
-DERIVATIVE = "dy/dx"  # contour key of the derivative line x - 1
+DERIVATIVE = "dy/dx"  # key tag of the derivative lines, one per Q monomial
 
 
 class FreeCoefficient:
@@ -91,45 +92,40 @@ class Monomial:
         return iter((self.x_exp, self.y_exp, self.coefficient))
 
 
+def _merged(monomials):
+    """Monomials with equal exponents summed, zero sums dropped, sorted."""
+    merged = {}
+    for nu, sigma, f in monomials:  # triples or Monomials
+        nu, sigma = _as_exponent(nu), _as_exponent(sigma)
+        f = as_coefficient(f)
+        key = (nu, sigma)
+        merged[key] = merged[key] + f if key in merged else f
+    return tuple(
+        Monomial(nu, sigma, f) for (nu, sigma), f in sorted(merged.items()) if f
+    )
+
+
 @dataclass(frozen=True)
 class MonomialODE:
-    """dy/dx = sum f * x^nu * y^sigma with finitely many monomials.
-
-    ``y_order_cap`` and the tail/coefficient caps record the exactness
-    limits of a rational reduction, so that downstream residual
-    certificates never overstate what the data supports.
+    """sum g * x^a * y^b * dy/dx = sum f * x^nu * y^sigma, finitely many
+    monomials on each side: ``monomials`` are P, ``derivative`` the (a, b,
+    g) of Q, each b a nonnegative integer.  The default Q = 1 is dy/dx = P.
     """
 
     monomials: tuple
-    y_order_cap: object = None
-    tail_base: object = None
-    tail_slope: object = None
-    coeff_caps: tuple = ()
+    derivative: tuple = (Monomial(0, 0, Fraction(1)),)
 
-    def __init__(self, monomials, y_order_cap=None, tail_base=None,
-                 tail_slope=None, coeff_caps=()):
-        merged = {}
-        for m in monomials:
-            if isinstance(m, Monomial):
-                nu, sigma, f = m.x_exp, m.y_exp, m.coefficient
-            else:
-                nu, sigma, f = m
-            nu, sigma = _as_exponent(nu), _as_exponent(sigma)
-            f = as_coefficient(f)
-            key = (nu, sigma)
-            merged[key] = merged[key] + f if key in merged else f
-        clean = tuple(
-            Monomial(nu, sigma, f)
-            for (nu, sigma), f in sorted(merged.items())
-            if f
-        )
+    def __init__(self, monomials, derivative=((0, 0, 1),)):
+        clean = _merged(monomials)
         if not clean:
             raise SeriesError("the right-hand side has no monomials")
+        q = _merged(derivative)
+        if not q:
+            raise SeriesError("the coefficient of dy/dx is zero")
+        if any(m.y_exp < 0 or m.y_exp.denominator != 1 for m in q):
+            raise SeriesError("the coefficient of dy/dx must be a polynomial in y")
         object.__setattr__(self, "monomials", clean)
-        object.__setattr__(self, "y_order_cap", y_order_cap)
-        object.__setattr__(self, "tail_base", tail_base)
-        object.__setattr__(self, "tail_slope", tail_slope)
-        object.__setattr__(self, "coeff_caps", tuple(coeff_caps))
+        object.__setattr__(self, "derivative", q)
 
     def sigmas(self):
         return sorted({m.y_exp for m in self.monomials})
@@ -162,12 +158,44 @@ class RationalODE:
 
 
 def ode_contour(e: MonomialODE) -> Contour:
-    """Envelope of the monomial lines nu + sigma*x and the line x - 1."""
-    lines = [
-        Line(m.y_exp, m.x_exp, key=(m.x_exp, m.y_exp)) for m in e.monomials
-    ]
-    lines.append(Line(1, -1, key=DERIVATIVE))
-    return Contour(lines)
+    """Envelope of the monomial lines nu + sigma*x of P and the derivative
+    lines a + (b+1)*x - 1, one per monomial of Q."""
+    return Contour(
+        [Line(m.y_exp, m.x_exp, key=(m.x_exp, m.y_exp)) for m in e.monomials]
+        + [Line(q.y_exp + 1, q.x_exp - 1, key=(DERIVATIVE, q.x_exp, q.y_exp))
+           for q in e.derivative]
+    )
+
+
+def _derivative_level(e, mu):
+    """min of a + (b+1)*mu - 1 over Q: the valuation of Q(y)*y' at a
+    start x^mu whose lowest part of Q(y) does not cancel."""
+    return _exponent(min(q.x_exp + (q.y_exp + 1) * mu for q in e.derivative) - 1)
+
+
+def _lowest_q(e, mu0):
+    """The monomials of Q of least a + b*mu0: the lowest part of Q(y)."""
+    values = [q.x_exp + q.y_exp * mu0 for q in e.derivative]
+    low = min(values)
+    return [q for q, v in zip(e.derivative, values) if v == low]
+
+
+def _q_scale(e, mu0, c0):
+    """A = sum g * c0^b over the lowest part of Q(y) at the start c0*x^mu0:
+    the coefficient of mu_l * c_l in the level divisor."""
+    lowest = _lowest_q(e, mu0)
+    terms = (q.coefficient * c0**q.y_exp if q.y_exp else q.coefficient for q in lowest)
+    return sum(terms, as_coefficient(0))
+
+
+def _singular_note(mu0, c0):
+    """The note for a start where the lowest part of Q(y) cancels."""
+    start = c0 if mu0 == 0 else f"{c0}*x^({mu0})"
+    note = (f"the start y = {start} + ... is not continued: the lowest part of "
+            "Q(y) cancels there")
+    if mu0 == 0:  # --center translates y by a constant
+        note += f"; --center {c0} (added to the current center) expands about it"
+    return note
 
 
 @dataclass(frozen=True)
@@ -179,7 +207,7 @@ class InitialTerm:
     case: str  # "a" | "b" | "c"
     resonant_index: object = None  # int, Fraction or field element; None for case a
     derivative_active: bool = False
-    boundary: bool = False  # mu0 = 0, nu0 + 1 = 0 diagnostic case
+    boundary: bool = False  # mu0 = 0 with nu0 on the derivative line: diagnostic
     root_scale: int = 1  # s with y^(1/s) the branch variable
     branch_root: object = None  # chosen value of c0^(1/s)
 
@@ -209,15 +237,13 @@ def initial_terms(e: MonomialODE, mode="rational") -> InitialTermsResult:
     """All admissible initial terms of the equation, by case.
 
     Case (b): nonzero breaking points of the contour, with the vertex
-    polynomial in c0 (the derivative contributes -mu0*c0 only when the
-    line x-1 is active).  Case (c): the coincident-line point mu0 = f for
-    a monomial x^-1*y, with c0 free.  Case (a): mu0 = 0, with c0 free when
-    nu0 + 1 > 0 and otherwise the nonzero roots of the lowest-level sum.
-
-    When the equation came out of a truncated rational reduction, initial
-    terms outside the reduction's validity window (the dropped y-tail
-    would reach down to every level) are discarded with a note instead of
-    being solved from unreliable data.
+    polynomial in c0 (each derivative line a + (b+1)*x - 1 on the vertex
+    contributes -mu0*g*c0^(b+1)).  Case (c): the coincident-line point
+    mu0 = f/g of f*x^(a-1)*y^(b+1) in P and g*x^a*y^b in Q, with c0 free.
+    Case (a): mu0 = 0, with c0 free when every line of P lies above the
+    derivative lines there and otherwise the nonzero roots of the
+    lowest-level sum.  A note names each root where the lowest part of
+    Q(y) cancels, in place of a start.
     """
     contour = ode_contour(e)
     result = InitialTermsResult([])
@@ -227,37 +253,17 @@ def initial_terms(e: MonomialODE, mode="rational") -> InitialTermsResult:
         keys = {line.key for line in contour.active(x_b)}
         active = [m for m in e.monomials if (m.x_exp, m.y_exp) in keys]
         pairs = [(m.y_exp, m.coefficient) for m in active]
-        deriv = DERIVATIVE in keys
-        if deriv:
-            pairs.append((1, -x_b))  # -d/dx(c0*x^mu0) at the vertex
+        qactive = [q for q in e.derivative if (DERIVATIVE, q.x_exp, q.y_exp) in keys]
+        # -d/dx(c0*x^mu0) times the lowest part of Q at the vertex
+        pairs += [(q.y_exp + 1, -x_b * q.coefficient) for q in qactive]
         _vertex_terms(
-            e, x_b, pairs, active, mode, result, case="b", derivative_active=deriv
+            e, x_b, pairs, active, mode, result, case="b",
+            derivative_active=bool(qactive),
         )
     _coincident_terms(e, contour, result)
     _constant_terms(e, mode, result)
-    _drop_outside_validity(e, result)
     result.terms.sort(key=_initial_sort_key)
     return result
-
-
-def _drop_outside_validity(e, result):
-    if e.y_order_cap is None:
-        return
-    slope = e.tail_slope if e.tail_slope is not None else 0
-    kept = []
-    for t in result.terms:
-        if t.exponent + slope <= 0:
-            result.notes.append(
-                f"initial term at x^{t.exponent} lies outside the validity "
-                "window of the truncated rational reduction; re-expand at a "
-                "different center to analyze it"
-            )
-        else:
-            kept.append(t)
-    result.terms[:] = kept
-    result.unresolved[:] = [
-        u for u in result.unresolved if u.exponent + slope > 0
-    ]
 
 
 def _initial_sort_key(t: InitialTerm):
@@ -278,8 +284,9 @@ def _root_scale(e):
 def _vertex_terms(e, mu0, pairs, resonant, mode, result, **fields):
     """Initial terms c0*x^mu0, one per nonzero root t = c0^(1/s) of the
     vertex polynomial sum f * t^((sigma - smin)*s) over the (sigma, f)
-    pairs.  ``resonant`` holds the monomials of the resonant index (None:
-    no index); ``fields`` are the remaining InitialTerm fields.
+    pairs.  ``resonant`` holds the monomials of P in the resonant index
+    (None: no index); ``fields`` are the remaining InitialTerm fields.  A
+    root where the lowest part of Q(y) cancels gets a note instead.
     """
     # the branch variable is t = c0^(1/s) with the EQUATION-wide scale, so
     # that one t value fixes every fractional power the equation contains
@@ -303,11 +310,18 @@ def _vertex_terms(e, mu0, pairs, resonant, mode, result, **fields):
             UnresolvedInitial(mu0, tuple(roots.unresolved), s)
         )
     for t_root, _mult in roots.roots:
-        mu_r = None if resonant is None else _resonant_index(resonant, t_root, s)
+        c0 = t_root**s if s > 1 else t_root
+        scale = _q_scale(e, mu0, c0)
+        if not scale:
+            result.notes.append(_singular_note(mu0, c0))
+            continue
+        mu_r = None
+        if resonant is not None:
+            mu_r = _resonant_index(e, mu0, resonant, t_root, s, scale)
         result.terms.append(
             InitialTerm(
                 mu0,
-                t_root**s if s > 1 else t_root,
+                c0,
                 resonant_index=mu_r,
                 root_scale=s,
                 branch_root=t_root if s > 1 else None,
@@ -316,49 +330,54 @@ def _vertex_terms(e, mu0, pairs, resonant, mode, result, **fields):
         )
 
 
-def _resonant_index(monomials, t_root, s):
-    """sum f * c0^(sigma-1) * sigma over the active monomials."""
+def _resonant_index(e, mu0, monomials, t_root, s, scale):
+    """mu_r = -B/A, where the level divisor A*mu_l + B has A = ``scale``
+    and B = mu0 * sum g*b*c0^b over the lowest part of Q(y) minus
+    sum f*sigma*c0^(sigma-1) over ``monomials``."""
     acc = as_coefficient(0)
     for m in monomials:
         power = int((m.y_exp - 1) * s)
         acc = acc + m.coefficient * (t_root**power) * m.y_exp
+    for q in _lowest_q(e, mu0):
+        acc = acc - mu0 * q.y_exp * q.coefficient * t_root ** (q.y_exp * s)
+    acc = acc / scale
     rational = getattr(acc, "rational_value", lambda: None)()
     # a non-rational resonant index is carried, never matched
     return _exponent(acc if rational is None else rational)
 
 
 def _coincident_terms(e, contour, result):
+    """Case (c): f*x^(a-1)*y^(b+1) of P and g*x^a*y^b of Q give coincident
+    lines; their vertex polynomial c0^(b+1)*(f - mu0*g) vanishes
+    identically at mu0 = f/g, unless other lines tie there."""
     for m in e.monomials:
-        if (m.x_exp, m.y_exp) != (-1, 1):
-            continue
-        f = m.coefficient
-        f = f if isinstance(f, Fraction) else getattr(f, "rational_value", lambda: None)()
-        mu0 = _exponent(f)
-        if not mu0:
-            return
-        active_keys = {line.key for line in contour.active(mu0)}
-        if contour.value(mu0) != mu0 - 1:
-            return
-        if active_keys - {DERIVATIVE, (m.x_exp, m.y_exp)}:
-            return  # ties with other lines make mu0 a breaking point instead
-        result.terms.append(
-            InitialTerm(
-                mu0,
-                FREE,
-                "c",
-                resonant_index=mu0,
-                derivative_active=True,
+        for q in e.derivative:
+            if (m.x_exp, m.y_exp) != (q.x_exp - 1, q.y_exp + 1):
+                continue
+            ratio = m.coefficient / q.coefficient
+            if not isinstance(ratio, Fraction):
+                ratio = getattr(ratio, "rational_value", lambda: None)()
+            if not ratio:
+                continue
+            mu0 = _exponent(ratio)
+            if contour.value(mu0) != m.x_exp + m.y_exp * mu0:
+                continue
+            active_keys = {line.key for line in contour.active(mu0)}
+            if active_keys - {(DERIVATIVE, q.x_exp, q.y_exp), (m.x_exp, m.y_exp)}:
+                continue  # ties with other lines make mu0 a breaking point instead
+            result.terms.append(
+                InitialTerm(mu0, FREE, "c", resonant_index=mu0, derivative_active=True)
             )
-        )
 
 
 def _constant_terms(e, mode, result):
     nu0 = min(m.x_exp for m in e.monomials)
-    if nu0 + 1 > 0:
+    d0 = _derivative_level(e, 0)
+    if nu0 > d0:
         result.terms.append(InitialTerm(0, FREE, "a"))
         return
     level = [m for m in e.monomials if m.x_exp == nu0]
-    boundary = nu0 + 1 == 0
+    boundary = nu0 == d0
     _vertex_terms(
         e,
         0,
@@ -398,9 +417,10 @@ def classify(e: MonomialODE, t: InitialTerm) -> str:
     if t.boundary:
         return NO_CONTINUATION
     nu0 = min(m.x_exp for m in e.monomials)
-    if nu0 + 1 > 0:
+    d0 = _derivative_level(e, 0)
+    if nu0 > d0:
         return PROPER
-    if nu0 + 1 < 0 and t.coefficient is not FREE:
+    if nu0 < d0 and t.coefficient is not FREE:
         return ALGEBRAIC_TYPE
     return NO_CONTINUATION
 
@@ -412,8 +432,9 @@ def classify(e: MonomialODE, t: InitialTerm) -> str:
 class IndexLattice:
     """Admitted exponents mu0 + (sums of the nonnegative shifts), bounded.
 
-    The generators are nu + 1 + (sigma - 1)*mu0 per monomial; resonance
-    widening appends mu_r - mu0.
+    The generators are the shifts of the monomial lines above the derivative
+    level at mu0 (nu + 1 + (sigma - 1)*mu0 per monomial when Q = 1);
+    resonance widening appends mu_r - mu0.
     """
 
     mu0: object  # int or Fraction, as are the generators, elements and bound
@@ -423,15 +444,22 @@ class IndexLattice:
 
 
 def _generators(e, mu0, widen):
-    """The sorted shifts nu + 1 + (sigma - 1)*mu0, plus the widening."""
+    """The sorted shifts above the derivative level D at mu0: nu + sigma*mu0
+    - D per monomial of P (nu + 1 + (sigma - 1)*mu0 when Q = 1), the
+    positive a + (b+1)*mu0 - 1 - D per monomial of Q, plus the widening."""
+    base = _derivative_level(e, mu0)
     gens = []
     for m in e.monomials:
-        g = _exponent(m.x_exp + 1 + (m.y_exp - 1) * mu0)
+        g = _exponent(m.x_exp + m.y_exp * mu0 - base)
         if g < 0:
             raise ClassificationError(
                 f"negative index shift {g}; the branch is algebraic-type"
             )
         gens.append(g)
+    for q in e.derivative:
+        g = _exponent(q.x_exp + (q.y_exp + 1) * mu0 - 1 - base)
+        if g:
+            gens.append(g)
     return sorted(set(gens) | {_as_exponent(w) for w in widen})
 
 
@@ -497,7 +525,7 @@ def _no_continuation(t, note):
 
 
 def _zero_branch(t):
-    """y = 0, an exact solution when every sigma is positive."""
+    """y = 0, an exact solution when every sigma is positive and Q(0) != 0."""
     return SolutionBranch(
         t,
         PuiseuxSeries.zero(),
@@ -523,7 +551,7 @@ class VerifyResult:
 
 
 def verify_branch(e: MonomialODE, b: SolutionBranch) -> VerifyResult:
-    """Residual valuation of d/dx(series) - rhs(series), by substitution."""
+    """Residual valuation of d/dx(series) - P/Q at the series, by substitution."""
     branches = b.initial.branch_map() if b.initial is not None else None
     return verify_series(e, b.series, branches=branches)
 
@@ -534,35 +562,29 @@ def _needs_prec(e):
 
 
 def verify_series(e: MonomialODE, series: PuiseuxSeries, branches=None):
+    """The valuation of y' - P(y)/Q(y): that of Q(y)*y' - P(y), certified by
+    substitution, less that of Q(y) (nothing certified without its term)."""
     prec = None
     if series.trunc == INF and len(series.terms) > 1 and _needs_prec(e):
         prec = _default_window(series)
     rhs = e.substitute(series, prec=prec, branches=branches)
-    residual = series.differentiate() - rhs
-    certified = residual.trunc
-    certified = min(certified, _cap_from_equation(e, series))
+    q = substitute_series(e.derivative, series)
+    if not q.terms:
+        return VerifyResult(INF, -INF)
+    vq = q.terms[0][0]
+    residual = q * series.differentiate() - rhs
+    certified = _exponent(residual.trunc - vq)
     val = residual.valuation()
-    if val != INF and val >= certified:
-        val = INF  # terms at/after the certified window are not evidence
+    if val != INF:
+        val = _exponent(val - vq)
+        if val >= certified:
+            val = INF  # terms at/after the certified window are not evidence
     return VerifyResult(val, certified)
 
 
 def _default_window(series):
     v = series.val_floor()
     return (0 if v == INF else v) + 12
-
-
-def _cap_from_equation(e, series):
-    cap = INF
-    v = series.val_floor()
-    for y_power, trunc in e.coeff_caps:
-        cap = min(cap, _exponent(trunc + y_power * v))
-    if e.y_order_cap is not None and e.tail_slope is not None:
-        rate = e.tail_slope + v
-        if rate <= 0:
-            return -INF  # outside the reduction's validity: nothing certified
-        cap = min(cap, _exponent(e.tail_base + (e.y_order_cap + 1) * rate))
-    return cap
 
 
 # -- proper continuation -------------------------------------------------------
@@ -574,26 +596,28 @@ def continue_proper(
     """Continue a proper initial term through the linear recurrences.
 
     At each admitted exponent mu_l the new coefficient solves the level
-    equation (mu_l - mu_r) * c_l = r_l, where r_l is the residual
-    coefficient at mu_l - 1 and mu_r the resonant index (0 in case a).
-    The divisor vanishes only at a rational mu_r above mu0, which is
-    admitted by widening the lattice by mu_r - mu0 (the internal bound
-    reaches mu_r, so the decision is never left pending).  There 0 * c =
-    r_l decides the resonance exactly: r_l = 0 inserts the free constant
+    equation (mu_l - mu_r) * c_l = -r_l: r_l is the coefficient of the
+    residual (Q(y)*y' - P(y))/A at mu_l + D - mu0 (D the derivative level
+    at mu0; mu_l - 1 when Q = 1), A the lowest coefficient of Q(y) (a
+    start with A = 0 raises ClassificationError) and mu_r = -B/A the
+    resonant index of the level divisor A*mu_l + B (0 in case a).  The
+    divisor vanishes only at a rational mu_r above mu0, which is admitted
+    by widening the lattice by mu_r - mu0 (the internal bound reaches
+    mu_r, so the decision is never left pending).  There 0 * c = r_l
+    decides the resonance exactly: r_l = 0 inserts the free constant
     (``c_r``, or a formal parameter when None), r_l != 0 ends the branch
     as a negative resonance.  The instance ``c_r = 0`` of a free start is
     continued only when every sigma is a nonnegative integer; otherwise
     it is y = 0 when every sigma is positive, and a no-continuation
     branch ``O(x^0)`` when some sigma is not.
 
-    The level coefficient is the one right-hand-side coefficient at
-    mu_l - 1, computed on demand from the exact prefix (see
-    :class:`_RhsCoefficients`), so a level costs a number of coefficient
-    operations linear in the number of terms and nothing is truncated.
-    One lattice, built one least positive generator past the last level
-    walked, also gives the next level, where the series is truncated.
-    The guarantee is the residual that :func:`verify_series` certifies:
-    every generator is >= 0, so under every monomial x^nu * y^sigma the
+    The level coefficient is computed on demand from the exact prefix
+    (see :class:`_ResidualCoefficients`), so a level costs a number of
+    coefficient operations linear in the number of terms and nothing is
+    truncated.  One lattice, built one least positive generator past the
+    last level walked, also gives the next level, where the series is
+    truncated.  The guarantee is the residual that :func:`verify_series`
+    certifies: every generator is >= 0, so under every monomial the
     residual is known up to next_level - 1, also for nu < -1.
     """
     if classify(e, t) != PROPER:
@@ -614,6 +638,9 @@ def continue_proper(
         )
 
     c0 = free if t.coefficient is FREE else t.coefficient
+    scale = _q_scale(e, mu0, c0)
+    if not scale:
+        raise ClassificationError(_singular_note(mu0, c0))
     # where a free constant was placed: an instantiated case-(a) start has
     # exactly one continuation; the coincident-line start is the resonant
     # value itself
@@ -634,22 +661,22 @@ def continue_proper(
     reach = max(internal_bound, mu0) + step
     elements = index_lattice(e, t, reach, widen=widen).elements
     series = PuiseuxSeries.x_power(mu0, c0)
-    data_cap = _cap_from_equation(e, PuiseuxSeries.x_power(mu0, 1))
-    rhs = _RhsCoefficients(e, branches)
+    lift = _derivative_level(e, mu0) - mu0
 
     try:
+        # a scale that depends on the free constant has no inverse here
+        residual = _ResidualCoefficients(e, branches, lift, scale)
         next_level = INF  # no positive generator: the lattice is {mu0}
         for mu_l in elements[1:]:
-            # past the bound, or the reduction's dropped tail reaches mu_l
-            if mu_l > internal_bound or mu_l - 1 >= data_cap:
+            if mu_l > internal_bound:
                 next_level = mu_l
                 break
-            # the residual at mu_l - 1: d/dx(series) has no term there yet
-            level_coeff = -rhs.at(series, mu_l)
+            # the residual at this level, before c_l is added
+            level_coeff = residual.at(series, mu_l)
             divisor = mu_l - mu_r
             if divisor:
                 if level_coeff:
-                    # adding c_l x^mu_l changes the residual at mu_l - 1 by
+                    # adding c_l x^mu_l changes the residual at this level by
                     # c_l * (mu_l - mu_r), so cancel exactly:
                     series = series - PuiseuxSeries.x_power(mu_l, level_coeff / divisor)
             elif level_coeff:
@@ -666,7 +693,7 @@ def continue_proper(
                 series = series + PuiseuxSeries.x_power(mu_l, free)
                 free_at = mu_l
 
-        series = series.with_trunc(min(next_level, data_cap + 1))
+        series = series.with_trunc(next_level)
         check = verify_series(e, series, branches=branches)
     except (UnsupportedSymbolic, BranchError) as err:
         symbolic = has_parameter_series(series) or has_parameter(c0)
@@ -705,36 +732,42 @@ def continue_proper(
     )
 
 
-class _RhsCoefficients:
-    """Coefficients of rhs(y), one at a time, for a prefix y that only grows
-    upward (the relaxed evaluation of van der Hoeven, "Relax, but don't be
-    too lazy", JSC 34, 2002).
+class _ResidualCoefficients:
+    """Coefficients of the residual (Q(y)*y' - P(y))/A, one at a time, for
+    a prefix y that only grows upward (the relaxed evaluation of van der
+    Hoeven, "Relax, but don't be too lazy", JSC 34, 2002).  Every
+    coefficient is divided by A = ``scale`` once, up front.
 
-    ``at(y, level)`` is [x^(level - 1)] rhs(y) for an exact y whose terms
-    all lie below ``level``.  A monomial f*x^nu*y^sigma needs [y^sigma] at
-    the offset d = level - 1 - nu - sigma*m above sigma*m, m the leading
-    exponent of y.  Positive integer powers come from convolution with y,
-    which divides by nothing, so a formal free constant may lead y.  Every
-    other power comes from the Miller step that ``pow_rational`` also uses
-    (:func:`puiseux.series.miller_step`), started at the branch
-    ``pow_rational`` picks.  An entry is kept once
-    m + d lies below the level: it then depends only on terms of y that no
-    later level changes.
+    ``at(y, level)`` is the residual at x^k, k = level + lift (lift = D -
+    mu0, -1 when Q = 1), for an exact y whose terms all lie below
+    ``level``.  A monomial f*x^nu*y^sigma of P needs [y^sigma] at the
+    offset d = k - nu - sigma*m above sigma*m, m the leading exponent of
+    y; g*x^a*y^b of Q needs (k + 1 - a)/(b + 1) * [x^(k + 1 - a)] y^(b+1),
+    as y^b*y' = (y^(b+1))'/(b+1).  Positive integer powers come from
+    convolution with y, which divides by nothing, so a formal free
+    constant may lead y; every other power from the Miller step of
+    ``pow_rational`` (:func:`puiseux.series.miller_step`), started at the
+    branch it picks.  An entry is kept once m + d lies below the level: it
+    then depends only on terms of y that no later level changes.
     """
 
-    def __init__(self, e: MonomialODE, branches):
-        self.monomials = e.monomials
+    def __init__(self, e: MonomialODE, branches, lift, scale):
+        self.monomials, self.derivative = (
+            [Monomial(m.x_exp, m.y_exp, m.coefficient / scale) for m in side]
+            for side in (e.monomials, e.derivative)
+        )
         self.branches = branches
+        self.lift = lift
         self.tables = {}  # sigma -> {offset d: p_d}, final entries only
 
     def at(self, y: PuiseuxSeries, level):
-        target = level - 1
+        target = level + self.lift
         total = as_coefficient(0)
         if not y.terms:  # a zero start (c_r = 0) until a level adds a term
             for mono in self.monomials:
                 if mono.y_exp == 0 and mono.x_exp == target:
                     total = total + mono.coefficient
-            return total
+            return -total
         m, c0 = y.terms[0]
         offsets = tuple((te - m, tc) for te, tc in y.terms)
         ctx = (offsets, dict(offsets), c0, level - m)
@@ -746,6 +779,16 @@ class _RhsCoefficients:
             p = self._power(sigma, d, ctx)
             if p:
                 total = total + mono.coefficient * p
+        total = -total
+        for q in self.derivative:
+            k = target + 1 - q.x_exp
+            power = q.y_exp + 1
+            d = k - power * m
+            if d < 0 or not k:
+                continue
+            p = self._power(power, d, ctx)
+            if p:
+                total = total + q.coefficient * p * Fraction(k) / power
         return total
 
     def _power(self, sigma, d, ctx):
@@ -784,9 +827,10 @@ class _RhsCoefficients:
 def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational"):
     """Iterated algebraic solves for an algebraic-type initial term.
 
-    Round k solves rhs(y) - d/dx(y_{k-1}) = 0 and trusts its root below
-    the coincidence order mu0 + (k+1)*Delta, Delta = mu0 - 1 - f(mu0);
-    the recorded coincidence orders grow by exactly Delta per round.
+    Round k solves P(y) - Q(y)*d/dx(y_{k-1}) = 0 and trusts its root below
+    the coincidence order mu0 + (k+1)*Delta, Delta = D(mu0) - f(mu0), D
+    the derivative level (mu0 - 1 when Q = 1) and f the contour; the
+    recorded coincidence orders grow by exactly Delta per round.
 
     Each round is warm-started in w = y^(1/s): round 0 at the initial
     term, round k at the exact terms of round k-1's root below its
@@ -802,7 +846,7 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
     bound = _as_exponent(bound)
     mu0 = t.exponent
     fval = ode_contour(e).value(mu0)
-    delta = mu0 - 1 - fval
+    delta = _derivative_level(e, mu0) - fval
     if delta <= 0:
         raise ClassificationError("algebraic-type precondition violated")
     s = _root_scale(e)
@@ -812,7 +856,6 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
 
     # states track the w = y^(1/s) prefix: the root-branch identity lives
     # in w-space, where conjugate w-roots of the same y stay distinct
-    data_cap = _cap_from_equation(e, PuiseuxSeries.x_power(mu0, 1))
     states = [(None, None, 0, ())]
     out = []
     while states:
@@ -851,9 +894,8 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
                 states.append((b.series, bound_w, k + 1, new_orders))
                 continue
             else:
-                guarantee = min(_exponent(mu0 - 1 + k * delta), data_cap)
-                y_k = b.series.pow_rational(s)
-                y_k = y_k.truncate(min(c_k, data_cap + 1))
+                guarantee = _exponent(mu0 - 1 + k * delta)
+                y_k = b.series.pow_rational(s).truncate(c_k)
             out.append(
                 SolutionBranch(
                     t,
@@ -871,17 +913,19 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
 
 
 def _modified_polynomial(e, y_prev, s, shift):
-    """rhs(y) - d/dx(y_prev) cleared to a polynomial in w = y^(1/s)."""
+    """P(y) - Q(y)*d/dx(y_prev) cleared to a polynomial in w = y^(1/s)."""
     degree = lambda sig: int((sig - shift) * s)
-    size = max(degree(sig) for sig in e.sigmas()) + 1
-    size = max(size, degree(0) + 1)
-    coeffs = [PuiseuxSeries.zero() for _ in range(size)]
+    powers = [*e.sigmas(), *(q.y_exp for q in e.derivative)]
+    coeffs = [PuiseuxSeries.zero() for _ in range(max(map(degree, powers)) + 1)]
     for m in e.monomials:
         coeffs[degree(m.y_exp)] = coeffs[degree(m.y_exp)] + PuiseuxSeries.x_power(
             m.x_exp, m.coefficient
         )
     if y_prev is not None:
-        coeffs[degree(0)] = coeffs[degree(0)] - y_prev.differentiate()
+        dy = y_prev.differentiate()
+        for q in e.derivative:
+            i = degree(q.y_exp)
+            coeffs[i] = coeffs[i] - PuiseuxSeries.x_power(q.x_exp, q.coefficient) * dy
     return SeriesPolynomial(coeffs)
 
 
@@ -900,9 +944,13 @@ def solve_all(e: MonomialODE, bound, resonance="symbolic", mode="rational"):
 
     ``resonance`` is either ``"symbolic"`` (free constants carried as
     formal parameters) or a list of numeric values, one branch per value
-    at every free constant.  A value whose instance needs a root outside
-    Q (a fractional power of a value with no rational root) is reported
-    as unresolved at mu0, with vertex polynomial t^s - value.
+    at every free constant, each walked numerically.  A value whose
+    instance needs a root outside Q (a fractional power of a value with no
+    rational root) is reported as unresolved at mu0, with vertex
+    polynomial t^s - value; a leading value where the lowest part of Q(y)
+    vanishes is named in a note.  y = 0 (every sigma positive, Q(0) != 0)
+    is added unless a constant-start family, with a level divisor free of
+    its constant, stands for it.
     """
     bound = _as_exponent(bound)
     init = initial_terms(e, mode=mode)
@@ -917,8 +965,10 @@ def solve_all(e: MonomialODE, bound, resonance="symbolic", mode="rational"):
             branch = continue_proper(e, t, bound, c_r=None, symbol=symbol)
             if branch.status == RESONANT_FREE and resonance != "symbolic":
                 for value in resonance:
-                    if has_parameter_series(branch.series):
-                        report.branches.append(branch.instantiate(value))
+                    if t.coefficient is FREE and not _q_scale(
+                        e, t.exponent, as_coefficient(value)
+                    ):
+                        report.notes.append(_singular_note(t.exponent, value))
                         continue
                     try:
                         report.branches.append(
@@ -933,22 +983,29 @@ def solve_all(e: MonomialODE, bound, resonance="symbolic", mode="rational"):
                         )
             else:
                 report.branches.append(branch)
-            if t.coefficient is FREE:
+            if t.coefficient is FREE and not any(
+                q.y_exp for q in _lowest_q(e, t.exponent)
+            ):
                 free_family_seen = True  # the c = 0 instance is y = 0
         elif cls == ALGEBRAIC_TYPE:
             report.branches.extend(solve_algebraic_type(e, t, bound, mode=mode))
         else:
+            d0 = _derivative_level(e, 0)  # nu0 = d0 on the boundary
+            level = f"+ {-d0}" if d0 <= 0 else f"- {d0}"
             reason = (
-                "boundary case mu0 = 0 with nu0 + 1 = 0: resonance at 0, no "
-                "continuation algorithm"
+                f"boundary case mu0 = 0 with nu0 {level} = 0: resonance at 0, "
+                "no continuation algorithm"
                 if t.boundary
                 else "no Puiseux continuation (a logarithm would be needed)"
             )
             report.branches.append(_no_continuation(t, reason))
     if all(m.y_exp > 0 for m in e.monomials) and not free_family_seen:
-        report.branches.append(_zero_branch(None))
+        if any(not q.y_exp for q in e.derivative):
+            report.branches.append(_zero_branch(None))
+        else:
+            report.notes.append("y = 0 is not reported: Q(0) vanishes")
     nu0 = min(m.x_exp for m in e.monomials)
-    if nu0 + 1 <= 0 and not any(
+    if nu0 <= _derivative_level(e, 0) and not any(
         b.initial is not None and b.initial.case == "a" for b in report.branches
     ):
         report.notes.append(
@@ -997,74 +1054,17 @@ def has_parameter_series(series: PuiseuxSeries) -> bool:
 # -- rational right-hand sides --------------------------------------------------
 
 
-def expand_rational(r: RationalODE, y_order: int) -> MonomialODE:
-    """Reduce P(y)/Q(y), recentered at r.center, to a finite monomial form.
+def expand_rational(r: RationalODE) -> MonomialODE:
+    """Q(y)*dy/dx = P(y) with y measured from ``r.center``, exactly.
 
-    A pure-monomial Q at center 0 divides out exactly (negative powers of
-    y, no truncation).  Otherwise Q(center) must be nonzero and 1/Q is
-    expanded geometrically to ``y_order``; the returned equation records
-    the truncation caps so residual certificates stay honest.
+    P and Q are shifted to the center by one Taylor shift each and their
+    monomials read off: nothing is inverted and nothing is truncated, so
+    every coefficient must be exact.
     """
-    p_c = ptaylor_shift(r.numer, r.center)
-    q_c = ptaylor_shift(r.denom, r.center)
-    q_support = [i for i, c in enumerate(q_c) if c.terms]
-    if not q_support:
-        raise PoleError("Q vanishes identically at the expansion center")
-    if len(q_support) == 1 and all(
-        c.is_exact_zero or i == q_support[0] for i, c in enumerate(q_c)
-    ):
-        m = q_support[0]
-        qm = q_c[m]
-        monomials = []
-        caps = []
-        for i, c in enumerate(p_c):
-            if c.is_exact_zero:
-                continue
-            quotient = c * qm.invert(prec=None if qm.terms and len(qm.terms) == 1 else 20)
-            for nu, f in quotient.terms:
-                monomials.append((nu, i - m, f))
-            if quotient.trunc != INF:
-                caps.append((i - m, quotient.trunc))
-        return MonomialODE(monomials, coeff_caps=caps)
-    if not q_c[0].terms:
-        raise PoleError("Q(center) = 0: pick a different expansion center")
-    q0 = q_c[0]
-    u = [PuiseuxSeries.zero()] + [c * q0.invert(prec=_inv_prec(q0)) for c in q_c[1:]]
-    inv = [PuiseuxSeries.one()] + [PuiseuxSeries.zero() for _ in range(y_order)]
-    power = list(inv)
-    for _ in range(y_order):
-        power = pmul(power, [-c for c in u])[: y_order + 1]
-        inv = padd(inv, power)
-    inv = [c * q0.invert(prec=_inv_prec(q0)) for c in inv]
-    full = pmul(p_c, inv)[: y_order + 1]
-    monomials = []
-    caps = []
-    for i, c in enumerate(full):
-        if c.is_exact_zero:
-            continue
-        for nu, f in c.terms:
-            monomials.append((nu, i, f))
-        if c.trunc != INF:
-            caps.append((i, c.trunc))
-    tail_slope = 0
-    vq0 = q0.val_floor()
-    for j, c in enumerate(q_c[1:], start=1):
-        if c.terms:
-            tail_slope = min(tail_slope, _exponent(Fraction(c.valuation() - vq0, j)))
-    tail_base = min(
-        (_exponent(c.val_floor() - j * tail_slope) for j, c in enumerate(full) if c.terms),
-        default=0,
-    )
-    return MonomialODE(
-        monomials,
-        y_order_cap=y_order,
-        tail_base=tail_base,
-        tail_slope=tail_slope,
-        coeff_caps=caps,
-    )
-
-
-def _inv_prec(q0):
-    if len(q0.terms) == 1 and q0.trunc == INF:
-        return None
-    return q0.val_floor() + 20
+    sides = []
+    for coeffs in (r.numer, r.denom):
+        if any(c.trunc != INF for c in coeffs):
+            raise SeriesError("P and Q need exact coefficients")
+        shifted = ptaylor_shift(coeffs, r.center)
+        sides.append([(nu, b, f) for b, c in enumerate(shifted) for nu, f in c.terms])
+    return MonomialODE(*sides)

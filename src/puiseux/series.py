@@ -238,6 +238,8 @@ class PuiseuxSeries:
         a, b = self.terms, other.terms
         if len(a) == 1 or len(b) == 1:
             ((e1, c1),), b = (a, b) if len(a) == 1 else (b, a)
+            if e1 == 0 and c1 == 1:  # a product with one
+                return _canonical(_below(b, trunc), trunc)
             terms = tuple(
                 (_exponent(e1 + e2), c1 * c2) for e2, c2 in _below(b, trunc - e1)
             )

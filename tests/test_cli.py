@@ -194,7 +194,7 @@ class TestOde:
         code, out, _ = run(capsys, "ode", "--bound", "3", "dy/dx = (y)/(1+y)")
         assert code == EXIT_OK
         assert "y = 0" in out
-        assert "validity window" in out
+        assert "validity window" not in out
 
     def test_unverifiable_branch_does_not_fail_report(self, capsys):
         code, out, _ = run(
@@ -208,6 +208,44 @@ class TestOde:
         for series in ("-x - 1/3*x^2 - 1/9*x^3 + O(x^4)",
                        "x + 1/3*x^2 + 1/9*x^3 + O(x^4)"):
             assert branches[series]["verified"] is True
+
+    def test_rational_rhs_finds_every_start(self, capsys):
+        # (x^2 + y)*y' = x + y^2 has y = x exactly and a second branch
+        code, out, _ = run(
+            capsys, "ode", "--json", "--bound", "4", "dy/dx = (x+y^2)/(x^2+y)"
+        )
+        assert code == EXIT_OK
+        series = {b["series"]: b for b in json.loads(out)["branches"]}
+        assert series["x + O(x^5)"]["c0"] == "1"
+        assert series["-x - 2/3*x^2 - 4/9*x^3 - 32/135*x^4 + O(x^5)"]["c0"] == "-1"
+        assert all(b["verified"] for b in series.values())
+
+    def test_rational_family_instance(self, capsys):
+        code, out, _ = run(
+            capsys, "ode", "--bound", "3", "--resonance", "values=1,-1",
+            "dy/dx = 1/(1+y)",
+        )
+        assert code == EXIT_OK
+        assert "y = 1 + 1/2*x - 1/16*x^2 + 1/64*x^3 + O(x^4)" in out
+        assert "verified=False" not in out
+        # the instance c = -1 is a root of Q: named, with its center
+        assert "the start y = -1 + ... is not continued" in out
+        assert "--center -1" in out
+
+    def test_singular_branches_at_a_root_of_q(self, capsys):
+        code, out, _ = run(
+            capsys, "ode", "--bound", "3", "--center", "-1", "--roots",
+            "algebraic", "dy/dx = 1/(1+y)",
+        )
+        assert code == EXIT_OK
+        assert "y = (-sqrt(2))*x^(1/2)   [proper/unique" in out
+        assert "y = sqrt(2)*x^(1/2)   [proper/unique" in out
+
+    def test_y_order_option_is_gone(self, capsys):
+        # 1/Q is no longer expanded, so there is no expansion order to set
+        with pytest.raises(SystemExit) as exc:
+            main(["ode", "--y-order", "3", "dy/dx = (y)/(1+y)"])
+        assert exc.value.code == EXIT_PARSE
 
     def test_center_reaches_constant_branches(self, capsys):
         code, out, _ = run(

@@ -68,11 +68,14 @@ CASES = {
     "ode-rational-center2": (
         0, ["ode", "--bound", "2", "--center", "2",
             "dy/dx = (y + x)/(y + 1)"]),
+    # (x^2 + y)*y' = x + y^2: y = x and y = -x - 2/3*x^2 - ... at mu0 = 1
+    "ode-rational-lost-branches": (
+        0, ["ode", "--bound", "4", "dy/dx = (x+y^2)/(x^2+y)"]),
     # at a simple root of Q: the singular branches y = -1 +- sqrt(2)*x^(1/2)
     "ode-rational-singular": (
         0, ["ode", "--bound", "3", "--center", "-1", "--roots", "algebraic",
             "dy/dx = 1/(1+y)"]),
-    "wfactor-case-a":(0, ["wfactor", "--levels", "2", "P=2*y^2 + x*y; Q=1"]),
+    "wfactor-case-a": (0, ["wfactor", "--levels", "2", "P=2*y^2 + x*y; Q=1"]),
     "wfactor-case-a-deep": (
         0, ["wfactor", "--levels", "6", "P=2*y^2 + x*y; Q=1"]),
     "wfactor-case-b": (0, ["wfactor", "--levels", "4", "P=1; Q=y"]),

@@ -8,8 +8,11 @@ solutions known in closed form must leave no residual at all.
 """
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
+
+from puiseux.algebraic import SeriesPolynomial, solve_algebraic
 
 from puiseux.coefficients import ParamPoly
 from puiseux.ode import (
@@ -23,6 +26,7 @@ from puiseux.ode import (
     PROPER,
     RESONANT_FREE,
     RationalODE,
+    SolutionBranch,
     UNIQUE,
     classify,
     continue_proper,
@@ -35,7 +39,8 @@ from puiseux.ode import (
     verify_branch,
     verify_series,
 )
-from puiseux.series import INF, BranchError, PuiseuxSeries
+from puiseux.parsing import parse_ode
+from puiseux.series import INF, BranchError, PuiseuxSeries, SeriesError
 
 from oracles import branch_count_bound, nondecomposable_for
 
@@ -728,6 +733,24 @@ class TestSolveAll:
         assert {c.symbol for c in params} == {"C1"}
         assert str(family.series).startswith("C1 + (C1 - 2*C1^2)*x + ")
 
+    def test_values_are_walked_numerically(self, monkeypatch):
+        # --resonance values= walks each value; it never instantiates the
+        # symbolic family, so the two stay independent constructions
+        e = MonomialODE([(-1, 1, 1), (1, 0, 1), (0, 2, 1)])
+
+        def refuse(self, value):
+            raise AssertionError("the symbolic family was instantiated")
+
+        monkeypatch.setattr(SolutionBranch, "instantiate", refuse)
+        (b,) = [
+            b for b in solve_all(e, 12, resonance=[F(1)]).branches
+            if b.initial is not None and b.initial.case == "c"
+        ]
+        walk = continue_proper(e, b.initial, 12, c_r=1)
+        assert b.series.terms == walk.series.terms
+        assert b.series.trunc == walk.series.trunc
+        assert b.residual_guarantee == walk.residual_guarantee
+
     def test_deep_family_matches_the_numeric_walk(self):
         # dy/dx = y/x + x + y^2: from bound 48 on the family is a polynomial
         # of degree 24 in C1.  The walk with a numeric c_r builds no free
@@ -856,63 +879,165 @@ class TestLevelCoefficients:
 
 
 class TestExpandRational:
+    """``expand_rational`` is the exact converter of P(y)/Q(y) to the
+    monomial form Q(y)*y' = P(y): nothing inverted, nothing truncated."""
+
+    @staticmethod
+    def sides(e):
+        return [tuple(m) for m in e.monomials], [tuple(q) for q in e.derivative]
+
     def test_polynomial_passthrough(self):
+        # Q = 1 is the monomial equation dy/dx = P, field for field
         r = RationalODE([PuiseuxSeries.zero(), PuiseuxSeries.zero(), ONE], [ONE])
-        e = expand_rational(r, 3)
-        assert [(m.x_exp, m.y_exp, m.coefficient) for m in e.monomials] == [
-            (0, 2, 1)
-        ]
+        e = expand_rational(r)
+        assert e == MonomialODE([(0, 2, 1)])
+        assert self.sides(e) == ([(0, 2, 1)], [(0, 0, 1)])
 
     def test_monomial_denominator_exact(self):
         r = RationalODE([ONE], [PuiseuxSeries.zero(), ONE])
-        e = expand_rational(r, 3)
-        assert [(m.x_exp, m.y_exp, m.coefficient) for m in e.monomials] == [
-            (0, -1, 1)
-        ]
-        assert e.y_order_cap is None
+        assert self.sides(expand_rational(r)) == ([(0, 0, 1)], [(0, 1, 1)])
 
-    def test_geometric_expansion(self):
-        r = RationalODE([PuiseuxSeries.zero(), ONE], [ONE, ONE])
-        e = expand_rational(r, 3)
-        assert [(m.x_exp, m.y_exp, m.coefficient) for m in e.monomials] == [
-            (0, 1, 1),
-            (0, 2, -1),
-            (0, 3, 1),
-        ]
-        assert e.y_order_cap == 3
+    def test_nothing_is_truncated(self):
+        zero = PuiseuxSeries.zero()
+        # y/(1 + y): both sides keep their monomials, no series for 1/Q
+        r = RationalODE([zero, ONE], [ONE, ONE])
+        assert self.sides(expand_rational(r)) == (
+            [(0, 1, 1)], [(0, 0, 1), (0, 1, 1)]
+        )
+        # a denominator 1 + x without y is a Q too, not a truncated inverse
+        r = RationalODE([zero, ONE], [ONE + X(1)])
+        assert self.sides(expand_rational(r)) == (
+            [(0, 1, 1)], [(0, 0, 1), (1, 0, 1)]
+        )
+        # a truncated coefficient has no exact monomial form
+        with pytest.raises(SeriesError):
+            expand_rational(RationalODE([ONE.with_trunc(3)], [ONE, ONE]))
 
     def test_pole_at_center(self):
-        from puiseux.series import PoleError
+        # a root of Q at the center is no error: Q(y) keeps its root
+        r = RationalODE([ONE], [PuiseuxSeries.zero(), ONE, ONE])
+        assert self.sides(expand_rational(r)) == (
+            [(0, 0, 1)], [(0, 1, 1), (0, 2, 1)]
+        )
 
-        with pytest.raises(PoleError):
-            # recentering at a root of the denominator with a non-monomial Q
-            expand_rational(
-                RationalODE([ONE], [PuiseuxSeries.zero(), ONE, ONE]), 3
-            )
+    def test_center_translation_is_exact(self):
+        # (y + x)/(y + 1) about y = 2: P = (2 + x) + y and Q = 3 + y
+        center = PuiseuxSeries.constant(2)
+        r = RationalODE([X(1), ONE], [ONE, ONE], center=center)
+        assert self.sides(expand_rational(r)) == (
+            [(0, 0, 2), (0, 1, 1), (1, 0, 1)], [(0, 0, 3), (0, 1, 1)]
+        )
 
-    def test_capped_data_stops_the_continuation_honestly(self):
-        # dy/dx = x^-2 y^2 / (1 + y^2): at y-order 3 the reduction drops
-        # the true -y^4 term, whose influence starts at level 2; the branch
-        # must stop there rather than continue on silently-zero data
-        one, zero, xm2 = ONE, PuiseuxSeries.zero(), X(-2)
-        r = RationalODE([zero, zero, xm2], [one, zero, one])
-        capped = expand_rational(r, 3)
-        t = [t for t in initial_terms(capped).terms if t.case == "b"][0]
-        b = continue_proper(capped, t, 6, c_r=2)
-        assert b.series.trunc == 3
-        assert b.residual_guarantee == 2
-        richer = expand_rational(r, 6)
-        t6 = [t for t in initial_terms(richer).terms if t.case == "b"][0]
-        b6 = continue_proper(richer, t6, 6, c_r=2)
-        assert b6.residual_guarantee == 5
+    def test_quotient_continues_to_the_bound(self):
+        # dy/dx = x^-2 y^2 / (1 + y^2): no y-tail is dropped, so the walk
+        # reaches the bound
+        zero = PuiseuxSeries.zero()
+        e = expand_rational(RationalODE([zero, zero, X(-2)], [ONE, zero, ONE]))
+        (t,) = [t for t in initial_terms(e).terms if t.exponent == 1]
+        b = continue_proper(e, t, 6, c_r=2)
+        assert b.residual_guarantee >= 6
+        assert verify_branch(e, b).meets(b.residual_guarantee)
         # hand value: matching at x^2 gives c3 = C^2 - 1 = 3 for C = 2
-        assert b6.series.coefficient(3) == 3
-        assert b.series.agrees_with(b6.series, 3)
+        assert b.series.coefficient(3) == 3
 
-    def test_truncation_caps_flow_to_verify(self):
-        r = RationalODE([PuiseuxSeries.zero(), ONE], [ONE, ONE])
-        e = expand_rational(r, 3)
+    def test_guarantees_flow_to_verify(self):
+        e = expand_rational(RationalODE([PuiseuxSeries.zero(), ONE], [ONE, ONE]))
+        for bound in (3, 6):
+            for resonance in ("symbolic", [F(1), F(-2), F(3)]):
+                for b in solve_all(e, bound, resonance=resonance).branches:
+                    assert verify_branch(e, b).meets(b.residual_guarantee)
+
+    def test_start_where_q_vanishes_is_named(self):
+        # dy/dx = 1/(1 + y) through y = -1: Q(-1) = 0, reached by --center
+        e = expand_rational(RationalODE([ONE], [ONE, ONE]))
+        rep = solve_all(e, 3, resonance=[F(-1), F(1)])
+        assert [b.series.coefficient(0) for b in rep.branches] == [1, 0]
+        (note,) = rep.notes
+        assert "y = -1 + ..." in note and "--center -1" in note
+
+    def test_common_factor_prints_no_spurious_branch(self):
+        # (y^2 - y)/(y^2 - 1): Q*y' = P holds for y = 1, y' = P/Q does not
+        zero = PuiseuxSeries.zero()
+        e = expand_rational(RationalODE([zero, -ONE, ONE], [-ONE, zero, ONE]))
+        rep = solve_all(e, 3, resonance=[F(1)])
+        assert all(b.series.coefficient(0) != 1 for b in rep.branches)
+        assert any("y = 1 + ..." in n for n in rep.notes)
+        # (y^2)/(y^2 + y): y = 0 makes Q vanish and is not printed
+        e = expand_rational(RationalODE([zero, zero, ONE], [zero, ONE, ONE]))
         rep = solve_all(e, 3)
-        for b in rep.branches:
-            v = verify_branch(e, b)
-            assert v.meets(b.residual_guarantee) or v.certified_below <= b.residual_guarantee
+        assert not [b for b in rep.branches if b.kind == "zero"]
+        assert "y = 0 is not reported: Q(0) vanishes" in rep.notes
+
+
+def first_integral_roots(q, center, bound, mode):
+    """The roots z of F(center + z) - F(center) - x = 0, F = int Q dy with
+    Q given by its coefficients ``q``: the solutions of dy/dx = 1/Q(y) with
+    y = center + z, by ``solve_algebraic`` alone."""
+    f = [F(0)] + [F(c) / (i + 1) for i, c in enumerate(q)]
+    shifted = [
+        sum(f[i] * comb(i, k) * F(center) ** (i - k) for i in range(k, len(f)))
+        for k in range(len(f))
+    ]
+    coeffs = [-X(1)] + [PuiseuxSeries.constant(c) for c in shifted[1:]]
+    return solve_algebraic(SeriesPolynomial(coeffs), bound, mode=mode).branches
+
+
+class TestFirstIntegralOracle:
+    """dy/dx = 1/Q(y) has the polynomial first integral F(y) - x, F = int Q
+    dy, so its branches are roots of an algebraic equation, computed
+    without the ODE engine."""
+
+    CASES = [
+        ([1, 1], "1 + y", [0, 1, -2, 3, F(1, 2)]),
+        ([1, 0, 1], "1 + y^2", [0, 1, -2, 3]),
+        ([2, -1, 0, 1], "2 - y + y^3", [0, 1, -2, 3]),
+    ]
+
+    @pytest.mark.parametrize("q, text, values", CASES)
+    def test_family_instances_match_the_level_set(self, q, text, values):
+        e = expand_rational(parse_ode(f"dy/dx = 1/({text})"))
+        for c in values:
+            (z,) = [
+                r.series for r in first_integral_roots(q, c, 6, "rational")
+                if r.series.valuation() > 0
+            ]
+            root = PuiseuxSeries.constant(c) + z
+            rep = solve_all(e, 5, resonance=[F(c)])
+            (b,) = [b for b in rep.branches if b.initial.case == "a"]
+            g = b.residual_guarantee
+            assert g >= 5
+            assert b.series.agrees_with(root, g + 1), (text, c, str(b.series))
+            assert verify_branch(e, b).meets(g)
+
+    def test_sympy_value(self):
+        # sympy: 1 + x/2 - x^2/16 + x^3/64 for Q = 1 + y through y = 1
+        e = expand_rational(parse_ode("dy/dx = 1/(1 + y)"))
+        (b,) = [
+            b for b in solve_all(e, 3, resonance=[F(1)]).branches
+            if b.initial.case == "a"
+        ]
+        assert str(b.series) == "1 + 1/2*x - 1/16*x^2 + 1/64*x^3 + O(x^4)"
+
+    @pytest.mark.parametrize(
+        "q, text, y0",
+        [([1, 1], "1 + y", -1), ([-2, -1, 1], "y^2 - y - 2", 2),
+         ([-2, -1, 1], "y^2 - y - 2", -1)],
+    )
+    def test_singular_branches_at_a_simple_root_of_q(self, q, text, y0):
+        r = parse_ode(f"dy/dx = 1/({text})")
+        center = PuiseuxSeries.constant(y0)
+        e = expand_rational(RationalODE(r.numer, r.denom, center=center))
+        singular = [
+            b for b in solve_all(e, 3, mode="algebraic").branches
+            if b.initial.exponent == F(1, 2)
+        ]
+        roots = {
+            r.series.coefficient(F(1, 2)): r.series
+            for r in first_integral_roots(q, y0, 4, "algebraic")
+            if r.series.valuation() == F(1, 2)
+        }
+        assert len(singular) == len(roots) == 2
+        for b in singular:
+            g = b.residual_guarantee
+            assert g >= F(5, 2)
+            assert b.series.agrees_with(roots[b.initial.coefficient], g + 1)

@@ -425,7 +425,9 @@ RATIONAL_ODES = [
     ("dy/dx = (y^2 + x)/(y^2 - y + 1)", None),
     ("dy/dx = (y)/(y + 1)", 1),
     ("dy/dx = (y + x)/(y + 1)", 2),
-    # tail slopes -1/2 (tail bases 1/2 and 1) and -1 of the dropped y-tail
+    ("dy/dx = (x+y^2)/(x^2+y)", None),
+    ("dy/dx = 1/(1+y)", -1),
+    # Q monomials at x^(-1): derivative lines of slope 2 and 3 beside x - 1
     ("dy/dx = (x + y)/(1 + x^(-1)*y^2)", None),
     ("dy/dx = (x + y^2)/(1 + x^(-1)*y^2)", None),
     ("dy/dx = (x^2 + y^2)/(1 + x^(-1)*y + x^(-1)*y^2)", None),
@@ -443,19 +445,18 @@ def seeded_odes(rng, count):
 
 
 def rational_odes():
-    """The ode-rational* equations, and three with a negative tail slope,
-    through ``expand_rational`` at the CLI's default y-order; (y + x^2)/(x*y)
-    has a monomial Q, which the parser divides out itself, so it is built
-    as a RationalODE here."""
+    """The ode-rational* equations, and three with Q monomials at x^(-1),
+    through ``expand_rational``; (y + x^2)/(x*y) has a monomial Q, which
+    the parser divides out itself, so it is built as a RationalODE here."""
     x, zero = PuiseuxSeries.x_power, PuiseuxSeries.zero()
-    yield expand_rational(RationalODE([x(2), x(0)], [zero, x(1)]), 6)
-    # a truncated quotient: coefficient caps under y^2 at a start x^(1/2)
-    yield expand_rational(RationalODE([x(F(1, 2)), zero, x(0)], [x(1) + x(2)]), 6)
+    yield expand_rational(RationalODE([x(2), x(0)], [zero, x(1)]))
+    # a Q without y: two parallel derivative lines, a start at x^(1/2)
+    yield expand_rational(RationalODE([x(F(1, 2)), zero, x(0)], [x(1) + x(2)]))
     for text, center in RATIONAL_ODES:
         r = parse_ode(text)
         if center is not None:
             r = RationalODE(r.numer, r.denom, center=PuiseuxSeries.constant(center))
-        yield expand_rational(r, 6)
+        yield expand_rational(r)
 
 
 def test_ode_layer_exponents_follow_the_rule():
@@ -469,14 +470,13 @@ def test_ode_layer_exponents_follow_the_rule():
     seen = {int: 0, F: 0}
     for e in [*seeded_odes(rng, 80), *rational_odes()]:
         exps = [x for m in e.monomials for x in (m.x_exp, m.y_exp)]
-        exps += [cap for _power, cap in e.coeff_caps]
-        exps += finite(e.tail_slope, e.tail_base)
+        exps += [x for q in e.derivative for x in (q.x_exp, q.y_exp)]
         exps += ode_contour(e).breaking_points()
         init = initial_terms(e)
         exps += [u.exponent for u in init.unresolved]
         for t in init.terms:
             exps.append(t.exponent)
-            # the caps of a rational reduction at the one-term start x^mu0
+            # the residual of the one-term start x^mu0, less val Q(y)
             start = verify_series(e, PuiseuxSeries.x_power(t.exponent))
             exps += finite(start.valuation, start.certified_below)
             if rational(t.resonant_index):
