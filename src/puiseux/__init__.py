@@ -64,7 +64,6 @@ from .ode import (
     IndexLattice,
     Monomial,
     MonomialODE,
-    RationalODE,
     SolutionBranch,
     SolveAllReport,
     VerifyResult,

@@ -34,8 +34,6 @@ from .liouville import LiouvilleError, Tower, parse_sexpr
 from .ode import (
     ClassificationError,
     FREE,
-    MonomialODE,
-    RationalODE,
     expand_rational,
     solve_all,
     verify_branch,
@@ -92,8 +90,8 @@ def main(argv=None):
     p_ode.add_argument("--resonance", default="symbolic",
                        help="'symbolic' or values=v1,v2,...")
     p_ode.add_argument("--center", type=_q, default=None,
-                       help="translate y by y0 in a rational right-hand "
-                       "side P(y)/Q(y); branches describe y - y0")
+                       help="translate y by y0 in Q(y)*dy/dx = P(y), P and Q "
+                       "polynomials in y; branches describe y - y0")
     p_ode.add_argument("--roots", choices=["rational", "algebraic"],
                        default="rational", dest="root_mode")
     p_ode.add_argument("--json", action="store_true")
@@ -189,11 +187,11 @@ def _run_algebraic(args):
 
 def _run_ode(args):
     eq = parse_ode(args.equation)
-    if isinstance(eq, RationalODE):
-        center = PuiseuxSeries.constant(args.center or 0)
-        eq = expand_rational(RationalODE(eq.numer, eq.denom, center=center))
-    elif args.center is not None:
-        raise ParseError("--center applies to rational right-hand sides")
+    if args.center is not None:
+        try:
+            eq = expand_rational(eq, args.center)
+        except SeriesError as err:
+            raise ParseError(f"--center: {err}") from None
     resonance = args.resonance
     if resonance != "symbolic":
         if not resonance.startswith("values="):
@@ -327,8 +325,7 @@ def _run_verify(args):
         )
     if args.ghosts:
         series_roots = [_root_as_series(r, args.bound) for r in roots]
-        gs = ghost_roots(series_roots, ks, ode=eq if isinstance(eq, MonomialODE) else None,
-                         bound=args.bound)
+        gs = ghost_roots(series_roots, ks, ode=eq, bound=args.bound)
         payload["ghosts"] = [
             {
                 "root": format_series(rec.root),
@@ -384,22 +381,18 @@ def _root_as_series(elem, bound):
 
 
 def _ode_as_polynomials(eq, tower):
-    if isinstance(eq, RationalODE):
-        P = [_series_elem(tower, c) for c in eq.numer]
-        Q = [_series_elem(tower, c) for c in eq.denom]
-        return P, Q
-    degrees = [m.y_exp for m in eq.monomials]
-    if any(d < 0 or d.denominator != 1 for d in degrees):
+    """P and Q of Q(y)*dy/dx = P(y), each a list of tower coefficients by
+    power of y."""
+    return [_tower_polynomial(side, tower) for side in (eq.monomials, eq.derivative)]
+
+
+def _tower_polynomial(monomials, tower):
+    if any(m.y_exp < 0 or m.y_exp.denominator != 1 for m in monomials):
         raise ParseError("verification needs a polynomial right-hand side")
-    n = int(max(degrees))
-    P = [tower.zero() for _ in range(n + 1)]
-    for m in eq.monomials:
-        P[int(m.y_exp)] = P[int(m.y_exp)] + _monomial_elem(tower, m)
-    return P, [tower.one()]
-
-
-def _series_elem(tower, series):
-    return tower.rational(_series_to_rat(series))
+    out = [tower.zero() for _ in range(max(m.y_exp for m in monomials) + 1)]
+    for m in monomials:
+        out[m.y_exp] = out[m.y_exp] + _monomial_elem(tower, m)
+    return out
 
 
 def _monomial_elem(tower, m):

@@ -542,13 +542,6 @@ def _param(nums, den, symbol):
     return p
 
 
-def substitute_parameter(c, value):
-    """Replace the free constant in a coefficient by ``value``."""
-    if isinstance(c, ParamPoly):
-        return c.substitute(as_coefficient(value))
-    return c
-
-
 def has_parameter(c) -> bool:
     return isinstance(c, ParamPoly) and c.degree >= 1
 

@@ -1,8 +1,9 @@
 """Formal Puiseux-series branch analysis of first-order ODEs.
 
-The equation is a finite monomial form ``Q(y)*dy/dx = P(y)``
-(:class:`MonomialODE`, Q = 1 by default); a right-hand side P(y)/Q(y)
-converts to it exactly through :func:`expand_rational`.  Solving proceeds
+Every equation is one finite monomial form ``Q(y)*dy/dx = P(y)``
+(:class:`MonomialODE`, Q = 1 by default): a right-hand side P(y)/Q(y) is
+read into it as it stands, and :func:`expand_rational` translates y by a
+constant exactly when P is polynomial in y.  Solving proceeds
 exactly as the theory prescribes: the equation contour (the lines of P
 plus a derivative line ``a + (b+1)*x - 1`` per monomial of Q) yields the
 admissible initial terms; each is classified as proper (the derivative
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd as _gcd
 
-from .algebraic import SeriesPolynomial, _as_series, _solve_beyond
+from .algebraic import SeriesPolynomial, _solve_beyond
 from .coefficients import (
     ParamPoly,
     UnsupportedSymbolic,
@@ -40,7 +41,6 @@ from .coefficients import (
     coefficient_sort_key,
     has_parameter,
     poly_roots,
-    substitute_parameter,
 )
 from .contour import Contour, Line
 from .polyutils import ptaylor_shift
@@ -132,26 +132,6 @@ class MonomialODE:
 
     def substitute(self, y, prec=None, branches=None):
         return substitute_series(self.monomials, y, prec=prec, branches=branches)
-
-
-@dataclass(frozen=True)
-class RationalODE:
-    """dy/dx = P(y)/Q(y), coefficients of P and Q are Puiseux series."""
-
-    numer: tuple  # P coefficients by y power
-    denom: tuple  # Q coefficients by y power
-    center: PuiseuxSeries = None
-
-    def __init__(self, numer, denom, center=None):
-        numer = tuple(_as_series(c) for c in numer)
-        denom = tuple(_as_series(c) for c in denom)
-        if all(c.is_exact_zero for c in denom):
-            raise SeriesError("Q must be nonzero")
-        if center is None:
-            center = PuiseuxSeries.zero()
-        object.__setattr__(self, "numer", numer)
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "center", center)
 
 
 # -- contours and initial terms ----------------------------------------------
@@ -496,15 +476,6 @@ class SolutionBranch:
     coincidence_orders: tuple = ()
     note: str = ""
 
-    def instantiate(self, value):
-        """Substitute a numeric value for the branch's free constant."""
-        value = as_coefficient(value)
-        terms = tuple(
-            (ex, substitute_parameter(c, value)) for ex, c in self.series.terms
-        )
-        series = PuiseuxSeries(terms, self.series.trunc)
-        return replace(self, series=series, free_constant=value)
-
     def sort_key(self):
         mu = float(self.series.val_floor()) if self.series.terms else float(
             self.initial.exponent if self.initial else 0
@@ -540,7 +511,7 @@ def _zero_branch(t):
 class VerifyResult:
     """Residual valuation of a branch, with its certified window."""
 
-    valuation: object  # int, Fraction or INF (no nonzero residual term seen)
+    valuation: object  # int, Fraction, INF (no nonzero residual term seen) or -INF
     certified_below: object
 
     def meets(self, guarantee):
@@ -563,14 +534,15 @@ def _needs_prec(e):
 
 def verify_series(e: MonomialODE, series: PuiseuxSeries, branches=None):
     """The valuation of y' - P(y)/Q(y): that of Q(y)*y' - P(y), certified by
-    substitution, less that of Q(y) (nothing certified without its term)."""
+    substitution, less that of Q(y).  Without a known term of Q(y), P/Q
+    cannot be evaluated at y: the valuation reads -INF, nothing certified."""
     prec = None
     if series.trunc == INF and len(series.terms) > 1 and _needs_prec(e):
         prec = _default_window(series)
     rhs = e.substitute(series, prec=prec, branches=branches)
     q = substitute_series(e.derivative, series)
     if not q.terms:
-        return VerifyResult(INF, -INF)
+        return VerifyResult(-INF, -INF)
     vq = q.terms[0][0]
     residual = q * series.differentiate() - rhs
     certified = _exponent(residual.trunc - vq)
@@ -1051,20 +1023,28 @@ def has_parameter_series(series: PuiseuxSeries) -> bool:
     return any(has_parameter(c) for _e, c in series.terms)
 
 
-# -- rational right-hand sides --------------------------------------------------
+# -- translation of y ---------------------------------------------------------
 
 
-def expand_rational(r: RationalODE) -> MonomialODE:
-    """Q(y)*dy/dx = P(y) with y measured from ``r.center``, exactly.
+def expand_rational(e: MonomialODE, center) -> MonomialODE:
+    """Q(y)*dy/dx = P(y) with y measured from the constant ``center``.
 
-    P and Q are shifted to the center by one Taylor shift each and their
-    monomials read off: nothing is inverted and nothing is truncated, so
-    every coefficient must be exact.
+    The translation y -> center + y is exact: P and Q, polynomials in y,
+    are shifted by one Taylor shift each and their monomials read off, so
+    nothing is inverted and nothing is truncated.  A negative or
+    fractional power of y in P has no such translation.  The benchmark
+    tracer (``bench/tracing.py``) patches this function by its name.
     """
+    if _needs_prec(e):
+        raise SeriesError("translating y needs a right-hand side polynomial in y")
+    center = PuiseuxSeries.constant(center)
     sides = []
-    for coeffs in (r.numer, r.denom):
-        if any(c.trunc != INF for c in coeffs):
-            raise SeriesError("P and Q need exact coefficients")
-        shifted = ptaylor_shift(coeffs, r.center)
+    for side in (e.monomials, e.derivative):
+        coeffs = [PuiseuxSeries.zero()] * (max(m.y_exp for m in side) + 1)
+        for m in side:
+            coeffs[m.y_exp] = coeffs[m.y_exp] + PuiseuxSeries.x_power(
+                m.x_exp, m.coefficient
+            )
+        shifted = ptaylor_shift(coeffs, center)
         sides.append([(nu, b, f) for b, c in enumerate(shifted) for nu, f in c.terms])
     return MonomialODE(*sides)

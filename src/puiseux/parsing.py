@@ -6,7 +6,7 @@ exponents written ``x^(p/q)``.  Values are fractions of finite
 "y-polynomials" whose coefficients are Puiseux series, so ``(y)/(1+y)``
 and ``x^(-2)*y^2 - x^(-1)`` both evaluate exactly.  The mode-specific
 entry points convert the evaluated value into a SeriesPolynomial, a
-MonomialODE/RationalODE or an integrating-factor problem, and
+MonomialODE or an integrating-factor problem, and
 ``parse_series_text`` round-trips the canonical series text form.
 """
 
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebraic import SeriesPolynomial
 from .first_integrals import IntegralFactorProblem, YSeries
-from .ode import MonomialODE, RationalODE
+from .ode import MonomialODE
 from .polyutils import ppow
 from .ratfunc import RatFunc
 from .series import INF, PuiseuxSeries
@@ -318,8 +318,9 @@ def parse_algebraic_equation(text: str) -> SeriesPolynomial:
 
 
 def parse_ode(text: str):
-    """`dy/dx = ...` to a MonomialODE, or a RationalODE when the
-    right-hand side has a genuine polynomial denominator."""
+    """`dy/dx = ...` to the MonomialODE Q(y)*dy/dx = P(y), where P/Q is the
+    right-hand side: P and Q must be polynomials in y when Q is a genuine
+    sum, and Q = 1 when the right-hand side has no such denominator."""
     stripped = text.strip()
     for prefix in ("dy/dx", "y'"):
         if stripped.startswith(prefix):
@@ -367,21 +368,27 @@ def _clear_denominator(value):
 
 
 def _value_to_ode(value):
-    # _Val has already folded every single-term denominator into value.num
-    if value.den == {Fraction(0): PuiseuxSeries.one()}:
-        return MonomialODE(
-            (nu, sig, f) for sig, series in value.num.items() for nu, f in series.terms
-        )
-    numer = _y_coefficients(value.num, "P must be a polynomial in y")
-    denom = _y_coefficients(value.den, "Q must be a polynomial in y")
-    return RationalODE(numer, denom)
+    """Q(y)*dy/dx = P(y) from P/Q, with Q = 1 when the denominator folded
+    away (_Val folds every single-term denominator into value.num)."""
+    if value.den != {Fraction(0): PuiseuxSeries.one()}:
+        _require_polynomial(value.num, "P must be a polynomial in y")
+        _require_polynomial(value.den, "Q must be a polynomial in y")
+    return MonomialODE(_monomials(value.num), _monomials(value.den))
+
+
+def _monomials(ydict):
+    return [(nu, sig, f) for sig, series in ydict.items() for nu, f in series.terms]
+
+
+def _require_polynomial(ydict, message):
+    if any(d < 0 or d.denominator != 1 for d in ydict):
+        raise ParseError(message)
 
 
 def _y_coefficients(ydict, message):
     """The coefficient list, by power of y, of a y-dict with integer keys >= 0."""
+    _require_polynomial(ydict, message)
     degrees = sorted(ydict)
-    if degrees and (degrees[0] < 0 or any(d.denominator != 1 for d in degrees)):
-        raise ParseError(message)
     n = int(degrees[-1]) if degrees else 0
     out = [PuiseuxSeries.zero() for _ in range(n + 1)]
     for d, c in ydict.items():

@@ -442,20 +442,13 @@ def default_branch(c, sigma):
 def substitute_series(monomials, y, prec=None, branches=None):
     """Evaluate ``sum f * x^nu * y^sigma`` at a series ``y``.
 
-    ``monomials`` is any iterable of ``(nu, sigma, f)`` triples (objects with
-    ``x_exp``/``y_exp``/``coefficient`` attributes work too).  ``branches``,
-    when given, is a callable from sigma to the root branch used for
-    ``y**sigma`` (None for the default branch).
+    ``monomials`` is any iterable of ``(nu, sigma, f)`` triples, such as
+    the monomials of an ODE.  ``branches``, when given, is a callable from
+    sigma to the root branch used for ``y**sigma`` (None for the default
+    branch).
     """
-    triples = []
-    for m in monomials:
-        if hasattr(m, "x_exp"):
-            triples.append((m.x_exp, m.y_exp, m.coefficient))
-        else:
-            nu, sigma, f = m
-            triples.append((Fraction(nu), Fraction(sigma), as_coefficient(f)))
     by_sigma = {}
-    for nu, sigma, f in triples:
+    for nu, sigma, f in monomials:
         by_sigma.setdefault(sigma, []).append((nu, f))
     total = PuiseuxSeries.zero()
     for sigma, terms in sorted(by_sigma.items()):

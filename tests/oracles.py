@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
-from puiseux.coefficients import as_coefficient
+from puiseux.coefficients import ParamPoly, as_coefficient
 from puiseux.series import PuiseuxSeries, SeriesError, _as_exponent, _semigroup
 
 
@@ -86,6 +87,19 @@ def multinomial_weight(sigma, counts):
         for k in range(2, c + 1):
             rest /= Fraction(k)
     return w * rest
+
+
+def instantiate(branch, value):
+    """``branch`` with the numeric ``value`` put for its free constant,
+    coefficient by coefficient: the family read at one member, built
+    without the numeric walk of ``continue_proper(..., c_r=value)``."""
+    value = as_coefficient(value)
+    terms = tuple(
+        (ex, c.substitute(value) if isinstance(c, ParamPoly) else c)
+        for ex, c in branch.series.terms
+    )
+    series = PuiseuxSeries(terms, branch.series.trunc)
+    return replace(branch, series=series, free_constant=value)
 
 
 def branch_count_bound(e) -> int:

@@ -255,6 +255,24 @@ class TestOde:
         assert code == EXIT_OK
         assert "1/2*x + 1/16*x^2" in out
 
+    def test_center_translates_a_polynomial_right_hand_side(self, capsys):
+        # y' = y about y = 1 is y' = 1 + y, translated by hand
+        _, shifted, _ = run(
+            capsys, "ode", "--bound", "3", "--json", "--center", "1", "dy/dx = y"
+        )
+        _, by_hand, _ = run(capsys, "ode", "--bound", "3", "--json", "dy/dx = 1 + y")
+        shifted, by_hand = json.loads(shifted), json.loads(by_hand)
+        assert shifted.pop("equation") == "dy/dx = y"
+        assert by_hand.pop("equation") == "dy/dx = 1 + y"
+        assert shifted == by_hand
+
+    @pytest.mark.parametrize("rhs", ["y^(1/2)", "x*y^(-1)"])
+    def test_center_needs_a_polynomial_in_y(self, capsys, rhs):
+        code, out, err = run(capsys, "ode", "--center", "1", f"dy/dx = {rhs}")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "polynomial in y" in err
+
     def test_fractional_sigma(self, capsys):
         code, out, _ = run(capsys, "ode", "--bound", "4", "dy/dx = y^(1/2)")
         assert code == EXIT_OK
@@ -340,3 +358,26 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY
         assert "1/2*x" in out and "ghost" in out
+
+    @staticmethod
+    def ghosts(capsys, equation, roots):
+        code, out, _ = run(
+            capsys, "verify", "--json", "--ode", equation, "--alpha", "1",
+            "--roots", roots, "--k", "1,1", "--ghosts",
+        )
+        assert code == EXIT_VERIFY
+        return json.loads(out)["ghosts"]
+
+    def test_rational_ghosts_are_checked(self, capsys):
+        # y' = (1+y)/(2+2*y) is y' = 1/2, so y = x/2 is a solution of both
+        rational = self.ghosts(capsys, "dy/dx = (1+y)/(2+2*y)", "0; x")
+        assert rational == self.ghosts(capsys, "dy/dx = 1/2", "0; x")
+        assert rational == [
+            {"root": "1/2*x", "is_ghost": False, "residual_valuation": "inf"}
+        ]
+
+    def test_root_where_q_vanishes_is_a_ghost(self, capsys):
+        # the level-set root y = -1 of y' = 1/(1+y) makes Q vanish
+        assert self.ghosts(capsys, "dy/dx = 1/(1+y)", "0; -2") == [
+            {"root": "-1", "is_ghost": True, "residual_valuation": "-inf"}
+        ]

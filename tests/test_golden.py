@@ -92,6 +92,10 @@ CASES = {
     "verify-ghost": (
         5, ["verify", "--ode", "dy/dx = x^(-2)*y^2", "--alpha", "1",
             "--roots", "0; x", "--k", "1,1", "--ghosts"]),
+    # a rational right-hand side: y = x/2 solves y' = (1+y)/(2+2*y) = 1/2
+    "verify-rational-ghosts": (
+        5, ["verify", "--ode", "dy/dx = (1+y)/(2+2*y)", "--alpha", "1",
+            "--roots", "0; x", "--k", "1,1", "--ghosts"]),
     "verify-tower-constant": (
         0, ["verify", "--ode", "dy/dx = -x^(-1)*y",
             "--alpha", "(exp (int (/ 1 x)))", "--roots", "0", "--k", "1"]),

@@ -25,8 +25,6 @@ from puiseux.ode import (
     NO_CONTINUATION,
     PROPER,
     RESONANT_FREE,
-    RationalODE,
-    SolutionBranch,
     UNIQUE,
     classify,
     continue_proper,
@@ -42,7 +40,7 @@ from puiseux.ode import (
 from puiseux.parsing import parse_ode
 from puiseux.series import INF, BranchError, PuiseuxSeries, SeriesError
 
-from oracles import branch_count_bound, nondecomposable_for
+from oracles import branch_count_bound, instantiate, nondecomposable_for
 
 X = PuiseuxSeries.x_power
 ONE = PuiseuxSeries.one()
@@ -694,9 +692,9 @@ class TestSolveAll:
         rep = solve_all(e, 4)
         (family,) = rep.branches
         # the family c*exp(x + x^2/2); its truncations all verify
-        inst = family.instantiate(3)
+        inst = instantiate(family, 3)
         assert verify_branch(e, inst).valuation == INF
-        zero = family.instantiate(0)
+        zero = instantiate(family, 0)
         assert zero.series.is_zero
 
     def test_zero_branch_emitted_without_family(self):
@@ -733,15 +731,10 @@ class TestSolveAll:
         assert {c.symbol for c in params} == {"C1"}
         assert str(family.series).startswith("C1 + (C1 - 2*C1^2)*x + ")
 
-    def test_values_are_walked_numerically(self, monkeypatch):
-        # --resonance values= walks each value; it never instantiates the
-        # symbolic family, so the two stay independent constructions
+    def test_values_are_walked_numerically(self):
+        # --resonance values= walks each value, so the branch is the
+        # numeric walk itself, not the symbolic family read at C = 1
         e = MonomialODE([(-1, 1, 1), (1, 0, 1), (0, 2, 1)])
-
-        def refuse(self, value):
-            raise AssertionError("the symbolic family was instantiated")
-
-        monkeypatch.setattr(SolutionBranch, "instantiate", refuse)
         (b,) = [
             b for b in solve_all(e, 12, resonance=[F(1)]).branches
             if b.initial is not None and b.initial.case == "c"
@@ -764,7 +757,7 @@ class TestSolveAll:
         params = [c for _e, c in family.series.terms if isinstance(c, ParamPoly)]
         assert max(c.degree for c in params) >= 20
         for value in (0, 1, F(-2, 3), F(7, 5)):
-            instance = family.instantiate(value)
+            instance = instantiate(family, value)
             walk = continue_proper(e, family.initial, 48, c_r=value)
             assert instance.series.terms == walk.series.terms
             assert instance.series.trunc == walk.series.trunc
@@ -840,7 +833,7 @@ class TestLevelCoefficients:
         assert b.series.coefficient(0) == c1 * c1
         assert b.residual_guarantee >= 5
         for value in (1, 2, F(-1, 3)):
-            inst = b.instantiate(value)
+            inst = instantiate(b, value)
             assert verify_branch(e, inst).meets(b.residual_guarantee)
 
     @pytest.mark.parametrize("nu", [-2, -3])
@@ -879,60 +872,68 @@ class TestLevelCoefficients:
 
 
 class TestExpandRational:
-    """``expand_rational`` is the exact converter of P(y)/Q(y) to the
-    monomial form Q(y)*y' = P(y): nothing inverted, nothing truncated."""
+    """``expand_rational`` translates Q(y)*y' = P(y) by a constant center,
+    y -> center + y, exactly: nothing inverted, nothing truncated."""
 
     @staticmethod
     def sides(e):
         return [tuple(m) for m in e.monomials], [tuple(q) for q in e.derivative]
 
     def test_polynomial_passthrough(self):
-        # Q = 1 is the monomial equation dy/dx = P, field for field
-        r = RationalODE([PuiseuxSeries.zero(), PuiseuxSeries.zero(), ONE], [ONE])
-        e = expand_rational(r)
-        assert e == MonomialODE([(0, 2, 1)])
-        assert self.sides(e) == ([(0, 2, 1)], [(0, 0, 1)])
+        # Q = 1 stays Q = 1, field for field; center 0 changes nothing
+        for e in (E_SQUARE, E_MIXED, E_NEGRES):
+            assert expand_rational(e, 0) == e
+        # dy/dx = y about y = 1 is dy/dx = 1 + y
+        assert expand_rational(MonomialODE([(0, 1, 1)]), 1) == MonomialODE(
+            [(0, 0, 1), (0, 1, 1)]
+        )
+        assert self.sides(expand_rational(E_SQUARE, F(1, 2))) == (
+            [(0, 0, F(1, 4)), (0, 1, 1), (0, 2, 1)], [(0, 0, 1)]
+        )
 
     def test_monomial_denominator_exact(self):
-        r = RationalODE([ONE], [PuiseuxSeries.zero(), ONE])
-        assert self.sides(expand_rational(r)) == ([(0, 0, 1)], [(0, 1, 1)])
-
-    def test_nothing_is_truncated(self):
-        zero = PuiseuxSeries.zero()
-        # y/(1 + y): both sides keep their monomials, no series for 1/Q
-        r = RationalODE([zero, ONE], [ONE, ONE])
-        assert self.sides(expand_rational(r)) == (
-            [(0, 1, 1)], [(0, 0, 1), (0, 1, 1)]
-        )
-        # a denominator 1 + x without y is a Q too, not a truncated inverse
-        r = RationalODE([zero, ONE], [ONE + X(1)])
-        assert self.sides(expand_rational(r)) == (
-            [(0, 1, 1)], [(0, 0, 1), (1, 0, 1)]
-        )
-        # a truncated coefficient has no exact monomial form
-        with pytest.raises(SeriesError):
-            expand_rational(RationalODE([ONE.with_trunc(3)], [ONE, ONE]))
-
-    def test_pole_at_center(self):
-        # a root of Q at the center is no error: Q(y) keeps its root
-        r = RationalODE([ONE], [PuiseuxSeries.zero(), ONE, ONE])
-        assert self.sides(expand_rational(r)) == (
-            [(0, 0, 1)], [(0, 1, 1), (0, 2, 1)]
+        # y*y' = 1 (dy/dx = 1/y): about y = 2 the monomial Q = y is 2 + y
+        e = MonomialODE([(0, 0, 1)], [(0, 1, 1)])
+        assert self.sides(expand_rational(e, 0)) == ([(0, 0, 1)], [(0, 1, 1)])
+        assert self.sides(expand_rational(e, 2)) == (
+            [(0, 0, 1)], [(0, 0, 2), (0, 1, 1)]
         )
 
     def test_center_translation_is_exact(self):
         # (y + x)/(y + 1) about y = 2: P = (2 + x) + y and Q = 3 + y
-        center = PuiseuxSeries.constant(2)
-        r = RationalODE([X(1), ONE], [ONE, ONE], center=center)
-        assert self.sides(expand_rational(r)) == (
+        e = MonomialODE([(0, 1, 1), (1, 0, 1)], [(0, 0, 1), (0, 1, 1)])
+        assert self.sides(expand_rational(e, 2)) == (
             [(0, 0, 2), (0, 1, 1), (1, 0, 1)], [(0, 0, 3), (0, 1, 1)]
+        )
+
+    def test_nothing_is_truncated(self):
+        # y/(1 + y) about y = 1: both sides keep their monomials, no series
+        # for 1/Q
+        e = MonomialODE([(0, 1, 1)], [(0, 0, 1), (0, 1, 1)])
+        assert self.sides(expand_rational(e, 1)) == (
+            [(0, 0, 1), (0, 1, 1)], [(0, 0, 2), (0, 1, 1)]
+        )
+        # a Q = 1 + x without y is translated as it stands
+        e = MonomialODE([(0, 1, 1)], [(0, 0, 1), (1, 0, 1)])
+        assert self.sides(expand_rational(e, 1)) == (
+            [(0, 0, 1), (0, 1, 1)], [(0, 0, 1), (1, 0, 1)]
+        )
+        # a negative or fractional power of y has no exact translation
+        for e in (MonomialODE([(0, F(1, 2), 1)]), MonomialODE([(1, -2, 1)])):
+            with pytest.raises(SeriesError, match="polynomial in y"):
+                expand_rational(e, 1)
+
+    def test_pole_at_center(self):
+        # a root of Q at the center is no error: Q(y) keeps its root
+        e = MonomialODE([(0, 0, 1)], [(0, 0, 2), (0, 1, 3), (0, 2, 1)])
+        assert self.sides(expand_rational(e, -1)) == (
+            [(0, 0, 1)], [(0, 1, 1), (0, 2, 1)]
         )
 
     def test_quotient_continues_to_the_bound(self):
         # dy/dx = x^-2 y^2 / (1 + y^2): no y-tail is dropped, so the walk
         # reaches the bound
-        zero = PuiseuxSeries.zero()
-        e = expand_rational(RationalODE([zero, zero, X(-2)], [ONE, zero, ONE]))
+        e = MonomialODE([(-2, 2, 1)], [(0, 0, 1), (0, 2, 1)])
         (t,) = [t for t in initial_terms(e).terms if t.exponent == 1]
         b = continue_proper(e, t, 6, c_r=2)
         assert b.residual_guarantee >= 6
@@ -941,15 +942,17 @@ class TestExpandRational:
         assert b.series.coefficient(3) == 3
 
     def test_guarantees_flow_to_verify(self):
-        e = expand_rational(RationalODE([PuiseuxSeries.zero(), ONE], [ONE, ONE]))
-        for bound in (3, 6):
-            for resonance in ("symbolic", [F(1), F(-2), F(3)]):
-                for b in solve_all(e, bound, resonance=resonance).branches:
-                    assert verify_branch(e, b).meets(b.residual_guarantee)
+        e = MonomialODE([(0, 1, 1)], [(0, 0, 1), (0, 1, 1)])
+        for center in (0, 1, F(-1, 2)):
+            t = expand_rational(e, center)
+            for bound in (3, 6):
+                for resonance in ("symbolic", [F(1), F(-2), F(3)]):
+                    for b in solve_all(t, bound, resonance=resonance).branches:
+                        assert verify_branch(t, b).meets(b.residual_guarantee)
 
     def test_start_where_q_vanishes_is_named(self):
         # dy/dx = 1/(1 + y) through y = -1: Q(-1) = 0, reached by --center
-        e = expand_rational(RationalODE([ONE], [ONE, ONE]))
+        e = MonomialODE([(0, 0, 1)], [(0, 0, 1), (0, 1, 1)])
         rep = solve_all(e, 3, resonance=[F(-1), F(1)])
         assert [b.series.coefficient(0) for b in rep.branches] == [1, 0]
         (note,) = rep.notes
@@ -957,13 +960,12 @@ class TestExpandRational:
 
     def test_common_factor_prints_no_spurious_branch(self):
         # (y^2 - y)/(y^2 - 1): Q*y' = P holds for y = 1, y' = P/Q does not
-        zero = PuiseuxSeries.zero()
-        e = expand_rational(RationalODE([zero, -ONE, ONE], [-ONE, zero, ONE]))
+        e = MonomialODE([(0, 1, -1), (0, 2, 1)], [(0, 0, -1), (0, 2, 1)])
         rep = solve_all(e, 3, resonance=[F(1)])
         assert all(b.series.coefficient(0) != 1 for b in rep.branches)
         assert any("y = 1 + ..." in n for n in rep.notes)
         # (y^2)/(y^2 + y): y = 0 makes Q vanish and is not printed
-        e = expand_rational(RationalODE([zero, zero, ONE], [zero, ONE, ONE]))
+        e = MonomialODE([(0, 2, 1)], [(0, 1, 1), (0, 2, 1)])
         rep = solve_all(e, 3)
         assert not [b for b in rep.branches if b.kind == "zero"]
         assert "y = 0 is not reported: Q(0) vanishes" in rep.notes
@@ -995,7 +997,8 @@ class TestFirstIntegralOracle:
 
     @pytest.mark.parametrize("q, text, values", CASES)
     def test_family_instances_match_the_level_set(self, q, text, values):
-        e = expand_rational(parse_ode(f"dy/dx = 1/({text})"))
+        e = parse_ode(f"dy/dx = 1/({text})")
+        assert e == MonomialODE([(0, 0, 1)], [(0, i, c) for i, c in enumerate(q)])
         for c in values:
             (z,) = [
                 r.series for r in first_integral_roots(q, c, 6, "rational")
@@ -1011,7 +1014,7 @@ class TestFirstIntegralOracle:
 
     def test_sympy_value(self):
         # sympy: 1 + x/2 - x^2/16 + x^3/64 for Q = 1 + y through y = 1
-        e = expand_rational(parse_ode("dy/dx = 1/(1 + y)"))
+        e = parse_ode("dy/dx = 1/(1 + y)")
         (b,) = [
             b for b in solve_all(e, 3, resonance=[F(1)]).branches
             if b.initial.case == "a"
@@ -1024,9 +1027,7 @@ class TestFirstIntegralOracle:
          ([-2, -1, 1], "y^2 - y - 2", -1)],
     )
     def test_singular_branches_at_a_simple_root_of_q(self, q, text, y0):
-        r = parse_ode(f"dy/dx = 1/({text})")
-        center = PuiseuxSeries.constant(y0)
-        e = expand_rational(RationalODE(r.numer, r.denom, center=center))
+        e = expand_rational(parse_ode(f"dy/dx = 1/({text})"), y0)
         singular = [
             b for b in solve_all(e, 3, mode="algebraic").branches
             if b.initial.exponent == F(1, 2)

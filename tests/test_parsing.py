@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from puiseux.algebraic import solve_algebraic
-from puiseux.ode import MonomialODE, RationalODE
 from puiseux.parsing import (
     ParseError,
     parse_algebraic_equation,
@@ -41,19 +40,28 @@ class TestAlgebraicGrammar:
 class TestOdeGrammar:
     def test_monomial_form(self):
         e = parse_ode("dy/dx = x^(-2)*y^2 - x^(-1)")
-        assert isinstance(e, MonomialODE)
+        assert [tuple(q) for q in e.derivative] == [(0, 0, 1)]
         triples = [(m.x_exp, m.y_exp, m.coefficient) for m in e.monomials]
         assert triples == [(-2, 2, 1), (-1, 0, -1)]
 
     def test_rational_form(self):
+        # P/Q is read as Q(y)*dy/dx = P(y), both sides monomial by monomial
         e = parse_ode("dy/dx = (y)/(1+y)")
-        assert isinstance(e, RationalODE)
-        assert [str(c) for c in e.numer] == ["0", "1"]
-        assert [str(c) for c in e.denom] == ["1", "1"]
+        assert [tuple(m) for m in e.monomials] == [(0, 1, 1)]
+        assert [tuple(q) for q in e.derivative] == [(0, 0, 1), (0, 1, 1)]
+        # a denominator without y is a Q too
+        e = parse_ode("dy/dx = (x + y)/(1 + x)")
+        assert [tuple(m) for m in e.monomials] == [(0, 1, 1), (1, 0, 1)]
+        assert [tuple(q) for q in e.derivative] == [(0, 0, 1), (1, 0, 1)]
+        # over a genuine sum both sides must be polynomials in y
+        with pytest.raises(ParseError, match="P must be a polynomial in y"):
+            parse_ode("dy/dx = y^(1/2)/(1+y)")
+        with pytest.raises(ParseError, match="Q must be a polynomial in y"):
+            parse_ode("dy/dx = 1/(1+y^(1/2))")
 
     def test_monomial_denominator_folds(self):
         e = parse_ode("dy/dx = (1 + x)/(x*y^2)")
-        assert isinstance(e, MonomialODE)
+        assert [tuple(q) for q in e.derivative] == [(0, 0, 1)]
         triples = [(m.x_exp, m.y_exp, m.coefficient) for m in e.monomials]
         assert triples == [(-1, -2, 1), (0, -2, 1)]
 

@@ -23,7 +23,6 @@ from puiseux.coefficients import AlgebraicNumber, ParamPoly, sqrt_field
 from puiseux.ode import (
     PROPER,
     MonomialODE,
-    RationalODE,
     classify,
     expand_rational,
     index_lattice,
@@ -446,17 +445,15 @@ def seeded_odes(rng, count):
 
 def rational_odes():
     """The ode-rational* equations, and three with Q monomials at x^(-1),
-    through ``expand_rational``; (y + x^2)/(x*y) has a monomial Q, which
-    the parser divides out itself, so it is built as a RationalODE here."""
-    x, zero = PuiseuxSeries.x_power, PuiseuxSeries.zero()
-    yield expand_rational(RationalODE([x(2), x(0)], [zero, x(1)]))
+    each translated to its center by ``expand_rational``; (y + x^2)/(x*y)
+    has a monomial Q, which the parser divides out itself, so it is built
+    as the MonomialODE (x*y)*y' = x^2 + y here."""
+    yield MonomialODE([(2, 0, 1), (0, 1, 1)], [(1, 1, 1)])
     # a Q without y: two parallel derivative lines, a start at x^(1/2)
-    yield expand_rational(RationalODE([x(F(1, 2)), zero, x(0)], [x(1) + x(2)]))
+    yield MonomialODE([(F(1, 2), 0, 1), (0, 2, 1)], [(1, 0, 1), (2, 0, 1)])
     for text, center in RATIONAL_ODES:
-        r = parse_ode(text)
-        if center is not None:
-            r = RationalODE(r.numer, r.denom, center=PuiseuxSeries.constant(center))
-        yield expand_rational(r)
+        e = parse_ode(text)
+        yield e if center is None else expand_rational(e, center)
 
 
 def test_ode_layer_exponents_follow_the_rule():
