@@ -40,10 +40,13 @@ from .ode import (
 )
 from .parsing import (
     ParseError,
+    _eval,
+    _series_to_ratfunc,
     parse_algebraic_equation,
     parse_integral_factor_problem,
     parse_ode,
 )
+from .polyutils import pdense
 from .series import INF, PoleError, PuiseuxSeries, SeriesError, format_series
 
 EXIT_OK = 0
@@ -352,22 +355,14 @@ def _tower_operand(text, tower):
         raise ParseError(
             "tower operands are exact: infix rational functions or s-expressions"
         )
-    from .parsing import _eval
-
     value = _eval(text)
     if set(value.num) - {Fraction(0)}:
         raise ParseError("tower operands cannot contain y")
     num = value.num.get(Fraction(0), PuiseuxSeries.zero())
     den = value.den.get(Fraction(0), PuiseuxSeries.one())
-    return tower.rational(_series_to_rat(num)) / tower.rational(
-        _series_to_rat(den)
+    return tower.rational(_series_to_ratfunc(num, "operand")) / tower.rational(
+        _series_to_ratfunc(den, "operand")
     )
-
-
-def _series_to_rat(series):
-    from .parsing import _series_to_ratfunc
-
-    return _series_to_ratfunc(series, "operand")
 
 
 def _root_as_series(elem, bound):
@@ -389,10 +384,8 @@ def _ode_as_polynomials(eq, tower):
 def _tower_polynomial(monomials, tower):
     if any(m.y_exp < 0 or m.y_exp.denominator != 1 for m in monomials):
         raise ParseError("verification needs a polynomial right-hand side")
-    out = [tower.zero() for _ in range(max(m.y_exp for m in monomials) + 1)]
-    for m in monomials:
-        out[m.y_exp] = out[m.y_exp] + _monomial_elem(tower, m)
-    return out
+    terms = [(m.y_exp, _monomial_elem(tower, m)) for m in monomials]
+    return pdense(terms, tower.zero())
 
 
 def _monomial_elem(tower, m):

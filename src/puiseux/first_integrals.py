@@ -359,8 +359,8 @@ def verify_constant(cand: FirstIntegralCandidate, P, Q) -> ConstantVerdict:
     structural zero-testing treats distinct integrals as independent.
     """
     tower = cand.alpha.tower
-    P = [_as_element(tower, c) for c in P]
-    Q = [_as_element(tower, c) for c in Q]
+    P = [tower._as_element(c) for c in P]
+    Q = [tower._as_element(c) for c in Q]
     dlog_alpha = cand.alpha.differentiate() / cand.alpha
     linear = [[-r, tower.one()] for r in cand.roots]
     residual = [c * dlog_alpha for c in reduce(pmul, linear)]
@@ -388,12 +388,6 @@ def verify_constant(cand: FirstIntegralCandidate, P, Q) -> ConstantVerdict:
     )
 
 
-def _as_element(tower, c):
-    if isinstance(c, Element):
-        return c
-    return tower.rational(c if isinstance(c, (int, Fraction, RatFunc)) else Fraction(c))
-
-
 # -- ghost roots ------------------------------------------------------------------
 
 
@@ -414,14 +408,13 @@ class GhostSet:
         return [r.root for r in self.records if r.is_ghost]
 
 
-def ghost_roots(roots, exponents, ode: MonomialODE = None, bound=4,
-                mode="algebraic") -> GhostSet:
+def ghost_roots(roots, exponents, ode: MonomialODE, bound=4) -> GhostSet:
     """Roots of sum k_l / (y - y_l) = 0 in cleared-denominator form.
 
     ``roots`` are Puiseux series; each solution of the cleared equation is
-    checked against the substitution oracle of ``ode`` (when given) and
-    labeled a ghost exactly when it fails.  Irrational level-set roots are
-    adjoined exactly by default (``mode='algebraic'``).
+    checked against the substitution oracle of ``ode`` and labeled a ghost
+    exactly when it fails.  Irrational level-set roots are adjoined
+    exactly.
     """
     if len(roots) < 2:
         raise ValueError("ghost analysis needs at least two distinct roots")
@@ -433,12 +426,9 @@ def ghost_roots(roots, exponents, ode: MonomialODE = None, bound=4,
     ))
     if len(coeffs) <= 1:
         return GhostSet([])  # degenerate numerator: no candidate roots
-    result = solve_algebraic(SeriesPolynomial(coeffs), bound, mode=mode)
+    result = solve_algebraic(SeriesPolynomial(coeffs), bound, mode="algebraic")
     records = []
     for b in result.branches:
-        if ode is None:
-            records.append(GhostRecord(b.series, None, True))
-            continue
         v = verify_series(ode, b.series)
         records.append(GhostRecord(b.series, v.valuation, v.valuation != INF))
     return GhostSet(records, unresolved=result.unresolved)
@@ -473,8 +463,8 @@ def riccati_bridge(a, b, z: Element) -> RiccatiBridgeResult:
     differentiation rather than assuming it.
     """
     tower = z.tower
-    a = _as_element(tower, a)
-    b = _as_element(tower, b)
+    a = tower._as_element(a)
+    b = tower._as_element(b)
     if z.is_zero:
         raise ZeroDivisionError("z must be nonzero")
     dz = z.differentiate()

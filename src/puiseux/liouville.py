@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyutils import ppow
+from .polyutils import ppow, sadd, smul
 from .ratfunc import RatFunc
 
 
@@ -158,58 +158,23 @@ class Tower:
         return -(num / dpoly)
 
 
-def _pad(key, n):
-    return tuple(key) + (0,) * (n - len(key))
-
-
-def _trim(key):
-    key = list(key)
-    while key and key[-1] == 0:
+def _key_sum(a, b):
+    """The trimmed elementwise sum of two exponent keys."""
+    if len(a) < len(b):
+        a, b = b, a
+    key = [x + y for x, y in zip(a, b)] + list(a[len(b):])
+    while key and not key[-1]:
         key.pop()
     return tuple(key)
 
 
-def _dict_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        if k in out:
-            s = out[k] + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        else:
-            out[k] = v
-    return out
-
-
-def _dict_neg(a):
-    return {k: -v for k, v in a.items()}
-
-
-def _dict_mul(a, b):
+def _mul(a, b):
     # the unit's key () adds nothing to a trimmed key
     if b is _UNIT:
         return dict(a)
     if a is _UNIT:
         return dict(b)
-    out = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            n = max(len(k1), len(k2))
-            key = _trim(
-                tuple(x + y for x, y in zip(_pad(k1, n), _pad(k2, n)))
-            )
-            prod = v1 * v2
-            if key in out:
-                s = out[key] + prod
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-            elif prod:
-                out[key] = prod
-    return out
+    return smul(a, b, _key_sum)
 
 
 class Element:
@@ -233,38 +198,21 @@ class Element:
             raise ZeroDivisionError("denominator reduced to zero")
         if not num:
             den = _UNIT  # zero has the one form 0/1
-        # cancel a common pure-monomial denominator where legal
+        # cancel a common pure-monomial denominator unless an int or root
+        # generator would get a negative exponent (expint ones are units)
         elif len(den) == 1:
             (dkey, dval), = den.items()
-            if dkey and all(self._laurent_ok(dkey, nkey) for nkey in num):
-                num = {
-                    _trim(
-                        tuple(
-                            a - b
-                            for a, b in zip(
-                                _pad(k, max(len(k), len(dkey))),
-                                _pad(dkey, max(len(k), len(dkey))),
-                            )
-                        )
-                    ): v / dval
-                    for k, v in num.items()
-                }
-                den = _UNIT
-            elif not dkey:
-                if dval != _ONE:
-                    num = {k: v / dval for k, v in num.items()}
+            inv = tuple(-e for e in dkey) if dkey else ()
+            if not dkey or all(
+                e >= 0 or self.tower.gens[i].kind == EXPINT
+                for k in num
+                for i, e in enumerate(_key_sum(k, inv))
+            ):
+                if dkey or dval != _ONE:
+                    num = {_key_sum(k, inv): v / dval for k, v in num.items()}
                 den = _UNIT
         self.num = num
         self.den = den
-
-    def _laurent_ok(self, dkey, nkey):
-        """Monomial division is allowed when no int/root generator would
-        end up with a negative exponent (expint generators are units)."""
-        n = max(len(dkey), len(nkey))
-        for i, (d, m) in enumerate(zip(_pad(dkey, n), _pad(nkey, n))):
-            if m - d < 0 and self.tower.gens[i].kind != EXPINT:
-                return False
-        return True
 
     # -- structure ----------------------------------------------------------
 
@@ -326,15 +274,13 @@ class Element:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _dict_add(
-            _dict_mul(self.num, o.den), _dict_mul(o.num, self.den)
-        )
-        return Element(self.tower, num, _dict_mul(self.den, o.den))
+        num = sadd(_mul(self.num, o.den), _mul(o.num, self.den))
+        return Element(self.tower, num, _mul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.tower, _dict_neg(self.num), self.den)
+        return Element(self.tower, {k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -349,11 +295,7 @@ class Element:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Element(
-            self.tower,
-            _dict_mul(self.num, o.num),
-            _dict_mul(self.den, o.den),
-        )
+        return Element(self.tower, _mul(self.num, o.num), _mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -363,11 +305,7 @@ class Element:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by a zero tower element")
-        return Element(
-            self.tower,
-            _dict_mul(self.num, o.den),
-            _dict_mul(self.den, o.num),
-        )
+        return Element(self.tower, _mul(self.num, o.den), _mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -418,13 +356,8 @@ def _dict_derivative(tower, d):
         for i, e in enumerate(key):
             if not e:
                 continue
-            lowered = list(_pad(key, len(tower.gens)))
-            lowered[i] -= 1
-            lower_mono = Element(
-                tower,
-                {_trim(tuple(lowered)): coeff * Fraction(e)},
-                _UNIT,
-            )
+            lowered = _key_sum(key, (0,) * i + (-1,))
+            lower_mono = Element(tower, {lowered: coeff * Fraction(e)}, _UNIT)
             total = total + lower_mono * tower._derivative_of_gen(i)
     return total
 
@@ -437,59 +370,43 @@ def _reduce_roots(tower, d):
     The reduction terminates: the minimal-polynomial coefficients are
     checked to be rational, so a rewrite of g_i^e, e >= deg, adds keys
     whose i-th exponent e - deg + j (j < deg) is lower and whose other
-    exponents are unchanged.  Each rewrite thus lowers the total root
-    exponent of a key, and every key is rewritten at most that total
-    many times.
+    exponents are unchanged.  Each round rewrites every key that is still
+    too high, so it lowers the largest total root exponent of the keys
+    left, and there are at most that many rounds.
     """
-    pending = dict(d)
     out = {}
-    while pending:
-        key, coeff = pending.popitem()
-        if not coeff:
-            continue
-        bad = None
-        for i, e in enumerate(key):
-            if e and i < len(tower.gens) and tower.gens[i].kind == ROOT:
-                deg = len(tower.gens[i].minpoly) - 1
-                if e >= deg:
-                    bad = (i, deg)
+    while d:
+        low, high = {}, {}
+        for key, coeff in d.items():
+            for i, e in enumerate(key):
+                gen = tower.gens[i]
+                if e and gen.kind == ROOT and e >= len(gen.minpoly) - 1:
+                    rewrite = smul({key: -coeff}, _root_rewrite(tower, i), _key_sum)
+                    high = sadd(high, rewrite)
                     break
-        if bad is None:
-            if key in out:
-                s = out[key] + coeff
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
             else:
-                out[key] = coeff
+                low[key] = coeff
+        out = sadd(out, low) if out else low
+        d = high
+    return out
+
+
+def _root_rewrite(tower, i):
+    """The monomials m_j * g^(j - deg), j < deg, of the root generator
+    g = g_i: as g^deg = -(m_0 + ... + m_{deg-1} g^{deg-1}), a monomial
+    c * g^e with e >= deg is their product with -c * g^e."""
+    minpoly = tower.gens[i].minpoly
+    deg = len(minpoly) - 1
+    out = {}
+    for j, m in enumerate(minpoly[:-1]):
+        if m.is_zero:
             continue
-        i, deg = bad
-        rest = list(_pad(key, max(len(key), i + 1)))
-        rest[i] -= deg
-        rest_key = _trim(tuple(rest))
-        # g^deg = -(m_0 + ... + m_{deg-1} g^{deg-1}); minpoly coefficients
-        # are elements with trivial denominators by construction here
-        for j, m in enumerate(tower.gens[i].minpoly[:-1]):
-            if m.is_zero:
-                continue
-            mval = m.rational_value()
-            if mval is None:
-                raise LiouvilleError(
-                    "root reduction needs rational-function minimal polynomials"
-                )
-            up = list(_pad(rest_key, max(len(rest_key), i + 1)))
-            up[i] += j
-            piece_key = _trim(tuple(up))
-            piece = -(coeff * mval)
-            if piece_key in pending:
-                s = pending[piece_key] + piece
-                if s:
-                    pending[piece_key] = s
-                else:
-                    del pending[piece_key]
-            elif piece:
-                pending[piece_key] = piece
+        mval = m.rational_value()
+        if mval is None:
+            raise LiouvilleError(
+                "root reduction needs rational-function minimal polynomials"
+            )
+        out[(0,) * i + (j - deg,)] = mval
     return out
 
 

@@ -43,7 +43,7 @@ from .coefficients import (
     poly_roots,
 )
 from .contour import Contour, Line
-from .polyutils import ptaylor_shift
+from .polyutils import pdense, ptaylor_shift
 from .series import (
     INF,
     BranchError,
@@ -470,7 +470,7 @@ class SolutionBranch:
     kind: str  # "proper" | "algebraic-type" | "zero" | "none"
     residual_guarantee: object = None  # int, Fraction or INF
     resonant_index: object = None
-    free_constant: object = None  # chosen value, or the ParamPoly symbol name
+    free_constant: object = None  # chosen value, or the ParamPoly parameter
     obstruction: object = None
     iterations: int = 0
     coincidence_orders: tuple = ()
@@ -562,9 +562,7 @@ def _default_window(series):
 # -- proper continuation -------------------------------------------------------
 
 
-def continue_proper(
-    e: MonomialODE, t: InitialTerm, bound, c_r=None, symbol="C"
-) -> SolutionBranch:
+def continue_proper(e: MonomialODE, t: InitialTerm, bound, c_r=None) -> SolutionBranch:
     """Continue a proper initial term through the linear recurrences.
 
     At each admitted exponent mu_l the new coefficient solves the level
@@ -597,7 +595,7 @@ def continue_proper(
     bound = _as_exponent(bound)
     mu0 = t.exponent
     branches = t.branch_map()
-    free = as_coefficient(c_r) if c_r is not None else ParamPoly.parameter(symbol)
+    free = as_coefficient(c_r) if c_r is not None else ParamPoly.parameter()
     if t.coefficient is FREE and c_r is not None and not free and _needs_prec(e):
         # a negative or fractional y^sigma has no expansion about y = 0, so
         # the lattice of mu0 says nothing about the instance c = 0
@@ -679,7 +677,7 @@ def continue_proper(
             PROPER,
             residual_guarantee=series.trunc - 1,
             resonant_index=free_at,
-            free_constant=symbol,
+            free_constant=free,
             note="continuation past the free constant needs a numeric value",
         )
 
@@ -887,18 +885,17 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
 def _modified_polynomial(e, y_prev, s, shift):
     """P(y) - Q(y)*d/dx(y_prev) cleared to a polynomial in w = y^(1/s)."""
     degree = lambda sig: int((sig - shift) * s)
-    powers = [*e.sigmas(), *(q.y_exp for q in e.derivative)]
-    coeffs = [PuiseuxSeries.zero() for _ in range(max(map(degree, powers)) + 1)]
-    for m in e.monomials:
-        coeffs[degree(m.y_exp)] = coeffs[degree(m.y_exp)] + PuiseuxSeries.x_power(
-            m.x_exp, m.coefficient
-        )
+    terms = [
+        (degree(m.y_exp), PuiseuxSeries.x_power(m.x_exp, m.coefficient))
+        for m in e.monomials
+    ]
     if y_prev is not None:
         dy = y_prev.differentiate()
-        for q in e.derivative:
-            i = degree(q.y_exp)
-            coeffs[i] = coeffs[i] - PuiseuxSeries.x_power(q.x_exp, q.coefficient) * dy
-    return SeriesPolynomial(coeffs)
+        terms += [
+            (degree(q.y_exp), PuiseuxSeries.x_power(q.x_exp, -q.coefficient) * dy)
+            for q in e.derivative
+        ]
+    return SeriesPolynomial(pdense(terms, PuiseuxSeries.zero()))
 
 
 # -- full solve ----------------------------------------------------------------
@@ -927,14 +924,11 @@ def solve_all(e: MonomialODE, bound, resonance="symbolic", mode="rational"):
     bound = _as_exponent(bound)
     init = initial_terms(e, mode=mode)
     report = SolveAllReport([], list(init.unresolved), list(init.notes))
-    symbol_counter = 0
     free_family_seen = False
     for t in init.terms:
         cls = classify(e, t)
         if cls == PROPER:
-            symbol_counter += 1
-            symbol = f"C{symbol_counter}"
-            branch = continue_proper(e, t, bound, c_r=None, symbol=symbol)
+            branch = continue_proper(e, t, bound)
             if branch.status == RESONANT_FREE and resonance != "symbolic":
                 for value in resonance:
                     if t.coefficient is FREE and not _q_scale(
@@ -993,30 +987,21 @@ def _renumber_free_constants(branches):
     """Free constants are reported as C1, C2, ... in final branch order."""
     counter = 0
     for i, b in enumerate(branches):
-        old = None
-        if has_parameter_series(b.series):
-            old = next(
-                c.symbol for _e, c in b.series.terms if has_parameter(c)
-            )
-        elif isinstance(b.free_constant, str):
-            old = b.free_constant
-        if old is None:
+        free = b.free_constant
+        if not isinstance(free, ParamPoly):
             continue
         counter += 1
         new = f"C{counter}"
-        if old == new:
-            continue
         # a new name changes no exponent and zeroes no coefficient
         terms = tuple(
             (ex, _param(c.nums, c.den, new) if isinstance(c, ParamPoly) else c)
             for ex, c in b.series.terms
         )
-        branches[i] = replace(b, series=_canonical(terms, b.series.trunc))
-        if isinstance(b.free_constant, str):
-            branches[i].free_constant = new
-        elif isinstance(b.free_constant, ParamPoly):
-            free = b.free_constant
-            branches[i].free_constant = _param(free.nums, free.den, new)
+        branches[i] = replace(
+            b,
+            series=_canonical(terms, b.series.trunc),
+            free_constant=_param(free.nums, free.den, new),
+        )
 
 
 def has_parameter_series(series: PuiseuxSeries) -> bool:
@@ -1040,11 +1025,10 @@ def expand_rational(e: MonomialODE, center) -> MonomialODE:
     center = PuiseuxSeries.constant(center)
     sides = []
     for side in (e.monomials, e.derivative):
-        coeffs = [PuiseuxSeries.zero()] * (max(m.y_exp for m in side) + 1)
-        for m in side:
-            coeffs[m.y_exp] = coeffs[m.y_exp] + PuiseuxSeries.x_power(
-                m.x_exp, m.coefficient
-            )
+        coeffs = pdense(
+            [(m.y_exp, PuiseuxSeries.x_power(m.x_exp, m.coefficient)) for m in side],
+            PuiseuxSeries.zero(),
+        )
         shifted = ptaylor_shift(coeffs, center)
         sides.append([(nu, b, f) for b, c in enumerate(shifted) for nu, f in c.terms])
     return MonomialODE(*sides)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebraic import SeriesPolynomial
 from .first_integrals import IntegralFactorProblem, YSeries
 from .ode import MonomialODE
-from .polyutils import ppow
+from .polyutils import pdense, ppow, sadd, smul
 from .ratfunc import RatFunc
 from .series import INF, PuiseuxSeries
 
@@ -74,7 +74,7 @@ class _Val:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        self.num = {s: c for s, c in num.items() if not c.is_exact_zero}
+        self.num = num
         self.den = den if den is not None else {Fraction(0): PuiseuxSeries.one()}
         if not self.den:
             raise ParseError("division by zero")
@@ -84,15 +84,12 @@ class _Val:
         if len(self.den) == 1:
             (s, c), = self.den.items()
             if len(c.terms) == 1 and c.trunc == INF:
-                inv = c.invert()
-                self.num = {
-                    key - s: val * inv for key, val in self.num.items()
-                }
+                self.num = smul(self.num, {-s: c.invert()})
                 self.den = {Fraction(0): PuiseuxSeries.one()}
 
     @classmethod
     def const(cls, q):
-        return cls({Fraction(0): PuiseuxSeries.constant(Fraction(q))})
+        return cls({Fraction(0): PuiseuxSeries.constant(Fraction(q))} if q else {})
 
     @classmethod
     def x(cls):
@@ -103,10 +100,8 @@ class _Val:
         return cls({Fraction(1): PuiseuxSeries.one()})
 
     def __add__(self, other):
-        num = _ydict_add(
-            _ydict_mul(self.num, other.den), _ydict_mul(other.num, self.den)
-        )
-        return _Val(num, _ydict_mul(self.den, other.den))
+        num = sadd(smul(self.num, other.den), smul(other.num, self.den))
+        return _Val(num, smul(self.den, other.den))
 
     def __sub__(self, other):
         return self + (-other)
@@ -115,16 +110,12 @@ class _Val:
         return _Val({s: -c for s, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
-        return _Val(
-            _ydict_mul(self.num, other.num), _ydict_mul(self.den, other.den)
-        )
+        return _Val(smul(self.num, other.num), smul(self.den, other.den))
 
     def __truediv__(self, other):
         if not other.num:
             raise ParseError("division by zero")
-        return _Val(
-            _ydict_mul(self.num, other.den), _ydict_mul(self.den, other.num)
-        )
+        return _Val(smul(self.num, other.den), smul(self.den, other.num))
 
     def pow(self, exponent: Fraction, position=None):
         if exponent.denominator == 1:
@@ -146,23 +137,6 @@ class _Val:
         sigma = (s - sd) * exponent
         series = (c * cd.invert()).pow_rational(exponent)
         return _Val({sigma: series})
-
-
-def _ydict_add(a, b):
-    out = dict(a)
-    for s, c in b.items():
-        out[s] = out[s] + c if s in out else c
-    return out
-
-
-def _ydict_mul(a, b):
-    out = {}
-    for s1, c1 in a.items():
-        for s2, c2 in b.items():
-            s = s1 + s2
-            prod = c1 * c2
-            out[s] = out[s] + prod if s in out else prod
-    return out
 
 
 # -- expression parser --------------------------------------------------------------
@@ -388,44 +362,31 @@ def _require_polynomial(ydict, message):
 def _y_coefficients(ydict, message):
     """The coefficient list, by power of y, of a y-dict with integer keys >= 0."""
     _require_polynomial(ydict, message)
-    degrees = sorted(ydict)
-    n = int(degrees[-1]) if degrees else 0
-    out = [PuiseuxSeries.zero() for _ in range(n + 1)]
-    for d, c in ydict.items():
-        out[int(d)] = c
-    return out
+    return pdense([(int(d), c) for d, c in ydict.items()], PuiseuxSeries.zero())
 
 
 def _as_yseries(value, side):
     if value.den != {Fraction(0): PuiseuxSeries.one()}:
         raise ParseError(f"{side} must be polynomial (no division by y-sums)")
-    degrees = sorted(value.num)
-    if not degrees:
+    if not value.num:
         return YSeries(0, [])
-    if any(d.denominator != 1 for d in degrees):
+    if any(d.denominator != 1 for d in value.num):
         raise ParseError(f"{side} needs integer powers of y")
-    lo = int(degrees[0])
-    coeffs = []
-    for p in range(lo, int(degrees[-1]) + 1):
-        coeffs.append(_series_to_ratfunc(value.num.get(Fraction(p), PuiseuxSeries.zero()), side))
-    return YSeries(lo, coeffs)
+    lo = int(min(value.num))
+    terms = [
+        (int(d) - lo, _series_to_ratfunc(c, side)) for d, c in sorted(value.num.items())
+    ]
+    return YSeries(lo, pdense(terms, RatFunc.const(0)))
 
 
 def _series_to_ratfunc(series, side):
+    """An exact Laurent series with rational coefficients as a RatFunc."""
     if series.trunc != INF:
         raise ParseError(f"{side} coefficients must be exact")
-    num = {}
-    min_e = Fraction(0)
-    for e, c in series.terms:
-        if e.denominator != 1:
-            raise ParseError(f"{side} coefficients must be Laurent in x")
-        min_e = min(min_e, e)
-    num_coeffs = [Fraction(0)] * (
-        max((int(e - min_e) for e, _ in series.terms), default=0) + 1
-    )
-    for e, c in series.terms:
-        if not isinstance(c, Fraction):
-            raise ParseError(f"{side} coefficients must be rational")
-        num_coeffs[int(e - min_e)] = c
-    den = [Fraction(0)] * (int(-min_e)) + [Fraction(1)]
-    return RatFunc(num_coeffs, den)
+    if any(e.denominator != 1 for e, _c in series.terms):
+        raise ParseError(f"{side} coefficients must be Laurent in x")
+    if any(not isinstance(c, Fraction) for _e, c in series.terms):
+        raise ParseError(f"{side} coefficients must be rational")
+    lo = min([0, *(int(e) for e, _c in series.terms)])
+    terms = [(0, Fraction(0)), *((int(e) - lo, c) for e, c in series.terms)]
+    return RatFunc(pdense(terms, Fraction(0)), [Fraction(0)] * -lo + [Fraction(1)])

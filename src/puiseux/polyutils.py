@@ -7,6 +7,13 @@ a zero test on the coefficients (``pdivmod``, ``pmonic``, ``pgcd`` and
 ``AlgebraicNumber``, ``PuiseuxSeries`` and tower ``Element`` coefficients
 alike.  The zero test is truthiness; a series is false only when it is
 the exact zero, so an ``O(x^t)`` coefficient is never dropped.
+``pdense`` builds such a list from (degree, coefficient) pairs.
+
+A sparse polynomial is a dict from an exponent key to a nonzero
+coefficient: ``sadd`` and ``smul`` are its sum and product, dropping every
+coefficient that the same truthiness test finds zero.  A key is anything
+``key_sum`` adds; the parser keys y-powers by ``Fraction`` and the
+differential tower keys monomials by tuples of generator exponents.
 
 Two helpers serve every ring of the package rather than coefficient
 lists: ``ppow`` is the one ring power (repeated squaring) behind the
@@ -27,6 +34,7 @@ on these with Yun's squarefree decomposition and quartic splitting.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb, floor, isqrt
 from math import gcd as int_gcd
@@ -71,6 +79,46 @@ def pmul(a, b):
             if y:
                 out[i + j] = out[i + j] + x * y
     return pstrip(out)
+
+
+def pdense(terms, zero):
+    """The dense list of ``sum c * y^i`` over the (i, c) pairs of the
+    nonempty ``terms``; repeated degrees are summed."""
+    terms = list(terms)
+    out = [zero] * (max(i for i, _c in terms) + 1)
+    for i, c in terms:
+        out[i] = out[i] + c
+    return out
+
+
+def sadd(a, b):
+    """The sum of two sparse polynomials."""
+    out = dict(a)
+    for k, v in b.items():
+        if k in out:
+            v = out[k] + v
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
+def smul(a, b, key_sum=operator.add):
+    """The product of two sparse polynomials; ``key_sum`` is the key of a
+    product of two monomials."""
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = key_sum(k1, k2)
+            v = v1 * v2
+            if k in out:
+                v = out[k] + v
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
 
 
 def pdivmod(a, b):

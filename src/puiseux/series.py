@@ -500,11 +500,7 @@ def format_series(s: PuiseuxSeries) -> str:
         else:
             parts.append(f"- {body}" if neg else f"+ {body}")
     if s.trunc != INF:
-        t = Fraction(s.trunc)
-        if t.denominator == 1 and t >= 0:
-            otext = f"O(x^{t.numerator})" if t != 1 else "O(x)"
-        else:
-            otext = f"O(x^({t.numerator}{'/' + str(t.denominator) if t.denominator != 1 else ''}))"
+        otext = f"O({_format_exponent(s.trunc)})"
         parts.append(f"+ {otext}" if parts else otext)
     if not parts:
         return "0"

@@ -225,7 +225,8 @@ class TestGhosts:
 
     def test_degenerate_numerator(self):
         gs = ghost_roots(
-            [PuiseuxSeries.zero(), PuiseuxSeries.x_power(1)], [1, -1]
+            [PuiseuxSeries.zero(), PuiseuxSeries.x_power(1)], [1, -1],
+            ode=MonomialODE([(-2, 2, 1)]),
         )
         assert gs.records == []
 

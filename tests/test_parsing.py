@@ -59,6 +59,14 @@ class TestOdeGrammar:
         with pytest.raises(ParseError, match="Q must be a polynomial in y"):
             parse_ode("dy/dx = 1/(1+y^(1/2))")
 
+    def test_cancelled_denominator_term_is_dropped(self):
+        # (y^(1/2)+1)*(y^(1/2)-1) = y - 1 however the division is spelled
+        chained = parse_ode("dy/dx = 1/(y^(1/2)+1)/(y^(1/2)-1)")
+        grouped = parse_ode("dy/dx = 1/((y^(1/2)+1)*(y^(1/2)-1))")
+        assert chained == grouped
+        assert [tuple(m) for m in grouped.monomials] == [(0, 0, 1)]
+        assert [tuple(q) for q in grouped.derivative] == [(0, 0, -1), (0, 1, 1)]
+
     def test_monomial_denominator_folds(self):
         e = parse_ode("dy/dx = (1 + x)/(x*y^2)")
         assert [tuple(q) for q in e.derivative] == [(0, 0, 1)]

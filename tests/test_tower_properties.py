@@ -208,8 +208,8 @@ def test_unit_product_is_a_copy_of_the_trimmed_other_side():
     for _ in range(40):
         e = random_element(rng, t, gens)
         for d in (e.num, e.den):
-            for out in (liouville._dict_mul(d, liouville._UNIT),
-                        liouville._dict_mul(liouville._UNIT, d)):
+            for out in (liouville._mul(d, liouville._UNIT),
+                        liouville._mul(liouville._UNIT, d)):
                 assert out == ref_mul(d, {(): RatFunc.const(1)})
                 assert out is not d and out is not liouville._UNIT
 
