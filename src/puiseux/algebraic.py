@@ -38,8 +38,8 @@ from .series import (
     INF,
     PuiseuxSeries,
     SeriesError,
-    _canonical,
     _exponent,
+    _make,
     format_series,
 )
 
@@ -92,7 +92,7 @@ def contour_of(p: SeriesPolynomial) -> Contour:
     """Envelope of the lines (leading exponent of alpha_i) + i*x."""
     lines = []
     for i, alpha in enumerate(p.coeffs):
-        if alpha.terms:
+        if alpha.nums:
             lines.append(Line(i, alpha.valuation(), key=i))
     return Contour(lines)
 
@@ -186,7 +186,7 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
     """
     inputs = (*p.coeffs, prefix)
     ram = lcm(*range(1, p.degree + 1)) * lcm(
-        *(e.denominator for s in inputs for e, _c in s.terms),
+        *(e.denominator for s in inputs for e, _n in s.nums),
         *(s.trunc.denominator for s in inputs if s.trunc != INF),
         1 if last is None else last.denominator,
     )
@@ -221,8 +221,8 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
 
 def _ramify(s, k):
     """``s`` with x replaced by x^k, for a rational k > 0."""
-    terms = tuple((_exponent(e * k), c) for e, c in s.terms)
-    return _canonical(terms, _exponent(s.trunc * k))
+    nums = tuple((_exponent(e * k), n) for e, n in s.nums)
+    return _make(nums, s.den, _exponent(s.trunc * k))
 
 
 def _solve_from(q, prefix, mult, last, bound, mode, contour):
@@ -293,15 +293,16 @@ def _ambient_field(q):
     from .coefficients import AlgebraicNumber
 
     for alpha in q.coeffs:
-        for _e, c in alpha.terms:
-            if isinstance(c, AlgebraicNumber):
-                return c.field
+        if alpha.den == 1:  # a coefficient outside Q has the denominator 1
+            for _e, c in alpha.nums:
+                if isinstance(c, AlgebraicNumber):
+                    return c.field
     return None
 
 
 def _zero_root_multiplicity(q):
     for i in range(1, len(q.coeffs)):
-        if q.coeffs[i].terms:
+        if q.coeffs[i].nums:
             return i
     raise SeriesError("polynomial is identically zero")
 
@@ -311,7 +312,7 @@ def _phantom_safe(q, x, contour):
     reach down to the envelope of ``contour``, q's contour, at ``x``."""
     env = contour.value(x)
     for i, alpha in enumerate(q.coeffs):
-        if not alpha.terms and alpha.trunc != INF:
+        if not alpha.nums and alpha.trunc != INF:
             if alpha.trunc + i * x <= env:
                 return False
     return True
@@ -366,7 +367,7 @@ class ClosedFormInput:
         negative = [
             i
             for i in range(1, n + 1)
-            if a[i].terms and a[i].valuation() < 0
+            if a[i].nums and a[i].valuation() < 0
         ]
         if len(negative) != 1:
             raise NormalizationError(
@@ -386,7 +387,7 @@ def closed_form_root(inp: ClosedFormInput, n_terms: int) -> PuiseuxSeries:
     a, k = inp.a, inp.k
     n = len(a) - 1
     neg_ak = -a[k]
-    if not neg_ak.terms or neg_ak.valuation() >= 0:
+    if not neg_ak.nums or neg_ak.valuation() >= 0:
         raise NormalizationError("a_k must have negative valuation")
     depth = Fraction(-neg_ak.valuation())
     final_trunc = Fraction(n_terms) * depth / k
@@ -396,7 +397,7 @@ def closed_form_root(inp: ClosedFormInput, n_terms: int) -> PuiseuxSeries:
     if inp.branch is not None:
         branch_inv = as_coefficient(inp.branch) ** -1
     r_inv = neg_ak.pow_rational(Fraction(-1, k), branch=branch_inv, prec=work)
-    allowed = [i for i in range(1, n + 1) if i != k and a[i].terms]
+    allowed = [i for i in range(1, n + 1) if i != k and a[i].nums]
 
     comp_cache = {}
 

@@ -2,7 +2,8 @@
 
 Three exact domains are supported:
 
-* plain ``fractions.Fraction`` (the fast common path),
+* plain ``fractions.Fraction`` (a series stores these as int numerators
+  over one denominator, see :mod:`puiseux.series`),
 * :class:`AlgebraicNumber` -- an element of a number field Q(theta), where
   theta is pinned down by an irreducible monic minimal polynomial over Q
   together with an exact isolating interval (real root) or rectangle
@@ -21,7 +22,7 @@ Fractions mixed in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .polyutils import (
     FactorizationLimit,
@@ -57,9 +58,7 @@ class UnsupportedSymbolic(CoefficientError):
 def as_coefficient(value):
     if isinstance(value, (AlgebraicNumber, ParamPoly, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise CoefficientError(f"not a coefficient: {value!r}")
 
@@ -70,10 +69,8 @@ def coefficient_sort_key(c):
     if isinstance(c, Fraction):
         return (0, float(c), str(c))
     if isinstance(c, AlgebraicNumber):
-        a = c.approx()
-        if isinstance(a, complex):
-            return (1, a.real, a.imag, repr(c))
-        return (1, float(a), 0.0, repr(c))
+        a = complex(c.approx())
+        return (1, a.real, a.imag, repr(c))
     return (2, str(c))
 
 
@@ -119,22 +116,13 @@ class NumberField:
     def lift(self, q):
         return self.element([Fraction(q)])
 
-    def refine(self):
-        """Halve the real isolating interval (no-op for complex regions)."""
-        if self.is_real:
-            # an irreducible minpoly is already squarefree
-            self.region = refine_interval(self.minpoly, *self.region)
-            self._approx = None
-
     def approx(self):
         if self._approx is None:
             if self.is_real:
-                for _ in range(40):
-                    lo, hi = self.region
-                    if hi - lo < Fraction(1, 10**12):
-                        break
-                    self.refine()
-                lo, hi = self.region
+                # an irreducible minpoly is already squarefree
+                lo, hi = self.region = refine_interval(
+                    self.minpoly, *self.region, Fraction(1, 10**12), 40
+                )
                 self._approx = (float(lo) + float(hi)) / 2.0
             else:
                 (rl, rh), (il, ih) = self.region
@@ -186,9 +174,7 @@ def _squarefree_core(n: int):
     factor of m is then at least d, so m is 1, p, p*q or p^2, and one
     integer square root test finds the square.
     """
-    s, core = 1, 1
-    d = 2
-    m = n
+    s, core, d, m = 1, 1, 2, n
     while d * d * d <= m:
         exp = 0
         while m % d == 0:
@@ -234,13 +220,8 @@ def sqrt_field(radicand, label=None):
     if radicand > 0 and _fraction_sqrt(radicand) is not None:
         raise ValueError("radicand is a rational square; no field needed")
     minpoly = [-radicand, Fraction(0), Fraction(1)]
-    if radicand > 0:
-        hi = radicand if radicand >= 1 else Fraction(1)
-        region = (Fraction(0), hi)
-    else:
-        mag = -radicand
-        hi = mag if mag >= 1 else Fraction(1)
-        region = ((Fraction(0), Fraction(0)), (Fraction(0), hi))
+    hi, zero = max(abs(radicand), Fraction(1)), Fraction(0)
+    region = (zero, hi) if radicand > 0 else ((zero, zero), (zero, hi))
     name = label or f"sqrt({radicand})"
     return NumberField(minpoly, region, label=name)
 
@@ -392,9 +373,7 @@ class ParamPoly:
 
     def __init__(self, coeffs, symbol="C"):
         coeffs = [Fraction(c) for c in coeffs]
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in coeffs))
         self.nums = tuple(pstrip([c.numerator * den // c.denominator for c in coeffs]))
         self.den = den
         self.symbol = symbol
@@ -613,11 +592,9 @@ def _roots_over_q(coeffs, mode):
         for r in adjoined:
             roots.append((r, mult))
     unresolved = None
-    if leftover:
-        unresolved = [Fraction(1)]
-        for factor, mult in leftover:
-            for _ in range(mult):
-                unresolved = pmul(unresolved, factor)
+    for factor, mult in leftover:
+        for _ in range(mult):
+            unresolved = pmul(unresolved or [Fraction(1)], factor)
     return RootSearchResult(roots, unresolved=unresolved)
 
 
@@ -698,15 +675,12 @@ def _quadratic_sqrt(field, a, b):
     as u + v*theta and solve the two rational equations exactly.
     """
     q, p = field.minpoly[0], field.minpoly[1]
-    # (u + v t)^2 = u^2 + 2uv t + v^2 t^2 = (u^2 - q v^2) + (2uv - p v^2) t
-    # need: u^2 - q v^2 = a  and  2uv - p v^2 = b
-    # case v = 0: u^2 = a
+    # (u + v t)^2 = (u^2 - q v^2) + (2uv - p v^2) t: u^2 - q v^2 = a and
+    # 2uv - p v^2 = b.  Case v = 0: u^2 = a.
     s = _fraction_sqrt(a) if b == 0 else None
     if s is not None:
         return field.lift(s)
-    # case v != 0: u = (b + p v^2) / (2 v); substitute into the first eq:
-    # (b + p v^2)^2 / (4 v^2) - q v^2 = a
-    # let w = v^2: (b + p w)^2 - 4 q w^2 - 4 a w = 0
+    # case v != 0: u = (b + p w) / (2v) with w = v^2 a root of
     # (p^2 - 4q) w^2 + (2bp - 4a) w + b^2 = 0
     A = p * p - 4 * q
     B = 2 * b * p - 4 * a

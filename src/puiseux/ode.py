@@ -50,8 +50,8 @@ from .series import (
     PuiseuxSeries,
     SeriesError,
     _as_exponent,
-    _canonical,
     _exponent,
+    _make,
     _semigroup,
     default_branch,
     miller_step,
@@ -477,7 +477,7 @@ class SolutionBranch:
     note: str = ""
 
     def sort_key(self):
-        mu = float(self.series.val_floor()) if self.series.terms else float(
+        mu = float(self.series.val_floor()) if self.series.nums else float(
             self.initial.exponent if self.initial else 0
         )
         case = self.initial.case if self.initial else ""
@@ -537,13 +537,13 @@ def verify_series(e: MonomialODE, series: PuiseuxSeries, branches=None):
     substitution, less that of Q(y).  Without a known term of Q(y), P/Q
     cannot be evaluated at y: the valuation reads -INF, nothing certified."""
     prec = None
-    if series.trunc == INF and len(series.terms) > 1 and _needs_prec(e):
+    if series.trunc == INF and len(series.nums) > 1 and _needs_prec(e):
         prec = _default_window(series)
     rhs = e.substitute(series, prec=prec, branches=branches)
     q = substitute_series(e.derivative, series)
-    if not q.terms:
+    if not q.nums:
         return VerifyResult(-INF, -INF)
-    vq = q.terms[0][0]
+    vq = q.valuation()
     residual = q * series.differentiate() - rhs
     certified = _exponent(residual.trunc - vq)
     val = residual.valuation()
@@ -840,7 +840,7 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
             start = PuiseuxSeries(
                 tuple((x, c) for x, c in w_prev.terms if x < prev_bw)
             )
-            last = start.terms[-1][0]
+            last = start.nums[-1][0]
         poly = _modified_polynomial(e, y_prev, s, shift)
         bound_w = _exponent(c_k - Fraction((s - 1) * mu0, s))
         res = _solve_beyond(poly, start, last, bound_w, mode=mode)
@@ -993,19 +993,19 @@ def _renumber_free_constants(branches):
         counter += 1
         new = f"C{counter}"
         # a new name changes no exponent and zeroes no coefficient
-        terms = tuple(
+        nums = tuple(
             (ex, _param(c.nums, c.den, new) if isinstance(c, ParamPoly) else c)
-            for ex, c in b.series.terms
+            for ex, c in b.series.nums
         )
         branches[i] = replace(
             b,
-            series=_canonical(terms, b.series.trunc),
+            series=_make(nums, b.series.den, b.series.trunc),
             free_constant=_param(free.nums, free.den, new),
         )
 
 
 def has_parameter_series(series: PuiseuxSeries) -> bool:
-    return any(has_parameter(c) for _e, c in series.terms)
+    return any(has_parameter(c) for _e, c in series.nums)
 
 
 # -- translation of y ---------------------------------------------------------

@@ -81,9 +81,11 @@ class _Val:
         self._simplify()
 
     def _simplify(self):
+        """A one-monomial denominator other than the constant one moves
+        into the numerator."""
         if len(self.den) == 1:
             (s, c), = self.den.items()
-            if len(c.terms) == 1 and c.trunc == INF:
+            if len(c.nums) == 1 and c.trunc == INF and (s or c != PuiseuxSeries.one()):
                 self.num = smul(self.num, {-s: c.invert()})
                 self.den = {Fraction(0): PuiseuxSeries.one()}
 
@@ -196,25 +198,24 @@ class _Parser:
         return base
 
     def parse_exponent(self) -> Fraction:
-        tok = self.peek()
-        if tok[0] == "(":
+        """A signed rational in parentheses, ``(p/q)``, or else a signed
+        integer: ``x^2/2`` is (x^2)/2."""
+        if self.peek()[0] != "(":
+            return self._signed_integer()
+        self.take()
+        value = self._signed_integer()
+        if self.peek()[0] == "/":
             self.take()
-            value = self._signed_rational()
-            self.take(")")
-            return value
-        return self._signed_rational()
+            value /= self.take("num")[1]
+        self.take(")")
+        return value
 
-    def _signed_rational(self):
+    def _signed_integer(self):
         sign = 1
         while self.peek()[0] in "+-":
             if self.take()[0] == "-":
                 sign = -sign
-        num = self.take("num")[1]
-        if self.peek()[0] == "/":
-            self.take()
-            den = self.take("num")[1]
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        return Fraction(sign * self.take("num")[1])
 
     def parse_atom(self):
         tok = self.peek()

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb, floor, isqrt
+from math import comb, floor, isqrt, lcm
 from math import gcd as int_gcd
 
 
@@ -387,20 +387,44 @@ def isolate_real_roots(p):
     return out
 
 
-def refine_interval(p, lo, hi):
-    """Halve an isolating interval (lo, hi] of squarefree ``p``.
+def refine_interval(p, lo, hi, width, steps):
+    """Bisect an isolating interval (lo, hi] of squarefree rational ``p``
+    until it is narrower than ``width``, at most ``steps`` times.
 
-    ``lo`` must not be a root (Sturm intervals satisfy this).
+    A root met at a midpoint is kept at the closed right end of ((lo +
+    mid)/2, mid].  ``lo`` must not be a root (Sturm intervals satisfy
+    this), and the sign of p at the left end never changes, so it is read
+    once.  The points are ints over one denominator that doubles each
+    step, the integer grid of :func:`_root_candidates`; each step is one
+    integer evaluation of the primitive integer form of ``p``.
     """
-    mid = (lo + hi) / 2
-    mid_val = peval(p, mid)
-    if not mid_val:
-        # the root is exactly mid; keep it at the closed right endpoint
-        return ((lo + mid) / 2, mid)
-    lo_val = peval(p, lo)
-    if (lo_val > 0) != (mid_val > 0):
-        return (lo, mid)
-    return (mid, hi)
+    ints = _integerize(p)
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    side = _sign_at(ints, a, den) > 0
+    for _ in range(steps):
+        if (b - a) * width.denominator < width.numerator * den:
+            break
+        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        v = _sign_at(ints, mid, den)
+        if not v:
+            a, b, den = a + mid, 2 * mid, 2 * den
+        elif (v > 0) != side:
+            b = mid
+        else:
+            a = mid
+    return Fraction(a, den), Fraction(b, den)
+
+
+def _sign_at(ints, num, den):
+    """den^n * p(num/den) for the integer coefficients of p, degree n: its
+    sign is that of p(num/den) when den > 0."""
+    acc, scale = 0, 1
+    for c in reversed(ints):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
 
 
 def split_quartic(p):

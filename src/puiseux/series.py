@@ -3,35 +3,34 @@
 A series is a finite, strictly increasing list of ``(exponent, coefficient)``
 terms together with a truncation exponent ``trunc``: every term with exponent
 below ``trunc`` is exactly known, everything at or above it is unknown.  An
-exact series (a Puiseux polynomial) has ``trunc == INF``.
+exact series (a Puiseux polynomial) has ``trunc == INF``.  Values are
+immutable and operations pure.  An exponent, and a finite ``trunc``, is an
+``int`` when integral and a ``Fraction`` otherwise (``_as_exponent`` for
+outside input, ``_exponent`` where Fraction arithmetic can land on an
+integer); the rule changes no value.
 
-Every exponent, and every finite ``trunc``, is an ``int`` when it is
-integral and a ``fractions.Fraction`` otherwise.  The two are equal, hash
-alike and print alike, so the rule changes no value and no output; it
-keeps the common integral exponents in machine integer arithmetic.
-``_as_exponent`` applies the rule to outside input, and ``_exponent``
-wherever a sum or product of two Fractions can land on an integer.
-Coefficients live in one of the exact domains of
-:mod:`puiseux.coefficients`.  All values are immutable and all
-operations are pure, so series can be shared freely between threads.
+Coefficients are stored fraction-free, as FLINT's ``fmpq_poly`` stores a
+polynomial: ``nums`` holds ``(exponent, n)`` pairs with int numerators n
+over one positive int ``den``, the coefficient being n/den.  Sums scale
+to the lcm of the denominators and products multiply them, so the ring
+operations, and ``ptaylor_shift`` over series, run on ints.  A numerator
+outside Q (an ``AlgebraicNumber`` or a ``ParamPoly``) goes through the
+same code over the denominator 1: a result holding one is brought back
+to ``den = 1``, rational coefficients beside it stay ints or Fractions.
+``terms``, the public view with every rational coefficient a Fraction,
+is built on first use and cached; code that needs only exponents,
+emptiness or the domain reads ``nums``.
 
-Every series is canonical: exponents strictly increase and lie below
-``trunc``, and no coefficient is zero.  The public constructor
-``PuiseuxSeries(terms, trunc)`` canonicalises outside input (merging equal
-exponents, sorting, dropping zeros and terms past ``trunc``).  The ring and
-calculus operations build their results canonical by construction and pass
-them to the trusted ``_canonical`` without that pass; the coefficient
-domains have no zero divisors, so a product of nonzero coefficients is
-never zero.  The coefficient domains keep the same invariant: a
-``ParamPoly`` result is built from integer numerators over one
-denominator by the trusted ``coefficients._param``.
-
-The product has two paths besides the general convolution.  When a
-factor has one term, the product is one ordered pass over the other
-factor's terms below the new trunc: no accumulation, no sort and no zero
-test.  When both factors are the same object (every squaring inside
-``ppow``), each unordered pair of distinct terms is multiplied once and
-doubled.
+Canonical form: exponents strictly increase and lie below ``trunc``, no
+numerator is zero, gcd(den, n...) = 1, and an empty series has den 1.
+The public ``PuiseuxSeries(terms, trunc)`` canonicalises outside input
+(merging equal exponents, sorting, dropping zeros and terms past
+``trunc``).  The operations build results canonical up to the content,
+which the trusted ``_canonical`` divides out with one gcd; the domains
+have no zero divisors, so a product of nonzero numerators is never zero.
+Besides the general convolution, a product with a one-term factor is one
+ordered pass over the other factor, and a square (every squaring inside
+``ppow``) multiplies each unordered pair of distinct terms once.
 
 The canonical text form is ``c0*x^(p0/q0) + ... + O(x^(pt/qt))`` and
 round-trips bit-exactly through :func:`puiseux.parsing.parse_series_text`.
@@ -41,12 +40,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 
-from .coefficients import as_coefficient
+from .coefficients import _RATIONAL, as_coefficient
 from .polyutils import fraction_nth_root, ppow
 
 INF = float("inf")
+_ONE = ((0, 1),)
 
 
 class SeriesError(ValueError):
@@ -76,28 +77,65 @@ def _as_exponent(e):
     return _exponent(Fraction(e))
 
 
-def _canonical(terms, trunc):
-    """A series from a ``terms`` tuple and ``trunc`` that are already
+def _make(nums, den, trunc):
+    """A series from ``nums``, ``den`` and ``trunc`` that are already
     canonical; nothing is checked."""
-    s = object.__new__(PuiseuxSeries)
-    object.__setattr__(s, "terms", terms)
-    object.__setattr__(s, "trunc", trunc)
+    s = _new(PuiseuxSeries)
+    _set_nums(s, nums)
+    _set_den(s, den)
+    _set_trunc(s, trunc)
     return s
 
 
-def _below(terms, t):
-    """The canonical ``terms`` with exponent below ``t``."""
-    return terms[: bisect_left(terms, t, key=itemgetter(0))]
+def _canonical(nums, den, trunc):
+    """A series from ``nums`` over ``den`` that are canonical up to their
+    content: it is divided out, and a numerator outside Q takes ``den``."""
+    if not nums:
+        return _make((), 1, trunc)
+    if den > 1:
+        try:
+            g = gcd(den, *map(itemgetter(1), nums))
+        except TypeError:  # a numerator outside Q: back to the denominator 1
+            return _make(tuple((e, _coefficient(n, den)) for e, n in nums), 1, trunc)
+        if g > 1:
+            nums = tuple([(e, n // g) for e, n in nums])
+            den //= g
+    return _make(nums, den, trunc)
+
+
+def _kernel(terms):
+    """``(nums, den)`` of canonical ``(exponent, coefficient)`` pairs."""
+    if not all(isinstance(c, _RATIONAL) for _e, c in terms):
+        return terms, 1
+    den = lcm(*(c.denominator for _e, c in terms))
+    return tuple((e, c.numerator * (den // c.denominator)) for e, c in terms), den
+
+
+def _coefficient(n, den):
+    """The coefficient stored as the numerator ``n`` over ``den``."""
+    if type(n) is int:
+        return Fraction(n, den)
+    return n / den if den > 1 else n
+
+
+def _scaled(nums, k):
+    return nums if k == 1 else tuple([(e, n * k) for e, n in nums])
+
+
+def _below(nums, t):
+    """The canonical ``nums`` with exponent below ``t``."""
+    return nums[: bisect_left(nums, t, key=itemgetter(0))]
 
 
 def _merge(a, b):
-    """The terms of the sum of the canonical term tuples ``a`` and ``b``:
-    one pass over both, zero sums dropped."""
+    """The sum of the canonical ``nums`` ``a`` and ``b`` over one
+    denominator: one pass over both, zero sums dropped."""
     out = []
     i = j = 0
-    while i < len(a) and j < len(b):
-        ea, ca = a[i]
-        eb, cb = b[j]
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ea = a[i][0]
+        eb = b[j][0]
         if ea < eb:
             out.append(a[i])
             i += 1
@@ -105,7 +143,7 @@ def _merge(a, b):
             out.append(b[j])
             j += 1
         else:
-            c = ca + cb
+            c = a[i][1] + b[j][1]
             if c:
                 out.append((ea, c))
             i += 1
@@ -116,26 +154,33 @@ def _merge(a, b):
 class PuiseuxSeries:
     """An exactly truncated generalized Puiseux series."""
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("nums", "den", "trunc", "_terms")
 
     def __init__(self, terms=(), trunc=INF):
         trunc = _as_exponent(trunc)
         merged = {}
         for e, c in terms:
-            e = _as_exponent(e)
-            c = as_coefficient(c)
-            if e in merged:
-                merged[e] = merged[e] + c
-            else:
-                merged[e] = c
-        clean = tuple(
-            (e, merged[e]) for e in sorted(merged) if merged[e] and e < trunc
-        )
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "trunc", trunc)
+            e, c = _as_exponent(e), c if type(c) is int else as_coefficient(c)
+            merged[e] = merged[e] + c if e in merged else c
+        clean = [(e, merged[e]) for e in sorted(merged) if merged[e] and e < trunc]
+        nums, den = _kernel(tuple(clean))
+        _set_nums(self, nums)
+        _set_den(self, den)
+        _set_trunc(self, trunc)
 
     def __setattr__(self, *args):
         raise AttributeError("PuiseuxSeries is immutable")
+
+    @property
+    def terms(self):
+        """The ``(exponent, coefficient)`` pairs, every rational coefficient
+        a Fraction; built from ``nums`` on first use and cached."""
+        try:
+            return self._terms
+        except AttributeError:
+            view = tuple((e, _coefficient(n, self.den)) for e, n in self.nums)
+            object.__setattr__(self, "_terms", view)
+            return view
 
     # -- constructors --------------------------------------------------
 
@@ -145,7 +190,7 @@ class PuiseuxSeries:
 
     @classmethod
     def one(cls):
-        return _canonical(((0, Fraction(1)),), INF)
+        return _make(_ONE, 1, INF)
 
     @classmethod
     def constant(cls, c):
@@ -153,19 +198,19 @@ class PuiseuxSeries:
 
     @classmethod
     def x_power(cls, e, c=1):
-        c = as_coefficient(c)
-        return _canonical(((_as_exponent(e), c),) if c else (), INF)
+        c = c if type(c) is int else as_coefficient(c)
+        return _make(*_kernel(((_as_exponent(e), c),) if c else ()), INF)
 
     # -- structure -----------------------------------------------------
 
     @property
     def is_zero(self):
         """No known terms (there may still be unknown terms past trunc)."""
-        return not self.terms
+        return not self.nums
 
     @property
     def is_exact_zero(self):
-        return not self.terms and self.trunc == INF
+        return not self.nums and self.trunc == INF
 
     def __bool__(self):
         """False only for the exact zero; O(x^t) is not known to vanish."""
@@ -173,57 +218,57 @@ class PuiseuxSeries:
 
     def valuation(self):
         """Least exponent of the support; INF for an empty support."""
-        return self.terms[0][0] if self.terms else INF
+        return self.nums[0][0] if self.nums else INF
 
     def val_floor(self):
         """Certified lower bound on the true valuation."""
-        return self.terms[0][0] if self.terms else self.trunc
+        return self.nums[0][0] if self.nums else self.trunc
 
     def leading(self):
-        if not self.terms:
+        if not self.nums:
             raise SeriesError("zero series has no leading term")
-        return self.terms[0]
+        e, n = self.nums[0]
+        return e, _coefficient(n, self.den)
 
     def coefficient(self, e):
         """Exact coefficient at exponent ``e``; PrecisionError past trunc."""
         e = _as_exponent(e)
         if e >= self.trunc:
             raise PrecisionError(f"coefficient at {e} is beyond trunc {self.trunc}")
-        for te, tc in self.terms:
+        for te, n in self.nums:
             if te == e:
-                return tc
+                return _coefficient(n, self.den)
         return Fraction(0)
 
     def truncate(self, t):
         t = _as_exponent(t)
-        if t >= self.trunc:
-            return self
-        return self.with_trunc(t)
+        return self if t >= self.trunc else self.with_trunc(t)
 
     def with_trunc(self, t):
         t = _as_exponent(t)
-        return _canonical(_below(self.terms, t), t)
+        return _canonical(_below(self.nums, t), self.den, t)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PuiseuxSeries.constant(other)
         if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            other = PuiseuxSeries.constant(other)
         trunc = min(self.trunc, other.trunc)
-        terms = _merge(_below(self.terms, trunc), _below(other.terms, trunc))
-        return _canonical(terms, trunc)
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        a = _scaled(_below(self.nums, trunc), den // da)
+        b = _scaled(_below(other.nums, trunc), den // db)
+        return _canonical(_merge(a, b), den, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical(tuple((e, -c) for e, c in self.terms), self.trunc)
+        return _make(tuple((e, -n) for e, n in self.nums), self.den, self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PuiseuxSeries.constant(other)
-        if not isinstance(other, PuiseuxSeries):
+        if not isinstance(other, (PuiseuxSeries, *_RATIONAL)):
             return NotImplemented
         return self + (-other)
 
@@ -235,15 +280,19 @@ class PuiseuxSeries:
             return self.scale(other)
         trunc = min(self.val_floor() + other.trunc, other.val_floor() + self.trunc)
         trunc = _exponent(trunc)
-        a, b = self.terms, other.terms
+        if self.nums == _ONE and self.den == 1:  # a product with one
+            return other.truncate(trunc)
+        if other.nums == _ONE and other.den == 1:
+            return self.truncate(trunc)
+        a, b, den = self.nums, other.nums, self.den * other.den
         if len(a) == 1 or len(b) == 1:
             ((e1, c1),), b = (a, b) if len(a) == 1 else (b, a)
-            if e1 == 0 and c1 == 1:  # a product with one
-                return _canonical(_below(b, trunc), trunc)
-            terms = tuple(
-                (_exponent(e1 + e2), c1 * c2) for e2, c2 in _below(b, trunc - e1)
-            )
-            return _canonical(terms, trunc)
+            b = _below(b, trunc - e1)
+            if type(e1) is int:  # int + Fraction is never integral
+                terms = tuple([(e1 + e2, c1 * c2) for e2, c2 in b])
+            else:
+                terms = tuple([(_exponent(e1 + e2), c1 * c2) for e2, c2 in b])
+            return _canonical(terms, den, trunc)
         acc = {}
         if other is self:
             # a square: each unordered pair of distinct terms once, doubled
@@ -266,29 +315,32 @@ class PuiseuxSeries:
                         break
                     acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
         terms = tuple((_exponent(e), acc[e]) for e in sorted(acc) if acc[e])
-        return _canonical(terms, trunc)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return _canonical(terms, den, trunc)
 
     def scale(self, c):
-        c = as_coefficient(c)
+        c = c if type(c) is int else as_coefficient(c)
         if not c:
-            return _canonical((), INF)
-        return _canonical(tuple((e, c * tc) for e, tc in self.terms), self.trunc)
+            return _make((), 1, INF)
+        p, q = (c.numerator, c.denominator) if isinstance(c, _RATIONAL) else (c, 1)
+        nums = tuple([(e, p * n) for e, n in self.nums])
+        return _canonical(nums, self.den * q, self.trunc)
+
+    __rmul__ = scale
 
     def shift(self, e):
         """Multiply by x^e."""
         e = _as_exponent(e)
-        terms = tuple((_exponent(te + e), tc) for te, tc in self.terms)
-        return _canonical(terms, _exponent(self.trunc + e))
+        nums = tuple((_exponent(te + e), n) for te, n in self.nums)
+        return _make(nums, self.den, _exponent(self.trunc + e))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PuiseuxSeries.constant(other)
         if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        return self.terms == other.terms and self.trunc == other.trunc
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            other = PuiseuxSeries.constant(other)
+        if self.den == other.den:
+            return self.trunc == other.trunc and self.nums == other.nums
+        return self.trunc == other.trunc and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.terms, self.trunc))
@@ -296,56 +348,50 @@ class PuiseuxSeries:
     def agrees_with(self, other, below):
         """Termwise equality of the two series strictly below ``below``."""
         below = min(_as_exponent(below), self.trunc, other.trunc)
-        a = [(e, c) for e, c in self.terms if e < below]
-        b = [(e, c) for e, c in other.terms if e < below]
-        return a == b
+        return self.with_trunc(below) == other.with_trunc(below)
 
     # -- calculus ---------------------------------------------------------
 
     def differentiate(self):
         """Termwise d/dx; constants vanish and trunc drops by one."""
         t = self.trunc if self.trunc == INF else self.trunc - 1
-        terms = tuple((e - 1, c * e) for e, c in self.terms if e)
-        return _canonical(terms, t)
+        # n*e over den is n*e*k over den*k, k the lcm of the exponent denominators
+        k = lcm(*(e.denominator for e, _n in self.nums))
+        nums = tuple(
+            (e - 1, n * (e.numerator * (k // e.denominator))) for e, n in self.nums if e
+        )
+        return _canonical(nums, self.den * k, t)
 
     # -- multiplicative structure ----------------------------------------
 
     def invert(self, prec=None):
-        """Geometric-series expansion of the reciprocal.
-
-        ``prec`` (a target truncation exponent for the result) is required
-        whenever the reciprocal of an exact series does not terminate.
-        """
-        return self.pow_rational(Fraction(-1), prec=prec)
+        """The reciprocal; ``prec``, a target trunc, is required whenever
+        the reciprocal of an exact series does not terminate."""
+        return self.pow_rational(-1, prec=prec)
 
     def pow_rational(self, sigma, branch=None, prec=None):
         """The power ``self**sigma`` for rational ``sigma``.
 
-        For fractional powers the leading coefficient needs a root: the
-        caller may pass the chosen ``branch`` (any b with b^q = c^p for
-        sigma = p/q); by default the canonical exact rational root is used
-        when it exists.
-
-        A positive integer power is a plain ring power, which divides by
-        nothing.  Every other power of y = c_0*x^m + sum c_k*x^(m + delta_k)
-        is x^(sigma*m) * sum p_d*x^d with p_0 = the branch and p_d from
-        :func:`miller_step`, filled in ascending order over the semigroup
-        the offsets delta_k generate.  The result is known below
-        sigma*m + bound, bound = min(trunc - m, prec - sigma*m); an exact
-        series with more than one term needs ``prec``.
+        A fractional power needs a root of the leading coefficient: the
+        caller may pass the ``branch`` (any b with b^q = c^p for sigma =
+        p/q); by default the canonical exact rational root is used.  A
+        positive integer power is a plain ring power.  Every other power of
+        y = c_0*x^m + sum c_k*x^(m + delta_k) is x^(sigma*m) * sum p_d*x^d,
+        p_0 the branch and p_d from :func:`miller_step` over the semigroup
+        of the delta_k; the step reads only c_k/c_0, so it runs on the
+        numerators.  The result is known below sigma*m + min(trunc - m,
+        prec - sigma*m); an exact series of several terms needs ``prec``.
         """
-        sigma = Fraction(sigma)
-        if not self.terms:
+        sigma = _as_exponent(sigma)
+        if not self.nums:
             if sigma > 0:
-                if self.trunc == INF:
-                    return PuiseuxSeries.zero()
                 return PuiseuxSeries.zero(self.trunc * sigma)
             raise PoleError("zero series raised to a nonpositive power")
         if sigma == 0:
             return PuiseuxSeries.one()
-        if sigma.denominator == 1 and sigma > 0:
+        if type(sigma) is int and sigma > 0:
             # plain ring power: no leading-coefficient root or inverse needed
-            result = ppow(self, sigma.numerator, PuiseuxSeries.one())
+            result = ppow(self, sigma, PuiseuxSeries.one())
             if prec is not None:
                 result = result.truncate(prec)
             return result
@@ -359,7 +405,7 @@ class PuiseuxSeries:
                     f"branch {branch} is not a {sigma.denominator}-th root "
                     f"of {c}^{sigma.numerator}"
                 )
-        offsets = tuple((e - m, tc) for e, tc in self.terms[1:])
+        offsets = tuple((e - m, n) for e, n in self.nums[1:])
         bound = self.trunc - m
         if prec is not None:
             bound = min(bound, _as_exponent(prec) - sigma * m)
@@ -369,12 +415,15 @@ class PuiseuxSeries:
             )
         table = {0: branch}
         support = _semigroup([delta for delta, _c in offsets], bound)
+        c0 = self.nums[0][1]
         for d in sorted(support):
             if d < bound:
-                table[d] = miller_step(sigma, d, offsets, c, table.get)
+                table[d] = miller_step(sigma, d, offsets, c0, table.get)
         base = _exponent(sigma * m)
-        terms = [(_exponent(base + d), p) for d, p in table.items() if p and d < bound]
-        return _canonical(tuple(terms), _exponent(bound + base))
+        terms = tuple(
+            (_exponent(base + d), p) for d, p in table.items() if p and d < bound
+        )
+        return _make(*_kernel(terms), _exponent(bound + base))
 
     # -- text form --------------------------------------------------------
 
@@ -385,19 +434,19 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({format_series(self)})"
 
 
+_new = object.__new__
+_set_nums = PuiseuxSeries.nums.__set__
+_set_den = PuiseuxSeries.den.__set__
+_set_trunc = PuiseuxSeries.trunc.__set__
+
+
 def _semigroup(generators, bound):
     """All sums of >= 1 generators up to ``bound`` (inclusive)."""
-    sums = set()
-    frontier = {0}
+    sums, frontier = set(), {0}
     while frontier:
-        nxt = set()
-        for base in frontier:
-            for g in generators:
-                v = base + g
-                if v <= bound and v not in sums:
-                    sums.add(v)
-                    nxt.add(v)
-        frontier = nxt
+        frontier = {v for b in frontier for g in generators if (v := b + g) <= bound}
+        frontier -= sums
+        sums |= frontier
     return sums
 
 
@@ -411,7 +460,7 @@ def miller_step(sigma, d, offsets, c0, power):
     above its leading coefficient ``c0``; ``power(d')`` is p at a lower
     offset, falsy when it vanishes.  Zero products are left out.
     """
-    value = as_coefficient(0)
+    value = Fraction(0)
     for delta, c in offsets:
         if delta > d:
             break
@@ -423,7 +472,7 @@ def miller_step(sigma, d, offsets, c0, power):
 
 def default_branch(c, sigma):
     """Canonical root branch for ``c**sigma``; BranchError when absent."""
-    sigma = Fraction(sigma)
+    sigma = _as_exponent(sigma)
     q, p = sigma.denominator, sigma.numerator
     if q == 1:
         return as_coefficient(c) ** p
@@ -443,9 +492,8 @@ def substitute_series(monomials, y, prec=None, branches=None):
     """Evaluate ``sum f * x^nu * y^sigma`` at a series ``y``.
 
     ``monomials`` is any iterable of ``(nu, sigma, f)`` triples, such as
-    the monomials of an ODE.  ``branches``, when given, is a callable from
-    sigma to the root branch used for ``y**sigma`` (None for the default
-    branch).
+    the monomials of an ODE.  ``branches``, when given, maps sigma to the
+    root branch of ``y**sigma`` (None for the default branch).
     """
     by_sigma = {}
     for nu, sigma, f in monomials:
@@ -456,7 +504,7 @@ def substitute_series(monomials, y, prec=None, branches=None):
         if sigma == 0:
             total = total + xpart
             continue
-        if not y.terms and sigma < 0:
+        if not y.nums and sigma < 0:
             raise PoleError("negative power of the zero series in substitution")
         branch = branches(sigma) if branches is not None else None
         ypow = y.pow_rational(sigma, branch=branch, prec=prec)
@@ -476,8 +524,6 @@ def _format_exponent(e):
 
 
 def _format_coefficient(c):
-    if isinstance(c, Fraction):
-        return str(c)
     text = str(c)
     if text.startswith("(") or (" " not in text and not text.startswith("-")):
         return text
@@ -495,13 +541,10 @@ def format_series(s: PuiseuxSeries) -> str:
             body = _format_exponent(e)
         else:
             body = f"{_format_coefficient(mag)}*{_format_exponent(e)}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
+        parts.append(f"- {body}" if neg else f"+ {body}")
     if s.trunc != INF:
-        otext = f"O({_format_exponent(s.trunc)})"
-        parts.append(f"+ {otext}" if parts else otext)
-    if not parts:
+        parts.append(f"+ O({_format_exponent(s.trunc)})")
+    text = " ".join(parts)
+    if not text:
         return "0"
-    return " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -2,10 +2,11 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from puiseux.coefficients import ParamPoly, as_coefficient
-from puiseux.series import PuiseuxSeries, SeriesError, _as_exponent, _semigroup
+from puiseux.polyutils import fraction_nth_root
+from puiseux.series import INF, PuiseuxSeries, SeriesError, _as_exponent, _semigroup
 
 
 class PowerExpansion:
@@ -146,3 +147,115 @@ def pairwise_breaking_points(lines):
             if a.value(x) == min(line.value(x) for line in lines):
                 points.add(x)
     return sorted(points)
+
+
+# -- the plain per-term series reference -------------------------------------
+
+
+class RefSeries:
+    """A series as a dict {exponent: coefficient} below ``trunc``, every
+    coefficient held on its own as a Fraction, AlgebraicNumber or
+    ParamPoly: the per-term arithmetic the fraction-free series kernel
+    must agree with, written out with no shared denominator."""
+
+    def __init__(self, terms, trunc=INF):
+        self.trunc = trunc
+        self.terms = {e: c for e, c in terms if c and e < trunc}
+
+    @classmethod
+    def of(cls, s):
+        return cls(s.terms, s.trunc)
+
+    def val_floor(self):
+        return min(self.terms, default=self.trunc)
+
+    def items(self):
+        return sorted(self.terms.items(), key=lambda t: t[0])
+
+    def __add__(self, other):
+        trunc = min(self.trunc, other.trunc)
+        out = {}
+        for s in (self, other):
+            for e, c in s.terms.items():
+                if e < trunc:
+                    out[e] = out[e] + c if e in out else c
+        return RefSeries(out.items(), trunc)
+
+    def __neg__(self):
+        return RefSeries([(e, -c) for e, c in self.terms.items()], self.trunc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        trunc = min(self.val_floor() + other.trunc, other.val_floor() + self.trunc)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = e1 + e2
+                if e < trunc:
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return RefSeries(out.items(), trunc)
+
+    def scale(self, c):
+        if not c:
+            return RefSeries(())
+        return RefSeries([(e, c * v) for e, v in self.terms.items()], self.trunc)
+
+    def shift(self, k):
+        return RefSeries([(e + k, c) for e, c in self.terms.items()], self.trunc + k)
+
+    def differentiate(self):
+        trunc = self.trunc if self.trunc == INF else self.trunc - 1
+        return RefSeries([(e - 1, c * e) for e, c in self.terms.items() if e], trunc)
+
+    def pow_rational(self, sigma, branch=None, prec=None):
+        """Ring powers by repeated products; every other power by Miller's
+        recurrence term by term, over the sums of the offsets."""
+        sigma = Fraction(sigma)
+        if not self.terms:
+            if sigma > 0:
+                return RefSeries((), self.trunc * sigma)
+            raise SeriesError("pole")
+        if sigma.denominator == 1 and sigma > 0:
+            out = RefSeries([(0, Fraction(1))])
+            for _ in range(sigma.numerator):
+                out = out * self
+            return out if prec is None else RefSeries(out.items(), min(out.trunc, prec))
+        (m, c0), *rest = self.items()
+        if branch is None:
+            root = fraction_nth_root(c0, sigma.denominator)
+            branch = root**sigma.numerator
+        offsets = [(e - m, c) for e, c in rest]
+        bound = self.trunc - m
+        if prec is not None:
+            bound = min(bound, prec - sigma * m)
+        reach, frontier = set(), {Fraction(0)}
+        while frontier:
+            frontier = {f + d for f in frontier for d, _c in offsets if f + d < bound}
+            frontier -= reach
+            reach |= frontier
+        table = {Fraction(0): branch}
+        for d in sorted(reach):
+            value = Fraction(0)
+            for delta, c in offsets:
+                if delta <= d and table.get(d - delta):
+                    value = value + c * ((sigma + 1) * delta - d) * table[d - delta]
+            table[d] = value / (d * c0)
+        base = sigma * m
+        return RefSeries([(base + d, p) for d, p in table.items()], base + bound)
+
+
+def ref_taylor_shift(p, c):
+    """The RefSeries coefficients of p(c + y): sum over l >= i of
+    p[l] * C(l, i) * c^(l - i)."""
+    out = []
+    for i in range(len(p)):
+        acc = p[i]
+        for l in range(i + 1, len(p)):
+            power = c
+            for _ in range(l - i - 1):
+                power = power * c
+            acc = acc + p[l] * power.scale(Fraction(comb(l, i)))
+        out.append(acc)
+    return out

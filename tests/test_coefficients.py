@@ -29,7 +29,9 @@ from puiseux.polyutils import (
     pmul,
     ppow,
     rational_roots,
+    refine_interval,
     split_quartic,
+    squarefree_part,
 )
 from puiseux.liouville import Tower
 from puiseux.ratfunc import RatFunc
@@ -152,6 +154,37 @@ class TestNumberField:
             assert field == NumberField(minpoly, regions[i])
             for j, other in enumerate(fields):
                 assert (field == other) == (i == j)
+
+    def test_approx_interval_is_the_fraction_halving_interval(self):
+        # the integer-grid bisection lands on the interval that halving
+        # with Fractions reaches, so the floats and the branch order agree
+        def halved(p, lo, hi):
+            for _ in range(40):
+                if hi - lo < F(1, 10**12):
+                    break
+                mid = (lo + hi) / 2
+                v = peval(p, mid)
+                if not v:
+                    lo, hi = (lo + mid) / 2, mid
+                elif (peval(p, lo) > 0) != (v > 0):
+                    hi = mid
+                else:
+                    lo = mid
+            return lo, hi
+
+        rng = random.Random(20261019)
+        polys = [[F(-1, 4), F(0), F(1)]]  # +-1/2: a root at a midpoint
+        for _ in range(60):
+            deg = rng.randint(2, 5)
+            polys.append([F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(deg)]
+                         + [F(rng.choice([1, 2, 3, -1, 7]))])
+        for p in polys:
+            q = squarefree_part(p)
+            intervals = isolate_real_roots(q)
+            if p == polys[0]:
+                intervals += [(F(0), F(2)), (F(-2), F(0))]
+            for lo, hi in intervals:
+                assert refine_interval(q, lo, hi, F(1, 10**12), 40) == halved(q, lo, hi)
 
     def test_rational_operand_matches_lifted_operand(self):
         # a rational acts on the vector directly; the reference lifts it

@@ -83,6 +83,35 @@ class TestOdeGrammar:
         with pytest.raises(ParseError):
             parse_ode("y^2 - x")
 
+    def test_bare_exponent_takes_an_integer_only(self):
+        # x^2/2 is (x^2)/2, not x^(2/2); a rational exponent needs x^(p/q)
+        assert parse_ode("dy/dx = x^2/2") == parse_ode("dy/dx = (x^2)/2")
+        triples = [tuple(m) for m in parse_ode("dy/dx = x^2/2").monomials]
+        assert triples == [(2, 0, F(1, 2))]
+        assert [tuple(m) for m in parse_ode("dy/dx = y^3/x").monomials] == [
+            (-1, 3, 1)
+        ]
+        assert [tuple(m) for m in parse_ode("dy/dx = x^-2*y").monomials] == [
+            (-2, 1, 1)
+        ]
+        assert parse_ode("dy/dx = x^(2/2)") == parse_ode("dy/dx = x")
+
+    def test_unit_denominator_is_left_alone(self, monkeypatch):
+        # only the denominators x^2, x and x are inverted, never the unit one
+        inverted = []
+        invert = PuiseuxSeries.invert
+
+        def recorded(s, *args, **kwargs):
+            inverted.append(str(s))
+            return invert(s, *args, **kwargs)
+
+        monkeypatch.setattr(PuiseuxSeries, "invert", recorded)
+        e = parse_ode("dy/dx = x^(-2)*y^2 + 2*x^(-1)*y + x + y^3*x^(-1)")
+        assert inverted == ["x^2", "x", "x"]
+        assert [tuple(m) for m in e.monomials] == [
+            (-2, 2, 1), (-1, 1, 2), (-1, 3, 1), (1, 0, 1)
+        ]
+
 
 class TestWfactorGrammar:
     def test_basic(self):

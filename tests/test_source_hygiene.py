@@ -1,5 +1,5 @@
 """Source hygiene of the package: no private definition without a caller,
-no unused import.
+no unused import, and the series kernel within its line budget.
 
 Parsed with the stdlib ``ast``; nothing is imported or executed.
 """
@@ -55,3 +55,11 @@ def test_every_import_is_used():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert unused == []
+
+
+def test_series_kernel_stays_within_its_line_budget():
+    # the series kernel and its coefficient domains together; a change
+    # that needs more lines must first take some out
+    total = sum(len((SRC / name).read_text().splitlines())
+                for name in ("series.py", "coefficients.py"))
+    assert total <= 1250, total
