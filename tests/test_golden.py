@@ -35,6 +35,22 @@ CASES = {
     # a fractional exponent in the input and a half-integral residual bound
     "algebraic-fractional-input": (
         0, ["algebraic", "--bound", "3", "y^2 - x^3 - x^(7/2) = 0"]),
+    # a cubic field whose monic minimal polynomial c^3 - 3c + 1/2 has a
+    # rational coefficient
+    "algebraic-algebraic-cubic-field": (
+        0, ["algebraic", "--roots", "algebraic", "--bound", "3",
+            "2*y^3 - 6*x^2*y + x^3 + x^4 = 0"]),
+    # the complex field Q(sqrt(-3))
+    "algebraic-algebraic-complex-field": (
+        0, ["algebraic", "--roots", "algebraic", "--bound", "3",
+            "y^2 + x*y + 3*x = 0"]),
+    # a non-monic cubic vertex polynomial with roots 1/3, 1/2 and 1
+    "algebraic-rational-nonmonic-cubic": (
+        0, ["algebraic", "--bound", "3",
+            "6*y^3 - 11*x*y^2 + 6*x^2*y - x^3 + x^4 = 0"]),
+    # a rational-root-free quintic vertex polynomial is left unresolved
+    "algebraic-rational-quintic-unresolved": (
+        4, ["algebraic", "--bound", "2", "y^5 - x - 2 = 0"]),
     "ode-monomial": (0, ["ode", "--bound", "4", "dy/dx = x^2*y^2"]),
     "ode-resonant": (0, ["ode", "--bound", "4", "dy/dx = y/x + x"]),
     "ode-riccati": (0, ["ode", "--bound", "4", "dy/dx = 2*y/x + x + y^2"]),
