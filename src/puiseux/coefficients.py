@@ -11,9 +11,11 @@ Three exact domains are supported:
   polynomial; the isolating region is only ever refined to *select* or
   order roots, never to compute with them.
 * :class:`ParamPoly` -- a polynomial in one formal free constant over Q,
-  used to carry a free parameter through a series computation exactly;
-  stored as integer numerators over one denominator, so its arithmetic
-  is integer polynomial arithmetic and one content gcd per result.
+  used to carry a free parameter through a series computation exactly.
+
+Both are stored fraction-free, as int numerators over one denominator, so
+their arithmetic runs on ints with one content gcd per result; the root
+search over Q runs on primitive integer forms (:mod:`puiseux.polyutils`).
 
 All domains are immutable values and support ``+ - * / **`` with ints and
 Fractions mixed in.
@@ -22,24 +24,26 @@ Fractions mixed in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd
 
 from .polyutils import (
     FactorizationLimit,
     _fraction_sqrt,
+    _squarefree_core,
     count_real_roots,
+    int_form,
+    int_solve,
     irreducible_factors,
     isolate_real_roots,
     padd,
     pdeg,
-    pdivmod,
     peval,
     pformat,
     pmonic,
     pmul,
     ppow,
+    pprem,
     pstrip,
-    psub,
     rational_roots,
     refine_interval,
 )
@@ -84,6 +88,8 @@ class NumberField:
     constructors in this module only build certified fields).  ``region``
     is either ``(lo, hi)`` -- exact rationals isolating one real root on
     (lo, hi] -- or ``((re_lo, re_hi), (im_lo, im_hi))`` for a complex root.
+    ``mnums`` is ``minpoly`` times the lcm of its denominators, a primitive
+    int tuple whose leading coefficient is that lcm.
     """
 
     def __init__(self, minpoly, region, label="theta"):
@@ -91,6 +97,7 @@ class NumberField:
         if len(minpoly) < 3:
             raise ValueError("number field needs degree >= 2")
         self.minpoly = minpoly
+        self.mnums = tuple(int_form(minpoly)[0])
         self.region = region
         self.label = label
         self._approx = None
@@ -104,24 +111,30 @@ class NumberField:
         return not isinstance(self.region[0], tuple)
 
     def element(self, vec):
-        vec = [Fraction(v) for v in vec]
-        if len(vec) > self.degree:
-            vec = list(pdivmod(vec, list(self.minpoly))[1])
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return AlgebraicNumber(self, tuple(vec[: self.degree]))
+        return self._reduce(*int_form([Fraction(v) for v in vec]))
+
+    def _reduce(self, nums, den):
+        """The element sum(nums[i] * theta^i) / den of the int list ``nums``:
+        a pseudo-remainder by ``mnums`` scales by its lead per step."""
+        n = self.degree
+        if len(nums) > n:
+            den *= self.mnums[-1] ** (len(nums) - n)
+            nums = pprem(nums, self.mnums)
+        return _alg(self, (*nums, *[0] * (n - len(nums))), den)
 
     def generator(self):
         return self.element([0, 1])
 
     def lift(self, q):
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return _alg(self, (q.numerator, *[0] * (self.degree - 1)), q.denominator)
 
     def approx(self):
         if self._approx is None:
             if self.is_real:
                 # an irreducible minpoly is already squarefree
                 lo, hi = self.region = refine_interval(
-                    self.minpoly, *self.region, Fraction(1, 10**12), 40
+                    self.mnums, *self.region, Fraction(1, 10**12), 40
                 )
                 self._approx = (float(lo) + float(hi)) / 2.0
             else:
@@ -140,7 +153,7 @@ class NumberField:
         """
         if self is other:
             return True
-        if not isinstance(other, NumberField) or self.minpoly != other.minpoly:
+        if not isinstance(other, NumberField) or self.mnums != other.mnums:
             return False
         if self.is_real != other.is_real:
             return False
@@ -149,7 +162,7 @@ class NumberField:
             hi = min(self.region[1], other.region[1])
             if hi <= lo:
                 return False
-            return count_real_roots(list(self.minpoly), lo, hi) == 1
+            return count_real_roots(self.mnums, lo, hi) == 1
         (rl1, rh1), (il1, ih1) = self.region
         (rl2, rh2), (il2, ih2) = other.region
         same_half_plane = (il1 + ih1 > 0) == (il2 + ih2 > 0)
@@ -157,38 +170,11 @@ class NumberField:
         return same_half_plane and real_overlap
 
     def __hash__(self):
-        sign = 0
-        if not self.is_real:
-            (_, _), (il, ih) = self.region
-            sign = 1 if il + ih > 0 else -1
-        return hash((self.minpoly, self.is_real, sign))
+        upper = None if self.is_real else sum(self.region[1]) > 0
+        return hash((self.mnums, upper))
 
     def __repr__(self):
         return f"NumberField({self.label}: deg {self.degree})"
-
-
-def _squarefree_core(n: int):
-    """(s, core) with n = s^2 * core and core squarefree.
-
-    Trial division stops once d^3 exceeds the cofactor m: every prime
-    factor of m is then at least d, so m is 1, p, p*q or p^2, and one
-    integer square root test finds the square.
-    """
-    s, core, d, m = 1, 1, 2, n
-    while d * d * d <= m:
-        exp = 0
-        while m % d == 0:
-            m //= d
-            exp += 1
-        if exp:
-            s *= d ** (exp // 2)
-            if exp % 2:
-                core *= d
-        d += 1
-    r = isqrt(m)
-    if r > 1 and r * r == m:
-        return s * r, core
-    return s, core * m
 
 
 def canonical_sqrt(radicand):
@@ -227,16 +213,21 @@ def sqrt_field(radicand, label=None):
 
 
 class AlgebraicNumber:
-    """An element of a :class:`NumberField`, as a coefficient vector."""
+    """An element of a :class:`NumberField`, stored like :class:`ParamPoly`:
+    ``sum(nums[i] * theta^i) / den``, ``nums`` a tuple of ``degree`` ints and
+    ``den`` > 0 coprime to them all, so the form is canonical; ``vec``
+    gives the Fractions back.  A product is an integer convolution reduced
+    modulo ``field.mnums``, the inverse a fraction-free linear solve."""
 
-    __slots__ = ("field", "vec")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field, vec):
-        self.field = field
-        self.vec = vec
+    @property
+    def vec(self):
+        """The coefficients as Fractions, lowest power of theta first."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __bool__(self):
-        return any(self.vec)
+        return any(self.nums)
 
     def _coerce(self, other):
         """``other`` as a field element or an unlifted rational, else None."""
@@ -256,14 +247,19 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not isinstance(o, AlgebraicNumber):
-            return AlgebraicNumber(self.field, (self.vec[0] + o, *self.vec[1:]))
-        return AlgebraicNumber(self.field, tuple(a + b for a, b in zip(self.vec, o.vec)))
+        rational = not isinstance(o, AlgebraicNumber)
+        onums, oden = ((o.numerator,), o.denominator) if rational else (o.nums, o.den)
+        g = gcd(self.den, oden)
+        a, b = oden // g, self.den // g
+        nums = [n * a for n in self.nums]
+        for i, n in enumerate(onums):
+            nums[i] += n * b
+        return _alg(self.field, tuple(nums), self.den * a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, tuple(-a for a in self.vec))
+        return _alg(self.field, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -279,25 +275,23 @@ class AlgebraicNumber:
         if o is None:
             return NotImplemented
         if isinstance(o, AlgebraicNumber):
-            return self.field.element(pmul(list(self.vec), list(o.vec)))
-        return AlgebraicNumber(self.field, tuple(a * o for a in self.vec))
+            return self.field._reduce(pmul(self.nums, o.nums), self.den * o.den)
+        p = o.numerator
+        return _alg(self.field, tuple(n * p for n in self.nums), self.den * o.denominator)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """Solve self * x = 1; column j is theta^j * self times mnums[-1]^j."""
         if not self:
             raise ZeroDivisionError("inverse of zero algebraic number")
-        # extended Euclid: u*vec + v*minpoly = 1 (gcd is 1, minpoly irreducible)
-        a, b = list(self.field.minpoly), pstrip(list(self.vec))
-        r0, r1 = a, b
-        s0, s1 = [], [Fraction(1)]
-        while pdeg(r1) > 0:
-            q, r = pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, psub(s0, pmul(q, s1))
-        lead = r1[0]
-        inv = [c / lead for c in s1]
-        return self.field.element(inv)
+        field, cols, col = self.field, [], list(self.nums)
+        for _ in range(field.degree):
+            cols.append(col)
+            col = pprem([0, *col], field.mnums)
+        sol, det = int_solve(list(zip(*cols)), [1] + [0] * (field.degree - 1))
+        lead, k = field.mnums[-1], self.den if det > 0 else -self.den
+        return _alg(field, tuple(s * k * lead**j for j, s in enumerate(sol)), abs(det))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -305,7 +299,9 @@ class AlgebraicNumber:
             return NotImplemented
         if isinstance(o, AlgebraicNumber):
             return self * o.inverse()
-        return AlgebraicNumber(self.field, tuple(a / o for a in self.vec))
+        if not o:
+            raise ZeroDivisionError("division of an algebraic number by zero")
+        return self * Fraction(o.denominator, o.numerator)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -322,33 +318,43 @@ class AlgebraicNumber:
 
     def __eq__(self, other):
         if isinstance(other, _RATIONAL):
-            return self.vec[0] == other and not any(self.vec[1:])
+            return self.rational_value() == other
         if isinstance(other, AlgebraicNumber):
-            return self.field == other.field and self.vec == other.vec
+            return self.field == other.field and (self.nums, self.den) == (other.nums, other.den)
         return NotImplemented
 
     def __hash__(self):
-        if not any(self.vec[1:]):
-            return hash(self.vec[0])
-        return hash((self.field, self.vec))
+        r = self.rational_value()
+        return hash(r) if r is not None else hash((self.field, self.nums, self.den))
 
     def rational_value(self):
         """The element as a Fraction if it lies in Q, else None."""
-        if any(self.vec[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.vec[0]
+        return Fraction(self.nums[0], self.den)
 
     def approx(self):
         t = self.field.approx()
         acc = 0.0 if not isinstance(t, complex) else complex(0)
-        for c in reversed(self.vec):
-            acc = acc * t + float(c)
+        for n in reversed(self.nums):
+            acc = acc * t + n / self.den
         return acc
 
     def __repr__(self):
         return pformat(self.vec, self.field.label)
 
     __str__ = __repr__
+
+
+def _alg(field, nums, den):
+    """An AlgebraicNumber from a tuple of ``field.degree`` ints over a
+    positive ``den``, divided by their content gcd; nothing is checked."""
+    g = gcd(den, *nums)
+    a = object.__new__(AlgebraicNumber)
+    a.field = field
+    a.nums = nums if g == 1 else tuple(n // g for n in nums)
+    a.den = den // g
+    return a
 
 
 # -- free-constant polynomials ----------------------------------------------
@@ -372,10 +378,8 @@ class ParamPoly:
     __slots__ = ("nums", "den", "symbol")
 
     def __init__(self, coeffs, symbol="C"):
-        coeffs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        self.nums = tuple(pstrip([c.numerator * den // c.denominator for c in coeffs]))
-        self.den = den
+        nums, self.den = int_form([Fraction(c) for c in coeffs])
+        self.nums = tuple(pstrip(nums))
         self.symbol = symbol
 
     @classmethod
@@ -571,7 +575,6 @@ def poly_roots(coeffs, mode="rational"):
 
 def _roots_over_q(coeffs, mode):
     roots, remainder = rational_roots(coeffs)
-    roots = [(Fraction(r), m) for r, m in roots]
     if pdeg(remainder) < 1:
         return RootSearchResult(roots)
     if mode != "algebraic":
@@ -682,10 +685,7 @@ def _quadratic_sqrt(field, a, b):
         return field.lift(s)
     # case v != 0: u = (b + p w) / (2v) with w = v^2 a root of
     # (p^2 - 4q) w^2 + (2bp - 4a) w + b^2 = 0
-    A = p * p - 4 * q
-    B = 2 * b * p - 4 * a
-    C = b * b
-    for w, _mult in rational_roots([C, B, A])[0]:
+    for w, _mult in rational_roots([b * b, 2 * b * p - 4 * a, p * p - 4 * q])[0]:
         if w <= 0:
             continue
         v = _fraction_sqrt(w)

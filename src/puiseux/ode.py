@@ -50,6 +50,7 @@ from .series import (
     PuiseuxSeries,
     SeriesError,
     _as_exponent,
+    _coefficient,
     _exponent,
     _make,
     _semigroup,
@@ -718,7 +719,9 @@ class _ResidualCoefficients:
     constant may lead y; every other power from the Miller step of
     ``pow_rational`` (:func:`puiseux.series.miller_step`), started at the
     branch it picks.  An entry is kept once m + d lies below the level: it
-    then depends only on terms of y that no later level changes.
+    then depends only on terms of y that no later level changes.  For the
+    same reason the offsets of y are kept, and each level views only the
+    terms added since the last one.
     """
 
     def __init__(self, e: MonomialODE, branches, lift, scale):
@@ -729,18 +732,22 @@ class _ResidualCoefficients:
         self.branches = branches
         self.lift = lift
         self.tables = {}  # sigma -> {offset d: p_d}, final entries only
+        self.offsets, self.lookup = [], {}  # (e - m, coefficient) of y so far
 
     def at(self, y: PuiseuxSeries, level):
         target = level + self.lift
         total = as_coefficient(0)
-        if not y.terms:  # a zero start (c_r = 0) until a level adds a term
+        if not y.nums:  # a zero start (c_r = 0) until a level adds a term
             for mono in self.monomials:
                 if mono.y_exp == 0 and mono.x_exp == target:
                     total = total + mono.coefficient
             return -total
-        m, c0 = y.terms[0]
-        offsets = tuple((te - m, tc) for te, tc in y.terms)
-        ctx = (offsets, dict(offsets), c0, level - m)
+        m = y.nums[0][0]
+        for te, n in y.nums[len(self.offsets):]:
+            self.offsets.append((te - m, _coefficient(n, y.den)))
+            self.lookup[te - m] = self.offsets[-1][1]
+        offsets = self.offsets
+        ctx = (offsets, self.lookup, offsets[0][1], level - m)
         for mono in self.monomials:
             sigma = mono.y_exp
             d = target - mono.x_exp - sigma * m

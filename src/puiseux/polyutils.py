@@ -2,8 +2,8 @@
 
 A polynomial is a plain list of coefficients, lowest degree first.  The
 helpers from ``pstrip`` to ``ptaylor_shift`` need only ring operations and
-a zero test on the coefficients (``pdivmod``, ``pmonic``, ``pgcd`` and
-``squarefree_part`` also divide), so callers use them over ``Fraction``,
+a zero test on the coefficients (``pdivmod``, ``pmonic`` and ``pgcd``
+also divide), so callers use them over ``Fraction``,
 ``AlgebraicNumber``, ``PuiseuxSeries`` and tower ``Element`` coefficients
 alike.  The zero test is truthiness; a series is false only when it is
 the exact zero, so an ``O(x^t)`` coefficient is never dropped.
@@ -21,22 +21,35 @@ lists: ``ppow`` is the one ring power (repeated squaring) behind the
 polynomials and tower elements, and ``pformat`` is the one printer of a
 dense polynomial in a named symbol.
 
-The root-finding machinery at the bottom is specific to exact rationals.
+The root-finding machinery at the bottom is specific to exact rationals
+and runs on ints: a rational polynomial enters as its primitive integer
+form (``int_form`` gives the numerators over the lcm of the
+denominators), and ``rational_roots``, ``isolate_real_roots`` and
+``count_real_roots`` take and return Fractions at their edges only.
 ``rational_roots`` is complete for every coefficient size and has no
-search budget: degrees 1 and 2 are solved in closed form, and above that
-each real root, isolated by Sturm sequences, is narrowed down to the one
-rational it could be, because the denominator of a rational root divides
-the leading coefficient (R. Loos, SIAM J. Comput. 12, 1983, reaches the
-same roots by p-adic expansion).  Exact integer square and n-th roots use ``math.isqrt`` and an
-integer Newton iteration, never floats.  ``irreducible_factors`` builds
-on these with Yun's squarefree decomposition and quartic splitting.
+search budget: degree 1 is -p0/p1, degree 2 the integer discriminant
+under ``math.isqrt``, and above that each real root, isolated by integer
+Sturm sequences, is narrowed down to the one rational n/d it could be,
+because the denominator of a rational root divides the leading
+coefficient (R. Loos, SIAM J. Comput. 12, 1983, reaches the same roots
+by p-adic expansion); n/d is divided out by exact integer division by
+d*t - n.  The Sturm sequence is a primitive remainder sequence (G. E.
+Collins, JACM 14, 1967): ``pprem`` pseudo-remainders scaled by positive
+factors only and divided by their content, so every sign is that of the
+classical sequence, and each sign is one homogeneous integer evaluation
+(``_sign_at``) at a point n/d.  ``pprem`` also reduces number-field
+products modulo the integer minimal polynomial, and ``int_solve``
+(fraction-free Gauss-Jordan) inverts them.  Exact integer square and
+n-th roots use ``math.isqrt`` and an integer Newton iteration, never
+floats.  ``irreducible_factors`` builds on these with Yun's squarefree
+decomposition and quartic splitting.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb, floor, isqrt, lcm
+from math import comb, isqrt, lcm
 from math import gcd as int_gcd
 
 
@@ -222,31 +235,75 @@ def ptaylor_shift(p, c):
     return out
 
 
-def squarefree_part(p):
-    p = pstrip(p)
-    if pdeg(p) <= 1:
-        return p
-    g = pgcd(p, pderiv(p))
-    if pdeg(g) <= 0:
-        return pmonic(p)
-    return pdivmod(pmonic(p), g)[0]
+# -- exact rational root machinery on ints ----------------------------------
 
 
-# -- exact rational root machinery -----------------------------------------
+def int_form(p):
+    """``(nums, den)`` with p = nums/den: the int numerators of the rational
+    list ``p`` over the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _primitive(ints):
+    """``ints`` divided by their positive content gcd; signs are kept."""
+    g = int_gcd(*ints)
+    return ints if g <= 1 else [c // g for c in ints]
 
 
 def _integerize(p):
-    """Scale a Fraction polynomial to primitive integer coefficients."""
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+    """A rational polynomial scaled to primitive integer coefficients."""
+    return _primitive(int_form(p)[0])
+
+
+def pprem(a, b):
+    """The pseudo-remainder of the int lists ``a`` by ``b``: ``a`` times
+    |b[-1]|^k modulo ``b``, one factor |b[-1]| for each of the k =
+    len(a) - len(b) + 1 steps (none when ``a`` is shorter).  Every step
+    scales, also when its top coefficient is zero, so the factor is
+    positive and known in advance."""
+    r = list(a)
+    n = len(b) - 1
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    for k in range(len(r) - 1, n - 1, -1):
+        top = r.pop() * sign
+        if scale != 1:
+            r = [scale * c for c in r]
+        if top:
+            for i in range(n):
+                r[k - n + i] -= top * b[i]
+    return r
+
+
+def _exquo(a, b):
+    """``a / b`` for int lists when ``b`` divides ``a`` over Z, else None.
+    A primitive ``b`` that divides ``a`` over Q divides it over Z (Gauss's
+    lemma), so every step is an exact integer division."""
+    r, q, lead, m = list(a), [], b[-1], len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        c, rest = divmod(r[k + m], lead)
+        if rest:
+            return None
+        q.append(c)
+        if c:
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+    if any(r[:m]):
+        return None
+    q.reverse()
+    return q
+
+
+def _squarefree(ints):
+    """The primitive squarefree part of a primitive int list: ``ints`` over
+    its gcd with the derivative, found by the primitive remainder sequence
+    of G. E. Collins (JACM 14, 1967)."""
+    if len(ints) <= 2:
+        return ints
+    a, b = ints, _primitive(pderiv(ints))
+    while b:
+        a, b = b, _primitive(pstrip(pprem(a, b)))
+    return ints if len(a) == 1 else _primitive(_exquo(ints, a))
 
 
 def rational_roots(p):
@@ -254,136 +311,169 @@ def rational_roots(p):
 
     Returns ``(roots, remainder)``: ``roots`` as ``(root, multiplicity)``
     pairs, zero first and the others ascending, and ``remainder`` the
-    rational-root-free cofactor.  After the ``x^k`` factor is split off,
-    :func:`_root_candidates` proposes at most one rational per real root,
-    and each one is divided out as often as it is a root.  No root is
-    missed whatever the size of the coefficients, and there is no budget.
+    rational-root-free cofactor, with the leading coefficient of ``p``.
+    After the ``x^k`` factor is split off, degree 1 is the root -p0/p1,
+    one division, and above that the search runs on the primitive integer
+    form of ``p`` (:func:`_int_roots`).  No root is missed whatever the
+    size of the coefficients, and there is no budget.
     """
     p = pstrip(p)
     if pdeg(p) < 1:
         return [], p
     roots = []
-    # pull out the x^k factor first
     k = 0
-    while not p[0]:
-        p = p[1:]
+    while not p[k]:
         k += 1
     if k:
         roots.append((Fraction(0), k))
-    for root in _root_candidates(p):
-        mult = 0
-        while pdeg(p) >= 1 and not peval(p, root):
-            p = pdivmod(p, [-root, Fraction(1)])[0]
-            mult += 1
-        if mult:
-            roots.append((root, mult))
-    return roots, p
+        p = p[k:]
+    if len(p) == 2:
+        lead = Fraction(p[1])
+        return roots + [(-p[0] / lead, 1)], [lead]
+    found, cofactor = _int_roots(_integerize(p))
+    if not found:
+        return roots, p
+    lead = Fraction(p[-1])
+    num, den = lead.numerator, lead.denominator * cofactor[-1]
+    return roots + found, [Fraction(num * c, den) for c in cofactor]
 
 
-def _root_candidates(p):
-    """Ascending rationals among which lie all rational roots of ``p``.
+def _int_roots(ints):
+    """The rational roots of a primitive int list, ascending with their
+    multiplicities, and the int cofactor left after dividing them out.
 
-    Degrees 1 and 2 are solved in closed form.  Above that, every real
-    root of the squarefree part is isolated by Sturm sequences.  A
-    rational root has a denominator dividing the leading coefficient a_n
-    of the primitive integer form, so it is a multiple of 1/|a_n|.  Each
-    isolating interval is bisected on that grid down to one multiple,
-    the single candidate of that root.
+    Degree 2 is the integer discriminant under ``isqrt``.  Above that
+    each candidate n/d of :func:`_root_candidates` is divided out by exact
+    integer division by d*t - n as often as it goes.
     """
-    deg = pdeg(p)
-    if deg < 1:
-        return []
-    if deg == 1:
-        return [-p[0] / p[1]]
+    deg = len(ints) - 1
+    if deg < 2:
+        return [], ints
     if deg == 2:
-        c, b, a = p
-        s = _fraction_sqrt(b * b - 4 * a * c)
-        if s is None:
-            return []
-        return sorted({(-b - s) / (2 * a), (-b + s) / (2 * a)})
-    q = squarefree_part(p)
-    ints = _integerize(q)
-    deg, lead = len(ints) - 1, abs(ints[-1])
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return [], ints
+        if not s:
+            return [(Fraction(-b, 2 * a), 2)], [a]
+        return sorted([(Fraction(-b - s, 2 * a), 1), (Fraction(-b + s, 2 * a), 1)]), [a]
+    found = []
+    for n, d in _root_candidates(ints):
+        mult = 0
+        while len(ints) > 1:
+            q = _exquo(ints, [-n, d])
+            if q is None:
+                break
+            ints, mult = q, mult + 1
+        if mult:
+            found.append((Fraction(n, d), mult))
+    return found, ints
+
+
+def _root_candidates(ints):
+    """Ascending ``(n, d)`` in lowest terms among which lie all rational
+    roots n/d of the int list ``ints``.
+
+    Every real root of the squarefree part is isolated by Sturm
+    sequences.  A rational root has a denominator dividing the leading
+    coefficient a_n of the primitive integer form, so it is a multiple of
+    1/|a_n|.  Each isolating interval is bisected on that grid down to one
+    multiple, the single candidate of that root (R. Loos, SIAM J. Comput.
+    12, 1983, reaches the same roots by p-adic expansion).
+    """
+    q = _squarefree(ints)
+    deg, lead = len(q) - 1, abs(q[-1])
     # y = a_n x turns q into an integer polynomial with leading
     # coefficient +-1, whose values at integers y carry the sign of q
-    scaled = [c * lead ** (deg - 1 - i) for i, c in enumerate(ints[:-1])]
-    scaled.append(ints[-1] // lead)
+    scaled = [c * lead ** (deg - 1 - i) for i, c in enumerate(q[:-1])]
+    scaled.append(q[-1] // lead)
     out = []
-    for lo, hi in isolate_real_roots(q):
-        # q has one root in (lo, hi]: bisect the integers k_lo < k <= k_hi
-        k_lo, k_hi = floor(lo * lead), floor(hi * lead)
-        side = 1 if peval(q, lo) > 0 else -1
+    for a, b, den in _isolate(q):
+        # q has one root in (a, b]/den: bisect the integers k_lo < k <= k_hi
+        k_lo, k_hi = a * lead // den, b * lead // den
+        side = _sign_at(q, a, den) > 0
         while k_hi - k_lo > 1:
             mid = (k_lo + k_hi) // 2
-            if peval(scaled, mid) * side > 0:
+            v = peval(scaled, mid)
+            if v and (v > 0) == side:
                 k_lo = mid
             else:
                 k_hi = mid
         if k_hi > k_lo and not peval(scaled, k_hi):
-            out.append(Fraction(k_hi, lead))
+            g = int_gcd(k_hi, lead)
+            out.append((k_hi // g, lead // g))
     return out
 
 
-def sturm_sequence(p):
-    seq = [pstrip(p), pderiv(p)]
-    while pdeg(seq[-1]) > 0:
-        rem = pdivmod(seq[-2], seq[-1])[1]
+def sturm_sequence(ints):
+    """The Sturm sequence of the int list ``ints`` as a primitive remainder
+    sequence: each member a positive multiple of the classical one, so the
+    sign changes at every point are the same."""
+    seq = [ints, _primitive(pderiv(ints))]
+    while len(seq[-1]) > 1:
+        rem = pstrip(pprem(seq[-2], seq[-1]))
         if not rem:
             break
-        seq.append(pneg(rem))
+        seq.append(_primitive(pneg(rem)))
     return [s for s in seq if s]
 
 
-def _sign_changes(seq, x):
-    signs = []
+def _sign_changes(seq, num, den):
+    """Sign changes of the sequence at num/den, den > 0, zeros skipped."""
+    changes, last = 0, 0
     for s in seq:
-        v = peval(s, x)
+        v = _sign_at(s, num, den)
         if v:
-            signs.append(1 if v > 0 else -1)
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
     return changes
 
 
 def count_real_roots(p, lo, hi):
     """Distinct real roots of ``p`` in (lo, hi], via Sturm's theorem."""
-    seq = sturm_sequence(p)
-    return _sign_changes(seq, lo) - _sign_changes(seq, hi)
-
-
-def root_bound(p) -> Fraction:
-    """Cauchy bound: all roots lie in (-B, B)."""
-    p = pstrip(p)
-    lead = abs(p[-1])
-    biggest = max((abs(c) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + biggest / lead
+    seq = sturm_sequence(_integerize(pstrip(p)))
+    lo, hi = Fraction(lo), Fraction(hi)
+    return (_sign_changes(seq, lo.numerator, lo.denominator)
+            - _sign_changes(seq, hi.numerator, hi.denominator))
 
 
 def isolate_real_roots(p):
     """Disjoint rational intervals (lo, hi], one distinct real root each."""
-    p = squarefree_part(p)
+    p = pstrip(p)
     if pdeg(p) < 1:
         return []
-    seq = sturm_sequence(p)
-    bound = root_bound(p)
+    q = _squarefree(_integerize(p))
+    return [(Fraction(a, den), Fraction(b, den)) for a, b, den in _isolate(q)]
+
+
+def _isolate(q):
+    """Isolating intervals (a/den, b/den] of the real roots of a squarefree
+    int list, ascending, as int triples ``(a, b, den)``.
+
+    Bisection from the Cauchy bound (-B, B], B = 1 + max|q_i|/|q_n|; a
+    midpoint that is a root moves halfway to the left end until it is not.
+    The ends of an interval share one denominator, which doubles with each
+    bisection, and every sign is one homogeneous evaluation on ints.
+    """
+    seq = sturm_sequence(q)
+    den = abs(q[-1])
+    bound = den + max(abs(c) for c in q[:-1])
     out = []
-    stack = [(-bound, bound)]
+    stack = [(-bound, bound, den)]
     while stack:
-        lo, hi = stack.pop()
-        n = _sign_changes(seq, lo) - _sign_changes(seq, hi)
-        if n == 0:
-            continue
+        a, b, den = stack.pop()
+        n = _sign_changes(seq, a, den) - _sign_changes(seq, b, den)
         if n == 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        while not peval(p, mid):
-            mid = (lo + mid) / 2
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    out.sort()
+            out.append((a, b, den))
+        elif n > 1:
+            mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+            while not _sign_at(q, mid, den):
+                mid, a, b, den = a + mid, 2 * a, 2 * b, 2 * den
+            stack.append((a, mid, den))
+            stack.append((mid, b, den))
+    out.sort(key=lambda t: Fraction(t[0], t[2]))
     return out
 
 
@@ -425,6 +515,25 @@ def _sign_at(ints, num, den):
         acc = acc * num + c * scale
         scale *= den
     return acc
+
+
+def int_solve(rows, rhs):
+    """Fraction-free Gauss-Jordan elimination (E. H. Bareiss, Math. Comp.
+    22, 1968) of a nonsingular integer system: ``(v, d)`` with ``rows``
+    times v/d equal to ``rhs``, d the last pivot.  Each division by the
+    previous pivot is exact, so every entry stays an int."""
+    a = [list(r) + [c] for r, c in zip(rows, rhs)]
+    n, prev = len(a), 1
+    for k in range(n):
+        i = next(i for i in range(k, n) if a[i][k])
+        a[k], a[i] = a[i], a[k]
+        pivot, row = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = pivot
+    return [r[n] for r in a], prev
 
 
 def split_quartic(p):
@@ -498,6 +607,30 @@ def _int_nth_root(m: int, n: int):
                 break
             r = s
     return r if r**n == m else None
+
+
+def _squarefree_core(n: int):
+    """(s, core) with n = s^2 * core and core squarefree.
+
+    Trial division stops once d^3 exceeds the cofactor m: every prime
+    factor of m is then at least d, so m is 1, p, p*q or p^2, and one
+    integer square root test finds the square.
+    """
+    s, core, d, m = 1, 1, 2, n
+    while d * d * d <= m:
+        exp = 0
+        while m % d == 0:
+            m //= d
+            exp += 1
+        if exp:
+            s *= d ** (exp // 2)
+            if exp % 2:
+                core *= d
+        d += 1
+    r = isqrt(m)
+    if r > 1 and r * r == m:
+        return s * r, core
+    return s, core * m
 
 
 def irreducible_factors(p):

@@ -5,7 +5,18 @@ from fractions import Fraction
 from math import comb, gcd
 
 from puiseux.coefficients import ParamPoly, as_coefficient
-from puiseux.polyutils import fraction_nth_root
+from puiseux.polyutils import (
+    fraction_nth_root,
+    pderiv,
+    pdivmod,
+    peval,
+    pgcd,
+    pmonic,
+    pmul,
+    pneg,
+    pstrip,
+    psub,
+)
 from puiseux.series import INF, PuiseuxSeries, SeriesError, _as_exponent, _semigroup
 
 
@@ -259,3 +270,101 @@ def ref_taylor_shift(p, c):
             acc = acc + p[l] * power.scale(Fraction(comb(l, i)))
         out.append(acc)
     return out
+
+
+# -- the Fraction root search and number-field references --------------------
+
+
+def ref_squarefree_part(p):
+    """The squarefree part of a Fraction polynomial, by the field gcd with
+    its derivative: monic from degree 2 on."""
+    p = pstrip(p)
+    if len(p) <= 2:
+        return p
+    g = pgcd(p, pderiv(p))
+    return pmonic(p) if len(g) <= 1 else pdivmod(pmonic(p), g)[0]
+
+
+def _ref_sign_changes(seq, x):
+    signs = [v > 0 for v in (peval(s, x) for s in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def ref_isolate_real_roots(p):
+    """Isolating intervals (lo, hi] by Sturm sequences over Fractions,
+    bisected from the Cauchy bound; a midpoint root moves halfway left."""
+    p = ref_squarefree_part(p)
+    if len(p) < 2:
+        return []
+    seq = [p, pderiv(p)]
+    while len(seq[-1]) > 1:
+        rem = pdivmod(seq[-2], seq[-1])[1]
+        if not rem:
+            break
+        seq.append(pneg(rem))
+    bound = 1 + max(abs(c) for c in p[:-1]) / abs(p[-1])
+    out, stack = [], [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = _ref_sign_changes(seq, lo) - _ref_sign_changes(seq, hi)
+        if n == 1:
+            out.append((lo, hi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            while not peval(p, mid):
+                mid = (lo + mid) / 2
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(out)
+
+
+class RefAlgebraic:
+    """An element of Q[t]/(minpoly) as a Fraction vector, reduced after
+    every product by ``pdivmod``; the inverse by the extended Euclidean
+    algorithm over Q.  The plain arithmetic the fraction-free
+    ``AlgebraicNumber`` must agree with."""
+
+    def __init__(self, minpoly, vec):
+        self.minpoly = [Fraction(c) for c in minpoly]
+        n = len(self.minpoly) - 1
+        vec = [Fraction(c) for c in vec]
+        if len(vec) > n:
+            vec = pdivmod(vec, self.minpoly)[1]
+        self.vec = tuple(vec) + (Fraction(0),) * (n - len(vec))
+
+    def _lift(self, other):
+        if isinstance(other, RefAlgebraic):
+            return other
+        return RefAlgebraic(self.minpoly, [other])
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return RefAlgebraic(self.minpoly, [a + b for a, b in zip(self.vec, other.vec)])
+
+    def __neg__(self):
+        return RefAlgebraic(self.minpoly, [-a for a in self.vec])
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        return RefAlgebraic(self.minpoly, pmul(list(self.vec), list(other.vec)))
+
+    def inverse(self):
+        r0, r1 = self.minpoly, pstrip(list(self.vec))
+        s0, s1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = pdivmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, psub(s0, pmul(q, s1))
+        return RefAlgebraic(self.minpoly, [c / r1[0] for c in s1])
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __pow__(self, n):
+        base = self.inverse() if n < 0 else self
+        out = RefAlgebraic(self.minpoly, [1])
+        for _ in range(abs(n)):
+            out = out * base
+        return out

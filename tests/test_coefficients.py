@@ -11,13 +11,13 @@ from puiseux.coefficients import (
     NumberField,
     ParamPoly,
     UnsupportedSymbolic,
-    _squarefree_core,
     canonical_sqrt,
     poly_roots,
     sqrt_field,
 )
 from puiseux.polyutils import (
     _fraction_sqrt,
+    _squarefree_core,
     count_real_roots,
     fraction_nth_root,
     irreducible_factors,
@@ -31,11 +31,12 @@ from puiseux.polyutils import (
     rational_roots,
     refine_interval,
     split_quartic,
-    squarefree_part,
 )
 from puiseux.liouville import Tower
 from puiseux.ratfunc import RatFunc
 from puiseux.series import PuiseuxSeries
+
+from oracles import ref_isolate_real_roots, ref_squarefree_part
 
 
 class TestPolyUtils:
@@ -179,8 +180,11 @@ class TestNumberField:
             polys.append([F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(deg)]
                          + [F(rng.choice([1, 2, 3, -1, 7]))])
         for p in polys:
-            q = squarefree_part(p)
+            q = ref_squarefree_part(p)
             intervals = isolate_real_roots(q)
+            # the integer Sturm bisection finds the Fraction bisection's
+            # intervals, so number fields keep their regions
+            assert intervals == ref_isolate_real_roots(p)
             if p == polys[0]:
                 intervals += [(F(0), F(2)), (F(-2), F(0))]
             for lo, hi in intervals:

@@ -1,10 +1,14 @@
-"""Rational-root search against sympy's factorization over QQ (seeded).
+"""Rational-root search and real-root isolation against sympy (seeded).
 
-Each case multiplies planted rational roots (numerators and denominators
-up to 10^30, multiplicities up to 3) with a random quadratic or cubic
-factor, so that the polynomial has degree at most 6.  The rational roots
-are the linear factors of sympy's ``factor_list`` over QQ, an independent
-route through Zassenhaus factorization.
+Each case of the planted family multiplies planted rational roots
+(numerators and denominators up to 10^30, multiplicities up to 3) with a
+random quadratic or cubic factor, so that the polynomial has degree at
+most 6.  The low-degree family draws polynomials of degree 1 and 2, with
+coefficients up to 256 bits, zero roots and double roots, which take
+the closed forms.  The rational roots are the linear factors of sympy's
+``factor_list`` over QQ, an independent route through Zassenhaus
+factorization; each isolating interval must hold exactly one of the real
+roots of the squarefree part that sympy counts.
 """
 
 import random
@@ -12,13 +16,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from puiseux.polyutils import pmul, rational_roots
+from puiseux.polyutils import isolate_real_roots, pmul, rational_roots
 
 sympy = pytest.importorskip("sympy")
 
 T = sympy.Symbol("t")
 CASES = 60
 BIG = 10**30
+HUGE = 2**256
 
 
 def _random_rational(rng):
@@ -60,16 +65,73 @@ def _sympy_rational_roots(poly):
     return roots
 
 
-@pytest.mark.parametrize("seed", range(CASES))
-def test_rational_roots_match_sympy(seed):
-    rng = random.Random(1983 * 1000 + seed)
-    poly, planted = _planted_case(rng)
+def _low_degree_case(rng):
+    """A polynomial of degree 1 or 2 with coefficients up to 256 bits:
+    a random one, one with a zero root, or a planted (double) root."""
+    def big():
+        num = rng.randint(-HUGE, HUGE)
+        return F(num, rng.randint(1, HUGE)) if rng.random() < 0.5 else F(num)
+
+    lead = big() or F(1)
+    kind = rng.choice(("random", "zero", "double", "planted"))
+    if kind == "random":
+        return [big() for _ in range(rng.randint(1, 2))] + [lead]
+    root = big()
+    if kind == "zero":
+        return rng.choice(([F(0), lead], [F(0), big(), lead], [F(0), F(0), lead]))
+    if kind == "double":
+        return pmul([-root * lead, lead], [-root, F(1)])
+    return pmul([-root * lead, lead], [-big(), F(1)]) if rng.random() < 0.5 else [
+        -root * lead, lead]
+
+
+def _check_roots(poly):
     roots, remainder = rational_roots(poly)
     found = dict(roots)
     assert len(found) == len(roots)
     assert found == _sympy_rational_roots(poly)
+    assert _sympy_rational_roots(remainder) == {}
+    assert all(type(c) is F for c in remainder)
+    assert remainder[-1] == poly[-1]
+    # remainder * prod (t - r)^m is p, coefficient for coefficient
+    product = list(remainder)
+    for root, mult in roots:
+        for _ in range(mult):
+            product = pmul(product, [-root, F(1)])
+    assert product == poly
+    return found
+
+
+def _check_isolation(poly):
+    # sympy counts the real roots of the squarefree part in [lo, hi] by its
+    # own Sturm sequences; no end of an isolating interval is a root
+    intervals = isolate_real_roots(poly)
+    sqf = _as_sympy(poly).sqf_part()
+    assert len(intervals) == sqf.count_roots()
+    for lo, hi in intervals:
+        assert type(lo) is F and type(hi) is F and lo < hi
+        ends = [sympy.Rational(c.numerator, c.denominator) for c in (lo, hi)]
+        assert sqf.count_roots(*ends) == 1
+        assert sqf.eval(ends[0]) and sqf.eval(ends[1])
+    assert intervals == sorted(intervals)
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_rational_roots_match_sympy(seed):
+    rng = random.Random(1983 * 1000 + seed)
+    poly, planted = _planted_case(rng)
+    found = _check_roots(poly)
     for root, mult in planted.items():
         assert found[root] >= mult
-    assert _sympy_rational_roots(remainder) == {}
     degree = len(poly) - 1
-    assert sum(found.values()) + len(remainder) - 1 == degree
+    assert sum(found.values()) + len(rational_roots(poly)[1]) - 1 == degree
+    _check_isolation(poly)
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_low_degree_roots_match_sympy(seed):
+    rng = random.Random(1983 * 2000 + seed)
+    poly = _low_degree_case(rng)
+    found = _check_roots(poly)
+    assert sum(found.values()) + len(rational_roots(poly)[1]) == len(poly)
+    _check_isolation(poly)
