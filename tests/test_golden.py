@@ -51,6 +51,14 @@ CASES = {
     # a rational-root-free quintic vertex polynomial is left unresolved
     "algebraic-rational-quintic-unresolved": (
         4, ["algebraic", "--bound", "2", "y^5 - x - 2 = 0"]),
+    # a double root held over two steps that splits at x^(5/2) into two
+    # chains of simple roots, over Q and over Q(sqrt(2))
+    "algebraic-rational-simple-chains": (
+        0, ["algebraic", "--bound", "5",
+            "y^2 - 2*x*y - 2*x^2*y + x^2 + 2*x^3 + x^4 - x^5 - x^6 = 0"]),
+    "algebraic-algebraic-simple-chains": (
+        0, ["algebraic", "--roots", "algebraic", "--bound", "5",
+            "y^2 - 2*x*y - 2*x^2*y + x^2 + 2*x^3 + x^4 - 2*x^5 - 2*x^6 = 0"]),
     "ode-monomial": (0, ["ode", "--bound", "4", "dy/dx = x^2*y^2"]),
     "ode-resonant": (0, ["ode", "--bound", "4", "dy/dx = y/x + x"]),
     "ode-riccati": (0, ["ode", "--bound", "4", "dy/dx = 2*y/x + x + y^2"]),
