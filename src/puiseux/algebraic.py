@@ -9,6 +9,21 @@ coefficient, which is the residual of the current prefix; a branch stops
 once that valuation and the next admissible exponent both reach the
 requested bound.
 
+A step from a simple root skips the contour.  Recentered at a root of
+multiplicity 1, the polynomial has line 1 on its contour at the last
+exponent and line 0 strictly above it, and every line i >= 2, of greater
+slope, lies strictly above line 1 from there on.  Truncated data cannot
+spoil this: the vertex of the root passed the phantom check, so every
+unknown term lies above the envelope there and hides or lowers no line.
+(A solve entered past ``last`` with multiplicity 1 reads the same
+picture off its contour at ``last``.)  Past the last exponent the contour
+is then the lower of lines 0 and 1, so the next term sits at their one
+vertex, x = val(beta0) - val(beta1), with the root -lc(beta0)/lc(beta1)
+of the linear vertex polynomial (D. Duval, Compositio Math. 70, 1989).
+The step keeps the contour route's phantom check, bound rule and step
+count, so the results are the same; a free constant in the vertex takes
+the contour route, where the root search refuses it.
+
 Each solve runs in t with x = t^Q, Q = lcm(1, ..., N) times the lcm of
 the exponent denominators of its input (the coefficients' exponents and
 finite truncs, the prefix and the last exponent), N the degree in y.
@@ -31,7 +46,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .coefficients import as_coefficient, coefficient_sort_key, poly_roots
+from .coefficients import (
+    ParamPoly,
+    as_coefficient,
+    coefficient_sort_key,
+    poly_roots,
+)
 from .contour import Contour, Line
 from .polyutils import pdeg, peval, ptaylor_shift
 from .series import (
@@ -253,28 +273,34 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour):
             )
             continue
         residual = beta0.val_floor()
+        simple = _simple_root(q) if remaining == 1 and last is not None else None
+        if simple is not None:
+            x, root = simple
+            done = residual >= bound and x >= bound
+            if done or not _phantom_safe(q, x, beta0.valuation()):
+                result.branches.append(PartialSolution(prefix, 1, residual))
+            else:
+                _push_root(q, prefix, x, root, 1, stack)
+            continue
         if contour is None:
             contour = contour_of(q)
-        vertices = [
-            v
-            for v in breaking_data(q, contour)
-            if (last is None or v.x > last) and _phantom_safe(q, v.x, contour)
-        ]
+        # roots at a vertex an unknown coefficient may reach, or at or
+        # past the bound once the residual is there, stop at this prefix
+        vertices, stopped = [], 0
+        for v in breaking_data(q, contour):
+            if last is None or v.x > last:
+                if _phantom_safe(q, v.x, contour.value(v.x)):
+                    vertices.append(v)
+                else:
+                    stopped += _span(v)
         if not vertices:
             result.branches.append(PartialSolution(prefix, remaining, residual))
             continue
         if residual >= bound:
-            below = [v for v in vertices if v.x < bound]
-            above_mult = sum(
-                v.active_indices[-1] - v.active_indices[0]
-                for v in vertices
-                if v.x >= bound
-            )
-            if above_mult:
-                result.branches.append(
-                    PartialSolution(prefix, above_mult, residual)
-                )
-            vertices = below
+            stopped += sum(_span(v) for v in vertices if v.x >= bound)
+            vertices = [v for v in vertices if v.x < bound]
+        if stopped:
+            result.branches.append(PartialSolution(prefix, stopped, residual))
         for v in vertices:
             _branch_at_vertex(q, prefix, v, mode, stack, result)
     merged = {}
@@ -307,10 +333,9 @@ def _zero_root_multiplicity(q):
     raise SeriesError("polynomial is identically zero")
 
 
-def _phantom_safe(q, x, contour):
+def _phantom_safe(q, x, env):
     """True when no unknown coefficient (empty support, finite trunc) could
-    reach down to the envelope of ``contour``, q's contour, at ``x``."""
-    env = contour.value(x)
+    reach down to ``env``, the value at ``x`` of q's contour."""
     for i, alpha in enumerate(q.coeffs):
         if not alpha.nums and alpha.trunc != INF:
             if alpha.trunc + i * x <= env:
@@ -318,10 +343,37 @@ def _phantom_safe(q, x, contour):
     return True
 
 
+def _span(v):
+    """The number of roots, with multiplicity, whose leading exponent is v.x."""
+    return v.active_indices[-1] - v.active_indices[0]
+
+
+def _simple_root(q):
+    """``(x, root)``: the one vertex past the last exponent of the state of
+    a simple root and the root of its linear vertex polynomial (see the
+    module docstring), or None for the contour route when a free constant
+    is in the vertex."""
+    beta0, beta1 = q.coeffs[0], q.coeffs[1]
+    c0, c1 = beta0.leading()[1], beta1.leading()[1]
+    if isinstance(c0, ParamPoly) or isinstance(c1, ParamPoly):
+        return None
+    root = -c0 / c1
+    ambient = _ambient_field(q)
+    if ambient is not None and isinstance(root, Fraction):
+        root = ambient.lift(root)
+    return _exponent(beta0.valuation() - beta1.valuation()), root
+
+
+def _push_root(q, prefix, e, root, m, stack):
+    """Push the next state of the branch through the term root*x^e, a root
+    of multiplicity m: q recentered there, the longer prefix and e."""
+    term = PuiseuxSeries.x_power(e, root)
+    stack.append((recenter(q, term), prefix + term, m, e, None))
+
+
 def _branch_at_vertex(q, prefix, v, mode, stack, result):
     lo = v.active_indices[0]
-    degree_span = v.active_indices[-1] - lo
-    poly = [as_coefficient(0)] * (degree_span + 1)
+    poly = [as_coefficient(0)] * (_span(v) + 1)
     for idx, c in zip(v.active_indices, v.vertex_coeffs):
         poly[idx - lo] = c
     ambient = _ambient_field(q)
@@ -334,8 +386,7 @@ def _branch_at_vertex(q, prefix, v, mode, stack, result):
         ]
     roots = poly_roots(poly, mode=mode)
     for root, m in roots.roots:
-        term = PuiseuxSeries.x_power(v.x, root)
-        stack.append((recenter(q, term), prefix + term, m, v.x, None))
+        _push_root(q, prefix, v.x, root, m, stack)
     if roots.unresolved is not None:
         result.unresolved.append(
             UnresolvedBranch(prefix, v.x, tuple(roots.unresolved), pdeg(roots.unresolved))

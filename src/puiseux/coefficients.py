@@ -557,20 +557,19 @@ def poly_roots(coeffs, mode="rational"):
     common number field of the coefficients both modes search that field
     only (:func:`_roots_over_field`).
     """
-    coeffs = [as_coefficient(c) for c in pstrip(list(coeffs))]
+    coeffs = pstrip(coeffs)
     if any(has_parameter(c) for c in coeffs):
         raise UnsupportedSymbolic("root search with free-constant coefficients")
-    if pdeg(coeffs) < 1:
+    # the one conversion: a constant ParamPoly is its constant term
+    coeffs = [c.substitute(0) if isinstance(c, ParamPoly) else as_coefficient(c) for c in coeffs]
+    if len(coeffs) < 2:
         return RootSearchResult([])
-    field = None
-    for c in coeffs:
-        if isinstance(c, AlgebraicNumber):
-            if field is not None and c.field != field:
-                raise CoefficientError("mixed number fields in one polynomial")
-            field = c.field
-    if field is None:
-        return _roots_over_q([Fraction(c) for c in coeffs], mode)
-    return _roots_over_field(coeffs, field)
+    fields = [c.field for c in coeffs if isinstance(c, AlgebraicNumber)]
+    if not fields:
+        return _roots_over_q(coeffs, mode)
+    if any(f != fields[-1] for f in fields):
+        raise CoefficientError("mixed number fields in one polynomial")
+    return _roots_over_field(coeffs, fields[-1])
 
 
 def _roots_over_q(coeffs, mode):

@@ -8,6 +8,9 @@ also divide), so callers use them over ``Fraction``,
 alike.  The zero test is truthiness; a series is false only when it is
 the exact zero, so an ``O(x^t)`` coefficient is never dropped.
 ``pdense`` builds such a list from (degree, coefficient) pairs.
+``ptaylor_shift``, the one Taylor shift (behind ``algebraic.recenter`` and
+the ODE ``--center``), is Horner's repeated synthetic division: N(N + 1)/2
+sums of products by the shift, and no binomials or powers of it.
 
 A sparse polynomial is a dict from an exponent key to a nonzero
 coefficient: ``sadd`` and ``smul`` are its sum and product, dropping every
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import isqrt, lcm
 from math import gcd as int_gcd
 
 
@@ -216,22 +219,17 @@ def pformat(coeffs, symbol):
 def ptaylor_shift(p, c):
     """Coefficients of p(c + y) as a polynomial in y.
 
-    Coefficient i is p[i] + sum over l > i of p[l] * (C(l, i) * c^(l - i)):
-    with the binomial folded into the power, a one-term shift c (one
-    recenter step) makes each term a single one-term product.
+    Horner's repeated synthetic division (the classical shift in J. von
+    zur Gathen and J. Gerhard, ISSAC 1997): pass i divides the quotient
+    of the pass before by (t - c), t the variable of p, running
+    ``out[j] += out[j + 1] * c`` from the top down to j = i, and leaves
+    the remainder, coefficient i, in ``out[i]``.  Degree N takes
+    N(N + 1)/2 products by c and no binomials or powers of c.
     """
-    c_pow = [c]  # c_pow[k] = c^(k + 1)
-    for _ in range(len(p) - 2):
-        c_pow.append(c_pow[-1] * c)
-    out = []
-    for i in range(len(p)):
-        acc = p[i]
-        for l in range(i + 1, len(p)):
-            term = c_pow[l - i - 1]
-            if i:  # C(l, 0) = 1 needs no product
-                term = term * comb(l, i)
-            acc = acc + p[l] * term
-        out.append(acc)
+    out = list(p)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = out[j] + out[j + 1] * c
     return out
 
 

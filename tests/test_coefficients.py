@@ -396,6 +396,17 @@ class TestPolyRoots:
         with pytest.raises(UnsupportedSymbolic):
             poly_roots([C, F(1)])
 
+    def test_constant_param_coefficient_is_its_value(self):
+        # a free-constant polynomial of degree 0 is the rational it holds
+        assert poly_roots([ParamPoly([2]), 1]).roots == [(F(-2), 1)]
+        assert poly_roots([1, ParamPoly([2])]).roots == [(F(-1, 2), 1)]
+        assert poly_roots([ParamPoly([]), ParamPoly([3])]).roots == [(F(0), 1)]
+
+    def test_mixed_number_fields_rejected(self):
+        a, b = sqrt_field(2).generator(), sqrt_field(3).generator()
+        with pytest.raises(CoefficientError, match="mixed number fields"):
+            poly_roots([a, F(1), b])
+
     def test_multiplicity(self):
         # (t + 2)^3
         res = poly_roots([F(8), F(12), F(6), F(1)])

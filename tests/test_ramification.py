@@ -2,12 +2,14 @@
 
 The polynomials are seeded and fixed: degree 2-5 in y, coefficient
 exponents with denominators 1, 2 and 3, and some coefficients known only
-below a finite trunc.  Every reported prefix is substituted back into its
-polynomial by plain exact series arithmetic; the value must vanish below
-the branch's ``residual_bound``, and vanish exactly when that bound is
-``INF``.  The branch and unresolved multiplicities must account for every
-root.  A last case pins the step-limit message, which names the prefix
-and the last exponent of the branch that ran out of steps.
+below a finite trunc or not at all (a bare ``O(x^t)``).  Every reported
+prefix is substituted back into its polynomial by plain exact series
+arithmetic; the value must vanish below the branch's ``residual_bound``,
+and vanish exactly when that bound is ``INF``.  The branch and unresolved
+multiplicities must account for every root.  The direct step from a
+simple root must give what the contour route gives at every state.  A
+last case pins the step-limit message, which names the prefix and the
+last exponent of the branch that ran out of steps.
 """
 
 import random
@@ -17,11 +19,13 @@ import pytest
 
 from puiseux import algebraic
 from puiseux.algebraic import SeriesPolynomial, StepLimitError, solve_algebraic
+from puiseux.coefficients import ParamPoly, UnsupportedSymbolic, sqrt_field
 from puiseux.parsing import parse_algebraic_equation
 from puiseux.series import INF, PuiseuxSeries
 
 EXPONENTS = [F(n, d) for d in (1, 2, 3) for n in range(0, 7)]
 CASES = 200
+X = PuiseuxSeries.x_power
 
 
 def random_coefficient(rng, truncated):
@@ -39,7 +43,10 @@ def random_polynomial(rng):
     degree = rng.randint(2, 5)
     coeffs = [PuiseuxSeries.zero()] * (degree + 1)
     for i in rng.sample(range(degree), rng.randint(1, degree)):
-        coeffs[i] = random_coefficient(rng, truncated=rng.random() < 0.2)
+        if rng.random() < 0.15:
+            coeffs[i] = PuiseuxSeries([], rng.choice(EXPONENTS[1:]))  # a bare O(x^t)
+        else:
+            coeffs[i] = random_coefficient(rng, truncated=rng.random() < 0.2)
     coeffs[degree] = PuiseuxSeries.constant(rng.choice([1, 1, -1, 2]))
     return SeriesPolynomial(coeffs)
 
@@ -70,6 +77,80 @@ def test_prefixes_solve_the_polynomial_below_their_residual_bound():
     # the corpus reaches ramified roots and exact roots
     assert fractional > CASES // 10
     assert exact_zero > 0
+
+
+def test_roots_at_a_vertex_an_unknown_coefficient_may_reach_are_counted():
+    # O(x)*y^2 may reach the contour at x^(1/2), whose three roots stop at
+    # the prefix 0 with residual 2; the two roots at x^(1/4) are unresolved
+    p = SeriesPolynomial([
+        PuiseuxSeries([(2, -2)]),
+        PuiseuxSeries.zero(),
+        PuiseuxSeries([], 1),
+        PuiseuxSeries([(F(1, 2), -2)], F(13, 2)),
+        PuiseuxSeries([(2, 3), (F(5, 2), -3), (3, 1)]),
+        PuiseuxSeries.one(),
+    ])
+    result = solve_algebraic(p, F(7, 3))
+    check_branches(p, result)
+    assert [(b.series, b.multiplicity, b.residual_bound) for b in result.branches] == [
+        (PuiseuxSeries.zero(), 3, 2)
+    ]
+    assert [(u.at_exponent, u.multiplicity) for u in result.unresolved] == [(F(1, 4), 2)]
+
+
+def _outcome(result):
+    """The branches and unresolved entries, each coefficient with its type:
+    a rational term of a branch over a number field is a field element."""
+    return (
+        [([(e, type(c), c) for e, c in b.series.terms], b.multiplicity, b.residual_bound)
+         for b in result.branches],
+        [(u.prefix, u.at_exponent, u.vertex_poly, u.multiplicity)
+         for u in result.unresolved],
+    )
+
+
+def test_simple_root_steps_match_the_contour_route(monkeypatch):
+    # the contour route, taken at every state, is the reference for the
+    # direct step from a simple root
+    rng = random.Random(20261019)
+    cases = [
+        (random_polynomial(rng), rng.choice([F(1), F(2), F(7, 3), F(4)]),
+         rng.choice(["rational", "algebraic"]))
+        for _ in range(CASES)
+    ]
+    for text, bound in [
+        ("y^2 - y + x = 0", F(12)),
+        ("y^2 - 2*x*y - 2*x^2*y + x^2 + 2*x^3 + x^4 - 2*x^5 - 2*x^6 = 0", F(7)),
+        ("y^3 - x^(1/2)*y - x^(2/3) = 0", F(3)),
+        # x + x^3 +- sqrt(2)*x^(3/2): a rational term after the field
+        ("y^2 - 2*x*y - 2*x^3*y + x^2 - 2*x^3 + 2*x^4 + x^6 = 0", F(5)),
+    ]:
+        cases += [(parse_algebraic_equation(text), bound, "algebraic")]
+    # rational vertices over Q(sqrt(2)): their roots are lifted into the field
+    r2 = sqrt_field(2).generator()
+    cases += [(SeriesPolynomial([X(1), -1, PuiseuxSeries([(0, 1), (5, r2)])]), F(4), "rational")]
+    direct = [_outcome(solve_algebraic(p, bound, mode)) for p, bound, mode in cases]
+    monkeypatch.setattr(algebraic, "_simple_root", lambda q: None)
+    contour = [_outcome(solve_algebraic(p, bound, mode)) for p, bound, mode in cases]
+    assert direct == contour
+
+
+def test_a_simple_root_state_keeps_the_phantom_check():
+    # entered past last = 1 with one root beyond it, at x^(3/2), where
+    # O(x^(1/2))*y^2 may reach the contour: that root stops at the prefix 0
+    p = SeriesPolynomial([
+        PuiseuxSeries([(F(7, 2), 1)]), PuiseuxSeries([(2, 1)]), PuiseuxSeries([], F(1, 2)), 1,
+    ])
+    result = algebraic._solve_beyond(p, PuiseuxSeries.zero(), 1, 5)
+    assert _outcome(result) == ([([], 1, F(7, 2))], [])
+
+
+def test_a_free_constant_in_a_simple_root_vertex_is_refused():
+    # y = +-x + ..., then the vertex C +- 2*c of the simple root at x^2
+    C = ParamPoly.parameter()
+    p = SeriesPolynomial([PuiseuxSeries([(2, -1), (3, C)]), 0, 1])
+    with pytest.raises(UnsupportedSymbolic):
+        solve_algebraic(p, 3)
 
 
 @pytest.mark.parametrize("text, bound", [
