@@ -22,7 +22,10 @@ vertex, x = val(beta0) - val(beta1), with the root -lc(beta0)/lc(beta1)
 of the linear vertex polynomial (D. Duval, Compositio Math. 70, 1989).
 The step keeps the contour route's phantom check, bound rule and step
 count, so the results are the same; a free constant in the vertex takes
-the contour route, where the root search refuses it.
+the contour route, where the root search refuses it.  The test is the
+multiplicity of the state, not what is left of it once an exact root is
+split off: a root of multiplicity m > 1 whose constant coefficient
+vanishes exactly keeps m - 1 roots on the contour route.
 
 Each solve runs in t with x = t^Q, Q = lcm(1, ..., N) times the lcm of
 the exponent denominators of its input (the coefficients' exponents and
@@ -273,7 +276,7 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour):
             )
             continue
         residual = beta0.val_floor()
-        simple = _simple_root(q) if remaining == 1 and last is not None else None
+        simple = _simple_root(q) if mult == 1 and last is not None else None
         if simple is not None:
             x, root = simple
             done = residual >= bound and x >= bound

@@ -557,11 +557,12 @@ def poly_roots(coeffs, mode="rational"):
     common number field of the coefficients both modes search that field
     only (:func:`_roots_over_field`).
     """
-    coeffs = pstrip(coeffs)
     if any(has_parameter(c) for c in coeffs):
         raise UnsupportedSymbolic("root search with free-constant coefficients")
-    # the one conversion: a constant ParamPoly is its constant term
-    coeffs = [c.substitute(0) if isinstance(c, ParamPoly) else as_coefficient(c) for c in coeffs]
+    # the one conversion, then the strip: a constant ParamPoly is its constant term
+    coeffs = pstrip(
+        c.substitute(0) if isinstance(c, ParamPoly) else as_coefficient(c) for c in coeffs
+    )
     if len(coeffs) < 2:
         return RootSearchResult([])
     fields = [c.field for c in coeffs if isinstance(c, AlgebraicNumber)]

@@ -402,6 +402,10 @@ class TestPolyRoots:
         assert poly_roots([1, ParamPoly([2])]).roots == [(F(-1, 2), 1)]
         assert poly_roots([ParamPoly([]), ParamPoly([3])]).roots == [(F(0), 1)]
 
+    def test_a_zero_leading_coefficient_is_stripped_after_conversion(self):
+        assert poly_roots([1, 1, "0"]).roots == [(F(-1), 1)]
+        assert poly_roots([2, 1, ParamPoly([])]).roots == [(F(-2), 1)]
+
     def test_mixed_number_fields_rejected(self):
         a, b = sqrt_field(2).generator(), sqrt_field(3).generator()
         with pytest.raises(CoefficientError, match="mixed number fields"):

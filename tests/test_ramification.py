@@ -122,6 +122,10 @@ def test_simple_root_steps_match_the_contour_route(monkeypatch):
         ("y^2 - y + x = 0", F(12)),
         ("y^2 - 2*x*y - 2*x^2*y + x^2 + 2*x^3 + x^4 - 2*x^5 - 2*x^6 = 0", F(7)),
         ("y^3 - x^(1/2)*y - x^(2/3) = 0", F(3)),
+        # an exact root split off a double root: x and x + x^2, then
+        # (y - x)^2 (y - x - x^2) with the double root x exact
+        ("y^2 - 2*x*y - x^2*y + x^2 + x^3 = 0", F(5)),
+        ("y^3 - 3*x*y^2 - x^2*y^2 + 3*x^2*y + 2*x^3*y - x^3 - x^4 = 0", F(5)),
         # x + x^3 +- sqrt(2)*x^(3/2): a rational term after the field
         ("y^2 - 2*x*y - 2*x^3*y + x^2 - 2*x^3 + 2*x^4 + x^6 = 0", F(5)),
     ]:
@@ -133,6 +137,18 @@ def test_simple_root_steps_match_the_contour_route(monkeypatch):
     monkeypatch.setattr(algebraic, "_simple_root", lambda q: None)
     contour = [_outcome(solve_algebraic(p, bound, mode)) for p, bound, mode in cases]
     assert direct == contour
+
+
+def test_an_exact_root_split_off_a_double_root_leaves_the_contour_route():
+    # recentered at the double root 1*x, the constant coefficient vanishes
+    # exactly: x is a root, and the other one, x + x^2, is found by the
+    # contour, not by the direct step of a simple root
+    p = parse_algebraic_equation("y^2 - 2*x*y - x^2*y + x^2 + x^3 = 0")
+    result = solve_algebraic(p, F(5))
+    check_branches(p, result)
+    assert [(b.series, b.multiplicity, b.residual_bound) for b in result.branches] == [
+        (X(1), 1, INF), (X(1) + X(2), 1, INF)
+    ]
 
 
 def test_a_simple_root_state_keeps_the_phantom_check():
