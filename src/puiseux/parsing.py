@@ -345,6 +345,8 @@ def _clear_denominator(value):
 def _value_to_ode(value):
     """Q(y)*dy/dx = P(y) from P/Q, with Q = 1 when the denominator folded
     away (_Val folds every single-term denominator into value.num)."""
+    if not value.num:
+        raise ParseError("the right-hand side is identically zero: every constant solves it")
     if value.den != {Fraction(0): PuiseuxSeries.one()}:
         _require_polynomial(value.num, "P must be a polynomial in y")
         _require_polynomial(value.den, "Q must be a polynomial in y")

@@ -533,6 +533,7 @@ def _format_coefficient(c):
 def format_series(s: PuiseuxSeries) -> str:
     parts = []
     for e, c in s.terms:
+        c = getattr(c, "rational_value", lambda: None)() or c
         neg = isinstance(c, Fraction) and c < 0
         mag = -c if neg else c
         if e == 0:

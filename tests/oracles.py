@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd
 
 from puiseux.coefficients import ParamPoly, as_coefficient
@@ -143,6 +144,12 @@ def nondecomposable_for(lattice, target):
         if target == g or (target - g) in sums or target - g == 0:
             out.append(g)
     return tuple(out)
+
+
+def plain_value(coeffs, v):
+    """sum c_i * v^i by Horner's rule in plain Fraction arithmetic,
+    independent of polyutils."""
+    return reduce(lambda acc, c: acc * v + c, reversed(coeffs), Fraction(0))
 
 
 def pairwise_breaking_points(lines):

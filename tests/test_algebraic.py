@@ -6,7 +6,6 @@ route and the constructive route then have to agree with it and with each
 other.
 """
 
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +24,8 @@ from puiseux.contour import Contour
 from puiseux.parsing import parse_algebraic_equation
 from puiseux.polyutils import peval, ptaylor_shift
 from puiseux.series import INF, PuiseuxSeries
+
+import corpora
 
 X = PuiseuxSeries.x_power
 ONE = PuiseuxSeries.one()
@@ -135,10 +136,7 @@ class TestRecenter:
     def test_shift_over_fractions(self):
         # ptaylor_shift is the Taylor shift behind recenter: checked by
         # evaluating p(c + t) directly
-        rng = random.Random(7)
-        for degree in range(6):
-            p = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree + 1)]
-            c = F(rng.randint(-9, 9), rng.randint(1, 5))
+        for p, c in corpora.rational_polynomials(7, 6, (0, 5)):
             shifted = ptaylor_shift(p, c)
             assert len(shifted) == len(p)
             for t in (F(0), F(1), F(-2, 3), F(5, 7)):

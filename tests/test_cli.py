@@ -50,6 +50,13 @@ class TestAlgebraic:
         assert code == EXIT_UNRESOLVED
         assert f"y = {n}*x^(1/3)   [mult 1" in out
 
+    def test_rational_number_field_coefficient_prints_as_a_rational(self, capsys):
+        # x + x^3 +- sqrt(2)*x^(3/2): the x^3 term is a field element
+        code, out, _ = run(capsys, "algebraic", "--roots", "algebraic", "--bound", "5",
+                           "y^2 - 2*x*y - 2*x^3*y + x^2 - 2*x^3 + 2*x^4 + x^6 = 0")
+        assert code == EXIT_OK
+        assert out.count("*x^(3/2) + x^3   [mult 1") == 2 and "1*x^3" not in out
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "algebraic", "y^^2 = 0")
         assert code == EXIT_PARSE
@@ -272,6 +279,17 @@ class TestOde:
         assert code == EXIT_PARSE
         assert out == ""
         assert "polynomial in y" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ode", "dy/dx = 0"],
+        ["ode", "dy/dx = (y-y)/(1+y)"],
+        ["verify", "--ode", "dy/dx = 0", "--alpha", "1", "--roots", "0; x", "--k", "1,1"],
+    ])
+    def test_zero_right_hand_side_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "every constant solves it" in err
 
     def test_fractional_sigma(self, capsys):
         code, out, _ = run(capsys, "ode", "--bound", "4", "dy/dx = y^(1/2)")

@@ -1,7 +1,6 @@
 """Coefficient domains: number fields, free constants, root search."""
 
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -36,7 +35,9 @@ from puiseux.liouville import Tower
 from puiseux.ratfunc import RatFunc
 from puiseux.series import PuiseuxSeries
 
+import corpora
 from oracles import ref_isolate_real_roots, ref_squarefree_part
+from test_series_properties import check_param_poly_operations
 
 
 class TestPolyUtils:
@@ -173,12 +174,8 @@ class TestNumberField:
                     lo = mid
             return lo, hi
 
-        rng = random.Random(20261019)
         polys = [[F(-1, 4), F(0), F(1)]]  # +-1/2: a root at a midpoint
-        for _ in range(60):
-            deg = rng.randint(2, 5)
-            polys.append([F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(deg)]
-                         + [F(rng.choice([1, 2, 3, -1, 7]))])
+        polys += [p for p, _c in corpora.rational_polynomials(20261019, 60, (2, 5))]
         for p in polys:
             q = ref_squarefree_part(p)
             intervals = isolate_real_roots(q)
@@ -193,19 +190,9 @@ class TestNumberField:
     def test_rational_operand_matches_lifted_operand(self):
         # a rational acts on the vector directly; the reference lifts it
         # into the field and runs the field operation
-        cubic = [F(1), F(-3), F(0), F(1)]  # c^3 - 3c + 1
-        fields = [
-            sqrt_field(2),
-            sqrt_field(-3),
-            NumberField(cubic, sorted(isolate_real_roots(cubic))[-1]),
-        ]
-        rng = random.Random(11)
-        for field in fields:
-            for _ in range(40):
-                vec = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
-                a = field.element(vec[: field.degree])
-                q = F(rng.randint(-9, 9), rng.randint(1, 9))
-                q = rng.choice([rng.randint(-4, 4), q])
+        for field in corpora.FIELDS:
+            for vec, _vb, q, _long in corpora.field_operands(11, 40, field.degree):
+                a = field.element(vec)
                 lq = field.lift(q)
                 pairs = [
                     (a + q, a + lq), (q + a, lq + a),
@@ -281,32 +268,10 @@ class TestParamPoly:
         assert ParamPoly([]) == 0 and ParamPoly([0, 0]) == F(0)
 
 
-def _plain_value(p, v):
-    """p(v) in plain Fraction arithmetic, independent of polyutils."""
-    return sum((c * v**i for i, c in enumerate(p.coeffs)), F(0))
-
-
 class TestSharedLayer:
     def test_param_poly_is_an_evaluation_homomorphism(self):
-        rng = random.Random(6)
-
-        def draw():
-            degree = rng.randint(-1, 4)  # -1: the zero polynomial
-            return ParamPoly(
-                [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(degree + 1)]
-            )
-
-        points = [F(0), F(1), F(-2), F(3, 7), F(-5, 2)]
-        for _ in range(60):
-            p, q = draw(), draw()
-            for v in points:
-                pv, qv = _plain_value(p, v), _plain_value(q, v)
-                assert p.substitute(v) == pv and isinstance(p.substitute(v), F)
-                assert _plain_value(p + q, v) == pv + qv
-                assert _plain_value(p - q, v) == pv - qv
-                assert _plain_value(p * q, v) == pv * qv
-                for n in range(5):
-                    assert _plain_value(p**n, v) == pv**n
+        for p, q, _operand, k in corpora.param_polys(6, 60):
+            check_param_poly_operations(p, q, k, [F(0), F(1), F(-2), F(3, 7), F(-5, 2)], range(5))
 
     def test_ppow_matches_repeated_multiplication(self):
         field = sqrt_field(2)

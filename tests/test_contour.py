@@ -1,8 +1,8 @@
 """Lower-envelope and breaking-point behavior."""
 
-import random
 from fractions import Fraction as F
 
+import corpora
 from oracles import pairwise_breaking_points
 from puiseux.contour import Contour, Line
 
@@ -59,15 +59,8 @@ def test_rational_slopes():
 
 
 def test_breaking_points_match_pairwise_oracle():
-    # few distinct values, so repeated slopes, coincident lines and three
-    # lines through one point are common
-    rng = random.Random(20261018)
-    values = [F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(3, 2), F(2)]
-    for _ in range(2000):
-        lines = [
-            Line(rng.choice(values), rng.choice(values), key=i)
-            for i in range(rng.randint(1, 7))
-        ]
+    # repeated slopes, coincident lines and three lines through one point
+    for lines in corpora.line_sets(20261018, 2000):
         c = Contour(lines)
         points = c.breaking_points()
         assert points == pairwise_breaking_points(c.lines)

@@ -9,44 +9,14 @@ hash like the Fraction it is.
 """
 
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
 
-from puiseux.coefficients import NumberField, sqrt_field
-from puiseux.polyutils import isolate_real_roots
-
+import corpora
 from oracles import RefAlgebraic
 
 CASES = 40
-
-
-def _fields():
-    cubic = [F(1), F(-3), F(0), F(1)]  # c^3 - 3c + 1
-    half = [F(1, 2), F(-3), F(0), F(1)]  # c^3 - 3c + 1/2
-    return [
-        sqrt_field(2),
-        sqrt_field(-3),
-        NumberField(cubic, isolate_real_roots(cubic)[-1]),
-        NumberField(half, isolate_real_roots(half)[0]),
-    ]
-
-
-def _rational(rng):
-    if rng.random() < 0.3:
-        return rng.randint(-9, 9)
-    return F(rng.randint(-2**40, 2**40), rng.randint(1, 2**20))
-
-
-def _vector(rng, degree):
-    kind = rng.random()
-    if kind < 0.1:
-        return [0] * degree
-    vec = [_rational(rng) for _ in range(degree)]
-    if kind < 0.3:  # a rational value
-        vec[1:] = [0] * (degree - 1)
-    return vec
 
 
 def _assert_agrees(got, ref, field):
@@ -68,14 +38,11 @@ def _assert_agrees(got, ref, field):
 
 @pytest.mark.parametrize("index", range(4))
 def test_field_arithmetic_matches_reference(index):
-    field = _fields()[index]
+    field = corpora.FIELDS[index]
     minpoly = field.minpoly
-    rng = random.Random(1967 * 100 + index)
-    for _ in range(CASES):
-        va, vb = _vector(rng, field.degree), _vector(rng, field.degree)
+    for va, vb, q, long in corpora.field_operands(1967 * 100 + index, CASES, field.degree):
         a, b = field.element(va), field.element(vb)
         ra, rb = RefAlgebraic(minpoly, va), RefAlgebraic(minpoly, vb)
-        q = _rational(rng)
         cases = [
             (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
             (a + q, ra + q), (q + a, ra + q), (a - q, ra - q),
@@ -98,7 +65,6 @@ def test_field_arithmetic_matches_reference(index):
         if b:
             assert b * b.inverse() == 1
         # a product of more than degree + 1 coefficients reduces as well
-        long = [_rational(rng) for _ in range(2 * field.degree + 2)]
         _assert_agrees(field.element(long), RefAlgebraic(minpoly, long), field)
         assert (a == b) == (ra.vec == rb.vec)
         if a == b:
@@ -106,7 +72,7 @@ def test_field_arithmetic_matches_reference(index):
 
 
 def test_integer_form_of_the_minimal_polynomial():
-    for field in _fields():
+    for field in corpora.FIELDS:
         assert all(type(c) is F for c in field.minpoly)
         assert field.minpoly[-1] == 1
         lead = field.mnums[-1]

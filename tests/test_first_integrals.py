@@ -1,6 +1,5 @@
 """Level recurrences, constant verification, ghosts, the Riccati bridge."""
 
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +20,8 @@ from puiseux.liouville import Tower
 from puiseux.ode import MonomialODE
 from puiseux.ratfunc import RatFunc
 from puiseux.series import PuiseuxSeries
+
+import corpora
 
 
 class TestClosedness:
@@ -123,24 +124,7 @@ class TestSolveW:
             solve_w(problem, -1, -2)
 
     def test_random_problems_verify_all_levels(self):
-        rng = random.Random(555)
-        for _ in range(40):
-            mu_p = rng.randint(0, 4)
-            mu_q = rng.randint(0, 3)
-
-            def rf():
-                return RatFunc(
-                    [F(rng.randint(-3, 3)), F(rng.randint(-2, 2))],
-                    [F(1), F(rng.randint(0, 1))],
-                )
-
-            p_coeffs = [rf() for _ in range(rng.randint(1, 3))]
-            while not p_coeffs[0]:
-                p_coeffs[0] = rf()
-            q_coeffs = [RatFunc.const(1)] + [rf() for _ in range(rng.randint(0, 2))]
-            prob = IntegralFactorProblem(
-                YSeries(mu_p, p_coeffs), YSeries(mu_q, q_coeffs)
-            )
+        for prob in corpora.integral_factor_problems(555, 40):
             mu0 = -1 if prob.case == "A" else 0
             w = solve_w(prob, mu0, 3)
             assert all(w.verified_levels)
@@ -256,19 +240,7 @@ class TestGhosts:
 
 class TestRiccati:
     def test_constructed_witness_and_perturbation(self):
-        rng = random.Random(20260816)
-        for _ in range(8):
-            t = Tower()
-            x = t.x()
-            r = t.rational(
-                RatFunc(
-                    [F(rng.randint(-3, 3)), F(rng.randint(-3, 3))],
-                    [F(1), F(rng.randint(0, 1))],
-                )
-            )
-            b = t.rational(RatFunc([F(rng.randint(-3, 3)), F(rng.randint(-2, 2))]))
-            a = b * r - r.differentiate() - r * r
-            z = t.exp_integral(r)
+        for a, b, z in corpora.riccati_instances(20260816, 8):
             res = riccati_bridge(a, b, z)
             assert res.is_solution and res.riccati_solves and res.identity_holds
             res_bad = riccati_bridge(a + 1, b, z)

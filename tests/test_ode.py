@@ -40,17 +40,13 @@ from puiseux.ode import (
 from puiseux.parsing import parse_ode
 from puiseux.series import INF, BranchError, PuiseuxSeries, SeriesError
 
+import corpora
+from corpora import E_ALG, E_LINEAR, E_MIXED, E_NEGRES, E_SINGULAR, E_SQUARE
 from oracles import branch_count_bound, instantiate, nondecomposable_for
+from test_properties import ode_reports
 
 X = PuiseuxSeries.x_power
 ONE = PuiseuxSeries.one()
-
-E_SQUARE = MonomialODE([(0, 2, 1)])  # dy/dx = y^2
-E_LINEAR = MonomialODE([(-1, 1, 1)])  # dy/dx = y/x
-E_MIXED = MonomialODE([(-1, 1, 1), (1, 0, 1)])  # dy/dx = y/x + x
-E_SINGULAR = MonomialODE([(-2, 2, 1)])  # dy/dx = x^-2 y^2
-E_ALG = MonomialODE([(-2, 2, 1), (-1, 0, -1)])  # dy/dx = x^-2 y^2 - x^-1
-E_NEGRES = MonomialODE([(-2, 2, 1), (1, 0, 1)])  # dy/dx = x^-2 y^2 + x
 
 
 def naive_ansatz_solve(monomials, mu0, c0, grid, resonant_value=None):
@@ -389,19 +385,6 @@ class TestAlgebraicType:
         assert verify_branch(e, b).valuation == INF
 
 
-def random_monomial_odes(rng, count):
-    """``count`` seeded monomial ODEs with two or three distinct monomials."""
-    sigmas = [F(-2), F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3)]
-    out = []
-    for _ in range(count):
-        monos, size = {}, rng.choice([2, 3])
-        while len(monos) < size:
-            key = (F(rng.randint(-3, 2)), rng.choice(sigmas))
-            monos[key] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
-        out.append(MonomialODE([(nu, s, f) for (nu, s), f in monos.items()]))
-    return out
-
-
 class TestWarmStart:
     """Each algebraic-type round starts at the previous round's root."""
 
@@ -473,10 +456,8 @@ class TestWarmStart:
         return compared
 
     def test_seeded_rounds_match_the_from_scratch_route(self, monkeypatch):
-        import random
-
         compared = 0
-        for e in random_monomial_odes(random.Random(1), 120):
+        for e in corpora.ODES["warm-start"][0]:
             for bound in (2, F(7, 2)):
                 compared += self.cross_check(monkeypatch, e, bound)
         assert compared > 100
@@ -486,11 +467,9 @@ class TestWarmStart:
         assert self.cross_check(monkeypatch, e, F(7, 2), mode="algebraic") >= 10
 
     def test_constant_note_only_without_a_constant_term(self):
-        import random
-
-        for e in random_monomial_odes(random.Random(8), 300):
+        for e, report in ode_reports("constant-note"):
             if any(t.case == "a" for t in initial_terms(e).terms):
-                notes = solve_all(e, 2).notes
+                notes = report.notes
                 assert not [n for n in notes if "nonzero constant" in n], e
 
 
@@ -605,39 +584,6 @@ class TestAlgebraicCoefficients:
         assert len(res.unresolved) == 1
 
 
-class TestRandomAccounting:
-    def test_multiplicity_accounting_with_unresolved(self):
-        # random instances that are NOT engineered for rational roots:
-        # branch multiplicities plus unresolved degrees always account for
-        # the full degree
-        import random
-
-        from puiseux.algebraic import SeriesPolynomial, solve_algebraic
-
-        rng = random.Random(424242)
-        for _ in range(60):
-            degree = rng.randint(2, 4)
-            coeffs = []
-            for i in range(degree + 1):
-                terms = [
-                    (F(e), F(rng.randint(-3, 3)))
-                    for e in rng.sample([-1, 0, 1, 2], rng.randint(0, 2))
-                ]
-                coeffs.append(PuiseuxSeries(terms))
-            if coeffs[-1].is_zero:
-                coeffs[-1] = ONE
-            if all(c.is_zero for c in coeffs[:-1]):
-                coeffs[0] = X(1)
-            p = SeriesPolynomial(coeffs)
-            res = solve_algebraic(p, 2)
-            assert res.total_multiplicity == p.degree
-            for b in res.branches:
-                residual = p.evaluate(b.series)
-                assert residual.is_zero or residual.val_floor() >= min(
-                    2, b.residual_bound
-                )
-
-
 class TestVerify:
     def test_exact_solution_infinite_residual(self):
         t = initial_terms(E_SQUARE).terms[0]
@@ -655,20 +601,6 @@ class TestVerify:
                 assert b.series.trunc != INF
         family = [b for b in branches if b.status == RESONANT_FREE]
         assert [b.series.trunc for b in family] == [101]
-
-    def test_guarantees_met_across_suite(self):
-        suite = [
-            (E_SQUARE, 3),
-            (E_LINEAR, 3),
-            (E_MIXED, 4),
-            (E_SINGULAR, 4),
-            (E_ALG, 3),
-        ]
-        for e, bound in suite:
-            for b in solve_all(e, bound).branches:
-                if b.status == "no-continuation":
-                    continue
-                assert verify_branch(e, b).meets(b.residual_guarantee)
 
 
 class TestSolveAll:
@@ -765,29 +697,6 @@ class TestSolveAll:
 
 
 class TestRandomEquations:
-    def test_every_branch_of_random_equations_verifies(self):
-        import random
-
-        rng = random.Random(777)
-        for _ in range(120):
-            n = rng.randint(1, 3)
-            monos = {}
-            for _ in range(n):
-                nu = F(rng.randint(-2, 2))
-                sigma = F(rng.randint(0, 3))
-                f = F(rng.randint(-3, 3))
-                if f:
-                    monos[(nu, sigma)] = f
-            if not monos:
-                continue
-            e = MonomialODE([(nu, s, f) for (nu, s), f in monos.items()])
-            rep = solve_all(e, 3)
-            for b in rep.branches:
-                if b.status == "no-continuation":
-                    continue
-                v = verify_branch(e, b)
-                assert v.meets(b.residual_guarantee), (monos, str(b.series))
-
     def test_solve_all_is_deterministic(self):
         e = MonomialODE([(-2, 2, 1), (0, 1, 1), (1, 0, -2)])
         first = solve_all(e, 4)
@@ -845,17 +754,8 @@ class TestLevelCoefficients:
         assert verify_branch(e, b).meets(6)
 
     def test_seeded_proper_branches_meet_their_guarantee(self):
-        import random
-
-        rng = random.Random(4)
-        sigmas = [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3)]
         branches = 0
-        for _ in range(100):
-            monos, size = {}, rng.choice([2, 3])
-            while len(monos) < size:
-                key = (F(rng.randint(-3, 2)), rng.choice(sigmas))
-                monos[key] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
-            e = MonomialODE([(nu, s, f) for (nu, s), f in monos.items()])
+        for e in corpora.ODES["level-coefficients"][0]:
             for t in initial_terms(e).terms:
                 if classify(e, t) != PROPER:
                     continue
@@ -866,8 +766,8 @@ class TestLevelCoefficients:
                         continue  # no rational root branch for this c0
                     branches += 1
                     g = b.residual_guarantee
-                    assert b.series.trunc <= g + 1, (monos, str(b.series), g)
-                    assert verify_branch(e, b).meets(g), (monos, str(b.series))
+                    assert b.series.trunc <= g + 1, (e, str(b.series), g)
+                    assert verify_branch(e, b).meets(g), (e, str(b.series))
         assert branches > 100
 
 

@@ -1,18 +1,15 @@
 """Algebraic roots with fractional exponents against exact substitution.
 
-The polynomials are seeded and fixed: degree 2-5 in y, coefficient
-exponents with denominators 1, 2 and 3, and some coefficients known only
-below a finite trunc or not at all (a bare ``O(x^t)``).  Every reported
-prefix is substituted back into its polynomial by plain exact series
-arithmetic; the value must vanish below the branch's ``residual_bound``,
-and vanish exactly when that bound is ``INF``.  The branch and unresolved
-multiplicities must account for every root.  The direct step from a
+``test_properties`` substitutes every prefix of the seeded corpora
+"ramified-prefixes" and "simple-root-steps" (degree 2-5, exponents with
+denominators 1, 2 and 3, coefficients known only below a finite trunc or
+not at all) back into its polynomial and counts multiplicities;
+the named cases here take the same checks.  The direct step from a
 simple root must give what the contour route gives at every state.  A
 last case pins the step-limit message, which names the prefix and the
 last exponent of the branch that ran out of steps.
 """
 
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -23,60 +20,21 @@ from puiseux.coefficients import ParamPoly, UnsupportedSymbolic, sqrt_field
 from puiseux.parsing import parse_algebraic_equation
 from puiseux.series import INF, PuiseuxSeries
 
-EXPONENTS = [F(n, d) for d in (1, 2, 3) for n in range(0, 7)]
+import corpora
+from test_properties import algebraic_results, check_branches
+
 CASES = 200
 X = PuiseuxSeries.x_power
 
 
-def random_coefficient(rng, truncated):
-    terms = [
-        (rng.choice(EXPONENTS), F(rng.choice([-3, -2, -1, 1, 2, 3])))
-        for _ in range(rng.randint(1, 3))
-    ]
-    trunc = INF
-    if truncated:
-        trunc = max(e for e, _c in terms) + F(rng.randint(1, 6), rng.choice([1, 2, 3]))
-    return PuiseuxSeries(terms, trunc)
-
-
-def random_polynomial(rng):
-    degree = rng.randint(2, 5)
-    coeffs = [PuiseuxSeries.zero()] * (degree + 1)
-    for i in rng.sample(range(degree), rng.randint(1, degree)):
-        if rng.random() < 0.15:
-            coeffs[i] = PuiseuxSeries([], rng.choice(EXPONENTS[1:]))  # a bare O(x^t)
-        else:
-            coeffs[i] = random_coefficient(rng, truncated=rng.random() < 0.2)
-    coeffs[degree] = PuiseuxSeries.constant(rng.choice([1, 1, -1, 2]))
-    return SeriesPolynomial(coeffs)
-
-
-def check_branches(p, result):
-    for b in result.branches:
-        value = p.evaluate(b.series)
-        if b.residual_bound == INF:
-            assert value.is_exact_zero
-        else:
-            assert value.valuation() >= b.residual_bound
-    assert result.total_multiplicity == p.degree
-
-
 def test_prefixes_solve_the_polynomial_below_their_residual_bound():
-    rng = random.Random(20261020)
-    fractional = exact_zero = 0
-    for _ in range(CASES):
-        p = random_polynomial(rng)
-        mode = rng.choice(["rational", "rational", "algebraic"])
-        bound = rng.choice([F(1), F(3, 2), F(2), F(7, 3)])
-        result = solve_algebraic(p, bound, mode=mode)
-        check_branches(p, result)
-        fractional += any(
-            e.denominator > 1 for b in result.branches for e, _c in b.series.terms
-        )
-        exact_zero += any(b.residual_bound == INF for b in result.branches)
     # the corpus reaches ramified roots and exact roots
+    results = [result for _p, result in algebraic_results("ramified-prefixes")]
+    assert len(results) == CASES
+    fractional = sum(any(e.denominator > 1 for b in r.branches for e, _c in b.series.terms)
+                     for r in results)
     assert fractional > CASES // 10
-    assert exact_zero > 0
+    assert any(b.residual_bound == INF for r in results for b in r.branches)
 
 
 def test_roots_at_a_vertex_an_unknown_coefficient_may_reach_are_counted():
@@ -112,12 +70,7 @@ def _outcome(result):
 def test_simple_root_steps_match_the_contour_route(monkeypatch):
     # the contour route, taken at every state, is the reference for the
     # direct step from a simple root
-    rng = random.Random(20261019)
-    cases = [
-        (random_polynomial(rng), rng.choice([F(1), F(2), F(7, 3), F(4)]),
-         rng.choice(["rational", "algebraic"]))
-        for _ in range(CASES)
-    ]
+    cases = []
     for text, bound in [
         ("y^2 - y + x = 0", F(12)),
         ("y^2 - 2*x*y - 2*x^2*y + x^2 + 2*x^3 + x^4 - 2*x^5 - 2*x^6 = 0", F(7)),
@@ -133,9 +86,11 @@ def test_simple_root_steps_match_the_contour_route(monkeypatch):
     # rational vertices over Q(sqrt(2)): their roots are lifted into the field
     r2 = sqrt_field(2).generator()
     cases += [(SeriesPolynomial([X(1), -1, PuiseuxSeries([(0, 1), (5, r2)])]), F(4), "rational")]
-    direct = [_outcome(solve_algebraic(p, bound, mode)) for p, bound, mode in cases]
+    direct = [_outcome(r) for _p, r in algebraic_results("simple-root-steps")]
+    direct += [_outcome(solve_algebraic(p, bound, mode)) for p, bound, mode in cases]
     monkeypatch.setattr(algebraic, "_simple_root", lambda q: None)
-    contour = [_outcome(solve_algebraic(p, bound, mode)) for p, bound, mode in cases]
+    contour = [_outcome(solve_algebraic(p, bound, mode))
+               for p, bound, mode in corpora.ALGEBRAIC["simple-root-steps"] + cases]
     assert direct == contour
 
 

@@ -11,43 +11,20 @@ factorization; each isolating interval must hold exactly one of the real
 roots of the squarefree part that sympy counts.
 """
 
-import random
 from fractions import Fraction as F
 
 import pytest
 
 from puiseux.polyutils import isolate_real_roots, pmul, rational_roots
 
+import corpora
+
 sympy = pytest.importorskip("sympy")
 
 T = sympy.Symbol("t")
 CASES = 60
-BIG = 10**30
-HUGE = 2**256
-
-
-def _random_rational(rng):
-    num = rng.randint(-BIG, BIG)
-    den = rng.randint(1, BIG)
-    return F(num, den) if rng.random() < 0.8 else F(rng.randint(-9, 9))
-
-
-def _planted_case(rng):
-    extra_deg = rng.choice((2, 3))
-    extra = [F(rng.randint(-BIG, BIG)) for _ in range(extra_deg)]
-    extra.append(F(rng.randint(1, BIG)))
-    planted = {}
-    budget = 6 - extra_deg
-    while budget and (not planted or rng.random() < 0.7):
-        mult = rng.randint(1, min(3, budget))
-        root = _random_rational(rng)
-        planted[root] = planted.get(root, 0) + mult
-        budget -= mult
-    poly = extra
-    for root, mult in planted.items():
-        for _ in range(mult):
-            poly = pmul(poly, [-root, F(1)])
-    return poly, planted
+PLANTED = corpora.planted_polynomials(1983, CASES)
+LOW_DEGREE = corpora.low_degree_polynomials(1983, CASES)
 
 
 def _as_sympy(poly):
@@ -63,26 +40,6 @@ def _sympy_rational_roots(poly):
             r = -a / b
             roots[F(int(r.p), int(r.q))] = mult
     return roots
-
-
-def _low_degree_case(rng):
-    """A polynomial of degree 1 or 2 with coefficients up to 256 bits:
-    a random one, one with a zero root, or a planted (double) root."""
-    def big():
-        num = rng.randint(-HUGE, HUGE)
-        return F(num, rng.randint(1, HUGE)) if rng.random() < 0.5 else F(num)
-
-    lead = big() or F(1)
-    kind = rng.choice(("random", "zero", "double", "planted"))
-    if kind == "random":
-        return [big() for _ in range(rng.randint(1, 2))] + [lead]
-    root = big()
-    if kind == "zero":
-        return rng.choice(([F(0), lead], [F(0), big(), lead], [F(0), F(0), lead]))
-    if kind == "double":
-        return pmul([-root * lead, lead], [-root, F(1)])
-    return pmul([-root * lead, lead], [-big(), F(1)]) if rng.random() < 0.5 else [
-        -root * lead, lead]
 
 
 def _check_roots(poly):
@@ -118,8 +75,7 @@ def _check_isolation(poly):
 
 @pytest.mark.parametrize("seed", range(CASES))
 def test_rational_roots_match_sympy(seed):
-    rng = random.Random(1983 * 1000 + seed)
-    poly, planted = _planted_case(rng)
+    poly, planted = PLANTED[seed]
     found = _check_roots(poly)
     for root, mult in planted.items():
         assert found[root] >= mult
@@ -130,8 +86,7 @@ def test_rational_roots_match_sympy(seed):
 
 @pytest.mark.parametrize("seed", range(CASES))
 def test_low_degree_roots_match_sympy(seed):
-    rng = random.Random(1983 * 2000 + seed)
-    poly = _low_degree_case(rng)
+    poly = LOW_DEGREE[seed]
     found = _check_roots(poly)
     assert sum(found.values()) + len(rational_roots(poly)[1]) == len(poly)
     _check_isolation(poly)

@@ -5,13 +5,13 @@ logic: convolution, termwise sums and powers are spelled out from scratch
 so the main implementation is never checked against itself.
 """
 
-import random
 from fractions import Fraction as F
 
 import pytest
 
+import corpora
 from oracles import PowerExpansion, multinomial_weight
-from puiseux.coefficients import ParamPoly, sqrt_field
+from puiseux.coefficients import sqrt_field
 from puiseux.polyutils import pstrip
 from puiseux.series import (
     INF,
@@ -251,29 +251,13 @@ class TestPowerExpansion:
         # y = b^q * x^m * (1 + tail) for sigma = p/q, so y^sigma has the
         # branch b^p; the tail is exact (with prec) or truncated (with or
         # without prec), with rational or free-constant coefficients
-        rng = random.Random(f"{sigma}-{truncated}-{symbolic}-{seed}")
-        p, q = sigma.numerator, sigma.denominator
-        b = rng.choice([F(1), F(2), F(1, 2), F(-3, 2)])
-        m = rng.choice([F(-1), F(0), F(1, 2), F(2)])
-        shifts = rng.sample([F(1, 3), F(1, 2), F(1), F(3, 2), F(2)], 3)
-        tail = [(d, F(rng.choice([-3, -1, 1, 2]))) for d in shifts]
-        if symbolic:
-            d, f = tail[0]
-            tail[0] = (d, ParamPoly([f, rng.choice([-1, 1, 2])], "C"))
-        c = b**q
-        trunc = m + rng.choice([F(5, 2), F(3), F(7, 2)]) if truncated else INF
-        y = PuiseuxSeries(
-            [(m, c)] + [(m + d, c * f) for d, f in tail], trunc
-        )
-        prec = None
-        if not truncated or seed % 2:
-            prec = sigma * m + rng.choice([F(2), F(5, 2), F(3)])
-        branch = b**p if b < 0 or seed % 2 else None
+        ((y, tail, b, m, prec, branch),) = corpora.power_inputs(
+            seed, 1, sigma, truncated, symbolic)
         got = y.pow_rational(sigma, branch=branch, prec=prec)
-        bound = min(trunc - m, INF if prec is None else prec - sigma * m)
+        bound = min(y.trunc - m, INF if prec is None else prec - sigma * m)
         expected = (
             PowerExpansion(tail, sigma, bound).as_series()
-            .shift(sigma * m).scale(b**p)
+            .shift(sigma * m).scale(b**sigma.numerator)
         )
         assert got.terms == expected.terms
         assert got.trunc == expected.trunc

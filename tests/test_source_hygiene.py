@@ -1,5 +1,6 @@
 """Source hygiene of the package: no private definition without a caller,
-no unused import, and the series kernel within its line budget.
+no unused import, and the series kernel within its line budget; and of
+the tests: only ``tests/corpora.py`` seeds a random generator.
 
 Parsed with the stdlib ``ast``; nothing is imported or executed.
 """
@@ -7,7 +8,8 @@ Parsed with the stdlib ``ast``; nothing is imported or executed.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "puiseux"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "puiseux"
 
 
 def _modules():
@@ -63,3 +65,12 @@ def test_series_kernel_stays_within_its_line_budget():
     total = sum(len((SRC / name).read_text().splitlines())
                 for name in ("series.py", "coefficients.py"))
     assert total <= 1250, total
+
+
+def test_only_the_corpora_module_constructs_random_generators():
+    # every seeded generator of the tests lives in tests/corpora.py
+    seeding = [p.name for p in sorted(TESTS.glob("*.py")) if "Random" in p.read_text() and any(
+        isinstance(node, ast.Call) and "Random" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        for node in ast.walk(ast.parse(p.read_text(), str(p))))]
+    assert seeding == ["corpora.py"]

@@ -17,41 +17,17 @@ rules (for operands with denominator 1) and, for rational elements,
 against ``RatFunc.derivative``.
 """
 
-import random
 from fractions import Fraction as F
 
 from puiseux import liouville
-from puiseux.liouville import Element, Tower
-from puiseux.polyutils import pmul
+from puiseux.liouville import Element
 from puiseux.ratfunc import RatFunc
 
+import corpora
+from oracles import plain_value
+
 CASES = 200
-POINTS = (F(1, 3), F(-5, 7), F(7, 2))
-# x - 1, x + 2, x, 2x + 1, x^2 + 1: no root among POINTS
-FACTORS = ([F(-1), F(1)], [F(2), F(1)], [F(0), F(1)], [F(1), F(2)],
-           [F(1), F(0), F(1)])
-
-
-def random_ratfunc(rng):
-    kind = rng.randrange(5)
-    if kind == 0:
-        return RatFunc.const(0)
-    if kind == 1:
-        return RatFunc.const(F(rng.randint(-6, 6), rng.randint(1, 4)))
-    poly = [F(rng.randint(-4, 4), rng.randint(1, 3))
-            for _ in range(rng.randint(1, 3))]
-    if kind == 2:
-        return RatFunc(poly)
-    # a fraction built with a factor common to both sides
-    den = rng.sample(FACTORS, rng.randint(1, 2))
-    common = rng.choice(den)
-    scale = rng.randint(1, 3)
-    den = [c * scale for c in pmul(den[0], den[-1])]
-    return RatFunc(pmul(poly, common), pmul(den, common))
-
-
-def _ev(p, t):
-    return sum((c * t**i for i, c in enumerate(p)), F(0))
+POINTS = (F(1, 3), F(-5, 7), F(7, 2))  # no root of corpora.FACTORS among them
 
 
 def _dev(p, t):
@@ -60,12 +36,12 @@ def _dev(p, t):
 
 def value(r, t):
     if isinstance(r, RatFunc):
-        return _ev(r.num, t) / _ev(r.den, t)
+        return plain_value(r.num, t) / plain_value(r.den, t)
     return F(r)
 
 
 def derivative_value(r, t):
-    n, d = _ev(r.num, t), _ev(r.den, t)
+    n, d = plain_value(r.num, t), plain_value(r.den, t)
     return (_dev(r.num, t) * d - n * _dev(r.den, t)) / d**2
 
 
@@ -78,14 +54,7 @@ def assert_reduced(r):
 
 
 def test_ratfunc_results_are_reduced_and_evaluate_exactly():
-    rng = random.Random(20261018)
-    for _ in range(CASES):
-        a = random_ratfunc(rng)
-        b = rng.choice([
-            random_ratfunc(rng), random_ratfunc(rng), rng.randint(-3, 3),
-            F(rng.randint(-3, 3), rng.randint(1, 3)),
-        ])
-        n = rng.randint(-2, 3)
+    for a, b, n in corpora.ratfunc_cases(20261018, CASES):
         cases = [
             (a + b, lambda va, vb: va + vb), (b + a, lambda va, vb: vb + va),
             (a - b, lambda va, vb: va - vb), (b - a, lambda va, vb: vb - va),
@@ -161,40 +130,6 @@ def same_value(t, num, den, r):
     return not liouville._reduce_roots(t, diff)
 
 
-def random_tower():
-    t = Tower()
-    x = t.x()
-    gens = [t.integral(1 / (x + 1)), t.exp_integral(x),
-            t.algebraic_root([-x, t.zero(), t.one()])]
-    return t, gens
-
-
-def small_ratfunc(rng):
-    """A tower coefficient: zero, a constant, a linear polynomial or one
-    over a factor; small, so that the tower's own quotients stay cheap."""
-    r = RatFunc([F(rng.randint(-3, 3)) for _ in range(rng.randint(1, 2))])
-    return r / RatFunc(rng.choice(FACTORS)) if rng.random() < 0.3 else r
-
-
-def random_element(rng, t, gens):
-    kind = rng.randrange(4)
-    if kind == 0:
-        return t.zero()
-    if kind == 1:
-        return t.rational(random_ratfunc(rng))
-    e = t.zero()
-    for _ in range(rng.randint(1, 3)):
-        mono = t.rational(small_ratfunc(rng))
-        for g in rng.sample(gens, rng.randint(0, 2)):
-            mono = mono * g ** rng.choice([1, 2, -1])
-        e = e + mono
-    if kind == 3:
-        divisor = gens[rng.randrange(3)] + t.rational(small_ratfunc(rng))
-        if divisor:
-            e = e / divisor
-    return e
-
-
 def assert_element_form(e):
     assert _trimmed(e.num) and _trimmed(e.den)
     if e.den == {(): RatFunc.const(1)}:
@@ -203,10 +138,8 @@ def assert_element_form(e):
 
 
 def test_unit_product_is_a_copy_of_the_trimmed_other_side():
-    rng = random.Random(7)
-    t, gens = random_tower()
-    for _ in range(40):
-        e = random_element(rng, t, gens)
+    _t, pairs = corpora.tower_cases(7, 40)
+    for e, _b in pairs:
         for d in (e.num, e.den):
             for out in (liouville._mul(d, liouville._UNIT),
                         liouville._mul(liouville._UNIT, d)):
@@ -215,14 +148,8 @@ def test_unit_product_is_a_copy_of_the_trimmed_other_side():
 
 
 def test_tower_results_match_the_general_path():
-    rng = random.Random(20261019)
-    t, gens = random_tower()
-    for _ in range(CASES):
-        a = random_element(rng, t, gens)
-        b = rng.choice([
-            random_element(rng, t, gens), t.rational(rng.randint(-3, 3)),
-            t.rational(random_ratfunc(rng)),
-        ])
+    t, pairs = corpora.tower_cases(20261019, CASES)
+    for a, b in pairs:
         cases = [
             (a + b, ref_add(ref_mul(a.num, b.den), ref_mul(b.num, a.den)),
              ref_mul(a.den, b.den)),
