@@ -1,44 +1,43 @@
 """Seeded corpora: the one home of every random generator of the tests.
 
-Each generator takes its seed and size and returns a list of cases, the
-same on every run and under every ``PYTHONHASHSEED``.  No other test module
-constructs a ``random.Random`` (``test_source_hygiene`` checks it), and the
-reference implementations stay in ``oracles.py``.  ``test_properties``
-checks the invariants every corpus must keep, once per corpus.
+Each generator takes its seed and size and yields the same cases on every
+run and under every ``PYTHONHASHSEED``.  No other test module imports
+``random`` (``test_source_hygiene`` checks it).  Nothing is drawn at
+import: ``corpus`` builds a named corpus of ALGEBRAIC or ODES on first use,
+and ``test_properties`` checks its invariants on each.
 
-Generators by the modules that call them, with (seed, size):
-- test_series_properties: series_tuples (20260810-15, 200; 20260812
-  draws 400 and keeps 200), operands (20260816 and 20261019, 200),
-  half_series_cases (20261021, 200), param_polys (20261018, 200; long,
-  20261101, 60), ODES["exponent-rule"] and ODES["rational"].
-- test_series_kernel: operands (wide, 20261019-20, 150),
-  taylor_shift_cases (20261021, 50).  test_series: power_inputs (the
-  parameters and 0-3, 1 each).
-- test_coefficients: rational_polynomials (20261019, 60), field_operands
-  (11, 40), param_polys (6, 60), FIELDS.  test_algebraic:
-  rational_polynomials (7, 6).  test_field_oracle: field_operands
-  (196700-196703, 40), FIELDS.
-- test_root_oracle: planted_polynomials and low_degree_polynomials (1983,
-  60; case i seeded 1983000 + i and 3966000 + i).  test_contour: line_sets
-  (20261018, 2000).
-- test_acceptance: ALGEBRAIC["products-of-roots"], closed_form_polynomials
-  (202, 50), riccati_instances (909, 20), the worked suite E_*.
-  test_ramification: ALGEBRAIC["ramified-prefixes", "simple-root-steps"].
-  test_ode: ODES["warm-start", "constant-note", "level-coefficients"].
-- test_tower_properties: ratfunc_cases (20261018, 200), tower_cases (7,
-  40; 20261019, 200).  test_first_integrals: integral_factor_problems
-  (555, 40), riccati_instances (20260816, 8).
-- test_properties: operands (20260816, 200) and every named corpus:
-  ALGEBRAIC ramified-prefixes (20261020, 200), simple-root-steps (20261019,
-  200), laurent-accounting (424242, 60), products-of-roots (101, 200); ODES
-  random-equations (777, 120), warm-start (1, 120), constant-note (8, 300),
-  level-coefficients (4, 100), exponent-rule (20261019, 80), and the fixed
-  lists rational (11 equations) and worked-suite (5).
+Users, generators and (seed, size):
+- test_series_properties: series_tuples (20260810-14, 200; 20260812 draws
+  400 for 200), power_root_cases (20260815, 200), canonical_operands
+  (20260816, 200), product_operands (20261019, 200), half_series_cases
+  (20261021, 200), param_operations (20261018, 200), param_polys long
+  (20261101, 60), corpus exponent-rule and rational.
+- test_series_kernel: ring_operands (20261019, 150), power_operands
+  (20261020, 150), taylor_shift_cases (20261021, 50).  test_series:
+  power_input (seeded by its parameters and 0-3).
+- test_coefficients: isolation_polynomials (20261019, 60),
+  rational_operands (11, 3 x 40), param_polys (6, 60).  test_algebraic:
+  shift_polynomials (7, 6).  test_field_oracle: field_operands
+  (196700-196703, 40).  test_contour: line_sets (20261018, 2000).
+- test_root_oracle: planted_polynomials, low_degree_polynomials (1983, 60).
+- test_acceptance: closed_form_polynomials (202, 50), riccati_instances
+  (909, 20), corpus products-of-roots and worked-suite.  test_ramification:
+  corpus ramified-prefixes and simple-root-steps.  test_ode: corpus
+  warm-start, constant-note and level-coefficients.
+- test_tower_properties: ratfunc_cases (20261018, 200), tower_cases (7, 40;
+  20261019, 200).  test_first_integrals: integral_factor_problems (555,
+  40), riccati_instances (20260816, 8).
+- test_properties: canonical_operands (20260816, 200) and every named
+  corpus.  ALGEBRAIC: ramified-prefixes (20261020, 200), simple-root-steps
+  (20261019, 200), laurent-accounting (424242, 60), products-of-roots
+  (101, 200).  ODES: random-equations (777, 120 draws, 114 equations),
+  warm-start (1, 120), constant-note (8, 300), level-coefficients (4, 100),
+  exponent-rule (20261019, 80), rational (11) and worked-suite (5).
 """
 
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
+from functools import cache
 
 from puiseux.algebraic import SeriesPolynomial
 from puiseux.coefficients import NumberField, ParamPoly, sqrt_field
@@ -52,154 +51,206 @@ from puiseux.ratfunc import RatFunc
 from puiseux.series import INF, PuiseuxSeries
 
 SQRT2 = sqrt_field(2)
-DOMAINS = ("Q", "C", "sqrt2")  # rationals, a free constant C, Q(sqrt 2)
 UNITS = (-3, -2, -1, 1, 2, 3)
-# the exponents of a drawn series; a lead term goes below them all, at x^-3
-EXPONENTS = [F(-2), F(-3, 2), F(-1), F(-1, 2), F(-1, 3), F(0), F(1, 3), F(1, 2),
-             F(1), F(4, 3), F(3, 2), F(2), F(7, 3), F(5, 2), F(3)]
-DENOMINATORS = (1, 1, 2, 3, 4, 6, 9, 10**40 + 1)
+
+# -- series over Q, a free constant C and Q(sqrt 2) --------------------------------
+
+EXPONENT_POOL = [F(-2), F(-3, 2), F(-1), F(-1, 2), F(-1, 3), F(0), F(1, 3), F(1, 2),
+                 F(1), F(3, 2), F(2), F(7, 3), F(3)]
 
 
-# -- coefficients and series -----------------------------------------------------
-
-
-def _small(rng):
-    return F(rng.randint(-3, 3))
-
-
-def _wide(rng):
-    return F(rng.randint(-9, 9), rng.choice(DENOMINATORS))
-
-
-def _nonzero(rng):
-    return F(rng.choice(UNITS))
-
-
-def _big(rng, num, den, p_int):
-    """An int in [-9, 9] with probability ``p_int``, else n/d with |n| <= num, d <= den."""
-    if rng.random() < p_int:
-        return rng.randint(-9, 9)
-    return F(rng.randint(-num, num), rng.randint(1, den))
-
-
-def _coefficient(rng, domain, rational=_small):
-    """Possibly zero; a rational one half of the time outside Q."""
-    if domain != "Q" and rng.random() < 0.5:
-        pair = [rational(rng), rational(rng)]
-        return SQRT2.element(pair) if domain == "sqrt2" else ParamPoly(pair)
-    return rational(rng)
-
-
-def _series(rng, domain="Q", terms=(0, 6), rational=_small, truncated=0.5,
-            exponents=EXPONENTS, repeat=False, lead=None):
-    """A number of terms in the range ``terms`` on ``exponents``, distinct
-    unless ``repeat``, and ``lead`` at x^-3; with probability ``truncated``
-    the trunc is a nonnegative exponent of the pool plus 0, 1 or 2."""
-    n = rng.randint(*terms)
-    exps = [rng.choice(exponents) for _ in range(n)] if repeat else rng.sample(exponents, n)
-    pairs = [(e, _coefficient(rng, domain, rational)) for e in exps]
-    if lead is not None:
-        pairs.append((F(-3), lead))
+def _law_series(rng, max_terms, truncated, nonzero):
+    """Distinct exponents, coefficients in [-5, 5], zeros dropped; a trunc 40% of the time."""
+    n = rng.randint(1 if nonzero else 0, max_terms)
+    terms = [(e, F(rng.randint(-5, 5))) for e in rng.sample(EXPONENT_POOL, n)]
+    terms = [(e, c) for e, c in terms if c]
+    if nonzero and not terms:
+        terms = [(rng.choice(EXPONENT_POOL), F(rng.randint(1, 5)))]
     trunc = INF
-    if truncated and rng.random() < truncated:
-        trunc = rng.choice([e for e in exponents if e >= 0]) + rng.randint(0, 2)
-    return PuiseuxSeries(pairs, trunc)
+    if truncated and rng.random() < 0.4:
+        trunc = rng.choice([e for e in EXPONENT_POOL if e > 0]) + rng.randint(0, 3)
+    return PuiseuxSeries(terms, trunc)
 
 
-def series_tuples(seed, size, arity, nonzero=False, exact=False, terms=6):
-    """Tuples of series over Q with up to ``terms`` terms; ``nonzero``: at
-    least one term and unit coefficients; ``exact``: no trunc."""
+def series_tuples(seed, size, arity, nonzero=False, exact=False):
+    """Tuples of series over Q; ``nonzero``: at least one term; ``exact``: no trunc."""
     rng = random.Random(seed)
-    return [tuple(_series(rng, terms=(int(nonzero), terms),
-                          rational=_nonzero if nonzero else _small,
-                          truncated=0 if exact else 0.4) for _ in range(arity))
+    return [tuple(_law_series(rng, 6, not exact, nonzero) for _ in range(arity))
             for _ in range(size)]
 
 
-def operands(seed, size, wide=False):
-    """Over a domain of DOMAINS: series ``a`` (repeated exponents and zero
-    coefficients allowed) and ``b``, which keeps, negates or drops each
-    term of a and adds its own; a one-term ``term``; a coefficient ``c``;
-    a unit ``u`` and a series ``led`` led by u^2 at x^-3; a shift ``t``, a
-    scalar ``k``, a power ``n`` in 1..3 and seven ``offsets`` in [-1, 11/2].
-    ``wide`` draws rationals with 40-digit denominators."""
+def power_root_cases(seed, size):
+    """(a, q, p): an exact nonzero series of up to 3 terms, q in {2, 3}, p in {1, 2, -1}."""
     rng = random.Random(seed)
-    rational = _wide if wide else _small
-    out = []
+    return [(_law_series(rng, 3, False, True), rng.choice([2, 3]), rng.choice([1, 2, -1]))
+            for _ in range(size)]
+
+
+def _coefficient(rng, domain, unit=False):
+    """Over 'Q', 'C' or 'sqrt2', possibly zero unless ``unit``; half rational outside Q."""
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    if unit:
+        return SQRT2.element([a, b or 1]) if domain == "sqrt2" else F(a or 1)
+    if domain == "C" and rng.random() < 0.5:
+        return ParamPoly([a, b])
+    if domain == "sqrt2" and rng.random() < 0.5:
+        return SQRT2.element([a, b])
+    return F(a)
+
+
+def _input(rng, domain, lead=None):
+    """Repeated exponents and zero coefficients; ``lead`` adds a term at x^-3."""
+    terms = [(rng.choice(EXPONENT_POOL), _coefficient(rng, domain))
+             for _ in range(rng.randint(0, 7))]
+    if lead is not None:
+        terms.append((F(-3), lead))
+    trunc = INF
+    if rng.random() < 0.5:
+        trunc = rng.choice(EXPONENT_POOL[5:]) + rng.randint(0, 2)
+    return PuiseuxSeries(terms, trunc)
+
+
+def canonical_operands(seed, size):
+    """(a, b, t, c, u, n, led, offsets, prec): b keeps, negates or drops each
+    term of a and adds its own; ``led`` is led by the unit u at x^-3."""
+    rng = random.Random(seed)
     for _ in range(size):
-        domain = rng.choice(DOMAINS)
-        a = _series(rng, domain, (0, 7), rational, repeat=True)
-        b = _series(rng, domain, (0, 7), rational, repeat=True)
+        domain = rng.choice(["Q", "C", "sqrt2"])
+        a = _input(rng, domain)
         b = PuiseuxSeries(
             [(e, -c if rng.random() < 0.5 else c) for e, c in a.terms if rng.random() < 0.7]
-            + list(b.terms), rng.choice([a.trunc, b.trunc, INF, F(rng.randint(1, 5), 2)]))
-        u = SQRT2.element([rng.randint(-2, 2), rng.randint(1, 2)]) if domain == "sqrt2" else F(
-            rng.choice(UNITS), rng.choice([1, 2, 3]))
-        e = rng.choice(EXPONENTS)
-        term = PuiseuxSeries([(e, _coefficient(rng, domain, rational) or u)],
-                             rng.choice([INF, e + rng.randint(1, 4)]))
-        out.append(SimpleNamespace(
-            a=a, b=b, term=term, c=_coefficient(rng, domain, rational), u=u,
-            led=_series(rng, domain, (0, 7), rational, repeat=True, lead=u * u),
-            t=F(rng.randint(-6, 8), rng.choice([1, 2, 3])),
-            k=rng.choice([rng.randint(-3, 3), F(rng.randint(-3, 3), 3)]), n=rng.randint(1, 3),
-            offsets=[rng.randint(-1, 5) + F(rng.randint(0, 1), 2) for _ in range(7)]))
-    return out
+            + list(_input(rng, domain).terms),
+            rng.choice([a.trunc, INF, F(rng.randint(1, 5), 2)]))
+        t = F(rng.randint(-6, 8), rng.choice([1, 2, 3]))
+        u = _coefficient(rng, domain, unit=True)
+        c, n = _coefficient(rng, domain), rng.choice([1, 2, 3])
+        led = _input(rng, domain, lead=u)
+        yield (a, b, t, c, u, n, led, [rng.randint(-1, 5) for _ in range(4)],
+                    rng.randint(2, 8))
+
+
+def product_operands(seed, size):
+    """(s, term): a series and a one-term series with a nonzero coefficient."""
+    rng = random.Random(seed)
+    for _ in range(size):
+        domain = rng.choice(["Q", "C", "sqrt2"])
+        s, e = _input(rng, domain), rng.choice(EXPONENT_POOL)
+        c = _coefficient(rng, domain) or _coefficient(rng, domain, unit=True)
+        yield (s, PuiseuxSeries([(e, c)], rng.choice([INF, e + rng.randint(1, 4)])))
 
 
 ODD_HALVES = [F(n, 2) for n in range(-3, 9, 2)]
 
 
 def _half_series(rng):
-    """Terms on odd halves, so that every product of two terms, and every
-    shift by an odd half, lands on an integer exponent."""
-    terms = [(e, _nonzero(rng)) for e in rng.sample(ODD_HALVES, rng.randint(2, 4))]
+    """Terms on odd halves: products of two terms land on integer exponents."""
+    exps = rng.sample(ODD_HALVES, rng.randint(2, 4))
+    terms = [(e, F(rng.choice(UNITS))) for e in exps]
     terms.append((rng.randint(-1, 3), F(rng.randint(-2, 2))))
     return PuiseuxSeries(terms, rng.choice([INF, F(rng.randrange(1, 13, 2), 2), 5]))
 
 
 def half_series_cases(seed, size):
-    """(a, b, term, h, tail, tail2): series on odd halves, a one-term one,
-    an odd half h and two more."""
+    """(a, b, term, h, tail, tail2): series on odd halves and an odd half h."""
     rng = random.Random(seed)
-    out = []
     for _ in range(size):
         a, b = _half_series(rng), _half_series(rng)
         term = PuiseuxSeries([(rng.choice(ODD_HALVES), F(rng.randint(1, 3)))],
                              rng.choice([INF, F(rng.randrange(1, 13, 2), 2)]))
         h = F(rng.randrange(-3, 5, 2), 2)
-        out.append((a, b, term, h, _half_series(rng), _half_series(rng)))
-    return out
+        yield (a, b, term, h, _half_series(rng), _half_series(rng))
 
 
-def power_inputs(seed, size, sigma, truncated, symbolic):
-    """(y, tail, b, m, prec, branch), y = b^q * x^m * (1 + tail) for sigma =
-    p/q, so y^sigma has the branch b^p; case s is seeded by the parameters
-    and s, and an odd s gives the branch, and a precision on a truncated y."""
-    out = []
-    for s in range(seed, seed + size):
-        rng = random.Random(f"{sigma}-{truncated}-{symbolic}-{s}")
-        b = rng.choice([F(1), F(2), F(1, 2), F(-3, 2)])
-        m = rng.choice([F(-1), F(0), F(1, 2), F(2)])
-        shifts = rng.sample([F(1, 3), F(1, 2), F(1), F(3, 2), F(2)], 3)
-        tail = [(d, F(rng.choice([-3, -1, 1, 2]))) for d in shifts]
-        if symbolic:
-            d, f = tail[0]
-            tail[0] = (d, ParamPoly([f, rng.choice([-1, 1, 2])], "C"))
-        c = b**sigma.denominator
-        trunc = m + rng.choice([F(5, 2), F(3), F(7, 2)]) if truncated else INF
-        y = PuiseuxSeries([(m, c)] + [(m + d, c * f) for d, f in tail], trunc)
-        prec = None
-        if not truncated or s % 2:
-            prec = sigma * m + rng.choice([F(2), F(5, 2), F(3)])
-        out.append((y, tail, b, m, prec, b**sigma.numerator if b < 0 or s % 2 else None))
-    return out
+def power_input(seed, sigma, truncated, symbolic):
+    """(y, tail, b, m, prec, branch): y = b^q x^m (1 + tail) for sigma = p/q; an odd
+    seed gives the branch b^p, and a precision on a truncated y."""
+    rng = random.Random(f"{sigma}-{truncated}-{symbolic}-{seed}")
+    b = rng.choice([F(1), F(2), F(1, 2), F(-3, 2)])
+    m = rng.choice([F(-1), F(0), F(1, 2), F(2)])
+    shifts = rng.sample([F(1, 3), F(1, 2), F(1), F(3, 2), F(2)], 3)
+    tail = [(d, F(rng.choice([-3, -1, 1, 2]))) for d in shifts]
+    if symbolic:
+        d, f = tail[0]
+        tail[0] = (d, ParamPoly([f, rng.choice([-1, 1, 2])], "C"))
+    c = b**sigma.denominator
+    trunc = m + rng.choice([F(5, 2), F(3), F(7, 2)]) if truncated else INF
+    y = PuiseuxSeries([(m, c)] + [(m + d, c * f) for d, f in tail], trunc)
+    prec = None
+    if not truncated or seed % 2:
+        prec = sigma * m + rng.choice([F(2), F(5, 2), F(3)])
+    return y, tail, b, m, prec, b**sigma.numerator if b < 0 or seed % 2 else None
+
+
+# -- the series kernel: 40-digit denominators ----------------------------------------
+
+KERNEL_EXPONENTS = [F(-3, 2), F(-1), F(-1, 3), F(0), F(1, 2), F(1), F(4, 3), F(2), F(5, 2), F(3)]
+DENOMINATORS = [1, 1, 2, 3, 4, 6, 9, 10**40 + 1]
+KERNEL_DOMAINS = ("Q", "sqrt2", "C")
+
+
+def _wide(rng):
+    return F(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+
+
+def _wide_coefficient(rng, domain):
+    if domain == "sqrt2" and rng.random() < 0.5:
+        return SQRT2.element([_wide(rng), _wide(rng)])
+    if domain == "C" and rng.random() < 0.5:
+        return ParamPoly([_wide(rng), _wide(rng)])
+    return _wide(rng)
+
+
+def _wide_series(rng, domain, size=None, lead=None):
+    """``size`` distinct exponents (0-6 if None); ``lead`` adds a term at x^-3."""
+    size = rng.randint(0, 6) if size is None else size
+    terms = [(e, _wide_coefficient(rng, domain)) for e in rng.sample(KERNEL_EXPONENTS, size)]
+    if lead is not None:
+        terms.append((F(-3), lead))
+    trunc = INF
+    if rng.random() < 0.5:
+        trunc = rng.choice(KERNEL_EXPONENTS[3:]) + rng.randint(0, 2)
+    return PuiseuxSeries(terms, trunc)
+
+
+def ring_operands(seed, size):
+    """(a, b, single, c, k, t): two series, a one-term one, a coefficient, a scalar, a shift."""
+    rng = random.Random(seed)
+    for _ in range(size):
+        domain = rng.choice(KERNEL_DOMAINS)
+        a, b = _wide_series(rng, domain), _wide_series(rng, domain)
+        single, c = _wide_series(rng, domain, size=1), _wide_coefficient(rng, domain)
+        k = rng.choice([rng.randint(-3, 3), F(rng.randint(-3, 3), 3)])
+        yield (a, b, single, c, k, F(rng.randint(-6, 8), rng.choice([1, 2, 3])))
+
+
+def power_operands(seed, size):
+    """(u, a, precs, prec): a unit u and a series led by u^2 at x^-3."""
+    rng = random.Random(seed)
+    for _ in range(size):
+        domain = rng.choice(KERNEL_DOMAINS)
+        u = SQRT2.element([rng.randint(-2, 2), rng.randint(1, 2)]) if (
+            domain == "sqrt2") else F(rng.randint(1, 5), rng.choice([1, 2, 3]))
+        a = _wide_series(rng, domain, lead=u * u)
+        precs = [rng.randint(-6, 6) + F(rng.randint(0, 1), 2) for _ in range(6)]
+        yield (u, a, precs, rng.randint(-4, 4))
+
+
+def taylor_shift_cases(seed, size):
+    """(p, c): two to five series and a shift of one to three terms."""
+    rng = random.Random(seed)
+    for _ in range(size):
+        domain = rng.choice(KERNEL_DOMAINS)
+        p = [_wide_series(rng, domain) for _ in range(rng.randint(2, 5))]
+        n = rng.choice([1, 1, 2, 3])  # a one-term shift is one recenter step
+        yield (p, _wide_series(rng, domain, size=n))
+
+
+# -- free constants, number fields, rational polynomials and lines ---------------------
 
 
 def param_polys(seed, size, long=False):
-    """(p, q, operand, k): ParamPolys of degree -1 to 4 over small
-    Fractions, or with ``long`` over 40- to 46-digit denominators; q, an
-    int or a Fraction; a scalar, with ``long`` nonzero and up to 50 digits."""
+    """(a, b, k): ParamPolys over n/d, |n| <= 5, d <= 4, and k = 0; with
+    ``long``, over 40- to 46-digit denominators, and k of up to 50 digits."""
     rng = random.Random(seed)
 
     def rational():
@@ -207,70 +258,91 @@ def param_polys(seed, size, long=False):
             return F(rng.randint(-10**45, 10**45), rng.randint(10**40, 10**46))
         return F(rng.randint(-5, 5), rng.randint(1, 4))
 
-    out = []
     for _ in range(size):
-        p, q = (ParamPoly([rational() for _ in range(rng.randint(0, 5))]) for _ in range(2))
-        operand = rng.choice([q, rng.randint(-2, 2), F(rng.randint(-3, 3), rng.randint(1, 3))])
-        k = rng.choice([rational(), rng.randint(-10**50, 10**50) if long else rng.randint(-2, 2)])
-        out.append((p, q, operand, (k or 1) if long else k))
-    return out
+        a, b = (ParamPoly([rational() for _ in range(
+            rng.randint(0, 4) if long else rng.randint(-1, 4) + 1)]) for _ in range(2))
+        yield (a, b, (rng.choice([rational(), rng.randint(-10**50, 10**50)]) or 1)
+               if long else 0)
 
 
-def taylor_shift_cases(seed, size):
-    """(p, c): two to five series over a domain of DOMAINS with 40-digit
-    denominators, and a shift of one to three terms."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(size):
-        domain = rng.choice(DOMAINS)
-        p = [_series(rng, domain, rational=_wide) for _ in range(rng.randint(2, 5))]
-        n = rng.choice([1, 1, 2, 3])  # a one-term shift is one recenter step
-        out.append((p, _series(rng, domain, (n, n), _wide)))
-    return out
-
-
-# -- rational polynomials, number fields and lines --------------------------------
-
-
-def rational_polynomials(seed, size, degrees):
-    """(p, c): a degree in the range ``degrees``, a lead of 1, 2, 3, -1 or
-    7, and a rational point c."""
+def param_operations(seed, size):
+    """(a, b, k): a ParamPoly over ints in [-2, 2]; one more, an int or a Fraction; a scalar."""
     rng = random.Random(seed)
 
-    def rational():
-        return F(rng.randint(-30, 30), rng.randint(1, 9))
+    def poly():
+        return ParamPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
 
-    return [([rational() for _ in range(rng.randint(*degrees))] + [F(rng.choice([1, 2, 3, -1, 7]))],
-             rational()) for _ in range(size)]
+    def operand():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return poly()
+        return rng.randint(-2, 2) if kind == 1 else F(rng.randint(-3, 3), rng.randint(1, 3))
 
-
-# Q(sqrt 2), Q(sqrt -3), and c^3 - 3c + 1 and c^3 - 3c + 1/2 at one real root each
-FIELDS = [SQRT2, sqrt_field(-3)] + [NumberField(p, isolate_real_roots(p)[i]) for p, i in (
-    ([F(1), F(-3), F(0), F(1)], -1), ([F(1, 2), F(-3), F(0), F(1)], 0))]
-
-
-def field_operands(seed, size, degree):
-    """(va, vb, q, long): vectors of ``degree`` coordinates, now and then
-    zero or rational-valued; a rational or int q, possibly zero; and a
-    vector of 2*degree + 2 coordinates."""
-    rng = random.Random(seed)
-
-    def rational():
-        return _big(rng, 2**40, 2**20, 0.3)
-
-    def vector():
-        kind = rng.random()
-        vec = [] if kind < 0.1 else [rational() for _ in range(degree if kind >= 0.3 else 1)]
-        return vec + [0] * (degree - len(vec))
-
-    return [(vector(), vector(), rational(), [rational() for _ in range(2 * degree + 2)])
+    return [(poly(), operand(), rng.choice([rng.randint(-2, 2), F(rng.randint(-3, 3), 2)]))
             for _ in range(size)]
 
 
+@cache
+def fields():
+    """Q(sqrt 2), Q(sqrt -3), c^3 - 3c + 1 at its largest root, c^3 - 3c + 1/2 at its least."""
+    cubic, half = [F(1), F(-3), F(0), F(1)], [F(1, 2), F(-3), F(0), F(1)]
+    return [SQRT2, sqrt_field(-3), NumberField(cubic, isolate_real_roots(cubic)[-1]),
+            NumberField(half, isolate_real_roots(half)[0])]
+
+
+def _big(rng):
+    """An int in [-9, 9] 30% of the time, else n/d with |n| <= 2^40, d <= 2^20."""
+    if rng.random() < 0.3:
+        return rng.randint(-9, 9)
+    return F(rng.randint(-2**40, 2**40), rng.randint(1, 2**20))
+
+
+def field_operands(seed, size, degree):
+    """(va, vb, q, long): vectors, 10% zero, 20% rational-valued; 2*degree + 2 coordinates."""
+    rng = random.Random(seed)
+
+    def vector():
+        kind = rng.random()
+        if kind < 0.1:
+            return [0] * degree
+        vec = [_big(rng) for _ in range(degree)]
+        return vec[:1] + [0] * (degree - 1) if kind < 0.3 else vec
+
+    return [(vector(), vector(), _big(rng), [_big(rng) for _ in range(2 * degree + 2)])
+            for _ in range(size)]
+
+
+def rational_operands(seed, size, count):
+    """``count`` lists of (vec, q): three small Fractions and a small int or Fraction."""
+    rng = random.Random(seed)
+
+    def draw():
+        vec = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+        q = F(rng.randint(-9, 9), rng.randint(1, 9))
+        return vec, rng.choice([rng.randint(-4, 4), q])
+
+    return [[draw() for _ in range(size)] for _ in range(count)]
+
+
+def isolation_polynomials(seed, size):
+    """Degree 2-5, coefficients n/d with |n| <= 30, d <= 9, lead 1, 2, 3, -1 or 7."""
+    rng = random.Random(seed)
+    return [[F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(rng.randint(2, 5))]
+            + [F(rng.choice([1, 2, 3, -1, 7]))] for _ in range(size)]
+
+
+def shift_polynomials(seed):
+    """(p, c) for p of degree 0 to 5: coefficients and c n/d, |n| <= 9, d <= 5."""
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.randint(1, 5))
+
+    return [([rational() for _ in range(degree + 1)], rational()) for degree in range(6)]
+
+
 def planted_polynomials(seed, size):
-    """(poly, planted): planted rational roots (numerators and denominators
-    up to 10^30, multiplicities up to 3) times a random quadratic or cubic."""
-    out = []
+    """(poly, planted): 30-digit roots of multiplicity up to 3 times a quadratic or cubic."""
     for i in range(size):
         rng = random.Random(seed * 1000 + i)
         extra_deg = rng.choice((2, 3))
@@ -279,19 +351,18 @@ def planted_polynomials(seed, size):
         planted, budget = {}, 6 - extra_deg
         while budget and (not planted or rng.random() < 0.7):
             mult = rng.randint(1, min(3, budget))
-            root = F(_big(rng, 10**30, 10**30, 0.2))
+            num, den = rng.randint(-(10**30), 10**30), rng.randint(1, 10**30)
+            root = F(num, den) if rng.random() < 0.8 else F(rng.randint(-9, 9))
             planted[root] = planted.get(root, 0) + mult
             budget -= mult
+        for root, mult in planted.items():
             for _ in range(mult):
                 poly = pmul(poly, [-root, F(1)])
-        out.append((poly, planted))
-    return out
+        yield (poly, planted)
 
 
 def low_degree_polynomials(seed, size):
-    """Degree 1 or 2 with coefficients up to 256 bits: a random one, one
-    with a zero root, or one with a planted root r, possibly double."""
-    out = []
+    """Degree 1 or 2, 256-bit coefficients: random, a zero root, or a planted (double) root."""
     for i in range(size):
         rng = random.Random(seed * 2000 + i)
 
@@ -299,19 +370,23 @@ def low_degree_polynomials(seed, size):
             num = rng.randint(-2**256, 2**256)
             return F(num, rng.randint(1, 2**256)) if rng.random() < 0.5 else F(num)
 
-        lead, r, s = big() or F(1), big(), big()
-        out.append(rng.choice([
-            [big() for _ in range(rng.randint(1, 2))] + [lead],
-            [F(0), lead], [F(0), s, lead], [F(0), F(0), lead],
-            [-r * lead, lead], pmul([-r * lead, lead], [-r, F(1)]),
-            pmul([-r * lead, lead], [-s, F(1)]),
-        ]))
-    return out
+        lead = big() or F(1)
+        kind = rng.choice(("random", "zero", "double", "planted"))
+        if kind == "random":
+            yield [big() for _ in range(rng.randint(1, 2))] + [lead]
+            continue
+        root = big()
+        if kind == "zero":
+            yield rng.choice(([F(0), lead], [F(0), big(), lead], [F(0), F(0), lead]))
+        elif kind == "double":
+            yield pmul([-root * lead, lead], [-root, F(1)])
+        else:
+            yield (pmul([-root * lead, lead], [-big(), F(1)]) if rng.random() < 0.5
+                   else [-root * lead, lead])
 
 
 def line_sets(seed, size):
-    """One to seven lines on few values, so that repeated slopes,
-    coincident lines and three lines through one point are common."""
+    """One to seven lines on few values: repeated slopes and shared points are common."""
     rng = random.Random(seed)
     values = [F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(3, 2), F(2)]
     return [[Line(rng.choice(values), rng.choice(values), key=i)
@@ -320,16 +395,23 @@ def line_sets(seed, size):
 
 # -- algebraic polynomials: (p, bound, root mode) ------------------------------------
 
-
 ALGEBRAIC_EXPONENTS = [F(n, d) for d in (1, 2, 3) for n in range(0, 7)]
 
 
-def algebraic_polynomials(seed, size, bounds, modes):
-    """Degree 2-5, lead 1, -1 or 2; each lower coefficient zero, a bare
-    O(x^t), or one to three terms on ALGEBRAIC_EXPONENTS, now and then
-    known only below a finite trunc."""
+def _algebraic_coefficient(rng, truncated):
+    """One to three unit terms; with ``truncated``, a trunc above every term."""
+    terms = [(rng.choice(ALGEBRAIC_EXPONENTS), F(rng.choice(UNITS)))
+             for _ in range(rng.randint(1, 3))]
+    trunc = INF
+    if truncated:
+        trunc = max(e for e, _c in terms) + F(rng.randint(1, 6), rng.choice([1, 2, 3]))
+    return PuiseuxSeries(terms, trunc)
+
+
+def algebraic_polynomials(seed, size, bounds, modes, mode_first=False):
+    """Degree 2-5; each lower coefficient zero, a bare O(x^t) with t > 0, or
+    one to three terms, truncated 20% of the time; a bound and a mode."""
     rng = random.Random(seed)
-    out = []
     for _ in range(size):
         degree = rng.randint(2, 5)
         coeffs = [PuiseuxSeries.zero()] * (degree + 1)
@@ -337,54 +419,54 @@ def algebraic_polynomials(seed, size, bounds, modes):
             if rng.random() < 0.15:
                 coeffs[i] = PuiseuxSeries([], rng.choice(ALGEBRAIC_EXPONENTS[1:]))
             else:
-                coeffs[i] = _series(rng, terms=(1, 3), rational=_nonzero, truncated=0.2,
-                                    exponents=ALGEBRAIC_EXPONENTS, repeat=True)
+                coeffs[i] = _algebraic_coefficient(rng, truncated=rng.random() < 0.2)
         coeffs[degree] = PuiseuxSeries.constant(rng.choice([1, 1, -1, 2]))
-        out.append((SeriesPolynomial(coeffs), rng.choice(bounds), rng.choice(modes)))
-    return out
+        mode = rng.choice(modes) if mode_first else None
+        bound = rng.choice(bounds)
+        yield (SeriesPolynomial(coeffs), bound, mode or rng.choice(modes))
 
 
 def laurent_polynomials(seed, size, bound):
-    """Degree 2-4, exact coefficients of up to two terms on x^-1 .. x^2,
-    not engineered for rational roots."""
+    """Degree 2-4, up to two terms on x^-1 .. x^2, not engineered for rational roots."""
     rng = random.Random(seed)
-    out = []
     for _ in range(size):
-        coeffs = [_series(rng, terms=(0, 2), truncated=0, exponents=[F(-1), F(0), F(1), F(2)])
-                  for _ in range(rng.randint(2, 4) + 1)]
+        coeffs = []
+        for _ in range(rng.randint(2, 4) + 1):
+            exps = rng.sample([-1, 0, 1, 2], rng.randint(0, 2))
+            coeffs.append(PuiseuxSeries([(F(e), F(rng.randint(-3, 3))) for e in exps]))
         if coeffs[-1].is_zero:
             coeffs[-1] = PuiseuxSeries.one()
         if all(c.is_zero for c in coeffs[:-1]):
             coeffs[0] = PuiseuxSeries.x_power(1)
-        out.append((SeriesPolynomial(coeffs), bound, "rational"))
-    return out
+        yield (SeriesPolynomial(coeffs), bound, "rational")
 
 
 def root_polynomials(seed, size, bound):
-    """prod (y - r) over one to four exact roots r of up to two terms on
-    integers and halves in [-2, 2], now and then a double root; only
-    products whose coefficients have at most 3 terms."""
+    """prod (y - r) over one to four roots on halves in [-2, 2], some double,
+    with coefficients of at most 3 terms."""
     rng = random.Random(seed)
     pool = [F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), F(2)]
-    out = []
-    while len(out) < size:
+
+    def root():
+        exps = sorted(rng.sample(pool, rng.randint(0, 2)))
+        return PuiseuxSeries([(e, F(rng.randint(-3, 3))) for e in exps])
+
+    while size:
         degree = rng.randint(1, 4)
-        roots = [_series(rng, terms=(0, 2), truncated=0, exponents=pool) for _ in range(degree)]
+        roots = [root() for _ in range(degree)]
         if rng.random() < 0.2 and degree >= 2:
             roots[1] = roots[0]
         coeffs = [PuiseuxSeries.one()]
         for r in roots:
             coeffs = [a - r * b for a, b in zip([PuiseuxSeries.zero(), *coeffs], [*coeffs, 0])]
         if all(len(c.terms) <= 3 for c in coeffs):
-            out.append((SeriesPolynomial(coeffs), bound, "rational"))
-    return out
+            size -= 1
+            yield (SeriesPolynomial(coeffs), bound, "rational")
 
 
 def closed_form_polynomials(seed, size):
-    """(p, k): a_0 y^n + ... + a_n with a_0 = 1, a_k = -g^k x^(-dk) (1 + t x)
-    and the others zero or a + b*x, for n in {2, 3}."""
+    """(p, k): y^n + ... + a_n, a_k = -g^k x^(-dk) (1 + t x), the others zero or a + b*x."""
     rng = random.Random(seed)
-    out = []
     for _ in range(size):
         n = rng.randint(2, 3)
         k, d, g = rng.randint(1, n), rng.randint(1, 2), F(rng.choice([1, 2]))
@@ -393,23 +475,11 @@ def closed_form_polynomials(seed, size):
         a[k] = PuiseuxSeries([(-d * k, -(g**k)), (-d * k + 1, -(g**k) * t)])
         for i in range(1, n + 1):
             if i != k and rng.random() < 0.5:
-                a[i] = PuiseuxSeries([(0, _small(rng)), (1, _small(rng))])
-        out.append((SeriesPolynomial(a[::-1]), k))
-    return out
+                a[i] = PuiseuxSeries([(0, F(rng.randint(-2, 2))), (1, F(rng.randint(-2, 2)))])
+        yield (SeriesPolynomial(a[::-1]), k)
 
 
-# name: [(polynomial, bound, root mode)]
-ALGEBRAIC = {
-    "ramified-prefixes": algebraic_polynomials(
-        20261020, 200, [F(1), F(3, 2), F(2), F(7, 3)], ["rational", "rational", "algebraic"]),
-    "simple-root-steps": algebraic_polynomials(
-        20261019, 200, [F(1), F(2), F(7, 3), F(4)], ["rational", "algebraic"]),
-    "laurent-accounting": laurent_polynomials(424242, 60, 2),
-    "products-of-roots": root_polynomials(101, 200, F(3)),
-}
-
-
-# -- ODEs --------------------------------------------------------------------------
+# -- ODEs: (equation, bound) ---------------------------------------------------------
 
 E_SQUARE = MonomialODE([(0, 2, 1)])  # dy/dx = y^2
 E_LINEAR = MonomialODE([(-1, 1, 1)])  # dy/dx = y/x
@@ -417,46 +487,71 @@ E_MIXED = MonomialODE([(-1, 1, 1), (1, 0, 1)])  # dy/dx = y/x + x
 E_SINGULAR = MonomialODE([(-2, 2, 1)])  # dy/dx = x^-2 y^2
 E_ALG = MonomialODE([(-2, 2, 1), (-1, 0, -1)])  # dy/dx = x^-2 y^2 - x^-1
 E_NEGRES = MonomialODE([(-2, 2, 1), (1, 0, 1)])  # dy/dx = x^-2 y^2 + x
-# (y + x^2)/(x*y), whose monomial Q the parser would divide out; a Q without
-# y (a start at x^(1/2)); the ode-rational* golden equations at their
-# centers; three with Q monomials at x^(-1), lines of slope 2 and 3
-RATIONAL_ODES = [MonomialODE([(2, 0, 1), (0, 1, 1)], [(1, 1, 1)]),
-                 MonomialODE([(F(1, 2), 0, 1), (0, 2, 1)], [(1, 0, 1), (2, 0, 1)])] + [
-    expand_rational(parse_ode(f"dy/dx = {text}"), center) for text, center in [
-        ("(y)/(y + 1)", 0), ("(y^2 + x)/(y^2 - y + 1)", 0), ("(y)/(y + 1)", 1),
-        ("(y + x)/(y + 1)", 2), ("(x+y^2)/(x^2+y)", 0), ("1/(1+y)", -1),
-        ("(x + y)/(1 + x^(-1)*y^2)", 0), ("(x + y^2)/(1 + x^(-1)*y^2)", 0),
-        ("(x^2 + y^2)/(1 + x^(-1)*y + x^(-1)*y^2)", 0)]]
 
 
-def monomial_odes(seed, size, nus, sigmas, counts=(2, 3)):
-    """dy/dx = sum f*x^nu*y^sigma with a number of distinct monomials from
-    ``counts``, nu from ``nus``, sigma from ``sigmas`` and f from UNITS."""
+def rational_odes():
+    """(y + x^2)/(x*y), whose monomial Q the parser would divide out; a Q
+    without y (a start at x^(1/2)); the ode-rational* golden equations at
+    their centers; three with Q monomials at x^(-1), lines of slope 2 and 3."""
+    return [MonomialODE([(2, 0, 1), (0, 1, 1)], [(1, 1, 1)]),
+            MonomialODE([(F(1, 2), 0, 1), (0, 2, 1)], [(1, 0, 1), (2, 0, 1)])] + [
+        expand_rational(parse_ode(f"dy/dx = {text}"), center) for text, center in [
+            ("(y)/(y + 1)", 0), ("(y^2 + x)/(y^2 - y + 1)", 0), ("(y)/(y + 1)", 1),
+            ("(y + x)/(y + 1)", 2), ("(x+y^2)/(x^2+y)", 0), ("1/(1+y)", -1),
+            ("(x + y)/(1 + x^(-1)*y^2)", 0), ("(x + y^2)/(1 + x^(-1)*y^2)", 0),
+            ("(x^2 + y^2)/(1 + x^(-1)*y + x^(-1)*y^2)", 0)]]
+
+
+def monomial_odes(seed, size, nus, sigmas, counts=(2, 3), units=UNITS, distinct=True):
+    """dy/dx = sum f*x^nu*y^sigma over a count of draws (of distinct monomials if
+    ``distinct``); a repeat keeps its last f, a zero f adds nothing, no monomial skips."""
     rng = random.Random(seed)
-    out = []
     for _ in range(size):
-        monos, count = {}, rng.choice(counts)
-        while len(monos) < count:
-            key = (rng.choice(nus), rng.choice(sigmas))
-            monos[key] = _nonzero(rng)
-        out.append(MonomialODE([(nu, s, f) for (nu, s), f in monos.items()]))
-    return out
+        monos, count, draws = {}, rng.choice(counts), 0
+        while (len(monos) if distinct else draws) < count:
+            key, f, draws = (rng.choice(nus), rng.choice(sigmas)), F(rng.choice(units)), draws + 1
+            if f:
+                monos[key] = f
+        if monos:
+            yield MonomialODE([(nu, s, f) for (nu, s), f in monos.items()])
 
 
-INT_NUS = [F(n) for n in range(-3, 3)]
+def _bounded(equations, bounds):
+    """Each equation with the bounds in turn."""
+    return [(e, bounds[i % len(bounds)]) for i, e in enumerate(equations)]
+
+
+INTS = [F(n) for n in range(-3, 4)]
 SIGMAS = [F(-2), F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3)]
-# name: (equations, the bound test_properties solves them to)
-ODES = {
-    "random-equations": (monomial_odes(777, 120, INT_NUS[1:], [F(n) for n in range(4)], (1, 2, 3)), 3),
-    "warm-start": (monomial_odes(1, 120, INT_NUS, SIGMAS), F(7, 2)),
-    "constant-note": (monomial_odes(8, 300, INT_NUS, SIGMAS), 2),
-    "level-coefficients": (monomial_odes(4, 100, INT_NUS, SIGMAS[1:]), 4),
-    # nu on halves
-    "exponent-rule": (monomial_odes(20261019, 80, [F(n, 2) for n in range(-6, 5)], SIGMAS[1:7],
-                                    (1, 2, 3)), 3),
-    "rational": (RATIONAL_ODES, 3),
-    "worked-suite": ([E_SQUARE, E_LINEAR, E_MIXED, E_SINGULAR, E_ALG], 4),
+# name: the cases, built once by ``corpus``
+ALGEBRAIC = {
+    "ramified-prefixes": lambda: algebraic_polynomials(
+        20261020, 200, [F(1), F(3, 2), F(2), F(7, 3)], ["rational", "rational", "algebraic"],
+        mode_first=True),
+    "simple-root-steps": lambda: algebraic_polynomials(
+        20261019, 200, [F(1), F(2), F(7, 3), F(4)], ["rational", "algebraic"]),
+    "laurent-accounting": lambda: laurent_polynomials(424242, 60, 2),
+    "products-of-roots": lambda: root_polynomials(101, 200, F(3)),
 }
+ODES = {
+    "random-equations": lambda: _bounded(monomial_odes(
+        777, 120, INTS[1:6], INTS[3:], (1, 2, 3), INTS, distinct=False), [3]),
+    "warm-start": lambda: _bounded(monomial_odes(1, 120, INTS[:6], SIGMAS), [F(7, 2)]),
+    "constant-note": lambda: _bounded(monomial_odes(8, 300, INTS[:6], SIGMAS), [2]),
+    "level-coefficients": lambda: _bounded(monomial_odes(4, 100, INTS[:6], SIGMAS[1:]), [4]),
+    "exponent-rule": lambda: _bounded(monomial_odes(
+        20261019, 80, [F(n, 2) for n in range(-6, 5)], SIGMAS[1:7], (1, 2, 3), distinct=False),
+        [2, F(5, 2), 3]),
+    "rational": lambda: _bounded(rational_odes(), [2, F(5, 2), 3]),
+    "worked-suite": lambda: [(E_SQUARE, 3), (E_LINEAR, 3), (E_MIXED, 4), (E_SINGULAR, 4),
+                             (E_ALG, 3)],
+}
+
+
+@cache
+def corpus(name):
+    """The cases of a named corpus of ALGEBRAIC or ODES."""
+    return list((ALGEBRAIC.get(name) or ODES[name])())
 
 
 # -- Q(x) and the Liouville tower --------------------------------------------------
@@ -466,8 +561,7 @@ FACTORS = ([F(-1), F(1)], [F(2), F(1)], [F(0), F(1)], [F(1), F(2)], [F(1), F(0),
 
 
 def _ratfunc(rng):
-    """Zero, a constant, a polynomial, or a fraction with a factor common
-    to both sides."""
+    """Zero, a constant, a polynomial, or a fraction with a factor common to both sides."""
     kind = rng.randrange(5)
     if kind == 0:
         return RatFunc.const(0)
@@ -483,9 +577,10 @@ def _ratfunc(rng):
     return RatFunc(pmul(poly, common), pmul(den, common))
 
 
-def _linear_ratfunc(rng):
-    """(a + b*x)/(1 + e*x) with small integers a, b and e in {0, 1}."""
-    return RatFunc([_small(rng), _small(rng)], [F(1), F(rng.randint(0, 1))])
+def _linear_ratfunc(rng, high):
+    """(a + b*x)/(1 + e*x) with |a| <= 3, |b| <= ``high`` and e in {0, 1}."""
+    return RatFunc([F(rng.randint(-3, 3)), F(rng.randint(-high, high))],
+                   [F(1), F(rng.randint(0, 1))])
 
 
 def ratfunc_cases(seed, size):
@@ -497,9 +592,8 @@ def ratfunc_cases(seed, size):
 
 
 def _tower_ratfunc(rng):
-    """A constant, a linear polynomial or one over a factor: small, so
-    that the tower's own quotients stay cheap."""
-    r = RatFunc([_small(rng) for _ in range(rng.randint(1, 2))])
+    """A constant or a linear polynomial, or one over a factor: cheap quotients."""
+    r = RatFunc([F(rng.randint(-3, 3)) for _ in range(rng.randint(1, 2))])
     return r / RatFunc(rng.choice(FACTORS)) if rng.random() < 0.3 else r
 
 
@@ -522,46 +616,41 @@ def _element(rng, t, gens):
     return e
 
 
-def tower_cases(seed, size):
-    """(t, pairs): a tower with log(x + 1), exp(x^2/2) and sqrt(x), and
-    pairs (a, b) of its elements, b also an int or a rational function."""
+def tower_cases(seed, size, pairs=True):
+    """(t, cases): elements of a tower over log(x + 1), exp(x^2/2), sqrt(x); or pairs."""
     rng = random.Random(seed)
     t = Tower()
     x = t.x()
     gens = [t.integral(1 / (x + 1)), t.exp_integral(x), t.algebraic_root([-x, t.zero(), t.one()])]
-    pairs = []
+    cases = []
     for _ in range(size):
         a = _element(rng, t, gens)
-        pairs.append((a, rng.choice([_element(rng, t, gens), t.rational(rng.randint(-3, 3)),
-                                     t.rational(_ratfunc(rng))])))
-    return t, pairs
+        cases.append((a, rng.choice([_element(rng, t, gens), t.rational(rng.randint(-3, 3)),
+                                     t.rational(_ratfunc(rng))])) if pairs else a)
+    return t, cases
 
 
-def riccati_instances(seed, size):
-    """(a, b, z): y' = a + b*y + y^2 over a fresh tower, solved by y = -z'/z
-    for z = exp(int r), r linear over linear, b = b0 + b1*x, a nonzero."""
+def riccati_instances(seed, size, nonzero=True):
+    """(a, b, z): y' = a + b*y + y^2 solved by y = -z'/z, z = exp(int r); a = 0 skipped
+    if ``nonzero``."""
     rng = random.Random(seed)
-    out = []
-    while len(out) < size:
+    while size:
         t = Tower()
-        r = t.rational(_linear_ratfunc(rng))
-        b = t.rational(RatFunc([_small(rng), _small(rng)]))
+        r = t.rational(_linear_ratfunc(rng, 3))
+        b = t.rational(RatFunc([F(rng.randint(-3, 3)), F(rng.randint(-2, 2))]))
         a = b * r - r.differentiate() - r * r
-        if not a.is_zero:
-            out.append((a, b, t.exp_integral(r)))
-    return out
+        if not (nonzero and a.is_zero):
+            size -= 1
+            yield (a, b, t.exp_integral(r))
 
 
 def integral_factor_problems(seed, size):
-    """P = y^mu_p (p_0 + ...) with one to three linear-over-linear
-    coefficients, p_0 nonzero, and Q = y^mu_q (1 + ...) with up to two more."""
+    """P = y^mu_p (p_0 + ...), p_0 nonzero, and Q = y^mu_q (1 + ...), linear over linear."""
     rng = random.Random(seed)
-    out = []
     for _ in range(size):
         mu_p, mu_q = rng.randint(0, 4), rng.randint(0, 3)
-        p_coeffs = [_linear_ratfunc(rng) for _ in range(rng.randint(1, 3))]
+        p_coeffs = [_linear_ratfunc(rng, 2) for _ in range(rng.randint(1, 3))]
         while not p_coeffs[0]:
-            p_coeffs[0] = _linear_ratfunc(rng)
-        q_coeffs = [RatFunc.const(1)] + [_linear_ratfunc(rng) for _ in range(rng.randint(0, 2))]
-        out.append(IntegralFactorProblem(YSeries(mu_p, p_coeffs), YSeries(mu_q, q_coeffs)))
-    return out
+            p_coeffs[0] = _linear_ratfunc(rng, 2)
+        q_coeffs = [RatFunc.const(1)] + [_linear_ratfunc(rng, 2) for _ in range(rng.randint(0, 2))]
+        yield IntegralFactorProblem(YSeries(mu_p, p_coeffs), YSeries(mu_q, q_coeffs))

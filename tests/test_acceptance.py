@@ -57,7 +57,7 @@ def test_criterion_1_algebraic_closure_construction():
     # products of exact roots; test_properties checks the multiplicities
     # and the residuals of the same corpus
     start = time.monotonic()
-    for trial, (p, bound, _mode) in enumerate(corpora.ALGEBRAIC["products-of-roots"]):
+    for trial, (p, bound, _mode) in enumerate(corpora.corpus("products-of-roots")):
         res = solve_algebraic(p, bound)
         assert not res.unresolved, (trial, p)
         assert all(b.residual_bound == INF or b.residual_bound >= bound

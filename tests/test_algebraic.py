@@ -136,7 +136,7 @@ class TestRecenter:
     def test_shift_over_fractions(self):
         # ptaylor_shift is the Taylor shift behind recenter: checked by
         # evaluating p(c + t) directly
-        for p, c in corpora.rational_polynomials(7, 6, (0, 5)):
+        for p, c in corpora.shift_polynomials(7):
             shifted = ptaylor_shift(p, c)
             assert len(shifted) == len(p)
             for t in (F(0), F(1), F(-2, 3), F(5, 7)):

@@ -175,7 +175,7 @@ class TestNumberField:
             return lo, hi
 
         polys = [[F(-1, 4), F(0), F(1)]]  # +-1/2: a root at a midpoint
-        polys += [p for p, _c in corpora.rational_polynomials(20261019, 60, (2, 5))]
+        polys += corpora.isolation_polynomials(20261019, 60)
         for p in polys:
             q = ref_squarefree_part(p)
             intervals = isolate_real_roots(q)
@@ -190,9 +190,9 @@ class TestNumberField:
     def test_rational_operand_matches_lifted_operand(self):
         # a rational acts on the vector directly; the reference lifts it
         # into the field and runs the field operation
-        for field in corpora.FIELDS:
-            for vec, _vb, q, _long in corpora.field_operands(11, 40, field.degree):
-                a = field.element(vec)
+        for field, cases in zip(corpora.fields(), corpora.rational_operands(11, 40, 3)):
+            for vec, q in cases:
+                a = field.element(vec[: field.degree])
                 lq = field.lift(q)
                 pairs = [
                     (a + q, a + lq), (q + a, lq + a),
@@ -270,7 +270,7 @@ class TestParamPoly:
 
 class TestSharedLayer:
     def test_param_poly_is_an_evaluation_homomorphism(self):
-        for p, q, _operand, k in corpora.param_polys(6, 60):
+        for p, q, k in corpora.param_polys(6, 60):
             check_param_poly_operations(p, q, k, [F(0), F(1), F(-2), F(3, 7), F(-5, 2)], range(5))
 
     def test_ppow_matches_repeated_multiplication(self):

@@ -240,7 +240,7 @@ class TestGhosts:
 
 class TestRiccati:
     def test_constructed_witness_and_perturbation(self):
-        for a, b, z in corpora.riccati_instances(20260816, 8):
+        for a, b, z in corpora.riccati_instances(20260816, 8, nonzero=False):
             res = riccati_bridge(a, b, z)
             assert res.is_solution and res.riccati_solves and res.identity_holds
             res_bad = riccati_bridge(a + 1, b, z)

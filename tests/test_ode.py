@@ -457,7 +457,7 @@ class TestWarmStart:
 
     def test_seeded_rounds_match_the_from_scratch_route(self, monkeypatch):
         compared = 0
-        for e in corpora.ODES["warm-start"][0]:
+        for e, _bound in corpora.corpus("warm-start"):
             for bound in (2, F(7, 2)):
                 compared += self.cross_check(monkeypatch, e, bound)
         assert compared > 100
@@ -755,7 +755,7 @@ class TestLevelCoefficients:
 
     def test_seeded_proper_branches_meet_their_guarantee(self):
         branches = 0
-        for e in corpora.ODES["level-coefficients"][0]:
+        for e, _bound in corpora.corpus("level-coefficients"):
             for t in initial_terms(e).terms:
                 if classify(e, t) != PROPER:
                     continue

@@ -1,17 +1,14 @@
-"""Cross-cutting invariants, each checked once per seeded corpus of
-``corpora.py`` and parametrized by corpus name.  Solves are cached per
-corpus, so the invariants of one corpus share them.
+"""Cross-cutting invariants, each checked once per named corpus of
+``corpora.py`` and parametrized by corpus name.  A corpus is solved once,
+and the tests of other modules that read it share the solves.
 
 - Every ODE branch other than ``no-continuation`` meets its residual
-  guarantee under ``verify_branch``.  The one branch the substitution
-  cannot evaluate is a free-constant family left as ``O(x^0)`` under a
-  negative power of y; the CLI reports it as not verified.
-- Branch and unresolved multiplicities of an algebraic solve sum to the
-  degree, and every prefix, substituted back by ``SeriesPolynomial.evaluate``,
-  vanishes below its residual bound (a certified floor), and exactly when
-  that bound is ``inf``.
-- Every printed series over Q re-parses to an equal series that prints
-  the same text.
+  guarantee under ``verify_branch``; the substitution cannot evaluate a
+  free-constant family left as ``O(x^0)`` under a negative power of y.
+- Algebraic branch and unresolved multiplicities sum to the degree, and
+  every prefix, substituted by ``SeriesPolynomial.evaluate``, vanishes
+  below its residual bound, and exactly when that bound is ``inf``.
+- Printed series over Q re-parse to equal series that print the same text.
 """
 
 from fractions import Fraction as F
@@ -24,19 +21,17 @@ from puiseux.ode import NO_CONTINUATION, solve_all, verify_branch
 from puiseux.parsing import parse_series_text
 from puiseux.series import INF, PoleError, format_series
 
-import corpora
-from corpora import ALGEBRAIC, ODES
+from corpora import ALGEBRAIC, ODES, canonical_operands, corpus
 
 
 @cache
 def algebraic_results(name):
-    return [(p, solve_algebraic(p, bound, mode)) for p, bound, mode in ALGEBRAIC[name]]
+    return [(p, solve_algebraic(p, bound, mode)) for p, bound, mode in corpus(name)]
 
 
 @cache
 def ode_reports(name):
-    equations, bound = ODES[name]
-    return [(e, solve_all(e, bound)) for e in equations]
+    return [(e, solve_all(e, bound)) for e, bound in corpus(name)]
 
 
 def assert_prefixes_meet_their_residual(p, result):
@@ -68,7 +63,7 @@ def test_ode_branches_meet_their_guarantee(name):
                 continue
             assert check.meets(b.residual_guarantee), (e, str(b.series))
             checked += 1
-    assert checked > len(ODES[name][0]) // 2
+    assert checked > len(corpus(name)) // 2
 
 
 @pytest.mark.parametrize("name", ALGEBRAIC)
@@ -83,17 +78,17 @@ def test_algebraic_prefixes_meet_their_residual_bound(name):
         assert_prefixes_meet_their_residual(p, result)
 
 
-@pytest.mark.parametrize("name", [*ALGEBRAIC, *ODES, "operands"])
+# the operands of the canonical-form test, fractional exponents and bare
+# O(x^t) coefficients, and ODE branches on halves
+@pytest.mark.parametrize("name", ["operands", "ramified-prefixes", "exponent-rule"])
 def test_printed_series_over_q_reparse(name):
-    # the branch series of a solved corpus, or the series of the operands
-    if name in ALGEBRAIC:
-        series = [b.series for _p, r in algebraic_results(name) for b in r.branches]
-    elif name in ODES:
-        series = [b.series for _e, r in ode_reports(name) for b in r.branches]
+    if name == "operands":
+        series = [case[0] for case in canonical_operands(20260816, 200)]
     else:
-        series = [o.a for o in corpora.operands(20260816, 200)]
+        results = algebraic_results(name) if name in ALGEBRAIC else ode_reports(name)
+        series = [b.series for _case, r in results for b in r.branches]
     series = [s for s in series if all(type(c) is F for _e, c in s.terms)]
-    assert series
+    assert len(series) > 50
     for s in series:
         printed = format_series(s)
         again = parse_series_text(printed)

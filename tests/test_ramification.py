@@ -90,7 +90,7 @@ def test_simple_root_steps_match_the_contour_route(monkeypatch):
     direct += [_outcome(solve_algebraic(p, bound, mode)) for p, bound, mode in cases]
     monkeypatch.setattr(algebraic, "_simple_root", lambda q: None)
     contour = [_outcome(solve_algebraic(p, bound, mode))
-               for p, bound, mode in corpora.ALGEBRAIC["simple-root-steps"] + cases]
+               for p, bound, mode in corpora.corpus("simple-root-steps") + cases]
     assert direct == contour
 
 

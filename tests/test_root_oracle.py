@@ -23,8 +23,8 @@ sympy = pytest.importorskip("sympy")
 
 T = sympy.Symbol("t")
 CASES = 60
-PLANTED = corpora.planted_polynomials(1983, CASES)
-LOW_DEGREE = corpora.low_degree_polynomials(1983, CASES)
+PLANTED = list(corpora.planted_polynomials(1983, CASES))
+LOW_DEGREE = list(corpora.low_degree_polynomials(1983, CASES))
 
 
 def _as_sympy(poly):

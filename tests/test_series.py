@@ -251,8 +251,7 @@ class TestPowerExpansion:
         # y = b^q * x^m * (1 + tail) for sigma = p/q, so y^sigma has the
         # branch b^p; the tail is exact (with prec) or truncated (with or
         # without prec), with rational or free-constant coefficients
-        ((y, tail, b, m, prec, branch),) = corpora.power_inputs(
-            seed, 1, sigma, truncated, symbolic)
+        y, tail, b, m, prec, branch = corpora.power_input(seed, sigma, truncated, symbolic)
         got = y.pow_rational(sigma, branch=branch, prec=prec)
         bound = min(y.trunc - m, INF if prec is None else prec - sigma * m)
         expected = (

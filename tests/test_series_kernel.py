@@ -31,8 +31,7 @@ def assert_matches(result, ref):
 
 
 def test_ring_operations_match_the_reference():
-    for o in corpora.operands(20261019, CASES, wide=True):
-        a, b, single, c, k, t = o.a, o.b, o.term, o.c, o.k, o.t
+    for a, b, single, c, k, t in corpora.ring_operands(20261019, CASES):
         ra, rb, rs = RefSeries.of(a), RefSeries.of(b), RefSeries.of(single)
         cases = [
             (a + b, ra + rb),
@@ -56,22 +55,19 @@ def test_ring_operations_match_the_reference():
 
 
 def test_powers_match_the_reference():
-    for o in corpora.operands(20261020, CASES, wide=True):
+    for u, a, precs, inverse in corpora.power_operands(20261020, CASES):
         # a unit leading coefficient u^2 at x^-3, so that u^p is a branch
         # of sigma = p/2
-        u, a = o.u, o.led
         ra = RefSeries.of(a)
-        for sigma, offset in zip((F(-1), F(-2), F(1, 2), F(-3, 2), 2, 3), o.offsets):
-            prec = sigma * -3 + offset
+        for sigma, prec in zip((F(-1), F(-2), F(1, 2), F(-3, 2), 2, 3), precs):
             half = F(sigma).denominator == 2
             branch = u ** F(sigma).numerator if half else None
             assert_matches(
                 a.pow_rational(sigma, branch=branch, prec=prec),
                 ra.pow_rational(sigma, branch=branch, prec=prec),
             )
-        prec = 3 + o.offsets[-1]
         assert_matches(
-            a.invert(prec=prec), ra.pow_rational(-1, branch=1 / (u * u), prec=prec)
+            a.invert(prec=inverse), ra.pow_rational(-1, branch=1 / (u * u), prec=inverse)
         )
 
 

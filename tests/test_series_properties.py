@@ -80,9 +80,7 @@ def test_inverse_identity():
 
 
 def test_power_root_inverse():
-    corpus = corpora.series_tuples(20260815, CASES, 1, nonzero=True, exact=True, terms=3)
-    for i, (a,) in enumerate(corpus):
-        q, p = (2, 3)[i % 2], (1, 2, -1)[i % 3]
+    for a, q, p in corpora.power_root_cases(20260815, CASES):
         e0, c0 = a.leading()
         # engineer an exact q-th-power leading term so a branch exists
         base = a.shift(-e0).scale(1 / c0)  # leading term 1
@@ -120,19 +118,19 @@ def assert_canonical(s):
 
 
 def test_operations_return_canonical_series():
-    for o in corpora.operands(20260816, CASES):
+    for a, b, t, c, u, n, led, offsets, inverse in corpora.canonical_operands(20260816, CASES):
         # b shares, cancels or repeats part of a's support
-        a, b, t = o.a, o.b, o.t
         results = [
-            a + b, a - b, b - a, a - a, -a, a * b, a.scale(o.c), a.scale(o.u),
+            a + b, a - b, b - a, a - a, -a, a * b, a.scale(c), a.scale(u),
             a.shift(t), a.truncate(t), a.with_trunc(t), a.with_trunc(INF),
-            a.differentiate(), a.pow_rational(o.n),
+            a.differentiate(), a.pow_rational(n),
         ]
-        for sigma, offset in zip((F(-1), F(-2), F(1, 2), F(-3, 2)), o.offsets):
-            # o.led has valuation -3; an offset of -1 leaves nothing known below prec
-            branch = o.u**sigma.numerator if sigma.denominator == 2 else None
-            results.append(o.led.pow_rational(sigma, branch=branch, prec=sigma * -3 + offset))
-        results.append(o.led.invert(prec=3 + o.offsets[-1]))
+        for sigma, offset in zip((F(-1), F(-2), F(1, 2), F(-3, 2)), offsets):
+            # led has valuation -3; an offset of -1 leaves nothing known below prec
+            branch = u**sigma.numerator if sigma.denominator == 2 else None
+            square = led.scale(u) if branch is not None else led
+            results.append(square.pow_rational(sigma, branch=branch, prec=sigma * -3 + offset))
+        results.append(led.invert(prec=inverse))
         for r in results:
             assert_canonical(r)
 
@@ -188,13 +186,13 @@ def check_param_poly_operations(a, b, k, points, powers=(3,)):
 
 
 def test_param_poly_arithmetic_is_canonical():
-    for a, _q, b, k in corpora.param_polys(20261018, CASES):
+    for a, b, k in corpora.param_operations(20261018, CASES):
         check_param_poly_operations(a, b, k, (F(-2), F(1, 3), F(5)), powers=())
 
 
 def test_param_poly_long_denominators():
     # operands with denominators of 40 digits and more
-    for a, b, _operand, k in corpora.param_polys(20261101, 60, long=True):
+    for a, b, k in corpora.param_polys(20261101, 60, long=True):
         check_param_poly_operations(a, b, k, (F(0), F(1), F(-2), F(3, 7), F(-11, 5)))
 
 
@@ -208,8 +206,7 @@ def convolution(a, b):
 
 def test_square_and_one_term_products_match_convolution():
     squares = 0
-    for o in corpora.operands(20261019, CASES):
-        s, term = o.a, o.term
+    for s, term in corpora.product_operands(20261019, CASES):
         twin = PuiseuxSeries(s.terms, s.trunc)
         assert twin is not s
         square = s * s
