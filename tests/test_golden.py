@@ -59,6 +59,11 @@ CASES = {
     "algebraic-algebraic-simple-chains": (
         0, ["algebraic", "--roots", "algebraic", "--bound", "5",
             "y^2 - 2*x*y - 2*x^2*y + x^2 + 2*x^3 + x^4 - 2*x^5 - 2*x^6 = 0"]),
+    # (y^2 - 2x)^2: the vertex polynomial (c^2 - 2)^2 takes the
+    # multiplicity path of the squarefree decomposition
+    "algebraic-algebraic-repeated-factor": (
+        0, ["algebraic", "--roots", "algebraic", "--bound", "2",
+            "y^4 - 4*x*y^2 + 4*x^2 = 0"]),
     "ode-monomial": (0, ["ode", "--bound", "4", "dy/dx = x^2*y^2"]),
     "ode-resonant": (0, ["ode", "--bound", "4", "dy/dx = y/x + x"]),
     "ode-riccati": (0, ["ode", "--bound", "4", "dy/dx = 2*y/x + x + y^2"]),
