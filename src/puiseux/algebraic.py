@@ -50,6 +50,7 @@ from fractions import Fraction
 from math import lcm
 
 from .coefficients import (
+    AlgebraicNumber,
     ParamPoly,
     as_coefficient,
     coefficient_sort_key,
@@ -250,13 +251,15 @@ def _ramify(s, k):
 
 def _solve_from(q, prefix, mult, last, bound, mode, contour):
     """The contour loop started at the state ``(q, prefix, mult, last)``;
-    ``contour`` is ``contour_of(q)``, or None when not built yet.  Past
+    ``contour`` is ``contour_of(q)``, or None when not built yet.  Each
+    state carries the number field of its branch, read off q once here
+    and then set by the roots pushed (:func:`_push_root`).  Past
     ``_MAX_STEPS`` states it raises StepLimitError(prefix, last)."""
     result = AlgebraicSolveResult()
     steps = 0
-    stack = [(q, prefix, mult, last, contour)]
+    stack = [(q, prefix, mult, last, contour, _ambient_field(q))]
     while stack:
-        q, prefix, mult, last, contour = stack.pop()
+        q, prefix, mult, last, contour, ambient = stack.pop()
         steps += 1
         if steps > _MAX_STEPS:
             raise StepLimitError(prefix, last)
@@ -283,7 +286,7 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour):
             if done or not _phantom_safe(q, x, beta0.valuation()):
                 result.branches.append(PartialSolution(prefix, 1, residual))
             else:
-                _push_root(q, prefix, x, root, 1, stack)
+                _push_root(q, prefix, x, root, 1, ambient, stack)
             continue
         if contour is None:
             contour = contour_of(q)
@@ -305,7 +308,7 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour):
         if stopped:
             result.branches.append(PartialSolution(prefix, stopped, residual))
         for v in vertices:
-            _branch_at_vertex(q, prefix, v, mode, stack, result)
+            _branch_at_vertex(q, prefix, v, mode, ambient, stack, result)
     merged = {}
     for b in result.branches:
         key = (b.series, b.residual_bound)
@@ -319,8 +322,6 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour):
 
 def _ambient_field(q):
     """The number field the polynomial's coefficients already live in."""
-    from .coefficients import AlgebraicNumber
-
     for alpha in q.coeffs:
         if alpha.den == 1:  # a coefficient outside Q has the denominator 1
             for _e, c in alpha.nums:
@@ -360,26 +361,27 @@ def _simple_root(q):
     c0, c1 = beta0.leading()[1], beta1.leading()[1]
     if isinstance(c0, ParamPoly) or isinstance(c1, ParamPoly):
         return None
-    root = -c0 / c1
-    ambient = _ambient_field(q)
-    if ambient is not None and isinstance(root, Fraction):
-        root = ambient.lift(root)
-    return _exponent(beta0.valuation() - beta1.valuation()), root
+    return _exponent(beta0.valuation() - beta1.valuation()), -c0 / c1
 
 
-def _push_root(q, prefix, e, root, m, stack):
+def _push_root(q, prefix, e, root, m, ambient, stack):
     """Push the next state of the branch through the term root*x^e, a root
-    of multiplicity m: q recentered there, the longer prefix and e."""
+    of multiplicity m: q recentered there, the longer prefix and e.  A root
+    in a number field sets the branch's field ``ambient``; a rational root
+    is lifted into it, so the whole branch stays in one embedding."""
+    if isinstance(root, AlgebraicNumber):
+        ambient = root.field
+    elif ambient is not None:
+        root = ambient.lift(root)
     term = PuiseuxSeries.x_power(e, root)
-    stack.append((recenter(q, term), prefix + term, m, e, None))
+    stack.append((recenter(q, term), prefix + term, m, e, None, ambient))
 
 
-def _branch_at_vertex(q, prefix, v, mode, stack, result):
+def _branch_at_vertex(q, prefix, v, mode, ambient, stack, result):
     lo = v.active_indices[0]
     poly = [as_coefficient(0)] * (_span(v) + 1)
     for idx, c in zip(v.active_indices, v.vertex_coeffs):
         poly[idx - lo] = c
-    ambient = _ambient_field(q)
     if ambient is not None:
         # keep the whole branch inside one embedding: roots of a rational
         # vertex polynomial may already lie in the current field
@@ -389,7 +391,7 @@ def _branch_at_vertex(q, prefix, v, mode, stack, result):
         ]
     roots = poly_roots(poly, mode=mode)
     for root, m in roots.roots:
-        _push_root(q, prefix, v.x, root, m, stack)
+        _push_root(q, prefix, v.x, root, m, ambient, stack)
     if roots.unresolved is not None:
         result.unresolved.append(
             UnresolvedBranch(prefix, v.x, tuple(roots.unresolved), pdeg(roots.unresolved))

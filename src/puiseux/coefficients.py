@@ -585,9 +585,6 @@ def _roots_over_q(coeffs, mode):
         return RootSearchResult(roots, unresolved=remainder)
     leftover = []
     for factor, mult in factors:
-        if pdeg(factor) == 1:
-            roots.append((-factor[0] / factor[1], mult))
-            continue
         adjoined = _adjoin_roots(factor)
         if adjoined is None:
             leftover.append((factor, mult))

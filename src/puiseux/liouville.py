@@ -566,6 +566,9 @@ def _parse_tokens(tokens, tower):
         return tower.integral(arg), rest
     if op == "exp":
         (arg,) = args
+        if tokens[2:4] == ["(", "int"] and arg.rational_value() is not None:
+            # (int c) of a constant folds to c*x: exp(int c) is exp(int (c*x)')
+            return tower.exp_integral(arg.differentiate()), rest
         # (exp (int f)) only: recover the integrand
         return _exp_of(arg, tower), rest
     if op == "poly":

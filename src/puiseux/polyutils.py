@@ -36,16 +36,18 @@ Sturm sequences, is narrowed down to the one rational n/d it could be,
 because the denominator of a rational root divides the leading
 coefficient (R. Loos, SIAM J. Comput. 12, 1983, reaches the same roots
 by p-adic expansion); n/d is divided out by exact integer division by
-d*t - n.  The Sturm sequence is a primitive remainder sequence (G. E.
-Collins, JACM 14, 1967): ``pprem`` pseudo-remainders scaled by positive
-factors only and divided by their content, so every sign is that of the
-classical sequence, and each sign is one homogeneous integer evaluation
-(``_sign_at``) at a point n/d.  ``pprem`` also reduces number-field
-products modulo the integer minimal polynomial, and ``int_solve``
-(fraction-free Gauss-Jordan) inverts them.  Exact integer square and
-n-th roots use ``math.isqrt`` and an integer Newton iteration, never
-floats.  ``irreducible_factors`` builds on these with Yun's squarefree
-decomposition and quartic splitting.
+d*t - n.  The Sturm sequence is a primitive remainder sequence (PRS; G.
+E. Collins, JACM 14, 1967), the one gcd of this layer: ``pprem``
+pseudo-remainders scaled by positive factors and divided by their
+content, so every sign is that of the classical sequence and is one
+integer evaluation (``_sign_at``) at a point n/d.  A search builds one,
+whose last member gcd(p, p') gives the squarefree part.  ``pprem`` also
+reduces number-field products modulo the integer minimal polynomial,
+and ``int_solve`` (fraction-free Gauss-Jordan) inverts them.  Exact
+integer square and n-th roots use ``math.isqrt`` and an integer Newton
+iteration, never floats.  ``irreducible_factors`` takes the rational
+roots out once, then runs Yun's squarefree decomposition on ints and
+splits quartics; no root function calls ``pgcd`` or ``pdivmod``.
 """
 
 from __future__ import annotations
@@ -292,18 +294,6 @@ def _exquo(a, b):
     return q
 
 
-def _squarefree(ints):
-    """The primitive squarefree part of a primitive int list: ``ints`` over
-    its gcd with the derivative, found by the primitive remainder sequence
-    of G. E. Collins (JACM 14, 1967)."""
-    if len(ints) <= 2:
-        return ints
-    a, b = ints, _primitive(pderiv(ints))
-    while b:
-        a, b = b, _primitive(pstrip(pprem(a, b)))
-    return ints if len(a) == 1 else _primitive(_exquo(ints, a))
-
-
 def rational_roots(p):
     """All rational roots of ``p`` (Fraction coefficients) with multiplicity.
 
@@ -373,21 +363,22 @@ def _root_candidates(ints):
     """Ascending ``(n, d)`` in lowest terms among which lie all rational
     roots n/d of the int list ``ints``.
 
-    Every real root of the squarefree part is isolated by Sturm
-    sequences.  A rational root has a denominator dividing the leading
-    coefficient a_n of the primitive integer form, so it is a multiple of
-    1/|a_n|.  Each isolating interval is bisected on that grid down to one
-    multiple, the single candidate of that root (R. Loos, SIAM J. Comput.
-    12, 1983, reaches the same roots by p-adic expansion).
+    Every real root is isolated by the one Sturm sequence of
+    :func:`_isolate`, which also gives the squarefree part q.  A rational
+    root has a denominator dividing the leading coefficient a_n of q's
+    primitive integer form, so it is a multiple of 1/|a_n|.  Each
+    isolating interval is bisected on that grid down to one multiple, the
+    single candidate of that root (R. Loos, SIAM J. Comput. 12, 1983,
+    reaches the same roots by p-adic expansion).
     """
-    q = _squarefree(ints)
+    q, intervals = _isolate(ints)
     deg, lead = len(q) - 1, abs(q[-1])
     # y = a_n x turns q into an integer polynomial with leading
     # coefficient +-1, whose values at integers y carry the sign of q
     scaled = [c * lead ** (deg - 1 - i) for i, c in enumerate(q[:-1])]
     scaled.append(q[-1] // lead)
     out = []
-    for a, b, den in _isolate(q):
+    for a, b, den in intervals:
         # q has one root in (a, b]/den: bisect the integers k_lo < k <= k_hi
         k_lo, k_hi = a * lead // den, b * lead // den
         side = _sign_at(q, a, den) > 0
@@ -404,11 +395,13 @@ def _root_candidates(ints):
     return out
 
 
-def sturm_sequence(ints):
+def sturm_sequence(ints, b=None):
     """The Sturm sequence of the int list ``ints`` as a primitive remainder
     sequence: each member a positive multiple of the classical one, so the
-    sign changes at every point are the same."""
-    seq = [ints, _primitive(pderiv(ints))]
+    sign changes at every point are the same.  It starts ``ints``, ``b``,
+    deg b < deg ints, b the derivative unless given; its last member is
+    gcd(ints, b), primitive up to sign, the one gcd of the int layer."""
+    seq = [ints, _primitive(pderiv(ints) if b is None else b)]
     while len(seq[-1]) > 1:
         rem = pstrip(pprem(seq[-2], seq[-1]))
         if not rem:
@@ -442,20 +435,28 @@ def isolate_real_roots(p):
     p = pstrip(p)
     if pdeg(p) < 1:
         return []
-    q = _squarefree(_integerize(p))
-    return [(Fraction(a, den), Fraction(b, den)) for a, b, den in _isolate(q)]
+    _q, intervals = _isolate(_integerize(p))
+    return [(Fraction(a, den), Fraction(b, den)) for a, b, den in intervals]
 
 
-def _isolate(q):
-    """Isolating intervals (a/den, b/den] of the real roots of a squarefree
-    int list, ascending, as int triples ``(a, b, den)``.
+def _isolate(ints):
+    """``(q, intervals)``: the primitive squarefree part q of a primitive
+    int list, and isolating intervals (a/den, b/den] of its real roots,
+    ascending, as int triples ``(a, b, den)``.
 
-    Bisection from the Cauchy bound (-B, B], B = 1 + max|q_i|/|q_n|; a
-    midpoint that is a root moves halfway to the left end until it is not.
-    The ends of an interval share one denominator, which doubles with each
-    bisection, and every sign is one homogeneous evaluation on ints.
+    One Sturm sequence of p does both jobs.  Its last member is g =
+    gcd(p, p'), so q = p/g, and every member is g times a member of a
+    generalized Sturm sequence of q (q, p'/g, ...).  Where p is not zero,
+    dividing every value by g(x) != 0 keeps the sign changes, and the
+    counts are those of q's own sequence, its distinct roots on each side.
+    Bisection from q's Cauchy bound (-B, B], B = 1 + max|q_i|/|q_n|; a
+    midpoint that is a root moves halfway to the left end until it is
+    not, so no end is a root of p.  The ends of an interval share one
+    denominator, doubling with each bisection, and every sign is one
+    homogeneous evaluation on ints.
     """
-    seq = sturm_sequence(q)
+    seq = sturm_sequence(ints)
+    q = ints if len(seq[-1]) == 1 else _primitive(_exquo(ints, seq[-1]))
     den = abs(q[-1])
     bound = den + max(abs(c) for c in q[:-1])
     out = []
@@ -472,7 +473,7 @@ def _isolate(q):
             stack.append((a, mid, den))
             stack.append((mid, b, den))
     out.sort(key=lambda t: Fraction(t[0], t[2]))
-    return out
+    return q, out
 
 
 def refine_interval(p, lo, hi, width, steps):
@@ -639,26 +640,23 @@ def irreducible_factors(p):
     (and for quartics that cannot be certified); callers are expected to turn
     that into an unresolved-branch report.
     """
-    p = pstrip(p)
-    if pdeg(p) < 1:
-        return []
-    out = []
-    for part, mult in _yun_squarefree(p):
-        roots, rem = rational_roots(part)
-        for r, m in roots:
-            out.append(([-r, Fraction(1)], mult * m))
-        rem = pmonic(rem)
-        d = pdeg(rem)
+    roots, rem = rational_roots(p)
+    out = [([-r, Fraction(1)], m) for r, m in roots]
+    if pdeg(rem) < 1:
+        return out
+    for part, mult in _yun_squarefree(_integerize(rem)):
+        part = [Fraction(c, part[-1]) for c in part]
+        d = pdeg(part)
         if d in (2, 3):
             # no rational roots, so degree 2 and 3 are irreducible
-            out.append((rem, mult))
+            out.append((part, mult))
         elif d == 4:
             # a rational-root-free quartic is irreducible or the product
             # of two irreducible quadratics
-            pair = split_quartic(rem)
-            out.extend((q, mult) for q in (pair or (rem,)))
-        elif d > 4:
-            raise FactorizationLimit(rem)
+            pair = split_quartic(part)
+            out.extend((q, mult) for q in (pair or (part,)))
+        else:
+            raise FactorizationLimit(part)
     return out
 
 
@@ -670,23 +668,19 @@ class FactorizationLimit(Exception):
         self.poly = poly
 
 
-def _yun_squarefree(p):
-    """Yun's algorithm: squarefree decomposition [(part, multiplicity)]."""
-    p = pmonic(pstrip(p))
-    g = pgcd(p, pderiv(p))
-    if pdeg(g) <= 0:
-        return [(p, 1)]
-    b = pdivmod(p, g)[0]
-    c = pdivmod(pderiv(p), g)[0]
-    d = psub(c, pderiv(b))
-    out = []
-    i = 1
-    while pdeg(b) > 0:
-        a = pgcd(b, d)
-        if pdeg(a) > 0:
-            out.append((a, i))
-        b = pdivmod(b, a)[0]
-        c = pdivmod(d, a)[0]
+def _yun_squarefree(ints):
+    """Yun's squarefree decomposition (D. Y. Y. Yun, SYMSAC 1976) of a
+    primitive int list, as primitive int parts ``[(part, multiplicity)]``.
+    Each gcd is a primitive :func:`sturm_sequence` end, so each division
+    is exact (Gauss's lemma); its free sign scales b and c alike."""
+    g = sturm_sequence(ints)[-1]
+    b, c = _exquo(ints, g), _exquo(pderiv(ints), g)
+    out, i = [], 1
+    while len(b) > 1:
         d = psub(c, pderiv(b))
+        a = sturm_sequence(b, d)[-1]
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _exquo(b, a), _exquo(d, a)
         i += 1
     return out

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, JSON determinism."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -13,6 +14,9 @@ from puiseux.cli import (
     EXIT_VERIFY,
     main,
 )
+from puiseux.liouville import Tower, parse_sexpr
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -340,6 +344,25 @@ class TestWfactor:
         assert payload["case"] == "A"
         assert payload["verified_levels"] == [True, True, True]
 
+    def test_printed_coefficients_reparse(self, capsys):
+        # every printed coefficient, (exp (int c)) of a constant c among
+        # them, parses into a fresh tower, and its re-print parses to an
+        # equal element
+        texts = []
+        for name in ("wfactor-case-a", "wfactor-case-a-deep", "wfactor-case-b"):
+            golden = GOLDEN / f"{name}.json"
+            texts += json.loads(golden.read_text(encoding="utf-8"))["coefficients"]
+        for levels in range(2, 6):
+            code, out, _ = run(capsys, "wfactor", "--json", "--levels", str(levels),
+                               "P=y; Q=1+y")
+            assert code == EXIT_OK
+            texts += json.loads(out)["coefficients"]
+        assert "(exp (int 1))" in texts
+        for text in texts:
+            tower = Tower()
+            element = parse_sexpr(text, tower)
+            assert parse_sexpr(element.to_sexpr(), tower) == element, text
+
     def test_negative_levels_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["wfactor", "--levels", "-2", "--json", "P=2*y^2 + x*y; Q=1"])
@@ -358,6 +381,16 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert "constant" in out
+
+    def test_printed_exp_of_a_constant_integral_is_an_operand(self, capsys):
+        # (int -1) folds to -x before exp sees it; exp(-x)*y is constant
+        # along dy/dx = y
+        code, out, _ = run(
+            capsys, "verify", "--ode", "dy/dx = y", "--alpha", "(exp (int -1))",
+            "--roots", "0", "--k", "1",
+        )
+        assert code == EXIT_OK
+        assert "verdict: constant" in out
 
     def test_rejecting_exit_code(self, capsys):
         code, out, _ = run(

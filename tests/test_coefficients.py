@@ -14,9 +14,11 @@ from puiseux.coefficients import (
     poly_roots,
     sqrt_field,
 )
+from puiseux import polyutils
 from puiseux.polyutils import (
     _fraction_sqrt,
     _squarefree_core,
+    _yun_squarefree,
     count_real_roots,
     fraction_nth_root,
     irreducible_factors,
@@ -114,6 +116,37 @@ class TestPolyUtils:
         assert sorted((tuple(f), m) for f, m in factors) == [
             ((F(-2), F(0), F(1)), 2),
             ((F(1), F(0), F(1)), 2),
+        ]
+
+    def test_one_sturm_sequence_per_root_search(self, monkeypatch):
+        # the search's one Sturm sequence also gives the squarefree part,
+        # also when the polynomial has repeated roots: no other remainder
+        # sequence is built
+        polys = [p for p in corpora.isolation_polynomials(20261020, 30) if len(p) > 3 and p[0]]
+        polys += [pmul(p, p) for p in polys[:6]]
+        calls, prems = [], []
+        sturm, pprem = polyutils.sturm_sequence, polyutils.pprem
+        monkeypatch.setattr(polyutils, "sturm_sequence",
+                            lambda *args: calls.append(args) or sturm(*args))
+        monkeypatch.setattr(polyutils, "pprem", lambda a, b: prems.append(1) or pprem(a, b))
+        for p in polys:
+            del prems[:]
+            sturm(polyutils._integerize(p))
+            one_sequence = len(prems)
+            for search in (rational_roots, isolate_real_roots):
+                del calls[:], prems[:]
+                intervals = search(p)
+                assert (len(calls), len(prems)) == (1, one_sequence)
+            assert intervals == ref_isolate_real_roots(p)
+
+    def test_yun_squarefree_on_ints(self):
+        # (t^2 - 2)^3 (2t^3 + t + 5)^2 (t^2 + 1) in primitive int form
+        a, b, c = [-2, 0, 1], [5, 1, 0, 2], [1, 0, 1]
+        p = pmul(pmul(pmul(a, a), a), pmul(pmul(b, b), c))
+        parts = _yun_squarefree(p)
+        assert all(type(x) is int for part, _m in parts for x in part)
+        assert [(part if part[-1] > 0 else [-x for x in part], m) for part, m in parts] == [
+            (c, 1), (b, 2), (a, 3)
         ]
 
 

@@ -99,6 +99,13 @@ def naive_ansatz_solve(monomials, mu0, c0, grid, resonant_value=None):
     return coeffs, None
 
 
+def test_repeated_monomials_are_summed():
+    # equal monomials on either side add up, and a zero sum is dropped
+    repeated = MonomialODE([(1, 2, 3), (0, 1, 1), (1, 2, 4)],
+                           [(0, 0, 1), (1, 1, 5), (0, 0, 2), (1, 1, -5)])
+    assert repeated == MonomialODE([(0, 1, 1), (1, 2, 7)], [(0, 0, 3)])
+
+
 class TestInitialTerms:
     def expect(self, e, rows):
         got = [

@@ -124,6 +124,15 @@ def test_a_free_constant_in_a_simple_root_vertex_is_refused():
         solve_algebraic(p, 3)
 
 
+def test_a_constant_param_poly_in_a_simple_root_vertex_takes_the_contour():
+    # a constant ParamPoly as the y^1 coefficient leaves _simple_root for
+    # the contour route, whose root search converts it to a rational
+    p = parse_algebraic_equation("y^2 - y + x = 0")
+    minus_one = PuiseuxSeries([(0, ParamPoly([F(-1)]))])
+    q = SeriesPolynomial([p.coeffs[0], minus_one, p.coeffs[2]])
+    assert _outcome(solve_algebraic(q, F(6))) == _outcome(solve_algebraic(p, F(6)))
+
+
 @pytest.mark.parametrize("text, bound", [
     ("y^4 + x*y - x = 0", F(4)),
     ("y^3 - 3*x^2*y + x^3 + x^4 = 0", F(3)),
