@@ -226,7 +226,7 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
     bound = _exponent(Fraction(bound) * ram)
     back = Fraction(1, ram)
     try:
-        result = _solve_from(q, prefix, mult, last, bound, mode, contour)
+        result = _solve_from(q, prefix, mult, last, bound, mode, contour, _ambient_field(q))
     except StepLimitError as exc:
         prefix, last = exc.args
         raise StepLimitError(
@@ -249,15 +249,16 @@ def _ramify(s, k):
     return _make(nums, s.den, _exponent(s.trunc * k))
 
 
-def _solve_from(q, prefix, mult, last, bound, mode, contour):
+def _solve_from(q, prefix, mult, last, bound, mode, contour, ambient):
     """The contour loop started at the state ``(q, prefix, mult, last)``;
     ``contour`` is ``contour_of(q)``, or None when not built yet.  Each
-    state carries the number field of its branch, read off q once here
-    and then set by the roots pushed (:func:`_push_root`).  Past
-    ``_MAX_STEPS`` states it raises StepLimitError(prefix, last)."""
+    state carries the number field of its branch, ``ambient`` (that of
+    q's coefficients) at the start and then set by the roots pushed
+    (:func:`_push_root`).  Past ``_MAX_STEPS`` states it raises
+    StepLimitError(prefix, last)."""
     result = AlgebraicSolveResult()
     steps = 0
-    stack = [(q, prefix, mult, last, contour, _ambient_field(q))]
+    stack = [(q, prefix, mult, last, contour, ambient)]
     while stack:
         q, prefix, mult, last, contour, ambient = stack.pop()
         steps += 1
