@@ -30,7 +30,7 @@ from .first_integrals import (
     solve_w,
     verify_constant,
 )
-from .liouville import LiouvilleError, Tower, parse_sexpr
+from .liouville import LiouvilleError, Tower, _tokenize, parse_sexpr
 from .ode import (
     ClassificationError,
     FREE,
@@ -57,9 +57,32 @@ EXIT_VERIFY = 5
 
 JSON_SCHEMA_VERSION = "1"
 
+# an operand is an s-expression when one of these follows its "(";
+# otherwise, as in "(1+x)/(1-x^2)", it is infix
+_SEXPR_OPERATORS = {"+", "-", "*", "/", "^", "int", "exp", "root"}
+
 
 def _q(text):
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _resonance(text):
+    if text == "symbolic":
+        return text
+    if not text.startswith("values="):
+        raise argparse.ArgumentTypeError("takes 'symbolic' or values=v1,v2,...")
+    return [_q(v) for v in text[len("values="):].split(",")]
+
+
+def _ks(text):
+    try:
+        return [int(k) for k in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not comma-separated integers: {text!r}") from None
 
 
 def _num(value):
@@ -90,7 +113,7 @@ def main(argv=None):
     p_ode = sub.add_parser("ode", help="all series branches of dy/dx = f(x, y)")
     p_ode.add_argument("equation")
     p_ode.add_argument("--bound", type=_q, default=Fraction(4))
-    p_ode.add_argument("--resonance", default="symbolic",
+    p_ode.add_argument("--resonance", type=_resonance, default="symbolic",
                        help="'symbolic' or values=v1,v2,...")
     p_ode.add_argument("--center", type=_q, default=None,
                        help="translate y by y0 in Q(y)*dy/dx = P(y), P and Q "
@@ -110,7 +133,7 @@ def main(argv=None):
     p_v.add_argument("--ode", required=True, dest="equation")
     p_v.add_argument("--alpha", required=True)
     p_v.add_argument("--roots", required=True, help="';'-separated expressions")
-    p_v.add_argument("--k", required=True, help="comma-separated integers")
+    p_v.add_argument("--k", type=_ks, required=True, help="comma-separated integers")
     p_v.add_argument("--ghosts", action="store_true")
     p_v.add_argument("--bound", type=_q, default=Fraction(4))
     p_v.add_argument("--json", action="store_true")
@@ -195,12 +218,7 @@ def _run_ode(args):
             eq = expand_rational(eq, args.center)
         except SeriesError as err:
             raise ParseError(f"--center: {err}") from None
-    resonance = args.resonance
-    if resonance != "symbolic":
-        if not resonance.startswith("values="):
-            raise ParseError("--resonance takes 'symbolic' or values=v1,v2,...")
-        resonance = [Fraction(v) for v in resonance[len("values="):].split(",")]
-    report = solve_all(eq, args.bound, resonance=resonance, mode=args.root_mode)
+    report = solve_all(eq, args.bound, resonance=args.resonance, mode=args.root_mode)
     branches = []
     for b in report.branches:
         entry = {
@@ -311,9 +329,8 @@ def _run_verify(args):
     tower = Tower()
     alpha = _tower_operand(args.alpha, tower)
     roots = [_tower_operand(r, tower) for r in args.roots.split(";")]
-    ks = [int(k) for k in args.k.split(",")]
     P, Q = _ode_as_polynomials(eq, tower)
-    cand = FirstIntegralCandidate(alpha, roots, ks)
+    cand = FirstIntegralCandidate(alpha, roots, args.k)
     verdict = verify_constant(cand, P, Q)
     payload = {
         "mode": "verify",
@@ -328,7 +345,7 @@ def _run_verify(args):
         )
     if args.ghosts:
         series_roots = [_root_as_series(r, args.bound) for r in roots]
-        gs = ghost_roots(series_roots, ks, ode=eq, bound=args.bound)
+        gs = ghost_roots(series_roots, args.k, ode=eq, bound=args.bound)
         payload["ghosts"] = [
             {
                 "root": format_series(rec.root),
@@ -349,7 +366,8 @@ def _run_verify(args):
 
 def _tower_operand(text, tower):
     text = text.strip()
-    if text.startswith("("):
+    tokens = _tokenize(text)
+    if len(tokens) > 1 and tokens[0] == "(" and tokens[1] in _SEXPR_OPERATORS:
         return parse_sexpr(text, tower)
     if "O(" in text:
         raise ParseError(

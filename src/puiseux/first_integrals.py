@@ -236,8 +236,6 @@ def _solve_case_a(problem, mu0, levels, p, q, tower):
         a_coef = tower.zero()
         for k in range(0, level - delta + 1):
             i = level - delta - k
-            if i < 0:
-                continue
             term = tower.rational(mu0 + k) * p[i]
             if k < len(w):
                 b = b - term * w[k]

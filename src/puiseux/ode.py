@@ -550,8 +550,6 @@ def verify_series(e: MonomialODE, series: PuiseuxSeries, branches=None):
     val = residual.valuation()
     if val != INF:
         val = _exponent(val - vq)
-        if val >= certified:
-            val = INF  # terms at/after the certified window are not evidence
     return VerifyResult(val, certified)
 
 

@@ -2,10 +2,9 @@
 
 A polynomial is a plain list of coefficients, lowest degree first.  The
 helpers from ``pstrip`` to ``ptaylor_shift`` need only ring operations and
-a zero test on the coefficients (``pdivmod``, ``pmonic`` and ``pgcd``
-also divide), so callers use them over ``Fraction``,
-``AlgebraicNumber``, ``PuiseuxSeries`` and tower ``Element`` coefficients
-alike.  The zero test is truthiness; a series is false only when it is
+a zero test on the coefficients (``pmonic`` also divides), so callers use
+them over ``Fraction``, ``AlgebraicNumber``, ``PuiseuxSeries`` and tower
+``Element`` coefficients alike.  The zero test is truthiness; a series is false only when it is
 the exact zero, so an ``O(x^t)`` coefficient is never dropped.
 ``pdense`` builds such a list from (degree, coefficient) pairs.
 ``ptaylor_shift``, the one Taylor shift (behind ``algebraic.recenter`` and
@@ -37,7 +36,7 @@ because the denominator of a rational root divides the leading
 coefficient (R. Loos, SIAM J. Comput. 12, 1983, reaches the same roots
 by p-adic expansion); n/d is divided out by exact integer division by
 d*t - n.  The Sturm sequence is a primitive remainder sequence (PRS; G.
-E. Collins, JACM 14, 1967), the one gcd of this layer: ``pprem``
+E. Collins, JACM 14, 1967), the one gcd of the package: ``pprem``
 pseudo-remainders scaled by positive factors and divided by their
 content, so every sign is that of the classical sequence and is one
 integer evaluation (``_sign_at``) at a point n/d.  A search builds one,
@@ -47,7 +46,9 @@ and ``int_solve`` (fraction-free Gauss-Jordan) inverts them.  Exact
 integer square and n-th roots use ``math.isqrt`` and an integer Newton
 iteration, never floats.  ``irreducible_factors`` takes the rational
 roots out once, then runs Yun's squarefree decomposition on ints and
-splits quartics; no root function calls ``pgcd`` or ``pdivmod``.
+splits quartics.  ``ratfunc.RatFunc`` cancels its numerator and
+denominator on the same sequence, so there is no Euclid over
+``Fraction`` in the package.
 """
 
 from __future__ import annotations
@@ -139,38 +140,12 @@ def smul(a, b, key_sum=operator.add):
     return out
 
 
-def pdivmod(a, b):
-    """Quotient and remainder of ``a`` by ``b`` over a field."""
-    a, b = pstrip(a), pstrip(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return [], a
-    inv_lead = b[-1] ** -1
-    q = [a[0] * 0] * (len(a) - len(b) + 1)
-    r = list(a)
-    for shift in range(len(a) - len(b), -1, -1):
-        c = r[shift + len(b) - 1] * inv_lead
-        if c:
-            q[shift] = c
-            for i, y in enumerate(b):
-                r[shift + i] = r[shift + i] - c * y
-    return pstrip(q), pstrip(r[: len(b) - 1])
-
-
 def pmonic(p):
     p = pstrip(p)
     if not p:
         return p
     lead = p[-1]
     return [x / lead for x in p]
-
-
-def pgcd(a, b):
-    a, b = pstrip(a), pstrip(b)
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return pmonic(a)
 
 
 def pderiv(p):
@@ -399,8 +374,8 @@ def sturm_sequence(ints, b=None):
     """The Sturm sequence of the int list ``ints`` as a primitive remainder
     sequence: each member a positive multiple of the classical one, so the
     sign changes at every point are the same.  It starts ``ints``, ``b``,
-    deg b < deg ints, b the derivative unless given; its last member is
-    gcd(ints, b), primitive up to sign, the one gcd of the int layer."""
+    deg b <= deg ints, b the derivative unless given; its last member is
+    gcd(ints, b), primitive up to sign, the one gcd of the package."""
     seq = [ints, _primitive(pderiv(ints) if b is None else b)]
     while len(seq[-1]) > 1:
         rem = pstrip(pprem(seq[-2], seq[-1]))

@@ -8,6 +8,10 @@ functions have equal tuples, and a constant compares and hashes like its
 
 The public constructor ``RatFunc(num, den)`` is the one canonicaliser:
 it coerces, strips, cancels the gcd and makes the denominator monic.
+The gcd is that of the whole package, the last member of one integer
+primitive remainder sequence (``polyutils.sturm_sequence``) of the int
+forms of both sides, higher degree first; both sides are divided by it
+exactly (``polyutils._exquo``) and rescaled once.
 Parsing, ``Tower.integral`` and every meeting of two proper fractions go
 through it.  Results that are reduced by construction are built by the
 trusted ``_rf`` without that pass: constants and ``x``, negation,
@@ -20,7 +24,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyutils import padd, pderiv, pdivmod, pformat, pgcd, pmul, pneg, ppow, pstrip
+from .polyutils import (
+    _exquo,
+    int_form,
+    padd,
+    pderiv,
+    pformat,
+    pmul,
+    pneg,
+    ppow,
+    pstrip,
+    sturm_sequence,
+)
 
 _ONE = (Fraction(1),)
 
@@ -39,22 +54,22 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_ONE):
-        num = [Fraction(c) for c in pstrip(list(num))]
-        den = [Fraction(c) for c in pstrip(list(den))]
-        if not den:
+        nums, n = int_form([Fraction(c) for c in pstrip(list(num))])
+        dens, d = int_form([Fraction(c) for c in pstrip(list(den))])
+        if not dens:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            g = pgcd(num, den)
+        if not nums:
+            self.num, self.den = (), _ONE
+            return
+        if len(nums) > 1 and len(dens) > 1:
+            a, b = (nums, dens) if len(nums) >= len(dens) else (dens, nums)
+            g = sturm_sequence(a, b)[-1]
             if len(g) > 1:
-                num = pdivmod(num, g)[0]
-                den = pdivmod(den, g)[0]
-        else:
-            den = [Fraction(1)]
-        lead = den[-1]
-        num = [c / lead for c in num]
-        den = [c / lead for c in den]
-        self.num = tuple(num)
-        self.den = tuple(den)
+                nums, dens = _exquo(nums, g), _exquo(dens, g)
+        # num/den = (nums/n) / (dens/d), over the monic dens/dens[-1]
+        scale = Fraction(d, n * dens[-1])
+        self.num = tuple(c * scale for c in nums)
+        self.den = tuple(Fraction(c, dens[-1]) for c in dens)
 
     # -- constructors ---------------------------------------------------
 

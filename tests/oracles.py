@@ -9,9 +9,7 @@ from puiseux.coefficients import ParamPoly, as_coefficient
 from puiseux.polyutils import (
     fraction_nth_root,
     pderiv,
-    pdivmod,
     peval,
-    pgcd,
     pmonic,
     pmul,
     pneg,
@@ -280,6 +278,32 @@ def ref_taylor_shift(p, c):
 
 
 # -- the Fraction root search and number-field references --------------------
+
+
+def pdivmod(a, b):
+    """Quotient and remainder of ``a`` by ``b`` over a field."""
+    a, b = pstrip(a), pstrip(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(a) < len(b):
+        return [], a
+    inv_lead = b[-1] ** -1
+    q = [a[0] * 0] * (len(a) - len(b) + 1)
+    r = list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = r[shift + len(b) - 1] * inv_lead
+        if c:
+            q[shift] = c
+            for i, y in enumerate(b):
+                r[shift + i] = r[shift + i] - c * y
+    return pstrip(q), pstrip(r[: len(b) - 1])
+
+
+def pgcd(a, b):
+    a, b = pstrip(a), pstrip(b)
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    return pmonic(a)
 
 
 def ref_squarefree_part(p):

@@ -392,6 +392,17 @@ class TestVerify:
         assert code == EXIT_OK
         assert "verdict: constant" in out
 
+    def test_infix_operand_opening_with_a_parenthesis(self, capsys):
+        # "(1+x)" is infix, not the s-expression operator "1+x"; the alpha
+        # is 1/(1-x) with the common factor 1+x, as in test_accepting
+        code, out, _ = run(
+            capsys,
+            "verify", "--ode", "dy/dx = x^(-2)*y^2",
+            "--alpha", "(1+x)/(1-x^2)", "--roots", "x; x/(1-x)", "--k", "1,-1",
+        )
+        assert code == EXIT_OK
+        assert "verdict: constant" in out
+
     def test_rejecting_exit_code(self, capsys):
         code, out, _ = run(
             capsys,
@@ -432,3 +443,24 @@ class TestVerify:
         assert self.ghosts(capsys, "dy/dx = 1/(1+y)", "0; -2") == [
             {"root": "-1", "is_ghost": True, "residual_valuation": "-inf"}
         ]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["algebraic", "--bound", "1/0", "y = x"], "--bound"),
+    (["ode", "--center", "1/0", "dy/dx = y"], "--center"),
+    (["ode", "--resonance", "values=a", "dy/dx = y"], "--resonance"),
+    (["ode", "--resonance", "values=1/0", "dy/dx = y"], "--resonance"),
+    (["ode", "--resonance", "values=", "dy/dx = y"], "--resonance"),
+    (["verify", "--ode", "dy/dx = y", "--alpha", "1", "--roots", "0",
+      "--k", "1,a"], "--k"),
+    (["verify", "--ode", "dy/dx = y", "--alpha", "1", "--roots", "0",
+      "--k", "1", "--bound", "1/0"], "--bound"),
+], ids=["algebraic-bound", "ode-center", "resonance-letter", "resonance-zero-den",
+        "resonance-empty", "verify-k", "verify-bound"])
+def test_malformed_flag_value_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_PARSE
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err

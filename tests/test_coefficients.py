@@ -24,7 +24,6 @@ from puiseux.polyutils import (
     irreducible_factors,
     isolate_real_roots,
     pdeg,
-    pdivmod,
     peval,
     pformat,
     pmul,
@@ -38,7 +37,7 @@ from puiseux.ratfunc import RatFunc
 from puiseux.series import PuiseuxSeries
 
 import corpora
-from oracles import ref_isolate_real_roots, ref_squarefree_part
+from oracles import pdivmod, ref_isolate_real_roots, ref_squarefree_part
 from test_series_properties import check_param_poly_operations
 
 
@@ -458,6 +457,31 @@ class TestRootsOverNumberField:
         poly = [2 + r2, -(1 + 2 * r2), field.lift(1)]
         res = self._check(poly, field)
         assert res.roots == [(1 + r2, 1), (r2, 1)]
+
+    @staticmethod
+    def _cubic_field():
+        # theta, a real root of c^3 - 3c + 1: a field of degree 3
+        minpoly = [F(1), F(-3), F(0), F(1)]
+        return NumberField(minpoly, isolate_real_roots(minpoly)[0])
+
+    def test_rational_square_root_in_a_cubic_field(self):
+        field = self._cubic_field()
+        theta = field.generator()
+        # (t - theta + 1)(t - theta - 1): the discriminant is 4
+        poly = [theta * theta - 1, -2 * theta, field.lift(1)]
+        res = self._check(poly, field)
+        assert res.roots == [(theta + 1, 1), (theta - 1, 1)]
+        assert res.complete
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_no_root_in_a_cubic_field_is_unresolved(self, degree):
+        # t^2 + theta: -theta is negative in the real embedding theta = 1.53...,
+        # so it is no square in Q(theta); a cubic over the field is not searched
+        field = self._cubic_field()
+        poly = [field.generator()] + [field.lift(0)] * (degree - 1) + [field.lift(1)]
+        res = self._check(poly, field)
+        assert res.roots == []
+        assert res.unresolved == poly
 
     def test_no_root_in_the_field_is_unresolved(self):
         field = sqrt_field(2)

@@ -116,6 +116,15 @@ def test_a_simple_root_state_keeps_the_phantom_check():
     assert _outcome(result) == ([([], 1, F(7, 2))], [])
 
 
+def test_a_prefix_no_root_continues_has_no_branch():
+    # y^2 - x at 1 + (terms above x^0) keeps the term 1 of p(1) = 1 - x, so
+    # no root of y^2 - x agrees with the prefix 1 up to x^0
+    p = parse_algebraic_equation("y^2 - x = 0")
+    assert p.evaluate(PuiseuxSeries.one()) == PuiseuxSeries([(0, 1), (1, -1)])
+    result = algebraic._solve_beyond(p, PuiseuxSeries.one(), F(0), 2)
+    assert _outcome(result) == ([], [])
+
+
 def test_a_free_constant_in_a_simple_root_vertex_is_refused():
     # y = +-x + ..., then the vertex C +- 2*c of the simple root at x^2
     C = ParamPoly.parameter()
