@@ -108,6 +108,10 @@ CASES = {
     "wfactor-case-a-deep": (
         0, ["wfactor", "--levels", "6", "P=2*y^2 + x*y; Q=1"]),
     "wfactor-case-b": (0, ["wfactor", "--levels", "4", "P=1; Q=y"]),
+    # a caller seed w_0 = x^2: every first integral of P = 1, Q = y is
+    # f(x - y^2/2), so w = (x - y^2/2)^2
+    "wfactor-case-b-seed": (
+        0, ["wfactor", "--levels", "4", "--w0", "x^2", "P=1; Q=y"]),
     "verify-constant": (
         0, ["verify", "--ode=dy/dx = 2*x^(-2)*y^2", "--alpha=2/x",
             "--roots=x/(2); 0", "--k=1,-1", "--ghosts"]),
