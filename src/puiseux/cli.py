@@ -330,7 +330,12 @@ def _run_verify(args):
     alpha = _tower_operand(args.alpha, tower)
     roots = [_tower_operand(r, tower) for r in args.roots.split(";")]
     P, Q = _ode_as_polynomials(eq, tower)
-    cand = FirstIntegralCandidate(alpha, roots, args.k)
+    try:
+        cand = FirstIntegralCandidate(alpha, roots, args.k)
+    except ValueError as err:
+        raise ParseError(str(err)) from None
+    if args.ghosts and len(roots) < 2:
+        raise ParseError("ghost analysis needs at least two distinct roots")
     verdict = verify_constant(cand, P, Q)
     payload = {
         "mode": "verify",

@@ -1,12 +1,19 @@
 """First integrals, integrating factors and the Riccati bridge.
 
 ``solve_w`` builds, level by level, a series ``w = w_0 y^mu_0 + w_1
-y^{mu_0+1} + ...`` solving ``dw/dx * Q + dw/dy * P = 0`` with coefficients
-in a Liouville tower: such a ``w`` is constant along solutions of
-``dy/dx = P/Q``.  Case A (deg Q + 1 <= deg P at the bottom) solves each
-level by adjoining an integral, or an exponential of an integral when the
-level equation is genuinely affine; case B needs no new tower nodes past
-the seed.  Every computed level is re-verified by symbolic
+y^{mu_0+1} + ...`` solving ``Q * w_x + P * w_y = 0`` with coefficients in
+a Liouville tower: such a ``w`` is constant along solutions of
+``dy/dx = P/Q``.  Both cases read one level equation off the y-powers,
+
+    sum_k q_(L-a-k) w_k' + sum_k (mu0+k) p_(L-b-k) w_k = 0,
+
+with ``delta = mu_p - mu_q - 1``, ``a = max(0, -delta)`` and
+``b = max(0, delta)``; the case decides only how ``w_L`` enters.  Case A
+(``delta >= 0``) solves ``w_L' + c w_L = rest`` by adjoining an integral,
+or an exponential of an integral when ``c = (mu0+L) p_0`` is nonzero
+(``delta = 0``); case B (``delta < 0``, ``mu0 = 0``) solves
+``L p_0 w_L = rest`` by one division and needs no new tower nodes past the
+seed.  Every level is re-derived from the finished ``w`` by symbolic
 differentiation, never numerically.
 
 ``verify_constant`` checks a multiplicative first-integral candidate
@@ -137,9 +144,12 @@ class IntegralFactorProblem:
 
     def __init__(self, P, Q):
         if P.is_zero:
-            raise ValueError("P must be nonzero")
-        if Q.is_zero or Q.coeffs[0] != RatFunc.const(1):
-            raise ValueError("Q must be normalized with leading coefficient 1")
+            raise ValueError("P must be nonzero: every constant solves dy/dx = 0")
+        if Q.is_zero:
+            raise ValueError("Q must be nonzero")
+        if Q.coeffs[0] != RatFunc.const(1):
+            raise ValueError("Q must be normalized with leading coefficient 1, "
+                             f"not {Q.coeffs[0]}")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
 
@@ -188,118 +198,79 @@ class IntegralFactorSeries:
 
 def solve_w(problem: IntegralFactorProblem, mu0: int, levels: int,
             w0=None, tower: Tower = None) -> IntegralFactorSeries:
-    """Coefficients w_0..w_levels of the level recurrences, case A or B.
+    """Coefficients w_0..w_levels of the level equations, case A or B.
 
-    Case A needs mu0 a nonzero integer and builds each level out of
-    integrals (plus exponentials of integrals when the level equation is
-    affine in w_k itself, which happens exactly at delta = 0).  Case B
-    needs mu0 = 0, a caller seed w_0 (default -x), and solves every later
-    level by field operations alone.
+    With a = max(0, -delta) and b = max(0, delta), level L of
+    Q*w_x + P*w_y = 0 reads, in both cases,
+
+        sum_k q_(L-a-k) w_k' + sum_k (mu0+k) p_(L-b-k) w_k = 0,
+
+    and w_L enters it only through c*w_L (plus w_L' in case A), with
+    c = (mu0+L) p_0 when b = 0 and c = 0 otherwise.  Case A needs mu0 a
+    nonzero integer: w_0 = exp(int -c) and w_L' + c w_L = rest is solved by
+    an integral, or by exp(int -c) * int(rest * exp(int c)) when c != 0
+    (only at delta = 0).  Case B needs mu0 = 0 and takes a caller seed w_0
+    (default -x); every later c w_L = rest is one division.  Each
+    coefficient is differentiated once.
     """
     if levels < 0:
         raise ValueError(f"levels must be nonnegative, got {levels}")
     tower = tower or Tower()
     p = [tower.rational(problem.P.coefficient(problem.mu_p + i)) for i in range(levels + 1)]
     q = [tower.rational(problem.Q.coefficient(problem.mu_q + j)) for j in range(levels + 1)]
-    if problem.case == "A":
+    case_a = problem.case == "A"
+    if case_a:
         if mu0 == 0 or not isinstance(mu0, int):
             raise CaseError("case A needs a nonzero integer mu0")
-        w = _solve_case_a(problem, mu0, levels, p, q, tower)
-        gens_after_seed = 0
+    elif mu0 != 0:
+        raise CaseError("case B needs mu0 = 0")
     else:
-        if mu0 != 0:
-            raise CaseError("case B needs mu0 = 0")
         seed = tower._as_element(w0) if w0 is not None else -tower.x()
-        base_gens = len(tower.gens)
-        w = _solve_case_b(problem, levels, p, q, tower, seed)
-        gens_after_seed = len(tower.gens) - base_gens
+    a, b = max(0, -problem.delta), max(0, problem.delta)
+    base_gens = len(tower.gens)
+    w, dw = [], []
+    for level in range(levels + 1):
+        # the level sum over the known w_0..w_(L-1) and their derivatives
+        rest = -_level_sum(mu0, level, a, b, p, q, w, dw, tower)
+        c = tower.rational(mu0 + level) * p[0] if b == 0 else tower.zero()
+        if not case_a:
+            w.append(rest / c if level else seed)
+        elif level == 0:
+            w.append(tower.exp_integral(-c))  # the nonzero homogeneous witness
+        elif c.is_zero:
+            w.append(tower.integral(rest))
+        else:
+            w.append(tower.exp_integral(-c) * tower.integral(rest * tower.exp_integral(c)))
+        if level < levels:
+            dw.append(w[-1].differentiate())
+    gens_after_seed = 0 if case_a else len(tower.gens) - base_gens
     out = IntegralFactorSeries(mu0, problem.case, w, tower,
                                new_generators_after_seed=gens_after_seed)
-    out.verified_levels = [
-        _verify_level(problem, mu0, w, level, p, q, tower)
-        for level in range(levels + 1)
-    ]
+    out.verified_levels = _verify_levels(mu0, a, b, p, q, w, tower)
     if not all(out.verified_levels):
         raise LiouvilleError("a level identity failed symbolic verification")
     return out
 
 
-def _solve_case_a(problem, mu0, levels, p, q, tower):
-    delta = problem.delta
-    w = []
-    for level in range(levels + 1):
-        # sum_{k+j=level} dw_k q_j + sum_{k+i=level-delta} (mu0+k) w_k p_i = 0
-        b = tower.zero()
-        for j in range(1, level + 1):
-            if level - j < len(w):
-                b = b - q[j] * w[level - j].differentiate()
-        a_coef = tower.zero()
-        for k in range(0, level - delta + 1):
-            i = level - delta - k
-            term = tower.rational(mu0 + k) * p[i]
-            if k < len(w):
-                b = b - term * w[k]
-            elif k == level:
-                a_coef = a_coef + term
-        if level == 0 and delta > 0:
-            w.append(tower.one())  # dw_0 = 0: any nonzero constant
-            continue
-        if a_coef.is_zero:
-            w.append(tower.integral(b))
-            continue
-        # dw + a w = b: w = exp(int -a) * (int(b exp(int a)) + C)
-        decay = tower.exp_integral(-a_coef)
-        grow = tower.exp_integral(a_coef)
-        particular = decay * tower.integral(b * grow)
-        if level == 0 and particular.is_zero:
-            particular = decay  # the nonzero homogeneous witness
-        w.append(particular)
-    return w
-
-
-def _solve_case_b(problem, levels, p, q, tower, seed):
-    gamma = problem.gamma
-    w = [seed]
-    for level in range(1, levels + 1):
-        # sum_{k+i=level} k w_k p_i + sum_{k+j=level-gamma} dw_k q_j = 0
-        b = tower.zero()
-        for k in range(0, level):
-            i = level - k
-            if i <= len(p) - 1 and k < len(w) and k:
-                b = b - tower.rational(k) * p[i] * w[k]
-        for k in range(0, level - gamma + 1):
-            j = level - gamma - k
-            if 0 <= j <= len(q) - 1 and k < len(w):
-                b = b - q[j] * w[k].differentiate()
-        w.append(b / (tower.rational(level) * p[0]))
-    return w
-
-
-def _verify_level(problem, mu0, w, level, p, q, tower):
-    """Re-derive the level identity by symbolic differentiation."""
-    if problem.case == "A":
-        delta = problem.delta
-        total = tower.zero()
-        for j in range(0, level + 1):
-            k = level - j
-            if k < len(w):
-                total = total + q[j] * w[k].differentiate()
-        for k in range(0, level - delta + 1):
-            i = level - delta - k
-            if i >= 0 and k < len(w):
-                total = total + tower.rational(mu0 + k) * p[i] * w[k]
-        return total.is_zero
-    gamma = problem.gamma
+def _level_sum(mu0, level, a, b, p, q, w, dw, tower):
+    """sum_k q_(L-a-k) w_k' + sum_k (mu0+k) p_(L-b-k) w_k at L = level, over
+    the coefficients w and derivatives dw given (zero terms skipped)."""
     total = tower.zero()
-    for k in range(0, level + 1):
-        i = level - k
-        if i <= len(p) - 1 and k < len(w):
-            total = total + tower.rational(k) * p[i] * w[k]
-    for k in range(0, level - gamma + 1):
-        j = level - gamma - k
-        if 0 <= j <= len(q) - 1 and k < len(w):
-            total = total + q[j] * w[k].differentiate()
-    return total.is_zero
+    for k in range(level + 1):
+        j, i = level - a - k, level - b - k
+        if j >= 0 and k < len(dw) and q[j]:
+            total = total + q[j] * dw[k]
+        if i >= 0 and k < len(w) and mu0 + k and p[i]:
+            total = total + tower.rational(mu0 + k) * p[i] * w[k]
+    return total
+
+
+def _verify_levels(mu0, a, b, p, q, w, tower):
+    """Re-derive every level sum of the finished w, each coefficient
+    differentiated afresh by symbolic differentiation."""
+    dw = [c.differentiate() for c in w]
+    return [_level_sum(mu0, level, a, b, p, q, w, dw, tower).is_zero
+            for level in range(len(w))]
 
 
 # -- multiplicative first-integral candidates -----------------------------------
@@ -314,6 +285,8 @@ class FirstIntegralCandidate:
     exponents: list  # nonzero ints
 
     def __post_init__(self):
+        if self.alpha.is_zero:
+            raise ValueError("alpha must be nonzero")
         if not self.roots:
             raise ValueError("a candidate needs at least one root")
         if len(self.roots) != len(self.exponents):

@@ -289,6 +289,8 @@ def parse_algebraic_equation(text: str) -> SeriesPolynomial:
     if not value.num:
         raise ParseError("the polynomial is identically zero")
     coeffs = _y_coefficients(value.num, "algebraic mode needs integer powers of y")
+    if len(coeffs) < 2:
+        raise ParseError("the equation does not involve y")
     return SeriesPolynomial(coeffs)
 
 
@@ -318,9 +320,11 @@ def parse_integral_factor_problem(text: str) -> IntegralFactorProblem:
         sides[name.strip().upper()] = _eval(body)
     if set(sides) != {"P", "Q"}:
         raise ParseError("an integrating-factor problem needs P=...; Q=...")
-    return IntegralFactorProblem(
-        _as_yseries(sides["P"], "P"), _as_yseries(sides["Q"], "Q")
-    )
+    P, Q = _as_yseries(sides["P"], "P"), _as_yseries(sides["Q"], "Q")
+    try:
+        return IntegralFactorProblem(P, Q)
+    except ValueError as err:
+        raise ParseError(str(err)) from None
 
 
 def _eval(text):

@@ -26,7 +26,7 @@ Users, generators and (seed, size):
   warm-start, constant-note and level-coefficients.
 - test_tower_properties: ratfunc_cases (20261018, 200), tower_cases (7, 40;
   20261019, 200).  test_first_integrals: integral_factor_problems (555,
-  40), riccati_instances (20260816, 8).
+  40), integral_factor_cases (24, 60), riccati_instances (20260816, 8).
 - test_properties: canonical_operands (20260816, 200) and every named
   corpus.  ALGEBRAIC: ramified-prefixes (20261020, 200), simple-root-steps
   (20261019, 200), laurent-accounting (424242, 60), products-of-roots
@@ -654,3 +654,40 @@ def integral_factor_problems(seed, size):
             p_coeffs[0] = _linear_ratfunc(rng, 2)
         q_coeffs = [RatFunc.const(1)] + [_linear_ratfunc(rng, 2) for _ in range(rng.randint(0, 2))]
         yield IntegralFactorProblem(YSeries(mu_p, p_coeffs), YSeries(mu_q, q_coeffs))
+
+
+def _laurent_ratfunc(rng):
+    """a + b*x + c/x with a, b, c in [-2, 2], not all zero."""
+    while True:
+        a, b, c = (rng.randint(-2, 2) for _ in range(3))
+        if a or b or c:
+            return RatFunc([F(c), F(a), F(b)], [F(0), F(1)])
+
+
+# (case, gap): delta = gap in case A, gamma = gap in case B; "A0" draws
+# mu0 = -m with m <= levels, so the level mu0 + L = 0 is reached
+_W_KINDS = (("A", 1), ("A", 2), ("A", 0), ("A0", 0), ("B", 1), ("B", 2))
+
+
+def integral_factor_cases(seed, size):
+    """(problem, mu0, levels, w0) for ``solve_w``: the kinds of _W_KINDS in
+    turn, Laurent coefficients a + b*x + c/x, w0 a Laurent seed or None in
+    case B; then P = 1, Q = y with the seeds x^2, x^3 and 1/(1 - x)."""
+    rng = random.Random(seed)
+    for n in range(size):
+        kind, gap = _W_KINDS[n % len(_W_KINDS)]
+        levels = rng.randint(1, 4)
+        if kind == "B":
+            mu_q = rng.randint(gap - 1, 2)
+            mu_p, mu0 = mu_q + 1 - gap, 0
+        else:
+            mu_q = rng.randint(0, 2)
+            mu_p = mu_q + 1 + gap
+            mu0 = rng.choice((-2, -1, 1, 2)) if kind == "A" else -rng.randint(1, levels)
+        p = [_laurent_ratfunc(rng) for _ in range(rng.randint(1, 3))]
+        q = [RatFunc.const(1)] + [_laurent_ratfunc(rng) for _ in range(rng.randint(0, 2))]
+        w0 = _laurent_ratfunc(rng) if kind == "B" and rng.randint(0, 1) else None
+        yield IntegralFactorProblem(YSeries(mu_p, p), YSeries(mu_q, q)), mu0, levels, w0
+    x = RatFunc.x()
+    for w0 in (x * x, x * x * x, RatFunc([F(1)], [F(1), F(-1)])):
+        yield IntegralFactorProblem(YSeries(0, [1]), YSeries(1, [1])), 0, 6, w0

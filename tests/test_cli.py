@@ -66,6 +66,12 @@ class TestAlgebraic:
         assert code == EXIT_PARSE
         assert "parse error" in err
 
+    def test_equation_without_y_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "algebraic", "x = 0")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "parse error: the equation does not involve y" in err
+
     def test_step_limit_is_a_reported_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(algebraic, "_MAX_STEPS", 3)
         code, out, err = run(capsys, "algebraic", "y - x*y - x = 0")
@@ -363,6 +369,17 @@ class TestWfactor:
             element = parse_sexpr(text, tower)
             assert parse_sexpr(element.to_sexpr(), tower) == element, text
 
+    @pytest.mark.parametrize("problem, message", [
+        ("P=0; Q=1", "P must be nonzero: every constant solves dy/dx = 0"),
+        ("P=y; Q=0", "Q must be nonzero"),
+        ("P=y; Q=2", "Q must be normalized with leading coefficient 1, not 2"),
+    ], ids=["zero-p", "zero-q", "q-not-normalized"])
+    def test_malformed_problem_is_a_usage_error(self, capsys, problem, message):
+        code, out, err = run(capsys, "wfactor", problem)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"parse error: {message}\n"
+
     def test_negative_levels_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["wfactor", "--levels", "-2", "--json", "P=2*y^2 + x*y; Q=1"])
@@ -402,6 +419,20 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert "verdict: constant" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--alpha", "1/x", "--roots", "x; 0", "--k", "1,0"], "exponents must be nonzero"),
+        (["--alpha", "1", "--roots", "x; x", "--k", "1,-1"], "roots must be pairwise distinct"),
+        (["--alpha", "1", "--roots", "x", "--k", "1,-1"], "one exponent per root"),
+        (["--alpha", "0", "--roots", "x; 0", "--k", "1,-1"], "alpha must be nonzero"),
+        (["--alpha", "1", "--roots", "x", "--k", "1", "--ghosts"],
+         "ghost analysis needs at least two distinct roots"),
+    ], ids=["zero-exponent", "equal-roots", "exponent-count", "zero-alpha", "one-root-ghosts"])
+    def test_malformed_candidate_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "--ode", "dy/dx = x^(-2)*y^2", *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"parse error: {message}\n"
 
     def test_rejecting_exit_code(self, capsys):
         code, out, _ = run(

@@ -18,6 +18,7 @@ from puiseux.first_integrals import (
 )
 from puiseux.liouville import Tower
 from puiseux.ode import MonomialODE
+from puiseux.polyutils import padd, pmul
 from puiseux.ratfunc import RatFunc
 from puiseux.series import PuiseuxSeries
 
@@ -58,6 +59,19 @@ class TestIntegratingFactorEquation:
     def test_linear(self):
         eq = integrating_factor_equation(YSeries(1, [1]), YSeries(0, [1]))
         assert eq.numerator.mu == 0 and eq.numerator.coeffs == (RatFunc.const(-1),)
+
+
+def pde_residual(problem, w):
+    """Q*w_x + P*w_y as y-polynomial products over the tower, listed from
+    y^(mu0 + min(mu_q, mu_p - 1)), the lowest power either product has."""
+    t = w.tower
+    P = [t.rational(c) for c in problem.P.coeffs]
+    Q = [t.rational(c) for c in problem.Q.coeffs]
+    w_x = [c.differentiate() for c in w.coefficients]  # from y^mu0
+    w_y = [t.rational(w.mu0 + k) * c for k, c in enumerate(w.coefficients)]  # y^(mu0-1)
+    low = min(problem.mu_q, problem.mu_p - 1)
+    return padd([t.zero()] * (problem.mu_q - low) + pmul(Q, w_x),
+                [t.zero()] * (problem.mu_p - 1 - low) + pmul(P, w_y))
 
 
 class TestSolveW:
@@ -131,6 +145,34 @@ class TestSolveW:
             if prob.case == "B":
                 assert w.new_generators_after_seed == 0
 
+    def test_first_integral_equation_vanishes_through_the_last_level(self):
+        # the oracle multiplies y-polynomials; it never reads a level index
+        kinds = set()
+        for problem, mu0, levels, w0 in corpora.integral_factor_cases(24, 60):
+            w = solve_w(problem, mu0, levels, w0=w0)
+            assert all(w.verified_levels)
+            residual = pde_residual(problem, w)
+            assert all(c.is_zero for c in residual[:levels + 1]), (problem, mu0)
+            kinds.add((problem.case, problem.delta, mu0 + levels >= 0 > mu0, w0 is None))
+        assert {("A", 1, False, True), ("A", 2, False, True), ("A", 0, True, True),
+                ("B", -1, False, False), ("B", -2, False, True)} <= kinds
+
+    def test_case_b_seed_gives_the_closed_form(self):
+        # y*y' = 1: every first integral is f(x - y^2/2), whose y^(2n)
+        # coefficient is f^(n)(x) * (-1/2)^n / n!
+        t = Tower()
+        x, u = t.x(), t.one() - t.x()
+        problem = IntegralFactorProblem(YSeries(0, [1]), YSeries(1, [1]))
+        closed = [
+            (x**2, [x**2, 0, -x, 0, F(1, 4), 0, 0]),
+            (x**3, [x**3, 0, F(-3, 2) * x**2, 0, F(3, 4) * x, 0, F(-1, 8)]),
+            (1 / u, [1 / u, 0, F(-1, 2) / u**2, 0, F(1, 4) / u**3, 0, F(-1, 8) / u**4]),
+        ]
+        for seed, expected in closed:
+            w = solve_w(problem, 0, 6, w0=seed, tower=t)
+            assert all((c - e).is_zero for c, e in zip(w.coefficients, expected, strict=True))
+            assert w.new_generators_after_seed == 0
+
     def test_every_level_identity_verified_symbolically(self):
         problem = IntegralFactorProblem(
             YSeries(2, [1, 1]), YSeries(0, [1, 0, 2])
@@ -190,6 +232,11 @@ class TestVerifyConstant:
         v = verify_constant(cand, [t.zero(), t.one()], [t.one()])
         assert v.verdict == "inconclusive"
         assert v.assumptions
+
+    def test_zero_alpha_rejected(self):
+        t = Tower()
+        with pytest.raises(ValueError, match="alpha must be nonzero"):
+            FirstIntegralCandidate(t.zero(), [t.zero(), t.x()], [1, -1])
 
     def test_distinct_roots_required(self):
         t = Tower()
