@@ -64,6 +64,16 @@ CASES = {
     "algebraic-algebraic-repeated-factor": (
         0, ["algebraic", "--roots", "algebraic", "--bound", "2",
             "y^4 - 4*x*y^2 + 4*x^2 = 0"]),
+    # long simple-root chains: three roots of a cubic to residual 40, a
+    # root ramified in x = t^3 to 20 terms in t beside an unresolved pair,
+    # and two conjugate roots over Q(sqrt(2)) with rational terms between
+    "algebraic-rational-long-chains": (
+        0, ["algebraic", "--bound", "40", "y^3 - y + x = 0"]),
+    "algebraic-ramified-long-chain": (
+        4, ["algebraic", "--bound", "10", "y^3 + x*y - x = 0"]),
+    "algebraic-algebraic-long-chains": (
+        0, ["algebraic", "--roots", "algebraic", "--bound", "8",
+            "y^2 + x*y - 2*x = 0"]),
     "ode-monomial": (0, ["ode", "--bound", "4", "dy/dx = x^2*y^2"]),
     "ode-resonant": (0, ["ode", "--bound", "4", "dy/dx = y/x + x"]),
     "ode-riccati": (0, ["ode", "--bound", "4", "dy/dx = 2*y/x + x + y^2"]),
