@@ -8,11 +8,9 @@ each vertex polynomial for the leading coefficients, recenter, repeat.
 from fractions import Fraction as F
 
 from puiseux import (
-    ClosedFormInput,
     PuiseuxSeries,
     SeriesPolynomial,
     breaking_data,
-    closed_form_root,
     contour_of,
     solve_algebraic,
 )
@@ -54,18 +52,15 @@ for b in solve_algebraic(double, 2).branches:
     print(f"  y = {b.series}  (multiplicity {b.multiplicity})")
 
 # ----------------------------------------------------------------------
-# Under the generic normalization (monic, one negative leading index)
-# there is also an explicit one-root formula; it must agree with the
-# constructive route term by term.
+# A root may start at a negative exponent: here y ~ -x^(-1).  Substituting
+# it back leaves a residual at or past its certified bound.
 generic = SeriesPolynomial([ONE + X(1), X(-1), ONE])
-inp = ClosedFormInput.from_polynomial(generic)
-cf = closed_form_root(inp, 6)
-print("\nequation: y^2 + x^(-1)*y + (1 + x) = 0, explicit-formula root:")
-print(f"  y = {cf}")
-best = solve_algebraic(generic, cf.trunc)
-match = next(b for b in best.branches if b.series.leading() == cf.leading())
-print(f"  constructive root agrees: "
-      f"{cf.agrees_with(match.series, min(cf.trunc, match.series.trunc))}")
+print("\nequation: y^2 + x^(-1)*y + (1 + x) = 0")
+for b in solve_algebraic(generic, 5).branches:
+    residual = generic.evaluate(b.series)
+    print(f"  y = {b.series}")
+    print(f"     residual valuation {residual.val_floor()} >= {b.residual_bound}: "
+          f"{residual.val_floor() >= b.residual_bound}")
 
 # ----------------------------------------------------------------------
 # Irrational leading coefficients: rational mode reports them instead of

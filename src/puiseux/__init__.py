@@ -4,8 +4,7 @@ The package provides four layers:
 
 * :mod:`puiseux.series` -- exact truncated Puiseux series arithmetic;
 * :mod:`puiseux.algebraic` -- roots of polynomials with series
-  coefficients via the contour (Newton polygon) construction, plus the
-  explicit generic-normalization root formula;
+  coefficients via the contour (Newton polygon) construction;
 * :mod:`puiseux.ode` -- complete branch analysis of first-order ODEs in
   finite monomial form: initial terms, resonance, proper and
   algebraic-type continuation, substitution verification;
@@ -16,15 +15,12 @@ The package provides four layers:
 
 from .algebraic import (
     AlgebraicSolveResult,
-    ClosedFormInput,
-    NormalizationError,
     PartialSolution,
     SeriesPolynomial,
     StepLimitError,
     UnresolvedBranch,
     VertexData,
     breaking_data,
-    closed_form_root,
     contour_of,
     recenter,
     solve_algebraic,

@@ -9,23 +9,43 @@ coefficient, which is the residual of the current prefix; a branch stops
 once that valuation and the next admissible exponent both reach the
 requested bound.
 
-A step from a simple root skips the contour.  Recentered at a root of
-multiplicity 1, the polynomial has line 1 on its contour at the last
+A simple root is lifted by Newton's iteration.  Recentered at a root of
+multiplicity 1, the polynomial q has line 1 on its contour at the last
 exponent and line 0 strictly above it, and every line i >= 2, of greater
 slope, lies strictly above line 1 from there on.  Truncated data cannot
 spoil this: the vertex of the root passed the phantom check, so every
 unknown term lies above the envelope there and hides or lowers no line.
 (A solve entered past ``last`` with multiplicity 1 reads the same
-picture off its contour at ``last``.)  Past the last exponent the contour
-is then the lower of lines 0 and 1, so the next term sits at their one
-vertex, x = val(beta0) - val(beta1), with the root -lc(beta0)/lc(beta1)
-of the linear vertex polynomial (D. Duval, Compositio Math. 70, 1989).
-The step keeps the contour route's phantom check, bound rule and step
-count, so the results are the same; a free constant in the vertex takes
-the contour route, where the root search refuses it.  The test is the
-multiplicity of the state, not what is left of it once an exact root is
-split off: a root of multiplicity m > 1 whose constant coefficient
-vanishes exactly keeps m - 1 roots on the contour route.
+picture off its contour at ``last``.)  So q has one root z past ``last``,
+and the contour loop would read its terms off one at a time: the next one
+sits at the vertex of lines 0 and 1, x = val(beta0) - val(beta1), with
+the root -lc(beta0)/lc(beta1) of the linear vertex polynomial (D. Duval,
+Compositio Math. 70, 1989).  The lift finds them all at once, by
+z <- z - q(z)*g with g <- g*(2 - q'(z)*g) its own inverse of q'(z) (H. T.
+Kung and J. F. Traub, JACM 25, 1978).  The exponents of z lie in (1/D)Z,
+D the lcm of the exponent denominators of q, so its first term is right
+below e + 1/D, e its exponent; a step from a z right below A leaves it
+right below 2A - e, because every line i >= 2 stays above line 1, and the
+inverse keeps pace.  The lift repeats the contour loop's choices:
+
+* Cut.  The residual of a prefix is val(beta1) plus the exponent of the
+  first term of z it leaves out, so the loop stops at the prefix of the
+  terms below max(bound, bound - val(beta1)), and the lift cuts there.
+  The residual is the valuation of q at the prefix, from one evaluation,
+  and ``INF`` when q vanishes there exactly.
+* Truncated coefficients.  With alpha_i known below t_i, q at any prefix
+  is known below T = min(t_i + i*e), so the loop stops at the prefix of
+  the terms below T - val(beta1) at the latest, with the residual T.  The
+  lift runs on the known parts taken as exact and cuts there too.  The
+  phantom check can refuse only the first term: the coefficients shifted
+  by a prefix are known below min(t_m + (m - i)*e, m >= i), and once the
+  check passed at e they stay above the envelope at every later vertex.
+* Steps.  Each term added is one state of the contour loop: the lift
+  charges one step per term, so the step limit fires at the same prefix.
+* Number field.  A rational term is lifted into the field of the branch.
+
+A free constant anywhere in q takes the contour route, term by term,
+where the root search refuses it (or reads a constant one as a rational).
 
 Each solve runs in t with x = t^Q, Q = lcm(1, ..., N) times the lcm of
 the exponent denominators of its input (the coefficients' exponents and
@@ -37,17 +57,13 @@ and the whole contour loop runs on ``int`` exponents.  The branches are
 mapped back to x at the end.  Correctness never rests on this: a
 breaking point that is not integral in t (truncated data can produce
 one) stays an exact ``Fraction``.
-
-``closed_form_root`` implements the explicit one-root formula available
-under the generic normalization (monic, single negative leading index) and
-serves as an independent cross-check of the constructive route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .coefficients import (
     AlgebraicNumber,
@@ -62,16 +78,14 @@ from .series import (
     INF,
     PuiseuxSeries,
     SeriesError,
+    _below,
+    _canonical,
     _exponent,
     _make,
     format_series,
 )
 
 _MAX_STEPS = 4000
-
-
-class NormalizationError(SeriesError):
-    """closed_form_root precondition (generic normalization) violated."""
 
 
 class StepLimitError(SeriesError):
@@ -280,14 +294,19 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour, ambient):
             )
             continue
         residual = beta0.val_floor()
-        simple = _simple_root(q) if mult == 1 and last is not None else None
-        if simple is not None:
-            x, root = simple
-            done = residual >= bound and x >= bound
-            if done or not _phantom_safe(q, x, beta0.valuation()):
+        if mult == 1 and last is not None and _liftable(q):
+            x = _exponent(residual - q.coeffs[1].valuation())
+            if (residual >= bound and x >= bound) or not _phantom_safe(q, x, residual):
                 result.branches.append(PartialSolution(prefix, 1, residual))
-            else:
-                _push_root(q, prefix, x, root, 1, ambient, stack)
+                continue
+            tail, residual = _lift(q, x, bound, ambient, _MAX_STEPS - steps)
+            steps += len(tail.nums)
+            if steps > _MAX_STEPS:
+                # the state past the limit holds the first j terms of the tail
+                j = len(tail.nums) - steps + _MAX_STEPS + 1
+                head = tail.nums[:j]
+                raise StepLimitError(prefix + _canonical(head, tail.den, INF), head[-1][0])
+            result.branches.append(PartialSolution(prefix + tail, 1, residual))
             continue
         if contour is None:
             contour = contour_of(q)
@@ -353,16 +372,86 @@ def _span(v):
     return v.active_indices[-1] - v.active_indices[0]
 
 
-def _simple_root(q):
-    """``(x, root)``: the one vertex past the last exponent of the state of
-    a simple root and the root of its linear vertex polynomial (see the
-    module docstring), or None for the contour route when a free constant
-    is in the vertex."""
-    beta0, beta1 = q.coeffs[0], q.coeffs[1]
-    c0, c1 = beta0.leading()[1], beta1.leading()[1]
-    if isinstance(c0, ParamPoly) or isinstance(c1, ParamPoly):
-        return None
-    return _exponent(beta0.valuation() - beta1.valuation()), -c0 / c1
+def _liftable(q):
+    """False when a coefficient of q holds a free constant (a numerator
+    outside Q has the denominator 1)."""
+    return not any(
+        isinstance(n, ParamPoly) for alpha in q.coeffs if alpha.den == 1 for _e, n in alpha.nums
+    )
+
+
+def _lift(q, e, bound, ambient, budget):
+    """``(tail, residual)``: the terms of the simple root of the state q
+    from the exponent ``e`` on, cut where the contour loop would stop, and
+    the residual there (see the module docstring).  Once more than
+    ``budget`` terms are known to lie below the cut, those come back with
+    the residual None."""
+    v1, c1 = q.coeffs[1].leading()
+    reach = _exponent(min(
+        (alpha.trunc + i * e for i, alpha in enumerate(q.coeffs) if alpha.trunc != INF),
+        default=INF,
+    ))
+    # the exponents of the root lie on the lattice unit*Z, so the terms below
+    # the cut are those below the first lattice point at or past it
+    exps = [x for alpha in q.coeffs for x, _n in alpha.nums]
+    den = lcm(*(x.denominator for x in exps))
+    unit = _exponent(Fraction(gcd(*(x.numerator * (den // x.denominator) for x in exps)) or 1, den))
+    cut = _exponent(-(-min(max(bound, bound - v1), reach - v1) // unit) * unit)
+    z = PuiseuxSeries.x_power(e, -q.coeffs[0].leading()[1] / c1)
+    known = _exponent(e + unit)  # z is the root below known
+    g = slopes = None
+    while True:
+        rest = _below(z.nums, cut)
+        if len(rest) < len(z.nums):
+            # the root's first term past the cut is known: q(tail) has the
+            # valuation v1 plus its exponent
+            x = z.nums[len(rest)][0]
+            return _in_field(_canonical(rest, z.den, INF), ambient), _exponent(v1 + x)
+        if len(z.nums) > budget:
+            return _in_field(z, ambient), None
+        # past the cut, reach the largest gap between terms seen so far
+        gap = max((b[0] - a[0] for a, b in zip(z.nums, z.nums[1:])), default=unit)
+        target = _exponent(min(2 * known - e, max(cut + gap, known + unit)))
+        f = _horner(q.coeffs, z, e, v1 + target)
+        if known >= cut:
+            # z is the tail, and q(z) shows its residual
+            if not f.nums and v1 + target < reach:
+                f = _horner(q.coeffs, z, e, INF)
+            return _in_field(z, ambient), INF if f.is_exact_zero else f.val_floor()
+        if f.nums:
+            # g is 1/q'(z) to a relative order in x: the leading term to the
+            # order unit, and a step doubles the order
+            if g is None:
+                g, order = PuiseuxSeries.x_power(-v1, 1 / c1), unit
+            while order < target - known:
+                if slopes is None:
+                    slopes = [alpha.scale(i) for i, alpha in enumerate(q.coeffs) if i]
+                order = _exponent(min(2 * order, target - known))
+                g = _exact(g * (2 - _horner(slopes, z, e, v1 + order) * g))
+            z = _exact(z - f * g)
+        known = target
+
+
+def _in_field(s, ambient):
+    """``s`` with every rational coefficient lifted into ``ambient``."""
+    if ambient is None:
+        return s
+    return _make(tuple(
+        (x, c if isinstance(c, AlgebraicNumber) else ambient.lift(c)) for x, c in s.terms
+    ), 1, INF)
+
+
+def _horner(coeffs, z, e, prec):
+    """sum coeffs[i] * z^i below ``prec``, for z of valuation ``e``."""
+    acc = coeffs[-1].truncate(prec - (len(coeffs) - 1) * e)
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def _exact(s):
+    """The known terms of ``s`` as an exact series."""
+    return _make(s.nums, s.den, INF)
 
 
 def _push_root(q, prefix, e, root, m, ambient, stack):
@@ -397,109 +486,3 @@ def _branch_at_vertex(q, prefix, v, mode, ambient, stack, result):
         result.unresolved.append(
             UnresolvedBranch(prefix, v.x, tuple(roots.unresolved), pdeg(roots.unresolved))
         )
-
-
-# -- the explicit generic-normalization root ---------------------------------
-
-
-@dataclass(frozen=True)
-class ClosedFormInput:
-    """Normalized coefficients a_i (a_0 = 1) with the distinguished index k.
-
-    The generic normalization requires a monic polynomial whose reversed
-    coefficient list has exactly one entry of negative valuation, at
-    position k; all other entries have nonnegative valuation.
-    """
-
-    a: tuple
-    k: int
-    branch: object = None
-
-    @classmethod
-    def from_polynomial(cls, p: SeriesPolynomial, branch=None):
-        n = p.degree
-        if not p.coeffs[n] == PuiseuxSeries.one():
-            raise NormalizationError("leading coefficient must be exactly 1")
-        a = tuple(p.coeffs[n - i] for i in range(n + 1))
-        negative = [
-            i
-            for i in range(1, n + 1)
-            if a[i].nums and a[i].valuation() < 0
-        ]
-        if len(negative) != 1:
-            raise NormalizationError(
-                "generic normalization needs exactly one negative leading index"
-            )
-        return cls(a, negative[0], branch)
-
-
-def closed_form_root(inp: ClosedFormInput, n_terms: int) -> PuiseuxSeries:
-    """The explicit root series under the generic normalization.
-
-    Ordered compositions with parts in {1..N}-{k} feed the correction sum;
-    the i-th correction multiplies ``(-a_k)^(-i/k)``, so truncating after
-    ``n_terms`` corrections leaves a tail of valuation at least
-    ``n_terms/k`` times the (positive) magnitude of the leading index.
-    """
-    a, k = inp.a, inp.k
-    n = len(a) - 1
-    neg_ak = -a[k]
-    if not neg_ak.nums or neg_ak.valuation() >= 0:
-        raise NormalizationError("a_k must have negative valuation")
-    depth = Fraction(-neg_ak.valuation())
-    final_trunc = Fraction(n_terms) * depth / k
-    work = final_trunc + depth
-    root_k = neg_ak.pow_rational(Fraction(1, k), branch=inp.branch, prec=work)
-    branch_inv = None
-    if inp.branch is not None:
-        branch_inv = as_coefficient(inp.branch) ** -1
-    r_inv = neg_ak.pow_rational(Fraction(-1, k), branch=branch_inv, prec=work)
-    allowed = [i for i in range(1, n + 1) if i != k and a[i].nums]
-
-    comp_cache = {}
-
-    def comp_sum(target, parts):
-        """sum over ordered compositions of ``target`` into ``parts`` parts
-        from ``allowed`` of the product of the matching a-coefficients."""
-        if parts == 1:
-            if target in allowed:
-                return a[target]
-            return None
-        key = (target, parts)
-        if key in comp_cache:
-            return comp_cache[key]
-        acc = None
-        for first in allowed:
-            rest = target - first
-            if rest < parts - 1:
-                continue
-            tail = comp_sum(rest, parts - 1)
-            if tail is None:
-                continue
-            piece = (a[first] * tail).truncate(work)
-            acc = piece if acc is None else acc + piece
-        comp_cache[key] = acc
-        return acc
-
-    correction = PuiseuxSeries.zero()
-    r_pow = PuiseuxSeries.one()
-    for i in range(n_terms):
-        if i:
-            r_pow = (r_pow * r_inv).truncate(work)
-        coeff_i = PuiseuxSeries.zero()
-        for p_count in range(1, i + 2):
-            scalar = Fraction(1)
-            for j in range(1, p_count):
-                scalar *= i - j * k
-            if not scalar:
-                continue
-            scalar /= Fraction(k) ** p_count
-            for j in range(2, p_count + 1):
-                scalar /= j
-            inner = comp_sum(i + 1, p_count)
-            if inner is None:
-                continue
-            coeff_i = coeff_i + inner.scale(scalar)
-        if not coeff_i.is_zero or coeff_i.trunc != INF:
-            correction = correction + (coeff_i * r_pow).truncate(work)
-    return (root_k - correction).truncate(final_trunc)

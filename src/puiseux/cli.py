@@ -302,6 +302,8 @@ def _run_wfactor(args):
     tower = Tower()
     w0 = None
     if args.w0 is not None:
+        if problem.case != "B":
+            raise ParseError(f"a --w0 seed applies only to case B; {args.problem} is case A")
         w0 = _tower_operand(args.w0, tower)
     series = solve_w(problem, mu0, args.levels, w0=w0, tower=tower)
     payload = {

@@ -22,15 +22,15 @@ Users, generators and (seed, size):
 - test_root_oracle: planted_polynomials, low_degree_polynomials (1983, 60).
 - test_acceptance: closed_form_polynomials (202, 50), riccati_instances
   (909, 20), corpus products-of-roots and worked-suite.  test_ramification:
-  corpus ramified-prefixes and simple-root-steps.  test_ode: corpus
+  corpus ramified-prefixes, simple-root-steps and long-lifts.  test_ode: corpus
   warm-start, constant-note and level-coefficients.
 - test_tower_properties: ratfunc_cases (20261018, 200), tower_cases (7, 40;
   20261019, 200).  test_first_integrals: integral_factor_problems (555,
   40), integral_factor_cases (24, 60), riccati_instances (20260816, 8).
 - test_properties: canonical_operands (20260816, 200) and every named
   corpus.  ALGEBRAIC: ramified-prefixes (20261020, 200), simple-root-steps
-  (20261019, 200), laurent-accounting (424242, 60), products-of-roots
-  (101, 200).  ODES: random-equations (777, 120 draws, 114 equations),
+  (20261019, 200), long-lifts (20261025, 24), laurent-accounting (424242,
+  60), products-of-roots (101, 200).  ODES: random-equations (777, 120 draws, 114 equations),
   warm-start (1, 120), constant-note (8, 300), level-coefficients (4, 100),
   exponent-rule (20261019, 80), rational (11) and worked-suite (5).
 """
@@ -426,6 +426,29 @@ def algebraic_polynomials(seed, size, bounds, modes, mode_first=False):
         yield (SeriesPolynomial(coeffs), bound, mode or rng.choice(modes))
 
 
+def long_lift_polynomials(seed, size):
+    """Degree 2-4 with x^0..x^2 coefficients of one to three terms, a monic
+    top, a y^1 coefficient with a constant term and a y^0 coefficient
+    without one, so a simple root starts at x^1; every third over
+    Q(sqrt(2)).  The bounds 24-64 put four or more doublings in its lift."""
+    rng = random.Random(seed)
+    r2 = SQRT2.generator()
+    for k in range(size):
+        degree = rng.randint(2, 4)
+        coeffs = []
+        for i in range(degree):
+            exps = rng.sample([0, 1, 2] if i else [1, 2], rng.randint(1, 2 if i != 1 else 3))
+            if i == 1 and 0 not in exps:
+                exps.append(0)
+            coeffs.append(PuiseuxSeries([(e, F(rng.choice(UNITS))) for e in exps]))
+        coeffs.append(PuiseuxSeries.one())
+        if k % 3 == 2:
+            i = rng.randrange(degree)
+            e, c = coeffs[i].terms[-1]
+            coeffs[i] = coeffs[i] + PuiseuxSeries.x_power(e, c * r2)
+        yield (SeriesPolynomial(coeffs), F(rng.choice([24, 32, 40, 48, 56, 64])), "rational")
+
+
 def laurent_polynomials(seed, size, bound):
     """Degree 2-4, up to two terms on x^-1 .. x^2, not engineered for rational roots."""
     rng = random.Random(seed)
@@ -530,6 +553,7 @@ ALGEBRAIC = {
         mode_first=True),
     "simple-root-steps": lambda: algebraic_polynomials(
         20261019, 200, [F(1), F(2), F(7, 3), F(4)], ["rational", "algebraic"]),
+    "long-lifts": lambda: long_lift_polynomials(20261025, 24),
     "laurent-accounting": lambda: laurent_polynomials(424242, 60, 2),
     "products-of-roots": lambda: root_polynomials(101, 200, F(3)),
 }

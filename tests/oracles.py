@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd
@@ -399,3 +399,113 @@ class RefAlgebraic:
         for _ in range(abs(n)):
             out = out * base
         return out
+
+
+# -- the explicit generic-normalization root ---------------------------------
+
+
+class NormalizationError(SeriesError):
+    """closed_form_root precondition (generic normalization) violated."""
+
+
+@dataclass(frozen=True)
+class ClosedFormInput:
+    """Normalized coefficients a_i (a_0 = 1) with the distinguished index k.
+
+    The generic normalization requires a monic polynomial whose reversed
+    coefficient list has exactly one entry of negative valuation, at
+    position k; all other entries have nonnegative valuation.
+    """
+
+    a: tuple
+    k: int
+    branch: object = None
+
+    @classmethod
+    def from_polynomial(cls, p, branch=None):
+        n = p.degree
+        if not p.coeffs[n] == PuiseuxSeries.one():
+            raise NormalizationError("leading coefficient must be exactly 1")
+        a = tuple(p.coeffs[n - i] for i in range(n + 1))
+        negative = [
+            i
+            for i in range(1, n + 1)
+            if a[i].nums and a[i].valuation() < 0
+        ]
+        if len(negative) != 1:
+            raise NormalizationError(
+                "generic normalization needs exactly one negative leading index"
+            )
+        return cls(a, negative[0], branch)
+
+
+def closed_form_root(inp: ClosedFormInput, n_terms: int) -> PuiseuxSeries:
+    """The explicit root series under the generic normalization.
+
+    Ordered compositions with parts in {1..N}-{k} feed the correction sum;
+    the i-th correction multiplies ``(-a_k)^(-i/k)``, so truncating after
+    ``n_terms`` corrections leaves a tail of valuation at least
+    ``n_terms/k`` times the (positive) magnitude of the leading index.
+    """
+    a, k = inp.a, inp.k
+    n = len(a) - 1
+    neg_ak = -a[k]
+    if not neg_ak.nums or neg_ak.valuation() >= 0:
+        raise NormalizationError("a_k must have negative valuation")
+    depth = Fraction(-neg_ak.valuation())
+    final_trunc = Fraction(n_terms) * depth / k
+    work = final_trunc + depth
+    root_k = neg_ak.pow_rational(Fraction(1, k), branch=inp.branch, prec=work)
+    branch_inv = None
+    if inp.branch is not None:
+        branch_inv = as_coefficient(inp.branch) ** -1
+    r_inv = neg_ak.pow_rational(Fraction(-1, k), branch=branch_inv, prec=work)
+    allowed = [i for i in range(1, n + 1) if i != k and a[i].nums]
+
+    comp_cache = {}
+
+    def comp_sum(target, parts):
+        """sum over ordered compositions of ``target`` into ``parts`` parts
+        from ``allowed`` of the product of the matching a-coefficients."""
+        if parts == 1:
+            if target in allowed:
+                return a[target]
+            return None
+        key = (target, parts)
+        if key in comp_cache:
+            return comp_cache[key]
+        acc = None
+        for first in allowed:
+            rest = target - first
+            if rest < parts - 1:
+                continue
+            tail = comp_sum(rest, parts - 1)
+            if tail is None:
+                continue
+            piece = (a[first] * tail).truncate(work)
+            acc = piece if acc is None else acc + piece
+        comp_cache[key] = acc
+        return acc
+
+    correction = PuiseuxSeries.zero()
+    r_pow = PuiseuxSeries.one()
+    for i in range(n_terms):
+        if i:
+            r_pow = (r_pow * r_inv).truncate(work)
+        coeff_i = PuiseuxSeries.zero()
+        for p_count in range(1, i + 2):
+            scalar = Fraction(1)
+            for j in range(1, p_count):
+                scalar *= i - j * k
+            if not scalar:
+                continue
+            scalar /= Fraction(k) ** p_count
+            for j in range(2, p_count + 1):
+                scalar /= j
+            inner = comp_sum(i + 1, p_count)
+            if inner is None:
+                continue
+            coeff_i = coeff_i + inner.scale(scalar)
+        if not coeff_i.is_zero or coeff_i.trunc != INF:
+            correction = correction + (coeff_i * r_pow).truncate(work)
+    return (root_k - correction).truncate(final_trunc)

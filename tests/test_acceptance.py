@@ -9,12 +9,7 @@ computed in this file or frozen from one.
 import time
 from fractions import Fraction as F
 
-from puiseux.algebraic import (
-    ClosedFormInput,
-    SeriesPolynomial,
-    closed_form_root,
-    solve_algebraic,
-)
+from puiseux.algebraic import SeriesPolynomial, solve_algebraic
 from puiseux.first_integrals import (
     FirstIntegralCandidate,
     IntegralFactorProblem,
@@ -40,7 +35,7 @@ from puiseux.series import INF, PuiseuxSeries
 
 import corpora
 import test_series_properties as laws
-from oracles import branch_count_bound
+from oracles import ClosedFormInput, branch_count_bound, closed_form_root
 from corpora import E_ALG, E_LINEAR, E_MIXED, E_NEGRES, E_SINGULAR, E_SQUARE
 from test_ode import naive_ansatz_solve
 

@@ -11,11 +11,8 @@ from fractions import Fraction as F
 import pytest
 
 from puiseux.algebraic import (
-    ClosedFormInput,
-    NormalizationError,
     SeriesPolynomial,
     breaking_data,
-    closed_form_root,
     contour_of,
     recenter,
     solve_algebraic,
@@ -26,6 +23,7 @@ from puiseux.polyutils import peval, ptaylor_shift
 from puiseux.series import INF, PuiseuxSeries
 
 import corpora
+from oracles import ClosedFormInput, NormalizationError, closed_form_root
 
 X = PuiseuxSeries.x_power
 ONE = PuiseuxSeries.one()

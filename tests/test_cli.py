@@ -380,6 +380,13 @@ class TestWfactor:
         assert out == ""
         assert err == f"parse error: {message}\n"
 
+    def test_a_seed_in_case_a_is_a_usage_error(self, capsys):
+        # only case B takes a caller seed w_0; case A solves for its own
+        code, out, err = run(capsys, "wfactor", "--levels", "2", "--w0", "x^5", "P=y^2; Q=1")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "parse error: a --w0 seed applies only to case B; P=y^2; Q=1 is case A\n"
+
     def test_negative_levels_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["wfactor", "--levels", "-2", "--json", "P=2*y^2 + x*y; Q=1"])

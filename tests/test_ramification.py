@@ -4,8 +4,8 @@
 "ramified-prefixes" and "simple-root-steps" (degree 2-5, exponents with
 denominators 1, 2 and 3, coefficients known only below a finite trunc or
 not at all) back into its polynomial and counts multiplicities;
-the named cases here take the same checks.  The direct step from a
-simple root must give what the contour route gives at every state.  A
+the named cases here take the same checks.  The Newton lift of a simple
+root must give what the contour route gives at every state.  A
 last case pins the step-limit message, which names the prefix and the
 last exponent of the branch that ran out of steps.
 """
@@ -16,7 +16,8 @@ import pytest
 
 from puiseux import algebraic
 from puiseux.algebraic import SeriesPolynomial, StepLimitError, solve_algebraic
-from puiseux.coefficients import ParamPoly, UnsupportedSymbolic, sqrt_field
+from puiseux.cli import main
+from puiseux.coefficients import AlgebraicNumber, ParamPoly, UnsupportedSymbolic, sqrt_field
 from puiseux.parsing import parse_algebraic_equation
 from puiseux.series import INF, PuiseuxSeries
 
@@ -69,7 +70,8 @@ def _outcome(result):
 
 def test_simple_root_steps_match_the_contour_route(monkeypatch):
     # the contour route, taken at every state, is the reference for the
-    # direct step from a simple root
+    # Newton lift of a simple root; the long-lifts corpus runs lifts of
+    # four and more doublings
     cases = []
     for text, bound in [
         ("y^2 - y + x = 0", F(12)),
@@ -86,12 +88,56 @@ def test_simple_root_steps_match_the_contour_route(monkeypatch):
     # rational vertices over Q(sqrt(2)): their roots are lifted into the field
     r2 = sqrt_field(2).generator()
     cases += [(SeriesPolynomial([X(1), -1, PuiseuxSeries([(0, 1), (5, r2)])]), F(4), "rational")]
-    direct = [_outcome(r) for _p, r in algebraic_results("simple-root-steps")]
+    names = ["simple-root-steps", "long-lifts"]
+    direct = [_outcome(r) for name in names for _p, r in algebraic_results(name)]
     direct += [_outcome(solve_algebraic(p, bound, mode)) for p, bound, mode in cases]
-    monkeypatch.setattr(algebraic, "_simple_root", lambda q: None)
+    monkeypatch.setattr(algebraic, "_liftable", lambda q: False)
     contour = [_outcome(solve_algebraic(p, bound, mode))
-               for p, bound, mode in corpora.corpus("simple-root-steps") + cases]
+               for p, bound, mode in sum((corpora.corpus(name) for name in names), []) + cases]
     assert direct == contour
+    assert sum(len(b.series.terms) > 40 for _p, r in algebraic_results("long-lifts")
+               for b in r.branches) >= 10
+
+
+def test_a_truncated_coefficient_stops_a_lift_where_its_reach_ends(monkeypatch):
+    # O(x^4)*y^2 leaves q known below x^6 at every prefix of the root x + ...
+    # of y^3 - y + x: the lift from x stops after x^3 and 3*x^5, not at the
+    # bound, with the residual 6
+    p = SeriesPolynomial([X(1), -1, PuiseuxSeries([], 4), 1])
+    result = solve_algebraic(p, 10)
+    check_branches(p, result)
+    assert (X(1) + X(3) + 3 * X(5), 1, 6) in [
+        (b.series, b.multiplicity, b.residual_bound) for b in result.branches]
+    monkeypatch.setattr(algebraic, "_liftable", lambda q: False)
+    assert _outcome(solve_algebraic(p, 10)) == _outcome(result)
+
+
+def test_an_exact_root_ends_inside_a_lift(capsys):
+    # the lift from 1 finds x, 2*x^2 and -x^4, and then q vanishes exactly
+    # at 1 + x + 2*x^2 - x^4: the branch is exact, far below the bound
+    p = parse_algebraic_equation("(y - 1 - x - 2*x^2 + x^4)*(y + 2 - x^3) = 0")
+    result = solve_algebraic(p, 8)
+    check_branches(p, result)
+    assert [(b.series, b.residual_bound) for b in result.branches] == [
+        (X(3) - 2, INF), (1 + X(1) + 2 * X(2) - X(4), INF)]
+    assert main(["algebraic", "--bound", "8", "(y - 1 - x - 2*x^2 + x^4)*(y + 2 - x^3) = 0"]) == 0
+    out = capsys.readouterr().out
+    assert "y = 1 + x + 2*x^2 - x^4   [mult 1, residual >= inf]" in out and "O(" not in out
+
+
+def test_a_rational_term_after_an_irrational_one_is_a_field_element(monkeypatch):
+    # y^2 - y + sqrt(2)*x + x^(3/2): past sqrt(2)*x the lift reads the term
+    # x^(3/2) off rational data only, and lifts it into Q(sqrt(2)) as the
+    # contour route does
+    r2 = sqrt_field(2).generator()
+    p = SeriesPolynomial([PuiseuxSeries([(1, r2), (F(3, 2), 1)]), -1, 1])
+    result = solve_algebraic(p, 3)
+    check_branches(p, result)
+    small = next(b for b in result.branches if b.series.valuation() == 1)
+    assert [(e, type(c), c) for e, c in small.series.terms][:2] == [
+        (1, AlgebraicNumber, r2), (F(3, 2), AlgebraicNumber, 1)]
+    monkeypatch.setattr(algebraic, "_liftable", lambda q: False)
+    assert _outcome(solve_algebraic(p, 3)) == _outcome(result)
 
 
 def test_an_exact_root_split_off_a_double_root_leaves_the_contour_route():
