@@ -16,36 +16,34 @@ slope, lies strictly above line 1 from there on.  Truncated data cannot
 spoil this: the vertex of the root passed the phantom check, so every
 unknown term lies above the envelope there and hides or lowers no line.
 (A solve entered past ``last`` with multiplicity 1 reads the same
-picture off its contour at ``last``.)  So q has one root z past ``last``,
-and the contour loop would read its terms off one at a time: the next one
-sits at the vertex of lines 0 and 1, x = val(beta0) - val(beta1), with
-the root -lc(beta0)/lc(beta1) of the linear vertex polynomial (D. Duval,
-Compositio Math. 70, 1989).  The lift finds them all at once, by
-z <- z - q(z)*g with g <- g*(2 - q'(z)*g) its own inverse of q'(z) (H. T.
-Kung and J. F. Traub, JACM 25, 1978).  The exponents of z lie in (1/D)Z,
-D the lcm of the exponent denominators of q, so its first term is right
-below e + 1/D, e its exponent; a step from a z right below A leaves it
-right below 2A - e, because every line i >= 2 stays above line 1, and the
-inverse keeps pace.  The lift repeats the contour loop's choices:
+picture off its contour at ``last``.)  So q has one root z past ``last``.
+The contour loop would read its terms one per state, each at the vertex
+of lines 0 and 1 with the root -lc(beta0)/lc(beta1) of the linear vertex
+polynomial (D. Duval, Compositio Math. 70, 1989).  The lift solves for
+them together: z <- z - q(z)*g, with g <- g*(2 - q'(z)*g) its own inverse
+of q'(z), doubles the known part of z past its first exponent e at each
+step (H. T. Kung and J. F. Traub, JACM 25, 1978), because the lines
+i >= 2 stay above line 1.  The exponents of z lie in the group the
+exponents of q generate, so the first term alone is right up to its
+next lattice point.  The lift makes the loop's choices:
 
 * Cut.  The residual of a prefix is val(beta1) plus the exponent of the
-  first term of z it leaves out, so the loop stops at the prefix of the
-  terms below max(bound, bound - val(beta1)), and the lift cuts there.
-  The residual is the valuation of q at the prefix, from one evaluation,
-  and ``INF`` when q vanishes there exactly.
-* Truncated coefficients.  With alpha_i known below t_i, q at any prefix
-  is known below T = min(t_i + i*e), so the loop stops at the prefix of
-  the terms below T - val(beta1) at the latest, with the residual T.  The
-  lift runs on the known parts taken as exact and cuts there too.  The
-  phantom check can refuse only the first term: the coefficients shifted
-  by a prefix are known below min(t_m + (m - i)*e, m >= i), and once the
-  check passed at e they stay above the envelope at every later vertex.
-* Steps.  Each term added is one state of the contour loop: the lift
-  charges one step per term, so the step limit fires at the same prefix.
+  first term of z it leaves out, so the loop stops at the terms below
+  max(bound, bound - val(beta1)).  The lift cuts there and reads the
+  residual off its first term past the cut; when it holds none, from one
+  evaluation of q at the tail, ``INF`` where q vanishes exactly.
+* Truncated coefficients.  Every product keeps its truncation, so with
+  alpha_i known below t_i, q(z) is known below T = min(t_i + i*e) and z
+  only below T - val(beta1): the cut is capped there, with the residual
+  T.  The phantom check can refuse only the first term: the shifted
+  coefficients are known below min(t_m + (m - i)*e, m >= i), so once
+  the check passed at e no later vertex fails it.
+* Steps.  Each term is one state of the loop: the lift is charged one
+  step per term, so the step limit fires at the same prefix.
 * Number field.  A rational term is lifted into the field of the branch.
 
-A free constant anywhere in q takes the contour route, term by term,
-where the root search refuses it (or reads a constant one as a rational).
+A free constant anywhere in q takes the contour route, where the root
+search refuses it (or reads a constant one as a rational).
 
 Each solve runs in t with x = t^Q, Q = lcm(1, ..., N) times the lcm of
 the exponent denominators of its input (the coefficients' exponents and
