@@ -293,6 +293,7 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour, ambient):
             continue
         residual = beta0.val_floor()
         if mult == 1 and last is not None and _liftable(q):
+            # a simple root, lifted at once (see the module docstring)
             x = _exponent(residual - q.coeffs[1].valuation())
             if (residual >= bound and x >= bound) or not _phantom_safe(q, x, residual):
                 result.branches.append(PartialSolution(prefix, 1, residual))

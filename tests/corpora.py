@@ -22,17 +22,18 @@ Users, generators and (seed, size):
 - test_root_oracle: planted_polynomials, low_degree_polynomials (1983, 60).
 - test_acceptance: closed_form_polynomials (202, 50), riccati_instances
   (909, 20), corpus products-of-roots and worked-suite.  test_ramification:
-  corpus ramified-prefixes, simple-root-steps and long-lifts.  test_ode: corpus
-  warm-start, constant-note and level-coefficients.
+  corpus ramified-prefixes, simple-root-steps and long-lifts.  test_ode:
+  corpus warm-start, constant-note and level-coefficients.
 - test_tower_properties: ratfunc_cases (20261018, 200), tower_cases (7, 40;
   20261019, 200).  test_first_integrals: integral_factor_problems (555,
   40), integral_factor_cases (24, 60), riccati_instances (20260816, 8).
 - test_properties: canonical_operands (20260816, 200) and every named
   corpus.  ALGEBRAIC: ramified-prefixes (20261020, 200), simple-root-steps
   (20261019, 200), long-lifts (20261025, 24), laurent-accounting (424242,
-  60), products-of-roots (101, 200).  ODES: random-equations (777, 120 draws, 114 equations),
-  warm-start (1, 120), constant-note (8, 300), level-coefficients (4, 100),
-  exponent-rule (20261019, 80), rational (11) and worked-suite (5).
+  60), products-of-roots (101, 200).  ODES: random-equations (777, 120
+  draws, 114 equations), warm-start (1, 120), constant-note (8, 300),
+  level-coefficients (4, 100), exponent-rule (20261019, 80), rational (11)
+  and worked-suite (5).
 """
 
 import random

@@ -143,7 +143,7 @@ def test_a_rational_term_after_an_irrational_one_is_a_field_element(monkeypatch)
 def test_an_exact_root_split_off_a_double_root_leaves_the_contour_route():
     # recentered at the double root 1*x, the constant coefficient vanishes
     # exactly: x is a root, and the other one, x + x^2, is found by the
-    # contour, not by the direct step of a simple root
+    # contour, not by the lift of a simple root
     p = parse_algebraic_equation("y^2 - 2*x*y - x^2*y + x^2 + x^3 = 0")
     result = solve_algebraic(p, F(5))
     check_branches(p, result)
@@ -179,8 +179,19 @@ def test_a_free_constant_in_a_simple_root_vertex_is_refused():
         solve_algebraic(p, 3)
 
 
+def test_a_free_constant_past_a_simple_root_vertex_is_refused_where_it_is_reached():
+    # (1 + C*x^5)*y^2 - y + x: C first meets the roots x + ... and 1 - ...
+    # at x^7 and x^5, so bound 4 solves as without it and bound 8 refuses
+    C = ParamPoly.parameter()
+    p = SeriesPolynomial([X(1), -1, PuiseuxSeries([(0, 1), (5, C)])])
+    plain = SeriesPolynomial([X(1), -1, 1])
+    assert _outcome(solve_algebraic(p, 4)) == _outcome(solve_algebraic(plain, 4))
+    with pytest.raises(UnsupportedSymbolic):
+        solve_algebraic(p, 8)
+
+
 def test_a_constant_param_poly_in_a_simple_root_vertex_takes_the_contour():
-    # a constant ParamPoly as the y^1 coefficient leaves _simple_root for
+    # a constant ParamPoly as the y^1 coefficient leaves the lift for
     # the contour route, whose root search converts it to a rational
     p = parse_algebraic_equation("y^2 - y + x = 0")
     minus_one = PuiseuxSeries([(0, ParamPoly([F(-1)]))])
