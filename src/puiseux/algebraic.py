@@ -386,6 +386,7 @@ def _lift(q, e, bound, ambient, budget):
     ``budget`` terms are known to lie below the cut, those come back with
     the residual None."""
     v1, c1 = q.coeffs[1].leading()
+    # q at any prefix is known below reach, T in the module docstring
     reach = _exponent(min(
         (alpha.trunc + i * e for i, alpha in enumerate(q.coeffs) if alpha.trunc != INF),
         default=INF,
@@ -408,12 +409,14 @@ def _lift(q, e, bound, ambient, budget):
             return _in_field(_canonical(rest, z.den, INF), ambient), _exponent(v1 + x)
         if len(z.nums) > budget:
             return _in_field(z, ambient), None
-        # past the cut, reach the largest gap between terms seen so far
+        # lift past the cut by the largest gap between terms so far, so that
+        # the first term past it is likely known
         gap = max((b[0] - a[0] for a, b in zip(z.nums, z.nums[1:])), default=unit)
         target = _exponent(min(2 * known - e, max(cut + gap, known + unit)))
         f = _horner(q.coeffs, z, e, v1 + target)
         if known >= cut:
-            # z is the tail, and q(z) shows its residual
+            # z is the tail, and q(z) shows its residual; where q(z) vanishes
+            # as far as it was read, only an exact evaluation tells
             if not f.nums and v1 + target < reach:
                 f = _horner(q.coeffs, z, e, INF)
             return _in_field(z, ambient), INF if f.is_exact_zero else f.val_floor()
