@@ -90,6 +90,10 @@ CASES = {
     "ode-algebraic-type-constant": (
         0, ["ode", "--bound", "6",
             "dy/dx = -2*x^(-2)*y + x^(-2)*y^2 + 2*x^2*y^3"]),
+    # rounds in x^(1/7) on a branch led by x^(-2/7), exit 4
+    "ode-algebraic-type-fractional-sigma": (
+        4, ["ode", "--bound", "3",
+            "dy/dx = -x^(-2)*y^(-2) - x^(-1)*y^(3/2)"]),
     "ode-power-half": (
         0, ["ode", "--bound", "4", "--resonance", "values=4",
             "dy/dx = y^(1/2) + x"]),
