@@ -76,10 +76,14 @@ from .series import (
     INF,
     PuiseuxSeries,
     SeriesError,
+    _at,
     _below,
     _canonical,
+    _coefficient,
+    _exp,
     _exponent,
     _make,
+    _num,
     format_series,
 )
 
@@ -220,14 +224,18 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
     active on its contour at ``last``; when the shifted constant
     coefficient vanishes exactly, that count includes the zero root.
     """
-    inputs = (*p.coeffs, prefix)
     ram = lcm(*range(1, p.degree + 1)) * lcm(
-        *(e.denominator for s in inputs for e, _n in s.nums),
-        *(s.trunc.denominator for s in inputs if s.trunc != INF),
-        1 if last is None else last.denominator,
+        *(s.ram for s in (*p.coeffs, prefix)), 1 if last is None else last.denominator
     )
-    q = SeriesPolynomial([_ramify(c, ram) for c in p.coeffs])
-    prefix, contour, mult = _ramify(prefix, ram), None, q.degree
+
+    def in_t(s):  # the numerators over ram, read over the index 1
+        return _make(_at(s.nums, ram // s.ram), s.den, 1, _num(s.trunc, ram))
+
+    def in_x(s):  # the numerators over s.ram, read over s.ram * ram
+        return _canonical(s.nums, s.den, s.ram * ram, _num(s.trunc, s.ram))
+
+    q = SeriesPolynomial([in_t(c) for c in p.coeffs])
+    prefix, contour, mult = in_t(prefix), None, q.degree
     if last is not None:
         last = _exponent(last * ram)
         q = recenter(q, prefix)
@@ -243,22 +251,16 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
         prefix, last = exc.args
         raise StepLimitError(
             f"algebraic solve exceeded the step limit of {_MAX_STEPS} "
-            f"while expanding the prefix {format_series(_ramify(prefix, back))} "
+            f"while expanding the prefix {format_series(in_x(prefix))} "
             f"(last exponent {'none' if last is None else last * back})"
         ) from None
     for b in result.branches:
-        b.series = _ramify(b.series, back)
+        b.series = in_x(b.series)
         b.residual_bound = _exponent(b.residual_bound * back)
     for u in result.unresolved:
-        u.prefix = _ramify(u.prefix, back)
+        u.prefix = in_x(u.prefix)
         u.at_exponent = _exponent(u.at_exponent * back)
     return result
-
-
-def _ramify(s, k):
-    """``s`` with x replaced by x^k, for a rational k > 0."""
-    nums = tuple((_exponent(e * k), n) for e, n in s.nums)
-    return _make(nums, s.den, _exponent(s.trunc * k))
 
 
 def _solve_from(q, prefix, mult, last, bound, mode, contour, ambient):
@@ -304,7 +306,8 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour, ambient):
                 # the state past the limit holds the first j terms of the tail
                 j = len(tail.nums) - steps + _MAX_STEPS + 1
                 head = tail.nums[:j]
-                raise StepLimitError(prefix + _canonical(head, tail.den, INF), head[-1][0])
+                head = _canonical(head, tail.den, tail.ram, INF)
+                raise StepLimitError(prefix + head, _exp(head.nums[-1][0], head.ram))
             result.branches.append(PartialSolution(prefix + tail, 1, residual))
             continue
         if contour is None:
@@ -393,25 +396,26 @@ def _lift(q, e, bound, ambient, budget):
     ))
     # the exponents of the root lie on the lattice unit*Z, so the terms below
     # the cut are those below the first lattice point at or past it
-    exps = [x for alpha in q.coeffs for x, _n in alpha.nums]
-    den = lcm(*(x.denominator for x in exps))
-    unit = _exponent(Fraction(gcd(*(x.numerator * (den // x.denominator) for x in exps)) or 1, den))
+    den = lcm(*(alpha.ram for alpha in q.coeffs))
+    unit = gcd(*(k * (den // alpha.ram) for alpha in q.coeffs for k, _n in alpha.nums))
+    unit = _exp(unit, den) if unit else 1
     cut = _exponent(-(-min(max(bound, bound - v1), reach - v1) // unit) * unit)
     z = PuiseuxSeries.x_power(e, -q.coeffs[0].leading()[1] / c1)
     known = _exponent(e + unit)  # z is the root below known
     g = slopes = None
     while True:
-        rest = _below(z.nums, cut)
+        rest = _below(z.nums, cut * z.ram)
         if len(rest) < len(z.nums):
             # the root's first term past the cut is known: q(tail) has the
             # valuation v1 plus its exponent
-            x = z.nums[len(rest)][0]
-            return _in_field(_canonical(rest, z.den, INF), ambient), _exponent(v1 + x)
+            x = _exp(z.nums[len(rest)][0], z.ram)
+            return _in_field(_canonical(rest, z.den, z.ram, INF), ambient), _exponent(v1 + x)
         if len(z.nums) > budget:
             return _in_field(z, ambient), None
         # lift past the cut by the largest gap between terms so far, so that
         # the first term past it is likely known
-        gap = max((b[0] - a[0] for a, b in zip(z.nums, z.nums[1:])), default=unit)
+        gap = max((b[0] - a[0] for a, b in zip(z.nums, z.nums[1:])), default=0)
+        gap = _exp(gap, z.ram) if gap else unit
         target = _exponent(min(2 * known - e, max(cut + gap, known + unit)))
         f = _horner(q.coeffs, z, e, v1 + target)
         if known >= cut:
@@ -439,8 +443,9 @@ def _in_field(s, ambient):
     if ambient is None:
         return s
     return _make(tuple(
-        (x, c if isinstance(c, AlgebraicNumber) else ambient.lift(c)) for x, c in s.terms
-    ), 1, INF)
+        (k, n if isinstance(n, AlgebraicNumber) else ambient.lift(_coefficient(n, s.den)))
+        for k, n in s.nums
+    ), 1, s.ram, s.trunc)
 
 
 def _horner(coeffs, z, e, prec):
@@ -453,7 +458,7 @@ def _horner(coeffs, z, e, prec):
 
 def _exact(s):
     """The known terms of ``s`` as an exact series."""
-    return _make(s.nums, s.den, INF)
+    return _canonical(s.nums, s.den, s.ram, INF)
 
 
 def _push_root(q, prefix, e, root, m, ambient, stack):

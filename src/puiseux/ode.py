@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import floor, lcm
 from math import gcd as _gcd
 
 from .algebraic import SeriesPolynomial, _solve_beyond
@@ -50,10 +51,13 @@ from .series import (
     PuiseuxSeries,
     SeriesError,
     _as_exponent,
+    _below,
+    _canonical,
     _coefficient,
+    _exp,
     _exponent,
     _make,
-    _semigroup,
+    _num,
     default_branch,
     miller_step,
     substitute_series,
@@ -448,10 +452,16 @@ def index_lattice(e: MonomialODE, t: InitialTerm, bound, widen=()) -> IndexLatti
     mu0 = t.exponent
     gens = _generators(e, mu0, widen)
     bound = _as_exponent(bound)
-    positive = [g for g in gens if g > 0]
-    sums = _semigroup(positive, bound - mu0)
-    elements = sorted({mu0} | {_exponent(mu0 + s) for s in sums})
-    return IndexLattice(mu0, tuple(gens), tuple(elements), bound)
+    # the sums of positive generators up to bound - mu0, as numerators over
+    # the lcm of their denominators
+    ram = lcm(*(g.denominator for g in gens if g > 0))
+    steps = [_num(g, ram) for g in gens if g > 0]
+    sums = {0}
+    for v in range(1, floor((bound - mu0) * ram) + 1 if steps else 1):
+        if any(v - g in sums for g in steps):
+            sums.add(v)
+    elements = tuple(_exponent(mu0 + Fraction(v, ram)) for v in sorted(sums))
+    return IndexLattice(mu0, tuple(gens), elements, bound)
 
 
 # -- solution branches ---------------------------------------------------------
@@ -740,10 +750,11 @@ class _ResidualCoefficients:
                 if mono.y_exp == 0 and mono.x_exp == target:
                     total = total + mono.coefficient
             return -total
-        m = y.nums[0][0]
+        (k0, _n), ram = y.nums[0], y.ram
+        m = _exp(k0, ram)
         for te, n in y.nums[len(self.offsets):]:
-            self.offsets.append((te - m, _coefficient(n, y.den)))
-            self.lookup[te - m] = self.offsets[-1][1]
+            self.offsets.append((_exp(te - k0, ram), _coefficient(n, y.den)))
+            self.lookup[self.offsets[-1][0]] = self.offsets[-1][1]
         offsets = self.offsets
         ctx = (offsets, self.lookup, offsets[0][1], level - m)
         for mono in self.monomials:
@@ -842,10 +853,10 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
             start = PuiseuxSeries.x_power(last, t_root)
         else:
             y_prev = w_prev.pow_rational(s).truncate(orders[-1])
-            start = PuiseuxSeries(
-                tuple((x, c) for x, c in w_prev.terms if x < prev_bw)
-            )
-            last = start.nums[-1][0]
+            # the known terms of w_prev below prev_bw, as an exact series
+            head = _below(w_prev.nums, prev_bw * w_prev.ram)
+            start = _canonical(head, w_prev.den, w_prev.ram, INF)
+            last = _exp(start.nums[-1][0], start.ram)
         poly = _modified_polynomial(e, y_prev, s, shift)
         bound_w = _exponent(c_k - Fraction((s - 1) * mu0, s))
         res = _solve_beyond(poly, start, last, bound_w, mode=mode)
@@ -1004,7 +1015,7 @@ def _renumber_free_constants(branches):
         )
         branches[i] = replace(
             b,
-            series=_make(nums, b.series.den, b.series.trunc),
+            series=_make(nums, b.series.den, b.series.ram, b.series.trunc),
             free_constant=_param(free.nums, free.den, new),
         )
 

@@ -4,33 +4,32 @@ A series is a finite, strictly increasing list of ``(exponent, coefficient)``
 terms together with a truncation exponent ``trunc``: every term with exponent
 below ``trunc`` is exactly known, everything at or above it is unknown.  An
 exact series (a Puiseux polynomial) has ``trunc == INF``.  Values are
-immutable and operations pure.  An exponent, and a finite ``trunc``, is an
-``int`` when integral and a ``Fraction`` otherwise (``_as_exponent`` for
-outside input, ``_exponent`` where Fraction arithmetic can land on an
+immutable and operations pure.  A public exponent, and a finite ``trunc``,
+is an ``int`` when integral and a ``Fraction`` otherwise (``_as_exponent``
+for outside input, ``_exponent`` where Fraction arithmetic can land on an
 integer); the rule changes no value.
 
-Coefficients are stored fraction-free, as FLINT's ``fmpq_poly`` stores a
-polynomial: ``nums`` holds ``(exponent, n)`` pairs with int numerators n
-over one positive int ``den``, the coefficient being n/den.  Sums scale
-to the lcm of the denominators and products multiply them, so the ring
-operations, and ``ptaylor_shift`` over series, run on ints.  A numerator
-outside Q (an ``AlgebraicNumber`` or a ``ParamPoly``) goes through the
-same code over the denominator 1: a result holding one is brought back
-to ``den = 1``, rational coefficients beside it stay ints or Fractions.
-``terms``, the public view with every rational coefficient a Fraction,
-is built on first use and cached; code that needs only exponents,
-emptiness or the domain reads ``nums``.
+Storage is a Laurent series in x^(1/ram), ``ram`` the ramification index,
+with coefficients as FLINT's ``fmpq_poly`` stores them: ``nums`` holds
+``(k, n)`` pairs, the term (n/den)*x^(k/ram), k and n ints over one
+positive int ``den``.  Sums bring both sides to the lcm of the indices and
+of the denominators and products multiply the denominators, so the ring
+operations run on ints; at ``ram == 1`` k is the exponent.  A numerator
+outside Q (``AlgebraicNumber``, ``ParamPoly``) takes the same code over
+den 1, rational coefficients beside it staying ints or Fractions.
+``trunc`` keeps its public value; ``terms``, the public view, is cached.
 
 Canonical form: exponents strictly increase and lie below ``trunc``, no
-numerator is zero, gcd(den, n...) = 1, and an empty series has den 1.
-The public ``PuiseuxSeries(terms, trunc)`` canonicalises outside input
-(merging equal exponents, sorting, dropping zeros and terms past
-``trunc``).  The operations build results canonical up to the content,
-which the trusted ``_canonical`` divides out with one gcd; the domains
-have no zero divisors, so a product of nonzero numerators is never zero.
-Besides the general convolution, a product with a one-term factor is one
-ordered pass over the other factor, and a square (every squaring inside
-``ppow``) multiplies each unordered pair of distinct terms once.
+numerator is zero, gcd(den, n...) = 1, an empty series has den 1, and
+``ram`` is the least index that holds every exponent and a finite trunc.
+``PuiseuxSeries(terms, trunc)`` canonicalises outside input (merging
+equal exponents, sorting, dropping zeros and terms past ``trunc``).  The
+operations build results canonical up to the content and the index, which
+the trusted ``_canonical`` divides out; the domains have no zero divisors,
+so a product of nonzero numerators is never zero.  Besides the general
+convolution, a product with a one-term factor is one ordered pass over the
+other factor, and a square (every squaring inside ``ppow``) multiplies
+each unordered pair of distinct terms once.
 
 The canonical text form is ``c0*x^(p0/q0) + ... + O(x^(pt/qt))`` and
 round-trips bit-exactly through :func:`puiseux.parsing.parse_series_text`.
@@ -48,6 +47,7 @@ from .polyutils import fraction_nth_root, ppow
 
 INF = float("inf")
 _ONE = ((0, 1),)
+_first = itemgetter(0)
 
 
 class SeriesError(ValueError):
@@ -77,65 +77,84 @@ def _as_exponent(e):
     return _exponent(Fraction(e))
 
 
-def _make(nums, den, trunc):
-    """A series from ``nums``, ``den`` and ``trunc`` that are already
-    canonical; nothing is checked."""
+def _exp(k, ram):
+    """The public exponent k/ram (INF for INF)."""
+    if ram == 1 or k == INF:
+        return k
+    return Fraction(k, ram) if k % ram else k // ram
+
+
+def _num(e, ram):
+    """The numerator of ``e`` (or INF) over ``ram``, a multiple of its denominator."""
+    return e.numerator * (ram // e.denominator) if type(e) is Fraction else e * ram
+
+
+def _make(nums, den, ram, trunc):
+    """A series from ``nums``, ``den``, ``ram`` and the public ``trunc``
+    that are already canonical; nothing is checked."""
     s = _new(PuiseuxSeries)
     _set_nums(s, nums)
     _set_den(s, den)
+    _set_ram(s, ram)
     _set_trunc(s, trunc)
     return s
 
 
-def _canonical(nums, den, trunc):
-    """A series from ``nums`` over ``den`` that are canonical up to their
-    content: it is divided out, and a numerator outside Q takes ``den``."""
-    if not nums:
-        return _make((), 1, trunc)
-    if den > 1:
+def _canonical(nums, den, ram, t):
+    """A series from ``nums`` over ``den`` and ``ram`` below the trunc numerator
+    ``t``, content and index divided out; a numerator outside Q takes ``den``."""
+    if ram > 1:
+        g = gcd(ram, *map(_first, nums)) if t == INF else gcd(ram, t, *map(_first, nums))
+        if g > 1:
+            nums = tuple([(k // g, n) for k, n in nums])
+            ram //= g
+            t = t if t == INF else t // g
+    if den > 1 and nums:
         try:
             g = gcd(den, *map(itemgetter(1), nums))
         except TypeError:  # a numerator outside Q: back to the denominator 1
-            return _make(tuple((e, _coefficient(n, den)) for e, n in nums), 1, trunc)
+            nums, den, g = tuple((k, _coefficient(n, den)) for k, n in nums), 1, 1
         if g > 1:
-            nums = tuple([(e, n // g) for e, n in nums])
+            nums = tuple([(k, n // g) for k, n in nums])
             den //= g
-    return _make(nums, den, trunc)
+    return _make(nums, den if nums else 1, ram, _exp(t, ram))
 
 
-def _kernel(terms):
-    """``(nums, den)`` of canonical ``(exponent, coefficient)`` pairs."""
-    if not all(isinstance(c, _RATIONAL) for _e, c in terms):
-        return terms, 1
-    den = lcm(*(c.denominator for _e, c in terms))
-    return tuple((e, c.numerator * (den // c.denominator)) for e, c in terms), den
+def _series(terms, ram, t):
+    """A series from sorted ``(k, coefficient)`` pairs, nonzero, below ``t``."""
+    den = 1
+    if all(isinstance(c, _RATIONAL) for _k, c in terms):
+        den = lcm(*(c.denominator for _k, c in terms))
+        terms = tuple([(k, c.numerator * (den // c.denominator)) for k, c in terms])
+    return _canonical(terms, den, ram, t)
 
 
 def _coefficient(n, den):
     """The coefficient stored as the numerator ``n`` over ``den``."""
-    if type(n) is int:
-        return Fraction(n, den)
-    return n / den if den > 1 else n
+    return Fraction(n, den) if type(n) is int else n / den if den > 1 else n
 
 
 def _scaled(nums, k):
     return nums if k == 1 else tuple([(e, n * k) for e, n in nums])
 
 
+def _at(nums, s):
+    """``nums`` over an index ``s`` times their own."""
+    return nums if s == 1 else tuple([(k * s, n) for k, n in nums])
+
+
 def _below(nums, t):
-    """The canonical ``nums`` with exponent below ``t``."""
-    return nums[: bisect_left(nums, t, key=itemgetter(0))]
+    """The canonical ``nums`` with exponent numerator below ``t``."""
+    return nums[: bisect_left(nums, t, key=_first)]
 
 
 def _merge(a, b):
-    """The sum of the canonical ``nums`` ``a`` and ``b`` over one
-    denominator: one pass over both, zero sums dropped."""
+    """The sum of canonical ``nums`` over one den and ram, zero sums dropped."""
     out = []
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
-        ea = a[i][0]
-        eb = b[j][0]
+        ea, eb = a[i][0], b[j][0]
         if ea < eb:
             out.append(a[i])
             i += 1
@@ -146,15 +165,14 @@ def _merge(a, b):
             c = a[i][1] + b[j][1]
             if c:
                 out.append((ea, c))
-            i += 1
-            j += 1
+            i, j = i + 1, j + 1
     return (*out, *a[i:], *b[j:])
 
 
 class PuiseuxSeries:
     """An exactly truncated generalized Puiseux series."""
 
-    __slots__ = ("nums", "den", "trunc", "_terms")
+    __slots__ = ("nums", "den", "ram", "trunc", "_terms")
 
     def __init__(self, terms=(), trunc=INF):
         trunc = _as_exponent(trunc)
@@ -163,10 +181,10 @@ class PuiseuxSeries:
             e, c = _as_exponent(e), c if type(c) is int else as_coefficient(c)
             merged[e] = merged[e] + c if e in merged else c
         clean = [(e, merged[e]) for e in sorted(merged) if merged[e] and e < trunc]
-        nums, den = _kernel(tuple(clean))
-        _set_nums(self, nums)
-        _set_den(self, den)
-        _set_trunc(self, trunc)
+        ram = lcm(*(e.denominator for e, _c in clean), 1 if trunc == INF else trunc.denominator)
+        s = _series(tuple([(_num(e, ram), c) for e, c in clean]), ram, _num(trunc, ram))
+        for slot in ("nums", "den", "ram", "trunc"):
+            object.__setattr__(self, slot, getattr(s, slot))
 
     def __setattr__(self, *args):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -178,7 +196,8 @@ class PuiseuxSeries:
         try:
             return self._terms
         except AttributeError:
-            view = tuple((e, _coefficient(n, self.den)) for e, n in self.nums)
+            den, ram = self.den, self.ram
+            view = tuple((_exp(k, ram), _coefficient(n, den)) for k, n in self.nums)
             object.__setattr__(self, "_terms", view)
             return view
 
@@ -190,7 +209,7 @@ class PuiseuxSeries:
 
     @classmethod
     def one(cls):
-        return _make(_ONE, 1, INF)
+        return _make(_ONE, 1, 1, INF)
 
     @classmethod
     def constant(cls, c):
@@ -199,9 +218,11 @@ class PuiseuxSeries:
     @classmethod
     def x_power(cls, e, c=1):
         c = c if type(c) is int else as_coefficient(c)
-        return _make(*_kernel(((_as_exponent(e), c),) if c else ()), INF)
-
-    # -- structure -----------------------------------------------------
+        if not c:
+            return _make((), 1, 1, INF)
+        e = _as_exponent(e)
+        n, d = (c.numerator, c.denominator) if isinstance(c, _RATIONAL) else (c, 1)
+        return _make(((e.numerator, n),), d, e.denominator, INF)
 
     @property
     def is_zero(self):
@@ -218,27 +239,25 @@ class PuiseuxSeries:
 
     def valuation(self):
         """Least exponent of the support; INF for an empty support."""
-        return self.nums[0][0] if self.nums else INF
+        return _exp(self.nums[0][0], self.ram) if self.nums else INF
 
     def val_floor(self):
         """Certified lower bound on the true valuation."""
-        return self.nums[0][0] if self.nums else self.trunc
+        return _exp(self.nums[0][0], self.ram) if self.nums else self.trunc
 
     def leading(self):
         if not self.nums:
             raise SeriesError("zero series has no leading term")
-        e, n = self.nums[0]
-        return e, _coefficient(n, self.den)
+        k, n = self.nums[0]
+        return _exp(k, self.ram), _coefficient(n, self.den)
 
     def coefficient(self, e):
         """Exact coefficient at exponent ``e``; PrecisionError past trunc."""
         e = _as_exponent(e)
         if e >= self.trunc:
             raise PrecisionError(f"coefficient at {e} is beyond trunc {self.trunc}")
-        for te, n in self.nums:
-            if te == e:
-                return _coefficient(n, self.den)
-        return Fraction(0)
+        k = e * self.ram
+        return next((_coefficient(n, self.den) for te, n in self.nums if te == k), Fraction(0))
 
     def truncate(self, t):
         t = _as_exponent(t)
@@ -246,7 +265,9 @@ class PuiseuxSeries:
 
     def with_trunc(self, t):
         t = _as_exponent(t)
-        return _canonical(_below(self.nums, t), self.den, t)
+        ram = self.ram if t == INF else lcm(self.ram, t.denominator)
+        t = _num(t, ram)
+        return _canonical(_below(_at(self.nums, ram // self.ram), t), self.den, ram, t)
 
     # -- ring operations -------------------------------------------------
 
@@ -255,17 +276,19 @@ class PuiseuxSeries:
             if not isinstance(other, _RATIONAL):
                 return NotImplemented
             other = PuiseuxSeries.constant(other)
-        trunc = min(self.trunc, other.trunc)
+        ra, rb = self.ram, other.ram
+        ram = ra if ra == rb else lcm(ra, rb)
+        t = min(_num(self.trunc, ram), _num(other.trunc, ram))
         da, db = self.den, other.den
         den = da if da == db else lcm(da, db)
-        a = _scaled(_below(self.nums, trunc), den // da)
-        b = _scaled(_below(other.nums, trunc), den // db)
-        return _canonical(_merge(a, b), den, trunc)
+        a = _scaled(_below(_at(self.nums, ram // ra), t), den // da)
+        b = _scaled(_below(_at(other.nums, ram // rb), t), den // db)
+        return _canonical(_merge(a, b), den, ram, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(tuple((e, -n) for e, n in self.nums), self.den, self.trunc)
+        return _make(tuple((k, -n) for k, n in self.nums), self.den, self.ram, self.trunc)
 
     def __sub__(self, other):
         if not isinstance(other, (PuiseuxSeries, *_RATIONAL)):
@@ -278,21 +301,20 @@ class PuiseuxSeries:
     def __mul__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return self.scale(other)
-        trunc = min(self.val_floor() + other.trunc, other.val_floor() + self.trunc)
-        trunc = _exponent(trunc)
+        ra, rb = self.ram, other.ram
+        ram = ra if ra == rb else lcm(ra, rb)
+        a, b = _at(self.nums, ram // ra), _at(other.nums, ram // rb)
+        ta, tb = _num(self.trunc, ram), _num(other.trunc, ram)
+        trunc = min((a[0][0] if a else ta) + tb, (b[0][0] if b else tb) + ta)
         if self.nums == _ONE and self.den == 1:  # a product with one
-            return other.truncate(trunc)
+            return other.truncate(_exp(trunc, ram))
         if other.nums == _ONE and other.den == 1:
-            return self.truncate(trunc)
-        a, b, den = self.nums, other.nums, self.den * other.den
+            return self.truncate(_exp(trunc, ram))
+        den = self.den * other.den
         if len(a) == 1 or len(b) == 1:
             ((e1, c1),), b = (a, b) if len(a) == 1 else (b, a)
-            b = _below(b, trunc - e1)
-            if type(e1) is int:  # int + Fraction is never integral
-                terms = tuple([(e1 + e2, c1 * c2) for e2, c2 in b])
-            else:
-                terms = tuple([(_exponent(e1 + e2), c1 * c2) for e2, c2 in b])
-            return _canonical(terms, den, trunc)
+            terms = tuple([(e1 + e2, c1 * c2) for e2, c2 in _below(b, trunc - e1)])
+            return _canonical(terms, den, ram, trunc)
         acc = {}
         if other is self:
             # a square: each unordered pair of distinct terms once, doubled
@@ -314,59 +336,54 @@ class PuiseuxSeries:
                     if e >= trunc:
                         break
                     acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
-        terms = tuple((_exponent(e), acc[e]) for e in sorted(acc) if acc[e])
-        return _canonical(terms, den, trunc)
+        return _canonical(tuple((e, acc[e]) for e in sorted(acc) if acc[e]), den, ram, trunc)
 
     def scale(self, c):
         c = c if type(c) is int else as_coefficient(c)
         if not c:
-            return _make((), 1, INF)
+            return _make((), 1, 1, INF)
         p, q = (c.numerator, c.denominator) if isinstance(c, _RATIONAL) else (c, 1)
-        nums = tuple([(e, p * n) for e, n in self.nums])
-        return _canonical(nums, self.den * q, self.trunc)
+        nums = tuple([(k, p * n) for k, n in self.nums])
+        return _canonical(nums, self.den * q, self.ram, _num(self.trunc, self.ram))
 
     __rmul__ = scale
 
     def shift(self, e):
         """Multiply by x^e."""
         e = _as_exponent(e)
-        nums = tuple((_exponent(te + e), n) for te, n in self.nums)
-        return _make(nums, self.den, _exponent(self.trunc + e))
+        ram = self.ram if type(e) is int else lcm(self.ram, e.denominator)
+        s, k = ram // self.ram, _num(e, ram)
+        nums = tuple([(x * s + k, n) for x, n in self.nums])
+        return _canonical(nums, self.den, ram, _num(self.trunc, ram) + k)
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             if not isinstance(other, _RATIONAL):
                 return NotImplemented
             other = PuiseuxSeries.constant(other)
+        if self.ram != other.ram or self.trunc != other.trunc:
+            return False  # canonical forms of equal series share both
         if self.den == other.den:
-            return self.trunc == other.trunc and self.nums == other.nums
-        return self.trunc == other.trunc and self.terms == other.terms
+            return self.nums == other.nums
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.terms, self.trunc))
+        # not the numerators: a rational AlgebraicNumber equals a Fraction
+        return hash((self.ram, tuple(map(_first, self.nums)), self.trunc))
 
     def agrees_with(self, other, below):
         """Termwise equality of the two series strictly below ``below``."""
         below = min(_as_exponent(below), self.trunc, other.trunc)
         return self.with_trunc(below) == other.with_trunc(below)
 
-    # -- calculus ---------------------------------------------------------
-
     def differentiate(self):
         """Termwise d/dx; constants vanish and trunc drops by one."""
-        t = self.trunc if self.trunc == INF else self.trunc - 1
-        # n*e over den is n*e*k over den*k, k the lcm of the exponent denominators
-        k = lcm(*(e.denominator for e, _n in self.nums))
-        nums = tuple(
-            (e - 1, n * (e.numerator * (k // e.denominator))) for e, n in self.nums if e
-        )
-        return _canonical(nums, self.den * k, t)
-
-    # -- multiplicative structure ----------------------------------------
+        r = self.ram  # (n/den)*(k/r)*x^((k - r)/r)
+        nums = tuple([(k - r, n * k) for k, n in self.nums if k])
+        return _canonical(nums, self.den * r, r, _num(self.trunc, r) - r)
 
     def invert(self, prec=None):
-        """The reciprocal; ``prec``, a target trunc, is required whenever
-        the reciprocal of an exact series does not terminate."""
+        """The reciprocal; ``prec``, a target trunc, is required unless it terminates."""
         return self.pow_rational(-1, prec=prec)
 
     def pow_rational(self, sigma, branch=None, prec=None):
@@ -377,10 +394,10 @@ class PuiseuxSeries:
         p/q); by default the canonical exact rational root is used.  A
         positive integer power is a plain ring power.  Every other power of
         y = c_0*x^m + sum c_k*x^(m + delta_k) is x^(sigma*m) * sum p_d*x^d,
-        p_0 the branch and p_d from :func:`miller_step` over the semigroup
-        of the delta_k; the step reads only c_k/c_0, so it runs on the
-        numerators.  The result is known below sigma*m + min(trunc - m,
-        prec - sigma*m); an exact series of several terms needs ``prec``.
+        p_0 the branch and p_d from :func:`miller_step`, which reads only
+        c_k/c_0 and d/delta_k: it runs on the numerators of both, over the
+        multiples of gcd(delta_k) (p_d vanishes off their semigroup).  The
+        result is known below sigma*m + min(trunc - m, prec - sigma*m).
         """
         sigma = _as_exponent(sigma)
         if not self.nums:
@@ -392,40 +409,34 @@ class PuiseuxSeries:
         if type(sigma) is int and sigma > 0:
             # plain ring power: no leading-coefficient root or inverse needed
             result = ppow(self, sigma, PuiseuxSeries.one())
-            if prec is not None:
-                result = result.truncate(prec)
-            return result
+            return result if prec is None else result.truncate(prec)
         m, c = self.leading()
         if branch is None:
             branch = default_branch(c, sigma)
         else:
             branch = as_coefficient(branch)
             if branch ** sigma.denominator != c**sigma.numerator:
-                raise BranchError(
-                    f"branch {branch} is not a {sigma.denominator}-th root "
-                    f"of {c}^{sigma.numerator}"
-                )
-        offsets = tuple((e - m, n) for e, n in self.nums[1:])
+                raise BranchError(f"branch {branch} is not a {sigma.denominator}-th root "
+                                  f"of {c}^{sigma.numerator}")
+        (k0, c0), r = self.nums[0], self.ram
+        offsets = tuple([(k - k0, n) for k, n in self.nums[1:]])
         bound = self.trunc - m
         if prec is not None:
             bound = min(bound, _as_exponent(prec) - sigma * m)
         if bound == INF and offsets:
-            raise PrecisionError(
-                "prec is required for a non-terminating power expansion"
-            )
-        table = {0: branch}
-        support = _semigroup([delta for delta, _c in offsets], bound)
-        c0 = self.nums[0][1]
-        for d in sorted(support):
-            if d < bound:
-                table[d] = miller_step(sigma, d, offsets, c0, table.get)
+            raise PrecisionError("prec is required for a non-terminating power expansion")
+        top = bound if bound == INF else -(-bound * r // 1)  # d < top <=> d/r < bound
+        table, step = {0: branch}, gcd(*map(_first, offsets))
+        for d in range(step, top, step) if offsets else ():
+            p = miller_step(sigma, d, offsets, c0, table.get)
+            if p:
+                table[d] = p
         base = _exponent(sigma * m)
-        terms = tuple(
-            (_exponent(base + d), p) for d, p in table.items() if p and d < bound
-        )
-        return _make(*_kernel(terms), _exponent(bound + base))
-
-    # -- text form --------------------------------------------------------
+        trunc = _exponent(base + bound)
+        ram = lcm(r, base.denominator, 1 if trunc == INF else trunc.denominator)
+        b, s = _num(base, ram), ram // r
+        terms = tuple([(b + d * s, p) for d, p in table.items() if d < top])
+        return _series(terms, ram, _num(trunc, ram))
 
     def __str__(self):
         return format_series(self)
@@ -437,17 +448,8 @@ class PuiseuxSeries:
 _new = object.__new__
 _set_nums = PuiseuxSeries.nums.__set__
 _set_den = PuiseuxSeries.den.__set__
+_set_ram = PuiseuxSeries.ram.__set__
 _set_trunc = PuiseuxSeries.trunc.__set__
-
-
-def _semigroup(generators, bound):
-    """All sums of >= 1 generators up to ``bound`` (inclusive)."""
-    sums, frontier = set(), {0}
-    while frontier:
-        frontier = {v for b in frontier for g in generators if (v := b + g) <= bound}
-        frontier -= sums
-        sums |= frontier
-    return sums
 
 
 def miller_step(sigma, d, offsets, c0, power):
@@ -458,7 +460,7 @@ def miller_step(sigma, d, offsets, c0, power):
 
     ``offsets`` are the ascending pairs (delta_k > 0, c_k) of y's terms
     above its leading coefficient ``c0``; ``power(d')`` is p at a lower
-    offset, falsy when it vanishes.  Zero products are left out.
+    offset, falsy when it vanishes.  Zero products and sums are not divided.
     """
     value = Fraction(0)
     for delta, c in offsets:
@@ -467,7 +469,7 @@ def miller_step(sigma, d, offsets, c0, power):
         p = power(d - delta)
         if p:
             value = value + c * ((sigma + 1) * delta - d) * p
-    return value / (d * c0)
+    return value / (d * c0) if value else value
 
 
 def default_branch(c, sigma):

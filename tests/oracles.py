@@ -16,7 +16,7 @@ from puiseux.polyutils import (
     pstrip,
     psub,
 )
-from puiseux.series import INF, PuiseuxSeries, SeriesError, _as_exponent, _semigroup
+from puiseux.series import INF, PuiseuxSeries, SeriesError, _as_exponent
 
 
 class PowerExpansion:
@@ -124,6 +124,16 @@ def branch_count_bound(e) -> int:
     if spread < 1:
         return s
     return s * 2 ** (spread * s - 1) if spread * s >= 1 else s
+
+
+def _semigroup(generators, bound):
+    """All sums of >= 1 generators up to ``bound`` (inclusive)."""
+    sums, frontier = set(), {0}
+    while frontier:
+        frontier = {v for b in frontier for g in generators if (v := b + g) <= bound}
+        frontier -= sums
+        sums |= frontier
+    return sums
 
 
 def nondecomposable_for(lattice, target):
