@@ -46,13 +46,14 @@ A free constant anywhere in q takes the contour route, where the root
 search refuses it (or reads a constant one as a rational).
 
 Each solve runs in t with x = t^Q, Q = lcm(1, ..., N) times the lcm of
-the exponent denominators of its input (the coefficients' exponents and
-finite truncs, the prefix and the last exponent), N the degree in y.
+the ramification indices of the input (the coefficients and the prefix,
+with their finite truncs) and of the last exponent, N the degree in y.
 Every root of an exact polynomial has a ramification index of at most N
 over the input's exponents, so its valuation, and with it every breaking
 point (the valuation of a root minus the prefix), is an integer in t,
-and the whole contour loop runs on ``int`` exponents.  The branches are
-mapped back to x at the end.  Correctness never rests on this: a
+and the whole contour loop runs on ``int`` exponents.  A series in t
+reads the exponent numerators of its x-series over Q, and a branch reads
+its own back over Q times its index.  Correctness never rests on this: a
 breaking point that is not integral in t (truncated data can produce
 one) stays an exact ``Fraction``.
 """
@@ -79,11 +80,9 @@ from .series import (
     _at,
     _below,
     _canonical,
-    _coefficient,
     _exp,
     _exponent,
     _make,
-    _num,
     format_series,
 )
 
@@ -130,11 +129,7 @@ def _as_series(c):
 
 def contour_of(p: SeriesPolynomial) -> Contour:
     """Envelope of the lines (leading exponent of alpha_i) + i*x."""
-    lines = []
-    for i, alpha in enumerate(p.coeffs):
-        if alpha.nums:
-            lines.append(Line(i, alpha.valuation(), key=i))
-    return Contour(lines)
+    return Contour([Line(i, a.valuation(), key=i) for i, a in enumerate(p.coeffs) if a.nums])
 
 
 @dataclass(frozen=True)
@@ -229,10 +224,10 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
     )
 
     def in_t(s):  # the numerators over ram, read over the index 1
-        return _make(_at(s.nums, ram // s.ram), s.den, 1, _num(s.trunc, ram))
+        return _make(_at(s.nums, ram // s.ram), s.den, 1, _exponent(s.trunc * ram))
 
     def in_x(s):  # the numerators over s.ram, read over s.ram * ram
-        return _canonical(s.nums, s.den, s.ram * ram, _num(s.trunc, s.ram))
+        return _canonical(s.nums, s.den, s.ram * ram, _exponent(s.trunc * s.ram))
 
     q = SeriesPolynomial([in_t(c) for c in p.coeffs])
     prefix, contour, mult = in_t(prefix), None, q.degree
@@ -305,9 +300,8 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour, ambient):
             if steps > _MAX_STEPS:
                 # the state past the limit holds the first j terms of the tail
                 j = len(tail.nums) - steps + _MAX_STEPS + 1
-                head = tail.nums[:j]
-                head = _canonical(head, tail.den, tail.ram, INF)
-                raise StepLimitError(prefix + head, _exp(head.nums[-1][0], head.ram))
+                head = _canonical(tail.nums[:j], tail.den, tail.ram, INF)
+                raise StepLimitError(prefix + head, head.terms[-1][0])
             result.branches.append(PartialSolution(prefix + tail, 1, residual))
             continue
         if contour is None:
@@ -338,7 +332,9 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour, ambient):
             merged[key].multiplicity += b.multiplicity
         else:
             merged[key] = b
-    result.branches = sorted(merged.values(), key=PartialSolution.sort_key)
+    result.branches = list(merged.values())
+    if len(result.branches) > 1:  # a key reads every term
+        result.branches.sort(key=PartialSolution.sort_key)
     return result
 
 
@@ -396,9 +392,8 @@ def _lift(q, e, bound, ambient, budget):
     ))
     # the exponents of the root lie on the lattice unit*Z, so the terms below
     # the cut are those below the first lattice point at or past it
-    den = lcm(*(alpha.ram for alpha in q.coeffs))
-    unit = gcd(*(k * (den // alpha.ram) for alpha in q.coeffs for k, _n in alpha.nums))
-    unit = _exp(unit, den) if unit else 1
+    den = lcm(*(a.ram for a in q.coeffs))
+    unit = _exp(gcd(*(k * (den // a.ram) for a in q.coeffs for k, _n in a.nums)) or den, den)
     cut = _exponent(-(-min(max(bound, bound - v1), reach - v1) // unit) * unit)
     z = PuiseuxSeries.x_power(e, -q.coeffs[0].leading()[1] / c1)
     known = _exponent(e + unit)  # z is the root below known
@@ -442,10 +437,8 @@ def _in_field(s, ambient):
     """``s`` with every rational coefficient lifted into ``ambient``."""
     if ambient is None:
         return s
-    return _make(tuple(
-        (k, n if isinstance(n, AlgebraicNumber) else ambient.lift(_coefficient(n, s.den)))
-        for k, n in s.nums
-    ), 1, s.ram, s.trunc)
+    lift = [c if isinstance(c, AlgebraicNumber) else ambient.lift(c) for _e, c in s.terms]
+    return _make(tuple(zip((k for k, _n in s.nums), lift)), 1, s.ram, s.trunc)
 
 
 def _horner(coeffs, z, e, prec):
@@ -456,9 +449,9 @@ def _horner(coeffs, z, e, prec):
     return acc
 
 
-def _exact(s):
-    """The known terms of ``s`` as an exact series."""
-    return _canonical(s.nums, s.den, s.ram, INF)
+def _exact(s, below=INF):
+    """The known terms of ``s`` below ``below`` as an exact series."""
+    return _canonical(_below(s.nums, below * s.ram), s.den, s.ram, INF)
 
 
 def _push_root(q, prefix, e, root, m, ambient, stack):

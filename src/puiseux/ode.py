@@ -30,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import floor, lcm
-from math import gcd as _gcd
+from math import floor, gcd, lcm
 
-from .algebraic import SeriesPolynomial, _solve_beyond
+from .algebraic import SeriesPolynomial, _exact, _solve_beyond
 from .coefficients import (
     ParamPoly,
     UnsupportedSymbolic,
@@ -51,13 +50,10 @@ from .series import (
     PuiseuxSeries,
     SeriesError,
     _as_exponent,
-    _below,
-    _canonical,
     _coefficient,
     _exp,
     _exponent,
     _make,
-    _num,
     default_branch,
     miller_step,
     substitute_series,
@@ -260,10 +256,7 @@ def _initial_sort_key(t: InitialTerm):
 
 def _root_scale(e):
     """lcm of the sigma denominators: the s of the y^(1/s) branch choice."""
-    s = 1
-    for sig in e.sigmas():
-        s = s * sig.denominator // _gcd(s, sig.denominator)
-    return s
+    return lcm(*(sig.denominator for sig in e.sigmas()))
 
 
 def _vertex_terms(e, mu0, pairs, resonant, mode, result, **fields):
@@ -452,15 +445,14 @@ def index_lattice(e: MonomialODE, t: InitialTerm, bound, widen=()) -> IndexLatti
     mu0 = t.exponent
     gens = _generators(e, mu0, widen)
     bound = _as_exponent(bound)
-    # the sums of positive generators up to bound - mu0, as numerators over
-    # the lcm of their denominators
+    # sums of positive generators up to bound - mu0: multiples of their gcd over one denominator
     ram = lcm(*(g.denominator for g in gens if g > 0))
-    steps = [_num(g, ram) for g in gens if g > 0]
-    sums = {0}
-    for v in range(1, floor((bound - mu0) * ram) + 1 if steps else 1):
+    steps = [int(g * ram) for g in gens if g > 0]
+    sums, unit = {0}, gcd(*steps) or 1
+    for v in range(unit, floor((bound - mu0) * ram) + 1 if steps else 0, unit):
         if any(v - g in sums for g in steps):
             sums.add(v)
-    elements = tuple(_exponent(mu0 + Fraction(v, ram)) for v in sorted(sums))
+    elements = tuple(_exponent(mu0 + _exp(v, ram)) for v in sorted(sums))
     return IndexLattice(mu0, tuple(gens), elements, bound)
 
 
@@ -750,8 +742,7 @@ class _ResidualCoefficients:
                 if mono.y_exp == 0 and mono.x_exp == target:
                     total = total + mono.coefficient
             return -total
-        (k0, _n), ram = y.nums[0], y.ram
-        m = _exp(k0, ram)
+        m, k0, ram = y.valuation(), y.nums[0][0], y.ram
         for te, n in y.nums[len(self.offsets):]:
             self.offsets.append((_exp(te - k0, ram), _coefficient(n, y.den)))
             self.lookup[self.offsets[-1][0]] = self.offsets[-1][1]
@@ -853,9 +844,7 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
             start = PuiseuxSeries.x_power(last, t_root)
         else:
             y_prev = w_prev.pow_rational(s).truncate(orders[-1])
-            # the known terms of w_prev below prev_bw, as an exact series
-            head = _below(w_prev.nums, prev_bw * w_prev.ram)
-            start = _canonical(head, w_prev.den, w_prev.ram, INF)
+            start = _exact(w_prev, prev_bw)
             last = _exp(start.nums[-1][0], start.ram)
         poly = _modified_polynomial(e, y_prev, s, shift)
         bound_w = _exponent(c_k - Fraction((s - 1) * mu0, s))

@@ -13,21 +13,19 @@ Storage is a Laurent series in x^(1/ram), ``ram`` the ramification index,
 with coefficients as FLINT's ``fmpq_poly`` stores them: ``nums`` holds
 ``(k, n)`` pairs, the term (n/den)*x^(k/ram), k and n ints over one
 positive int ``den``.  Sums bring both sides to the lcm of the indices and
-of the denominators and products multiply the denominators, so the ring
-operations run on ints; at ``ram == 1`` k is the exponent.  A numerator
-outside Q (``AlgebraicNumber``, ``ParamPoly``) takes the same code over
-den 1, rational coefficients beside it staying ints or Fractions.
-``trunc`` keeps its public value; ``terms``, the public view, is cached.
+of the denominators, products multiply the denominators, so the ring runs
+on ints.  A numerator outside Q (``AlgebraicNumber``, ``ParamPoly``) takes
+the same code over den 1, rational coefficients beside it staying ints or
+Fractions.  ``trunc`` is public; ``terms``, the public view, is cached.
 
 Canonical form: exponents strictly increase and lie below ``trunc``, no
 numerator is zero, gcd(den, n...) = 1, an empty series has den 1, and
 ``ram`` is the least index that holds every exponent and a finite trunc.
-``PuiseuxSeries(terms, trunc)`` canonicalises outside input (merging
-equal exponents, sorting, dropping zeros and terms past ``trunc``).  The
-operations build results canonical up to the content and the index, which
-the trusted ``_canonical`` divides out; the domains have no zero divisors,
-so a product of nonzero numerators is never zero.  Besides the general
-convolution, a product with a one-term factor is one ordered pass over the
+``PuiseuxSeries(terms, trunc)`` canonicalises outside input (merging equal
+exponents, sorting, dropping zeros and terms past ``trunc``); operations
+build results canonical up to content and index, which the trusted
+``_canonical`` divides out (a product of nonzero numerators is never
+zero).  A product with a one-term factor is one ordered pass over the
 other factor, and a square (every squaring inside ``ppow``) multiplies
 each unordered pair of distinct terms once.
 
@@ -117,16 +115,15 @@ def _canonical(nums, den, ram, t):
         if g > 1:
             nums = tuple([(k, n // g) for k, n in nums])
             den //= g
-    return _make(nums, den if nums else 1, ram, _exp(t, ram))
+    return _make(nums, den if nums else 1, ram, t if ram == 1 else _exp(t, ram))
 
 
-def _series(terms, ram, t):
-    """A series from sorted ``(k, coefficient)`` pairs, nonzero, below ``t``."""
-    den = 1
-    if all(isinstance(c, _RATIONAL) for _k, c in terms):
-        den = lcm(*(c.denominator for _k, c in terms))
-        terms = tuple([(k, c.numerator * (den // c.denominator)) for k, c in terms])
-    return _canonical(terms, den, ram, t)
+def _kernel(terms):
+    """``(nums, den)`` of sorted ``(k, coefficient)`` pairs, every coefficient nonzero."""
+    if not all(isinstance(c, _RATIONAL) for _k, c in terms):
+        return terms, 1
+    den = lcm(*(c.denominator for _k, c in terms))
+    return tuple([(k, c.numerator * (den // c.denominator)) for k, c in terms]), den
 
 
 def _coefficient(n, den):
@@ -143,6 +140,15 @@ def _at(nums, s):
     return nums if s == 1 else tuple([(k * s, n) for k, n in nums])
 
 
+def _common(x, y):
+    """``nums`` of x and y over the lcm of their indices, the lcm, and their trunc numerators."""
+    if x.ram == y.ram == 1:
+        return x.nums, y.nums, 1, x.trunc, y.trunc
+    r = lcm(x.ram, y.ram)
+    a, b = _at(x.nums, r // x.ram), _at(y.nums, r // y.ram)
+    return a, b, r, _num(x.trunc, r), _num(y.trunc, r)
+
+
 def _below(nums, t):
     """The canonical ``nums`` with exponent numerator below ``t``."""
     return nums[: bisect_left(nums, t, key=_first)]
@@ -150,9 +156,7 @@ def _below(nums, t):
 
 def _merge(a, b):
     """The sum of canonical ``nums`` over one den and ram, zero sums dropped."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
+    out, i, j, na, nb = [], 0, 0, len(a), len(b)
     while i < na and j < nb:
         ea, eb = a[i][0], b[j][0]
         if ea < eb:
@@ -182,9 +186,11 @@ class PuiseuxSeries:
             merged[e] = merged[e] + c if e in merged else c
         clean = [(e, merged[e]) for e in sorted(merged) if merged[e] and e < trunc]
         ram = lcm(*(e.denominator for e, _c in clean), 1 if trunc == INF else trunc.denominator)
-        s = _series(tuple([(_num(e, ram), c) for e, c in clean]), ram, _num(trunc, ram))
-        for slot in ("nums", "den", "ram", "trunc"):
-            object.__setattr__(self, slot, getattr(s, slot))
+        nums, den = _kernel(tuple([(_num(e, ram), c) for e, c in clean] if ram > 1 else clean))
+        _set_nums(self, nums)
+        _set_den(self, den)
+        _set_ram(self, ram)
+        _set_trunc(self, trunc)
 
     def __setattr__(self, *args):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -276,13 +282,11 @@ class PuiseuxSeries:
             if not isinstance(other, _RATIONAL):
                 return NotImplemented
             other = PuiseuxSeries.constant(other)
-        ra, rb = self.ram, other.ram
-        ram = ra if ra == rb else lcm(ra, rb)
-        t = min(_num(self.trunc, ram), _num(other.trunc, ram))
+        a, b, ram, ta, tb = _common(self, other)
+        t = min(ta, tb)
         da, db = self.den, other.den
         den = da if da == db else lcm(da, db)
-        a = _scaled(_below(_at(self.nums, ram // ra), t), den // da)
-        b = _scaled(_below(_at(other.nums, ram // rb), t), den // db)
+        a, b = _scaled(_below(a, t), den // da), _scaled(_below(b, t), den // db)
         return _canonical(_merge(a, b), den, ram, t)
 
     __radd__ = __add__
@@ -301,10 +305,7 @@ class PuiseuxSeries:
     def __mul__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return self.scale(other)
-        ra, rb = self.ram, other.ram
-        ram = ra if ra == rb else lcm(ra, rb)
-        a, b = _at(self.nums, ram // ra), _at(other.nums, ram // rb)
-        ta, tb = _num(self.trunc, ram), _num(other.trunc, ram)
+        a, b, ram, ta, tb = _common(self, other)
         trunc = min((a[0][0] if a else ta) + tb, (b[0][0] if b else tb) + ta)
         if self.nums == _ONE and self.den == 1:  # a product with one
             return other.truncate(_exp(trunc, ram))
@@ -436,7 +437,7 @@ class PuiseuxSeries:
         ram = lcm(r, base.denominator, 1 if trunc == INF else trunc.denominator)
         b, s = _num(base, ram), ram // r
         terms = tuple([(b + d * s, p) for d, p in table.items() if d < top])
-        return _series(terms, ram, _num(trunc, ram))
+        return _canonical(*_kernel(terms), ram, _num(trunc, ram))
 
     def __str__(self):
         return format_series(self)
@@ -482,9 +483,7 @@ def default_branch(c, sigma):
         r = fraction_nth_root(c, q)
         if r is not None:
             return r**p
-    raise BranchError(
-        f"no canonical rational branch for ({c})^({sigma}); pass one explicitly"
-    )
+    raise BranchError(f"no canonical rational branch for ({c})^({sigma}); pass one explicitly")
 
 
 # -- substitution into a finite monomial right-hand side ---------------------

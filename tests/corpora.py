@@ -13,7 +13,8 @@ Users, generators and (seed, size):
   (20261021, 200), param_operations (20261018, 200), param_polys long
   (20261101, 60), corpus exponent-rule and rational.
 - test_series_kernel: ring_operands (20261019, 150), power_operands
-  (20261020, 150), taylor_shift_cases (20261021, 50).  test_series:
+  (20261020, 150), taylor_shift_cases (20261021, 50), ramified_operands
+  (20261026, 120).  test_series:
   power_input (seeded by its parameters and 0-3).
 - test_coefficients: isolation_polynomials (20261019, 60),
   rational_operands (11, 3 x 40), param_polys (6, 60).  test_algebraic:
@@ -234,6 +235,44 @@ def power_operands(seed, size):
         a = _wide_series(rng, domain, lead=u * u)
         precs = [rng.randint(-6, 6) + F(rng.randint(0, 1), 2) for _ in range(6)]
         yield (u, a, precs, rng.randint(-4, 4))
+
+
+RAMIFICATIONS = (1, 2, 3, 6, 7)
+
+
+def _ramified_series(rng, domain, ram, lead=None):
+    """Up to six terms at exponents k/ram in [-2, 3) and a trunc in [0, 4]
+    half the time; ``lead`` adds a term at x^-3."""
+    ks = rng.sample(range(-2 * ram, 3 * ram), rng.randint(0, min(6, 5 * ram)))
+    terms = [(F(k, ram), _wide_coefficient(rng, domain)) for k in ks]
+    if lead is not None:
+        terms.append((F(-3), lead))
+    trunc = F(rng.randint(0, 4 * ram), ram) if rng.random() < 0.5 else INF
+    return PuiseuxSeries(terms, trunc)
+
+
+def ramified_operands(seed, size):
+    """(a, b, single, c, h, t, powers): series in x^(1/r) for r drawn from
+    RAMIFICATIONS each, a one-term series, a coefficient, a shift h and a
+    cut t over a third index, and (sigma, y, branch, prec) with y led by
+    the q-th power of a unit at x^-3, sigma = p/q and the branch u^p."""
+    rng = random.Random(seed)
+    for _ in range(size):
+        domain = rng.choice(KERNEL_DOMAINS)
+        ra, rb, rc = (rng.choice(RAMIFICATIONS) for _ in range(3))
+        a, b = _ramified_series(rng, domain, ra), _ramified_series(rng, domain, rb)
+        single = _ramified_series(rng, domain, rc)
+        single = PuiseuxSeries(single.terms[:1] or [(F(1, rc), 1)], single.trunc)
+        h, t = F(rng.randint(-3 * rc, 3 * rc), rc), F(rng.randint(-rc, 4 * rc), rc)
+        powers = []
+        for sigma in (F(-1), F(-2), F(2), F(3), F(1, 2), F(-3, 2), F(2, 3), F(-1, 3)):
+            u = SQRT2.element([rng.randint(-2, 2), rng.randint(1, 2)]) if (
+                domain == "sqrt2") else F(rng.choice(UNITS), rng.choice([1, 2]))
+            y = _ramified_series(rng, domain, rng.choice(RAMIFICATIONS),
+                                 lead=u**sigma.denominator)
+            prec = sigma * -3 + F(rng.randint(0, 3 * rc), rc)
+            powers.append((sigma, y, u**sigma.numerator, prec))
+        yield a, b, single, _wide_coefficient(rng, domain), h, t, powers
 
 
 def taylor_shift_cases(seed, size):

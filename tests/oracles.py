@@ -180,17 +180,31 @@ def pairwise_breaking_points(lines):
 
 class RefSeries:
     """A series as a dict {exponent: coefficient} below ``trunc``, every
-    coefficient held on its own as a Fraction, AlgebraicNumber or
-    ParamPoly: the per-term arithmetic the fraction-free series kernel
-    must agree with, written out with no shared denominator."""
+    exponent and a finite trunc a Fraction and every coefficient held on
+    its own as a Fraction, AlgebraicNumber or ParamPoly: the per-term
+    arithmetic the series kernel, with its shared denominator and its
+    ramification index, must agree with."""
 
     def __init__(self, terms, trunc=INF):
-        self.trunc = trunc
-        self.terms = {e: c for e, c in terms if c and e < trunc}
+        self.trunc = trunc if trunc == INF else Fraction(trunc)
+        self.terms = {Fraction(e): c for e, c in terms if c and e < trunc}
 
     @classmethod
     def of(cls, s):
         return cls(s.terms, s.trunc)
+
+    def __eq__(self, other):
+        return self.trunc == other.trunc and self.terms == other.terms
+
+    def with_trunc(self, t):
+        return RefSeries(self.terms.items(), t)
+
+    def truncate(self, t):
+        return self if t >= self.trunc else self.with_trunc(t)
+
+    def agrees_with(self, other, below):
+        below = min(below, self.trunc, other.trunc)
+        return self.with_trunc(below) == other.with_trunc(below)
 
     def val_floor(self):
         return min(self.terms, default=self.trunc)

@@ -8,15 +8,18 @@ coefficient on its own.  Every coefficient a result shows is a Fraction,
 an AlgebraicNumber or a ParamPoly, never a float or a bare int (an
 ``int / int`` slip would show as a float), and the stored form is
 canonical: int numerators over a denominator coprime to them, or the
-denominator 1 beside a coefficient outside Q, and an exponent is an int
-exactly when it is integral.
+denominator 1 beside a coefficient outside Q, int exponent numerators over
+the least ramification index, and an exponent is an int exactly when it
+is integral.  The reference keeps every exponent as a Fraction, so the
+operations on series in x^(1/r), r in 1, 2, 3, 6 and 7, alone and mixed,
+check the ramification index against exponent arithmetic it never does.
 """
 
 from fractions import Fraction as F
 
 from oracles import RefSeries, ref_taylor_shift
 from puiseux.polyutils import ptaylor_shift
-from puiseux.series import PuiseuxSeries
+from puiseux.series import INF, PuiseuxSeries
 
 import corpora
 from test_series_properties import assert_canonical
@@ -77,3 +80,53 @@ def test_taylor_shift_matches_the_reference():
         reference = ref_taylor_shift([RefSeries.of(s) for s in p], RefSeries.of(c))
         for result, ref in zip(shifted, reference):
             assert_matches(result, ref)
+
+
+def test_ramified_operations_match_the_reference():
+    rams, agreements = set(), set()
+    for a, b, single, c, h, t, powers in corpora.ramified_operands(20261026, 120):
+        rams |= {a.ram, b.ram}
+        ra, rb, rs = RefSeries.of(a), RefSeries.of(b), RefSeries.of(single)
+        cases = [
+            (a + b, ra + rb), (a - b, ra - rb), (b - a, rb - ra),
+            (a * b, ra * rb), (a * single, ra * rs), (single * b, rs * rb),
+            (a * a, ra * ra), (b * b, rb * rb),
+            (a.scale(c), ra.scale(c)), (a.shift(h), ra.shift(h)),
+            (a.truncate(t), ra.truncate(t)), (b.with_trunc(t), rb.with_trunc(t)),
+            (a.with_trunc(INF), ra.with_trunc(INF)),
+            (a.differentiate(), ra.differentiate()), (b.differentiate(), rb.differentiate()),
+        ]
+        for sigma, y, branch, prec in powers:
+            cases.append((y.pow_rational(sigma, branch=branch, prec=prec),
+                          RefSeries.of(y).pow_rational(sigma, branch=branch, prec=prec)))
+            if sigma == -1:
+                cases.append((y.invert(prec=prec), RefSeries.of(y).pow_rational(
+                    -1, branch=branch, prec=prec)))
+        for result, ref in cases:
+            assert_matches(result, ref)
+        near = a + single.shift(t)  # agrees with a below t at the least
+        for x, y, rx, ry in ((a, b, ra, rb), (a, near, ra, RefSeries.of(near))):
+            assert x.agrees_with(y, t) == rx.agrees_with(ry, t)
+            agreements.add(x.agrees_with(y, t))
+            assert (x == y) == (rx == ry)
+        assert ((a + b) - b == a.truncate(b.trunc)) == ((ra + rb) - rb == ra.truncate(rb.trunc))
+    assert rams == set(corpora.RAMIFICATIONS) and agreements == {True, False}
+
+
+def test_equal_series_hash_equal():
+    """Routes to an equal series: rebuilt from its terms, with its rational
+    coefficients as rational-valued field elements (numerators over the
+    denominator 1 where the series keeps ints over its den), through a sum
+    and a difference, and shifted there and back."""
+    pairs, across = 0, 0
+    for a, b, single, _c, h, t, _powers in corpora.ramified_operands(20261027, 120):
+        as_field = PuiseuxSeries(
+            [(e, corpora.SQRT2.lift(c) if type(c) is F else c) for e, c in a.terms], a.trunc)
+        twins = [PuiseuxSeries(a.terms, a.trunc), as_field, (a + b) - b,
+                 a.shift(h).shift(-h), a * PuiseuxSeries.one(), a.truncate(t)]
+        for x in (b, single, *twins):
+            if x == a:
+                assert hash(x) == hash(a)
+                pairs += 1
+                across += (x.nums, x.den) != (a.nums, a.den)
+    assert pairs > 500 and across > 20

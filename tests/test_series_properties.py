@@ -5,7 +5,8 @@ truncations, valuation additivity, the derivative-valuation identity, the
 Leibniz rule, inversion and the power/root inverse identities.  A seventh
 checks that every operation returns a canonical series, over rational,
 free-constant and Q(sqrt2) coefficients; canonical includes the exponent
-rule (an exponent or finite trunc is an int exactly when it is integral).
+rule (an exponent or finite trunc is an int exactly when it is integral)
+and the least ramification index under the stored exponent numerators.
 The next three pin the trusted constructions: free-constant polynomial
 arithmetic with polynomial, int and Fraction operands (also with
 denominators of 40 digits and more), and the one-term and squaring paths
@@ -16,7 +17,7 @@ exponent the ODE layer builds, from monomials to coincidence orders.
 """
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 from puiseux.coefficients import AlgebraicNumber, ParamPoly
 from puiseux.ode import (
@@ -111,6 +112,11 @@ def assert_canonical(s):
     assert all(e < s.trunc for e in exps)
     assert all(type(c) in (F, ParamPoly, AlgebraicNumber) and c for _e, c in s.terms)
     assert len(s.nums) == len(s.terms)
+    # int exponent numerators over the least index that holds every
+    # exponent and a finite trunc
+    assert all(type(k) is int and k == e * s.ram for (k, _n), (e, _c) in zip(s.nums, s.terms))
+    trunc_den = 1 if s.trunc == INF else s.trunc.denominator
+    assert s.ram == lcm(*(e.denominator for e in exps), trunc_den)
     if all(type(n) is int for _e, n in s.nums):
         assert type(s.den) is int and s.den > 0 and gcd(s.den, *(n for _e, n in s.nums)) == 1
     else:
