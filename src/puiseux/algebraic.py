@@ -77,12 +77,12 @@ from .series import (
     INF,
     PuiseuxSeries,
     SeriesError,
-    _at,
     _below,
     _canonical,
     _exp,
     _exponent,
     _make,
+    _scaled,
     format_series,
 )
 
@@ -129,7 +129,11 @@ def _as_series(c):
 
 def contour_of(p: SeriesPolynomial) -> Contour:
     """Envelope of the lines (leading exponent of alpha_i) + i*x."""
-    return Contour([Line(i, a.valuation(), key=i) for i, a in enumerate(p.coeffs) if a.nums])
+    lines = []
+    for i, alpha in enumerate(p.coeffs):
+        if alpha.nums:
+            lines.append(Line(i, alpha.valuation(), key=i))
+    return Contour(lines)
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,7 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
     )
 
     def in_t(s):  # the numerators over ram, read over the index 1
-        return _make(_at(s.nums, ram // s.ram), s.den, 1, _exponent(s.trunc * ram))
+        return _make(_scaled(s.nums, ram // s.ram, 1), s.den, 1, _exponent(s.trunc * ram))
 
     def in_x(s):  # the numerators over s.ram, read over s.ram * ram
         return _canonical(s.nums, s.den, s.ram * ram, _exponent(s.trunc * s.ram))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, lcm
 
 from .algebraic import SeriesPolynomial, _exact, _solve_beyond
 from .coefficients import (
@@ -445,13 +445,13 @@ def index_lattice(e: MonomialODE, t: InitialTerm, bound, widen=()) -> IndexLatti
     mu0 = t.exponent
     gens = _generators(e, mu0, widen)
     bound = _as_exponent(bound)
-    # sums of positive generators up to bound - mu0: multiples of their gcd over one denominator
+    # the sums of positive generators up to bound - mu0, as int numerators
     ram = lcm(*(g.denominator for g in gens if g > 0))
     steps = [int(g * ram) for g in gens if g > 0]
-    sums, unit = {0}, gcd(*steps) or 1
-    for v in range(unit, floor((bound - mu0) * ram) + 1 if steps else 0, unit):
-        if any(v - g in sums for g in steps):
-            sums.add(v)
+    top, sums, frontier = floor((bound - mu0) * ram) if steps else 0, {0}, {0}
+    while frontier:
+        frontier = {v + g for v in frontier for g in steps if v + g <= top} - sums
+        sums |= frontier
     elements = tuple(_exponent(mu0 + _exp(v, ram)) for v in sorted(sums))
     return IndexLattice(mu0, tuple(gens), elements, bound)
 

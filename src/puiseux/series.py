@@ -131,13 +131,9 @@ def _coefficient(n, den):
     return Fraction(n, den) if type(n) is int else n / den if den > 1 else n
 
 
-def _scaled(nums, k):
-    return nums if k == 1 else tuple([(e, n * k) for e, n in nums])
-
-
-def _at(nums, s):
-    """``nums`` over an index ``s`` times their own."""
-    return nums if s == 1 else tuple([(k * s, n) for k, n in nums])
+def _scaled(nums, s, k):
+    """``nums`` over an index ``s`` times and a denominator ``k`` times their own."""
+    return nums if s == k == 1 else tuple([(e * s, n * k) for e, n in nums])
 
 
 def _common(x, y):
@@ -145,7 +141,7 @@ def _common(x, y):
     if x.ram == y.ram == 1:
         return x.nums, y.nums, 1, x.trunc, y.trunc
     r = lcm(x.ram, y.ram)
-    a, b = _at(x.nums, r // x.ram), _at(y.nums, r // y.ram)
+    a, b = _scaled(x.nums, r // x.ram, 1), _scaled(y.nums, r // y.ram, 1)
     return a, b, r, _num(x.trunc, r), _num(y.trunc, r)
 
 
@@ -185,7 +181,7 @@ class PuiseuxSeries:
             e, c = _as_exponent(e), c if type(c) is int else as_coefficient(c)
             merged[e] = merged[e] + c if e in merged else c
         clean = [(e, merged[e]) for e in sorted(merged) if merged[e] and e < trunc]
-        ram = lcm(*(e.denominator for e, _c in clean), 1 if trunc == INF else trunc.denominator)
+        ram = lcm(*[e.denominator for e, _c in clean], 1 if trunc == INF else trunc.denominator)
         nums, den = _kernel(tuple([(_num(e, ram), c) for e, c in clean] if ram > 1 else clean))
         _set_nums(self, nums)
         _set_den(self, den)
@@ -271,9 +267,9 @@ class PuiseuxSeries:
 
     def with_trunc(self, t):
         t = _as_exponent(t)
-        ram = self.ram if t == INF else lcm(self.ram, t.denominator)
+        ram = self.ram if type(t) is int or t == INF else lcm(self.ram, t.denominator)
         t = _num(t, ram)
-        return _canonical(_below(_at(self.nums, ram // self.ram), t), self.den, ram, t)
+        return _canonical(_below(_scaled(self.nums, ram // self.ram, 1), t), self.den, ram, t)
 
     # -- ring operations -------------------------------------------------
 
@@ -286,7 +282,7 @@ class PuiseuxSeries:
         t = min(ta, tb)
         da, db = self.den, other.den
         den = da if da == db else lcm(da, db)
-        a, b = _scaled(_below(a, t), den // da), _scaled(_below(b, t), den // db)
+        a, b = _scaled(_below(a, t), 1, den // da), _scaled(_below(b, t), 1, den // db)
         return _canonical(_merge(a, b), den, ram, t)
 
     __radd__ = __add__
