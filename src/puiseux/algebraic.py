@@ -232,7 +232,6 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
 
     def in_x(s):  # the numerators over s.ram, read over s.ram * ram
         return _canonical(s.nums, s.den, s.ram * ram, _exponent(s.trunc * s.ram))
-
     q = SeriesPolynomial([in_t(c) for c in p.coeffs])
     prefix, contour, mult = in_t(prefix), None, q.degree
     if last is not None:
@@ -413,8 +412,7 @@ def _lift(q, e, bound, ambient, budget):
             return _in_field(z, ambient), None
         # lift past the cut by the largest gap between terms so far, so that
         # the first term past it is likely known
-        gap = max((b[0] - a[0] for a, b in zip(z.nums, z.nums[1:])), default=0)
-        gap = _exp(gap, z.ram) if gap else unit
+        gap = _exp(max((b[0] - a[0] for a, b in zip(z.nums, z.nums[1:])), default=0), z.ram) or unit
         target = _exponent(min(2 * known - e, max(cut + gap, known + unit)))
         f = _horner(q.coeffs, z, e, v1 + target)
         if known >= cut:

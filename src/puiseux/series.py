@@ -181,7 +181,9 @@ class PuiseuxSeries:
             e, c = _as_exponent(e), c if type(c) is int else as_coefficient(c)
             merged[e] = merged[e] + c if e in merged else c
         clean = [(e, merged[e]) for e in sorted(merged) if merged[e] and e < trunc]
-        ram = lcm(*[e.denominator for e, _c in clean], 1 if trunc == INF else trunc.denominator)
+        ram = 1  # the lcm of the denominators, read only where a Fraction is
+        if Fraction in map(type, merged) or type(trunc) is Fraction:
+            ram = lcm(*[e.denominator for e, _c in clean], 1 if trunc == INF else trunc.denominator)
         nums, den = _kernel(tuple([(_num(e, ram), c) for e, c in clean] if ram > 1 else clean))
         _set_nums(self, nums)
         _set_den(self, den)
@@ -497,7 +499,7 @@ def substitute_series(monomials, y, prec=None, branches=None):
         by_sigma.setdefault(sigma, []).append((nu, f))
     total = PuiseuxSeries.zero()
     for sigma, terms in sorted(by_sigma.items()):
-        xpart = PuiseuxSeries(tuple((nu, f) for nu, f in terms))
+        xpart = PuiseuxSeries(terms)
         if sigma == 0:
             total = total + xpart
             continue
