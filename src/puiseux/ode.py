@@ -14,9 +14,9 @@ algebraic-type branches continue by iterated algebraic solves whose
 coincidence order grows linearly each round.
 
 Every returned branch carries a residual guarantee, a lower bound on the
-valuation of dy/dx - P/Q, that :func:`verify_branch` re-checks by
-substitution, independent of the construction path.  A start where the
-lowest part of Q(y) cancels is named in a note instead.
+valuation of dy/dx - P/Q claimed by construction, that :func:`verify_branch`
+checks by substitution, independent of the construction path.  A start
+where the lowest part of Q(y) cancels is named in a note instead.
 
 Exponents follow the rule of :mod:`puiseux.series`: every monomial,
 contour, lattice, resonance, coincidence and guarantee exponent is an
@@ -34,6 +34,7 @@ from math import floor, lcm
 
 from .algebraic import SeriesPolynomial, _exact, _solve_beyond
 from .coefficients import (
+    AlgebraicNumber,
     ParamPoly,
     UnsupportedSymbolic,
     _param,
@@ -587,15 +588,18 @@ def continue_proper(e: MonomialODE, t: InitialTerm, bound, c_r=None) -> Solution
     coefficient operations linear in the number of terms and nothing is
     truncated.  One lattice, built one least positive generator past the
     last level walked, also gives the next level, where the series is
-    truncated.  The guarantee is the residual that :func:`verify_series`
-    certifies: every generator is >= 0, so under every monomial the
-    residual is known up to next_level - 1, also for nu < -1.
+    truncated.  The guarantee next_level - 1 (``INF`` when the lattice is
+    {mu0}) holds by construction: the walk zeroes the residual at every
+    level below next_level, it is known below next_level + D - mu0 (every
+    generator is >= 0), and val Q(y) = D + 1 - mu0.  A free constant in A
+    or under a negative or fractional power of y leaves the family as
+    ``O(x^mu0)`` before the walk; a formal constant over an algebraic c0
+    cuts it at its level.
     """
     if classify(e, t) != PROPER:
         raise ClassificationError("continue_proper needs a proper initial term")
     bound = _as_exponent(bound)
     mu0 = t.exponent
-    branches = t.branch_map()
     free = as_coefficient(c_r) if c_r is not None else ParamPoly.parameter()
     if t.coefficient is FREE and c_r is not None and not free and _needs_prec(e):
         # a negative or fractional y^sigma has no expansion about y = 0, so
@@ -618,6 +622,14 @@ def continue_proper(e: MonomialODE, t: InitialTerm, bound, c_r=None) -> Solution
     free_at = None
     if t.coefficient is FREE and (t.case != "a" or c_r is None):
         free_at = mu0
+    series = PuiseuxSeries.x_power(mu0, c0)
+    lift = _derivative_level(e, mu0) - mu0
+    try:
+        residual = _ResidualCoefficients(e, c0, lift, scale, t.branch_map())
+    except (UnsupportedSymbolic, BranchError):
+        if not has_parameter(c0):
+            raise  # a genuine missing root branch, not a symbolic limit
+        return _cut_family(t, series.truncate(mu0), free)
     # mu0 itself for case c; an absent resonant index (case a) means no
     # zero-shift monomials, so mu_r = 0
     mu_r = t.resonant_index if t.resonant_index is not None else 0
@@ -631,75 +643,59 @@ def continue_proper(e: MonomialODE, t: InitialTerm, bound, c_r=None) -> Solution
     step = min((g for g in _generators(e, mu0, widen) if g > 0), default=0)
     reach = max(internal_bound, mu0) + step
     elements = index_lattice(e, t, reach, widen=widen).elements
-    series = PuiseuxSeries.x_power(mu0, c0)
-    lift = _derivative_level(e, mu0) - mu0
 
-    try:
-        # a scale that depends on the free constant has no inverse here
-        residual = _ResidualCoefficients(e, branches, lift, scale)
-        next_level = INF  # no positive generator: the lattice is {mu0}
-        for mu_l in elements[1:]:
-            if mu_l > internal_bound:
-                next_level = mu_l
-                break
-            # the residual at this level, before c_l is added
-            level_coeff = residual.at(series, mu_l)
-            divisor = mu_l - mu_r
-            if divisor:
-                if level_coeff:
-                    # adding c_l x^mu_l changes the residual at this level by
-                    # c_l * (mu_l - mu_r), so cancel exactly:
-                    series = series - PuiseuxSeries.x_power(mu_l, level_coeff / divisor)
-            elif level_coeff:
-                return SolutionBranch(
-                    t,
-                    series.truncate(mu_l),
-                    NEGATIVE_RESONANCE,
-                    PROPER,
-                    residual_guarantee=mu_l - 1,
-                    resonant_index=mu_l,
-                    obstruction=level_coeff,
-                )
-            else:
-                series = series + PuiseuxSeries.x_power(mu_l, free)
-                free_at = mu_l
+    next_level = INF  # no positive generator: the lattice is {mu0}
+    for mu_l in elements[1:]:
+        if mu_l > internal_bound:
+            next_level = mu_l
+            break
+        # the residual at this level, before c_l is added
+        level_coeff = residual.at(series, mu_l)
+        divisor = mu_l - mu_r
+        if divisor:
+            if level_coeff:
+                # adding c_l x^mu_l changes the residual at this level by
+                # c_l * (mu_l - mu_r), so cancel exactly:
+                series = series - PuiseuxSeries.x_power(mu_l, level_coeff / divisor)
+        elif level_coeff:
+            return SolutionBranch(
+                t,
+                series.truncate(mu_l),
+                NEGATIVE_RESONANCE,
+                PROPER,
+                residual_guarantee=mu_l - 1,
+                resonant_index=mu_l,
+                obstruction=level_coeff,
+            )
+        elif c_r is None and isinstance(c0, AlgebraicNumber):
+            # a formal free constant mixes with no algebraic number
+            return _cut_family(t, series.truncate(mu_l), free)
+        else:
+            series = series + PuiseuxSeries.x_power(mu_l, free)
+            free_at = mu_l
 
-        series = series.with_trunc(next_level)
-        check = verify_series(e, series, branches=branches)
-    except (UnsupportedSymbolic, BranchError) as err:
-        symbolic = has_parameter_series(series) or has_parameter(c0)
-        if isinstance(err, BranchError) and not symbolic:
-            raise  # a genuine missing root branch, not a symbolic limit
-        series = series.truncate(free_at if free_at is not None else mu0)
-        return SolutionBranch(
-            t,
-            series,
-            RESONANT_FREE,
-            PROPER,
-            residual_guarantee=series.trunc - 1,
-            resonant_index=free_at,
-            free_constant=free,
-            note="continuation past the free constant needs a numeric value",
-        )
+    return SolutionBranch(
+        t,
+        series.with_trunc(next_level),
+        UNIQUE if free_at is None else RESONANT_FREE,
+        PROPER,
+        residual_guarantee=next_level - 1,
+        resonant_index=t.resonant_index if free_at is None else free_at,
+        free_constant=None if free_at is None else free,
+    )
 
-    guarantee = min(check.valuation, check.certified_below)
-    if free_at is None:
-        return SolutionBranch(
-            t,
-            series,
-            UNIQUE,
-            PROPER,
-            residual_guarantee=guarantee,
-            resonant_index=t.resonant_index,
-        )
+
+def _cut_family(t, series, free):
+    """The family cut at the trunc of ``series``, where its free constant enters."""
     return SolutionBranch(
         t,
         series,
         RESONANT_FREE,
         PROPER,
-        residual_guarantee=guarantee,
-        resonant_index=free_at,
+        residual_guarantee=series.trunc - 1,
+        resonant_index=series.trunc,
         free_constant=free,
+        note="continuation past the free constant needs a numeric value",
     )
 
 
@@ -718,20 +714,27 @@ class _ResidualCoefficients:
     convolution with y, which divides by nothing, so a formal free
     constant may lead y; every other power from the Miller step of
     ``pow_rational`` (:func:`puiseux.series.miller_step`), started at the
-    branch it picks.  An entry is kept once m + d lies below the level: it
-    then depends only on terms of y that no later level changes.  For the
-    same reason the offsets of y are kept, and each level views only the
-    terms added since the last one.
+    branch it picks, which is seeded at d = 0 from ``c0`` here, so a root
+    or an inverse the walk cannot take fails before any level is walked.
+    An entry is kept once m + d lies below the level: it then depends only
+    on terms of y that no later level changes.  For the same reason the
+    offsets of y are kept, and each level views only the terms added
+    since the last one.
     """
 
-    def __init__(self, e: MonomialODE, branches, lift, scale):
+    def __init__(self, e: MonomialODE, c0, lift, scale, branches):
         self.monomials, self.derivative = (
             [Monomial(m.x_exp, m.y_exp, m.coefficient / scale) for m in side]
             for side in (e.monomials, e.derivative)
         )
-        self.branches = branches
         self.lift = lift
         self.tables = {}  # sigma -> {offset d: p_d}, final entries only
+        for sigma in e.sigmas():
+            if sigma < 0 or sigma.denominator != 1:
+                branch = branches(sigma) if branches is not None else None
+                self.tables[sigma] = {
+                    0: branch if branch is not None else default_branch(c0, sigma)
+                }
         self.offsets, self.lookup = [], {}  # (e - m, coefficient) of y so far
 
     def at(self, y: PuiseuxSeries, level):
@@ -786,9 +789,6 @@ class _ResidualCoefficients:
                 p = self._power(sigma - 1, d - delta, ctx)
                 if p:
                     value = value + c * p
-        elif not d:  # the branch pow_rational picks
-            branch = self.branches(sigma) if self.branches is not None else None
-            value = branch if branch is not None else default_branch(c0, sigma)
         else:
             value = miller_step(
                 sigma, d, offsets[1:], c0, lambda lower: self._power(sigma, lower, ctx)
@@ -1007,10 +1007,6 @@ def _renumber_free_constants(branches):
             series=_make(nums, b.series.den, b.series.ram, b.series.trunc),
             free_constant=_param(free.nums, free.den, new),
         )
-
-
-def has_parameter_series(series: PuiseuxSeries) -> bool:
-    return any(has_parameter(c) for _e, c in series.nums)
 
 
 # -- translation of y ---------------------------------------------------------

@@ -128,6 +128,37 @@ class TestOde:
             assert [u["vertex_poly"] for u in payload["unresolved"]] == vertex
             assert {u["at_exponent"] for u in payload["unresolved"]} == {"0"}
 
+    def test_root_is_decided_before_the_walk_reaches_it(self, capsys):
+        # at bound 1/2 no level of the instance y = 2 + ... needs 2^(1/2),
+        # yet the instance is unresolved, not cut short or a failure
+        code, out, _ = run(
+            capsys, "ode", "--bound", "1/2", "--resonance", "values=2",
+            "dy/dx = x*y^(1/2)",
+        )
+        assert code == EXIT_UNRESOLVED
+        assert "y = 1/16*x^4   [proper/unique" in out
+        assert (
+            "unresolved initial term at x^0: vertex polynomial ['-2', '0', '1']"
+            in out
+        )
+
+    def test_formal_constant_over_an_algebraic_start_cuts_the_family(self, capsys):
+        # y = +-sqrt(1/2)*x + C*x^3 + ...: a formal C mixes with no sqrt(2),
+        # so each family stops where C enters and claims residual order 2
+        code, out, _ = run(
+            capsys, "ode", "--roots", "algebraic", "--bound", "6", "--json",
+            "dy/dx = 2*x^(-3)*y^3",
+        )
+        assert code == EXIT_OK
+        families = [b for b in json.loads(out)["branches"] if b["mu0"] == "1"]
+        assert len(families) == 2
+        for b in families:
+            assert b["series"].endswith("*x + O(x^3)")
+            assert (b["status"], b["mu_r"], b["residual_guarantee"]) == (
+                "resonant-free", "3", "2",
+            )
+            assert b["verified"] is True
+
     def test_unresolved_human_output_shows_vertex_polynomial(self, capsys):
         code, out, _ = run(
             capsys, "ode", "--bound", "3", "--resonance", "values=-2,3",

@@ -5,6 +5,8 @@ and the tests of other modules that read it share the solves.
 - Every ODE branch other than ``no-continuation`` meets its residual
   guarantee under ``verify_branch``; the substitution cannot evaluate a
   free-constant family left as ``O(x^0)`` under a negative power of y.
+  A proper branch claims exactly the residual order the substitution
+  certifies, wherever it certifies one.
 - Algebraic branch and unresolved multiplicities sum to the degree, and
   every prefix, substituted by ``SeriesPolynomial.evaluate``, vanishes
   below its residual bound, and exactly when that bound is ``inf``.
@@ -17,7 +19,7 @@ from functools import cache
 import pytest
 
 from puiseux.algebraic import solve_algebraic
-from puiseux.ode import NO_CONTINUATION, solve_all, verify_branch
+from puiseux.ode import NO_CONTINUATION, PROPER, solve_all, verify_branch
 from puiseux.parsing import parse_series_text
 from puiseux.series import INF, PoleError, format_series
 
@@ -69,6 +71,10 @@ def test_ode_branches_meet_their_guarantee(name):
                 assert any(m.y_exp < 0 for m in e.monomials), e
                 continue
             assert check.meets(b.residual_guarantee), (e, str(b.series))
+            if b.kind == PROPER and check.certified_below > -INF:
+                # the lattice level claims the oracle's exact value
+                claim = min(check.valuation, check.certified_below)
+                assert b.residual_guarantee == claim, (e, str(b.series))
             checked += 1
     assert checked > len(corpus(name)) // 2
 
