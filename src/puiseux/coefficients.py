@@ -16,8 +16,7 @@ Three exact domains are supported:
 Both are stored fraction-free, as int numerators over one denominator, so
 their arithmetic runs on ints with one content gcd per result; the root
 search over Q runs on primitive integer forms (:mod:`puiseux.polyutils`).
-
-All domains are immutable values and support ``+ - * / **`` with ints and
+All domains are immutable and support ``+ - * / **`` with ints and
 Fractions mixed in.
 """
 
@@ -57,6 +56,9 @@ class CoefficientError(TypeError):
 
 class UnsupportedSymbolic(CoefficientError):
     """An operation would need to divide by a free constant."""
+
+
+_MIXED = "free constants over algebraic coefficients are not supported"
 
 
 def as_coefficient(value):
@@ -145,12 +147,8 @@ class NumberField:
         return self._approx
 
     def __eq__(self, other):
-        """Same field means same minimal polynomial and same root.
-
-        Isolating regions are only a means of pinning the root down, and
-        they shrink as approximations are requested, so two fields compare
-        equal exactly when their regions isolate the same root.
-        """
+        """Same minimal polynomial and same root: the regions, which shrink
+        as approximations are requested, isolate the same root."""
         if self is other:
             return True
         if not isinstance(other, NumberField) or self.mnums != other.mnums:
@@ -160,9 +158,7 @@ class NumberField:
         if self.is_real:
             lo = max(self.region[0], other.region[0])
             hi = min(self.region[1], other.region[1])
-            if hi <= lo:
-                return False
-            return count_real_roots(self.mnums, lo, hi) == 1
+            return hi > lo and count_real_roots(self.mnums, lo, hi) == 1
         (rl1, rh1), (il1, ih1) = self.region
         (rl2, rh2), (il2, ih2) = other.region
         same_half_plane = (il1 + ih1 > 0) == (il2 + ih2 > 0)
@@ -190,16 +186,12 @@ def canonical_sqrt(radicand):
     scale = Fraction(s, radicand.denominator)
     if core == 1 and sign > 0:
         return scale
-    field = sqrt_field(sign * core)
-    return field.generator() * scale
+    return sqrt_field(sign * core).generator() * scale
 
 
 def sqrt_field(radicand, label=None):
-    """Q(sqrt(radicand)) with its positive (or upper-half-plane) root.
-
-    Prefer :func:`canonical_sqrt` unless the radicand is already a
-    squarefree integer; distinct radicands give distinct fields.
-    """
+    """Q(sqrt(radicand)) with its positive (or upper-half-plane) root; distinct
+    radicands give distinct fields, so prefer :func:`canonical_sqrt`."""
     radicand = Fraction(radicand)
     if not radicand:
         raise ValueError("radicand must be nonzero")
@@ -208,8 +200,7 @@ def sqrt_field(radicand, label=None):
     minpoly = [-radicand, Fraction(0), Fraction(1)]
     hi, zero = max(abs(radicand), Fraction(1)), Fraction(0)
     region = (zero, hi) if radicand > 0 else ((zero, zero), (zero, hi))
-    name = label or f"sqrt({radicand})"
-    return NumberField(minpoly, region, label=name)
+    return NumberField(minpoly, region, label=label or f"sqrt({radicand})")
 
 
 class AlgebraicNumber:
@@ -238,9 +229,7 @@ class AlgebraicNumber:
         if isinstance(other, _RATIONAL):
             return other
         if isinstance(other, ParamPoly):
-            raise UnsupportedSymbolic(
-                "free constants over algebraic coefficients are not supported"
-            )
+            raise UnsupportedSymbolic(_MIXED)
         return None
 
     def __add__(self, other):
@@ -361,16 +350,15 @@ def _alg(field, nums, den):
 
 
 class ParamPoly:
-    """Polynomial in one formal free constant over Q.
+    """Polynomial in one formal free constant (a resonance constant) over Q,
+    carried through otherwise numeric series computations; division is
+    only defined by units.
 
-    Carries a free parameter (a resonance constant) through otherwise
-    numeric series computations.  Division is only defined by units.
-
-    Stored fraction-free, like FLINT's ``fmpq_poly``: the polynomial is
-    ``sum(nums[i] * C^i) / den``, ``nums`` a tuple of ints, lowest degree
-    first, with no trailing zero, and ``den`` > 0 coprime to them all, so
-    the form is canonical; ``coeffs`` gives the Fractions back.  Arithmetic
-    runs ``padd``/``pmul`` on ``nums``, an int or Fraction operand scales
+    Stored fraction-free, like FLINT's ``fmpq_poly``: ``sum(nums[i] * C^i)
+    / den``, ``nums`` a tuple of ints, lowest degree first, with no
+    trailing zero, and ``den`` > 0 coprime to them all, so the form is
+    canonical; ``coeffs`` gives the Fractions back.  Arithmetic runs
+    ``padd``/``pmul`` on ``nums``, an int or Fraction operand scales
     ``nums``/``den`` or adds to the constant term, and each result takes
     one content gcd in the trusted ``_param``.
     """
@@ -405,9 +393,7 @@ class ParamPoly:
     @staticmethod
     def _unsupported(other):
         if isinstance(other, AlgebraicNumber):
-            raise UnsupportedSymbolic(
-                "free constants over algebraic coefficients are not supported"
-            )
+            raise UnsupportedSymbolic(_MIXED)
         return NotImplemented
 
     def _scaled(self, p, q):
@@ -468,9 +454,7 @@ class ParamPoly:
         if isinstance(other, ParamPoly):
             if other.degree == 0:
                 return self._scaled(other.den, other.nums[0])
-            raise UnsupportedSymbolic(
-                "division by a free-constant polynomial of positive degree"
-            )
+            raise UnsupportedSymbolic("division by a free-constant polynomial of positive degree")
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -533,12 +517,9 @@ def has_parameter(c) -> bool:
 
 
 class RootSearchResult:
-    """Roots of a univariate polynomial found inside a coefficient domain.
-
-    ``roots`` is a list of ``(root, multiplicity)``; ``unresolved`` is the
-    rational-root-free (or otherwise unreachable) cofactor, None when the
-    polynomial split completely.
-    """
+    """Roots of a univariate polynomial inside a coefficient domain: ``roots``
+    lists ``(root, multiplicity)``; ``unresolved`` is the rational-root-free
+    (or otherwise unreachable) cofactor, None when the polynomial split."""
 
     def __init__(self, roots, unresolved=None):
         self.roots = roots
@@ -550,13 +531,11 @@ class RootSearchResult:
 
 
 def poly_roots(coeffs, mode="rational"):
-    """Roots of ``sum coeffs[i]*t^i`` inside the coefficient domain.
-
-    ``mode='rational'`` keeps the search in Q; ``mode='algebraic'``
-    adjoins roots of certified irreducible factors over Q.  Over the
-    common number field of the coefficients both modes search that field
-    only (:func:`_roots_over_field`).
-    """
+    """Roots of ``sum coeffs[i]*t^i`` inside the coefficient domain:
+    ``mode='rational'`` keeps the search in Q, ``mode='algebraic'`` adjoins
+    roots of certified irreducible factors over Q, and over the common
+    number field of the coefficients both search that field only
+    (:func:`_roots_over_field`)."""
     if any(has_parameter(c) for c in coeffs):
         raise UnsupportedSymbolic("root search with free-constant coefficients")
     # the one conversion, then the strip: a constant ParamPoly is its constant term
@@ -599,13 +578,11 @@ def _roots_over_q(coeffs, mode):
 
 
 def _adjoin_roots(factor):
-    """All roots of an irreducible monic factor over Q as AlgebraicNumbers.
-
-    Quadratics express both roots inside the canonical field of their
-    discriminant's square root, so conjugates share one field; real roots
-    of higher degree get one embedding each by Sturm isolation.  Returns
-    None when some root cannot be represented.
-    """
+    """All roots of an irreducible monic factor over Q as AlgebraicNumbers, or
+    None when some root cannot be represented.  Quadratics express both
+    roots in the canonical field of their discriminant's square root, so
+    conjugates share one field; real roots of higher degree get one
+    embedding each by Sturm isolation."""
     deg = pdeg(factor)
     if deg == 2:
         p, q = factor[1], factor[0]
@@ -623,14 +600,12 @@ def _adjoin_roots(factor):
 
 
 def _roots_over_field(coeffs, field):
-    """Roots inside ``field`` of a polynomial over it, in one pass.
-
-    A rational-valued polynomial gives its rational roots, in
+    """Roots inside ``field`` of a polynomial over it, in one pass: a
+    rational-valued polynomial gives its rational roots, in
     :func:`rational_roots` order, and its rational-root-free remainder.  A
     remainder of degree 1 is solved directly, one of degree 2 through a
     square root in the field, (-b + s)/2a before (-b - s)/2a; anything
-    else is reported unresolved.
-    """
+    else is reported unresolved."""
     poly = [c if isinstance(c, AlgebraicNumber) else field.lift(c) for c in coeffs]
     roots = []
     rational = [c.rational_value() for c in poly]
@@ -656,11 +631,8 @@ def _roots_over_field(coeffs, field):
 
 
 def _field_sqrt(d, field):
-    """sqrt of a field element inside the field, or None.
-
-    Exact for quadratic fields and for rational squares; deeper cases
-    return None (the caller reports the branch unresolved).
-    """
+    """sqrt of a field element inside the field, or None: exact for quadratic
+    fields and rational squares (the caller reports None unresolved)."""
     if field.degree == 2:
         return _quadratic_sqrt(field, d.vec[0], d.vec[1])
     r = d.rational_value()
@@ -669,11 +641,9 @@ def _field_sqrt(d, field):
 
 
 def _quadratic_sqrt(field, a, b):
-    """sqrt(a + b*theta) in a quadratic field, if it exists there.
-
-    With theta^2 = -p*theta - q (minpoly t^2+pt+q), write the square root
-    as u + v*theta and solve the two rational equations exactly.
-    """
+    """sqrt(a + b*theta) in a quadratic field, if it exists there: with
+    theta^2 = -p*theta - q (minpoly t^2+pt+q), the root u + v*theta solves
+    two rational equations exactly."""
     q, p = field.minpoly[0], field.minpoly[1]
     # (u + v t)^2 = (u^2 - q v^2) + (2uv - p v^2) t: u^2 - q v^2 = a and
     # 2uv - p v^2 = b.  Case v = 0: u^2 = a.

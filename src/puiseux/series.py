@@ -27,9 +27,7 @@ build results canonical up to content and index, which the trusted
 ``_canonical`` divides out (a product of nonzero numerators is never
 zero).  A product with a one-term factor is one ordered pass over the
 other factor, and a square (every squaring inside ``ppow``) multiplies
-each unordered pair of distinct terms once.
-
-The canonical text form is ``c0*x^(p0/q0) + ... + O(x^(pt/qt))`` and
+each unordered pair of distinct terms once.  The canonical text form is ``c0*x^(p0/q0) + ... + O(x^(pt/qt))`` and
 round-trips bit-exactly through :func:`puiseux.parsing.parse_series_text`.
 """
 
@@ -386,18 +384,16 @@ class PuiseuxSeries:
         return self.pow_rational(-1, prec=prec)
 
     def pow_rational(self, sigma, branch=None, prec=None):
-        """The power ``self**sigma`` for rational ``sigma``.
-
-        A fractional power needs a root of the leading coefficient: the
-        caller may pass the ``branch`` (any b with b^q = c^p for sigma =
-        p/q); by default the canonical exact rational root is used.  A
-        positive integer power is a plain ring power.  Every other power of
-        y = c_0*x^m + sum c_k*x^(m + delta_k) is x^(sigma*m) * sum p_d*x^d,
-        p_0 the branch and p_d from :func:`miller_step`, which reads only
-        c_k/c_0 and d/delta_k: it runs on the numerators of both, over the
-        multiples of gcd(delta_k) (p_d vanishes off their semigroup).  The
-        result is known below sigma*m + min(trunc - m, prec - sigma*m).
-        """
+        """The power ``self**sigma`` for rational ``sigma``.  A fractional
+        power needs a root of the leading coefficient: the caller may pass
+        the ``branch`` (any b with b^q = c^p for sigma = p/q); by default the
+        canonical exact rational root is used.  A positive integer power is
+        a plain ring power.  Every other power of y = c_0*x^m + sum
+        c_k*x^(m + delta_k) is x^(sigma*m) * sum p_d*x^d, p_0 the branch and
+        p_d from :func:`miller_step`, which reads only c_k/c_0 and
+        d/delta_k: it runs on the numerators of both, over the multiples of
+        gcd(delta_k) (p_d vanishes off their semigroup).  The result is
+        known below sigma*m + min(trunc - m, prec - sigma*m)."""
         sigma = _as_exponent(sigma)
         if not self.nums:
             if sigma > 0:
@@ -454,9 +450,7 @@ _set_trunc = PuiseuxSeries.trunc.__set__
 def miller_step(sigma, d, offsets, c0, power):
     """[y^sigma] at the offset d > 0 above sigma*m, m the leading exponent
     of y, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-
-        p_d = sum_k c_k * ((sigma + 1)*delta_k - d) * p_(d - delta_k) / (d*c_0).
-
+    p_d = sum_k c_k * ((sigma + 1)*delta_k - d) * p_(d - delta_k) / (d*c_0).
     ``offsets`` are the ascending pairs (delta_k > 0, c_k) of y's terms
     above its leading coefficient ``c0``; ``power(d')`` is p at a lower
     offset, falsy when it vanishes.  Zero products and sums are not divided.
@@ -477,10 +471,9 @@ def default_branch(c, sigma):
     q, p = sigma.denominator, sigma.numerator
     if q == 1:
         return as_coefficient(c) ** p
-    if isinstance(c, Fraction):
-        r = fraction_nth_root(c, q)
-        if r is not None:
-            return r**p
+    r = fraction_nth_root(c, q) if isinstance(c, Fraction) else None
+    if r is not None:
+        return r**p
     raise BranchError(f"no canonical rational branch for ({c})^({sigma}); pass one explicitly")
 
 
@@ -515,18 +508,15 @@ def substitute_series(monomials, y, prec=None, branches=None):
 
 
 def _format_exponent(e):
-    if e.denominator == 1:
-        if e >= 0:
-            return f"x^{e.numerator}" if e != 1 else "x"
-        return f"x^({e.numerator})"
-    return f"x^({e.numerator}/{e.denominator})"
+    if e == 1:
+        return "x"
+    return f"x^{e}" if e.denominator == 1 and e >= 0 else f"x^({e})"
 
 
 def _format_coefficient(c):
     text = str(c)
-    if text.startswith("(") or (" " not in text and not text.startswith("-")):
-        return text
-    return f"({text})"
+    bare = text.startswith("(") or (" " not in text and not text.startswith("-"))
+    return text if bare else f"({text})"
 
 
 def format_series(s: PuiseuxSeries) -> str:
@@ -544,7 +534,5 @@ def format_series(s: PuiseuxSeries) -> str:
         parts.append(f"- {body}" if neg else f"+ {body}")
     if s.trunc != INF:
         parts.append(f"+ O({_format_exponent(s.trunc)})")
-    text = " ".join(parts)
-    if not text:
-        return "0"
+    text = " ".join(parts) or "+ 0"
     return text[2:] if text[0] == "+" else "-" + text[2:]
