@@ -79,6 +79,7 @@ from .series import (
     SeriesError,
     _below,
     _canonical,
+    _coefficient,
     _exp,
     _exponent,
     _make,
@@ -173,8 +174,31 @@ class PartialSolution:
     residual_bound: object  # Fraction or INF
 
     def sort_key(self):
-        key = [(float(e), coefficient_sort_key(c)) for e, c in self.series.terms]
-        return (float(self.series.val_floor()), key)
+        return _BranchOrder(self.series)
+
+
+class _BranchOrder:
+    """The branch order: ``float(val_floor())``, then the terms in turn as
+    ``(float exponent, coefficient_sort_key)``, a prefix before a longer
+    series.  A term's key is built only while the two series agree."""
+
+    __slots__ = ("series", "head")
+
+    def __init__(self, series):
+        self.series, self.head = series, float(series.val_floor())
+
+    def __lt__(self, other):
+        if self.head != other.head:
+            return self.head < other.head
+        x, y = self.series, other.series
+        shared = x.ram == y.ram and x.den == y.den  # then one stored term has one key
+        for px, py in zip(x.nums, y.nums):
+            if not (shared and px is py):
+                kx = (px[0] / x.ram, coefficient_sort_key(_coefficient(px[1], x.den)))
+                ky = (py[0] / y.ram, coefficient_sort_key(_coefficient(py[1], y.den)))
+                if kx != ky:
+                    return kx < ky
+        return len(x.nums) < len(y.nums)
 
 
 @dataclass

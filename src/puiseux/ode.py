@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import floor, lcm
 
 from .algebraic import SeriesPolynomial, _exact, _solve_beyond
@@ -56,6 +57,7 @@ from .series import (
     _exponent,
     _make,
     default_branch,
+    format_series,
     miller_step,
     substitute_series,
 )
@@ -481,11 +483,30 @@ class SolutionBranch:
     note: str = ""
 
     def sort_key(self):
-        mu = float(self.series.val_floor()) if self.series.nums else float(
-            self.initial.exponent if self.initial else 0
+        return _BranchOrder(self)
+
+    @cached_property
+    def _text(self):
+        """The series text, formatted once however often the branch is sorted."""
+        return format_series(self.series)
+
+
+class _BranchOrder:
+    """The branch order: ``(kind, mu, case)``, then the series text, which
+    is read only on a tie."""
+
+    __slots__ = ("branch", "head")
+
+    def __init__(self, b):
+        mu = float(b.series.val_floor()) if b.series.nums else float(
+            b.initial.exponent if b.initial else 0
         )
-        case = self.initial.case if self.initial else ""
-        return (self.kind, mu, case, str(self.series))
+        self.branch, self.head = b, (b.kind, mu, b.initial.case if b.initial else "")
+
+    def __lt__(self, other):
+        if self.head != other.head:
+            return self.head < other.head
+        return self.branch._text < other.branch._text
 
 
 def _no_continuation(t, note):

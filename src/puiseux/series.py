@@ -16,7 +16,12 @@ positive int ``den``.  Sums bring both sides to the lcm of the indices and
 of the denominators, products multiply the denominators, so the ring runs
 on ints.  A numerator outside Q (``AlgebraicNumber``, ``ParamPoly``) takes
 the same code over den 1, rational coefficients beside it staying ints or
-Fractions.  ``trunc`` is public; ``terms``, the public view, is cached.
+Fractions.  A product over one number field of 9 or more term pairs, a
+factor ending in a field element, packs both factors by Kronecker
+substitution (FLINT's ``fmpz_poly_mul_KS``): numerators as int vectors over
+one denominator, a rational n as (n,), read at 2^bits, so that the same int
+loops sum the unreduced convolutions and each exponent is reduced once
+modulo the minimal polynomial.  ``trunc`` is public; ``terms`` is cached.
 
 Canonical form: exponents strictly increase and lie below ``trunc``, no
 numerator is zero, gcd(den, n...) = 1, an empty series has den 1, and
@@ -36,14 +41,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, lshift
 
-from .coefficients import _RATIONAL, as_coefficient
+from .coefficients import _RATIONAL, AlgebraicNumber, as_coefficient
 from .polyutils import fraction_nth_root, ppow
 
 INF = float("inf")
 _ONE = ((0, 1),)
-_first = itemgetter(0)
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class SeriesError(ValueError):
@@ -107,7 +113,7 @@ def _canonical(nums, den, ram, t):
             t = t if t == INF else t // g
     if den > 1 and nums:
         try:
-            g = gcd(den, *map(itemgetter(1), nums))
+            g = gcd(den, *map(_second, nums))
         except TypeError:  # a numerator outside Q: back to the denominator 1
             nums, den, g = tuple((k, _coefficient(n, den)) for k, n in nums), 1, 1
         if g > 1:
@@ -146,6 +152,40 @@ def _common(x, y):
 def _below(nums, t):
     """The canonical ``nums`` with exponent numerator below ``t``."""
     return nums[: bisect_left(nums, t, key=_first)]
+
+
+def _packed(a, b):
+    """The ``nums`` a and b, AlgebraicNumbers of one field beside rationals,
+    packed for ``__mul__`` (see the module docstring), and ``value(e, p)``,
+    the numerator at e of a packed sum p as pair by pair arithmetic gives
+    it (it may be zero); None for other numerators."""
+    fields = {c.field for _k, c in (*a, *b) if type(c) is AlgebraicNumber}
+    if len(fields) != 1 or not {type(c) for _k, c in (*a, *b)} <= {int, Fraction, AlgebraicNumber}:
+        return None
+    field, lifts = fields.pop(), []
+    for nums in (a, b):
+        vecs = [c.nums if type(c) is AlgebraicNumber else (c.numerator,) for _k, c in nums]
+        dens = [c.den if type(c) is AlgebraicNumber else c.denominator for _k, c in nums]
+        d = lcm(*dens)
+        lifts.append(([[v * (d // q) for v in vec] for vec, q in zip(vecs, dens)], d))
+    (va, da), (vb, db) = lifts
+    n, den, other = field.degree, da * db, dict(b)
+    top = max(map(abs, chain(*va))) * max(map(abs, chain(*vb)))
+    bits = (n * len(a) * len(b) * top).bit_length() + 1  # |a digit of a sum| < 2^(bits - 1)
+    shifts, half = range(0, (2 * n - 1) * bits, bits), 1 << (bits - 1)
+    bias, mask = sum(half << s for s in shifts), (half << 1) - 1
+
+    def value(e, p):
+        p += bias  # every digit in [0, 2^bits), so no borrows
+        digits = [((p >> s) & mask) - half for s in shifts]
+        if any(digits[1:]):  # a field element met at e: reduced once
+            return field._reduce(digits, den)
+        # only rationals met at e (or the rest cancelled): their sum, pair by pair
+        return sum(c * other[e - k] for k, c in a if e - k in other)
+
+    packed = [tuple([(k, sum(map(lshift, v, shifts))) for (k, _c), v in zip(nums, vecs)])
+              for nums, (vecs, _d) in zip((a, b), lifts)]
+    return (*packed, value)
 
 
 def _merge(a, b):
@@ -312,6 +352,11 @@ class PuiseuxSeries:
             ((e1, c1),), b = (a, b) if len(a) == 1 else (b, a)
             terms = tuple([(e1 + e2, c1 * c2) for e2, c2 in _below(b, trunc - e1)])
             return _canonical(terms, den, ram, trunc)
+        # below 9 pairs, or with no factor ending in a field element, pair by pair
+        packed = len(a) * len(b) > 8 and AlgebraicNumber in (type(a[-1][1]), type(b[-1][1]))
+        packed = packed and _packed(a, b)
+        if packed:
+            a, b, value = packed
         acc = {}
         if other is self:
             # a square: each unordered pair of distinct terms once, doubled
@@ -333,7 +378,10 @@ class PuiseuxSeries:
                     if e >= trunc:
                         break
                     acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
-        return _canonical(tuple((e, acc[e]) for e in sorted(acc) if acc[e]), den, ram, trunc)
+        terms = tuple((e, acc[e]) for e in sorted(acc) if acc[e])
+        if packed:  # one reduction per exponent, zero values dropped
+            terms = tuple(t for t in ((e, value(e, p)) for e, p in terms) if t[1])
+        return _canonical(terms, den, ram, trunc)
 
     def scale(self, c):
         c = c if type(c) is int else as_coefficient(c)
@@ -490,18 +538,16 @@ def substitute_series(monomials, y, prec=None, branches=None):
     by_sigma = {}
     for nu, sigma, f in monomials:
         by_sigma.setdefault(sigma, []).append((nu, f))
-    total = PuiseuxSeries.zero()
+    total = None  # the sum starts from the first group's term
     for sigma, terms in sorted(by_sigma.items()):
-        xpart = PuiseuxSeries(terms)
-        if sigma == 0:
-            total = total + xpart
-            continue
-        if not y.nums and sigma < 0:
-            raise PoleError("negative power of the zero series in substitution")
-        branch = branches(sigma) if branches is not None else None
-        ypow = y.pow_rational(sigma, branch=branch, prec=prec)
-        total = total + xpart * ypow
-    return total
+        part = PuiseuxSeries(terms)
+        if sigma:
+            if not y.nums and sigma < 0:
+                raise PoleError("negative power of the zero series in substitution")
+            branch = branches(sigma) if branches is not None else None
+            part = part * y.pow_rational(sigma, branch=branch, prec=prec)
+        total = part if total is None else total + part
+    return PuiseuxSeries.zero() if total is None else total
 
 
 # -- canonical text form ------------------------------------------------------

@@ -15,7 +15,8 @@ Users, generators and (seed, size):
 - test_series_kernel: ring_operands (20261019, 150), power_operands
   (20261020, 150), taylor_shift_cases (20261021, 50), ramified_operands
   (20261026, 120).  test_series:
-  power_input (seeded by its parameters and 0-3).
+  power_input (seeded by its parameters and 0-3); field_product_operands
+  (20261028, 150).
 - test_coefficients: isolation_polynomials (20261019, 60),
   rational_operands (11, 3 x 40), param_polys (6, 60).  test_algebraic:
   shift_polynomials (7, 6).  test_field_oracle: field_operands
@@ -273,6 +274,33 @@ def ramified_operands(seed, size):
             prec = sigma * -3 + F(rng.randint(0, 3 * rc), rc)
             powers.append((sigma, y, u**sigma.numerator, prec))
         yield a, b, single, _wide_coefficient(rng, domain), h, t, powers
+
+
+def field_product_operands(seed, size):
+    """(a, b) over one of the first three ``fields()``: three to seven terms
+    in x or x^(1/2) each, a field element (a rational-valued one a tenth of
+    the time), a Fraction or an int from an int series added in; a
+    finite trunc half the time."""
+    rng = random.Random(seed)
+
+    def coefficient(field):
+        kind = rng.random()
+        if kind < 0.1:
+            return field.lift(_wide(rng))
+        if kind < 0.6:
+            return field.element([_wide(rng) for _ in range(field.degree)])
+        return _wide(rng) or 1
+
+    def operand(field):
+        ram = rng.choice([1, 2])
+        ks = rng.sample(range(-2 * ram, 5 * ram), rng.randint(3, 7))
+        s = PuiseuxSeries([(F(k, ram), coefficient(field)) for k in ks])
+        s = s + PuiseuxSeries.x_power(rng.randint(-2, 5), rng.randint(1, 9))
+        return s.truncate(F(rng.randint(0, 6 * ram), ram)) if rng.random() < 0.5 else s
+
+    for _ in range(size):
+        field = fields()[rng.randrange(3)]
+        yield operand(field), operand(field)
 
 
 def taylor_shift_cases(seed, size):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, gcd
 
-from puiseux.coefficients import ParamPoly, as_coefficient
+from puiseux.coefficients import ParamPoly, as_coefficient, coefficient_sort_key
 from puiseux.polyutils import (
     fraction_nth_root,
     pderiv,
@@ -299,6 +299,29 @@ def ref_taylor_shift(p, c):
             acc = acc + p[l] * power.scale(Fraction(comb(l, i)))
         out.append(acc)
     return out
+
+
+# -- the eager branch orders ----------------------------------------------------
+
+
+def eager_partial_key(b):
+    """The order of algebraic ``PartialSolution`` branches as a key built
+    from every term at once: ``float(val_floor())``, then the list of
+    ``(float exponent, coefficient_sort_key)``.  The solvers' lazy key
+    (``PartialSolution.sort_key``) must sort exactly as this does."""
+    key = [(float(e), coefficient_sort_key(c)) for e, c in b.series.terms]
+    return (float(b.series.val_floor()), key)
+
+
+def eager_branch_key(b):
+    """The order of ODE ``SolutionBranch``es: ``(kind, mu, case)`` and the
+    series text, formatted for every branch; the reference for
+    ``SolutionBranch.sort_key``."""
+    mu = float(b.series.val_floor()) if b.series.nums else float(
+        b.initial.exponent if b.initial else 0
+    )
+    case = b.initial.case if b.initial else ""
+    return (b.kind, mu, case, str(b.series))
 
 
 # -- the Fraction root search and number-field references --------------------

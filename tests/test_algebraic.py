@@ -7,23 +7,26 @@ other.
 """
 
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
 from puiseux.algebraic import (
+    PartialSolution,
     SeriesPolynomial,
     breaking_data,
     contour_of,
     recenter,
     solve_algebraic,
 )
+from puiseux.coefficients import sqrt_field
 from puiseux.contour import Contour
 from puiseux.parsing import parse_algebraic_equation
 from puiseux.polyutils import peval, ptaylor_shift
-from puiseux.series import INF, PuiseuxSeries
+from puiseux.series import INF, PuiseuxSeries, _make
 
 import corpora
-from oracles import ClosedFormInput, NormalizationError, closed_form_root
+from oracles import ClosedFormInput, NormalizationError, closed_form_root, eager_partial_key
 
 X = PuiseuxSeries.x_power
 ONE = PuiseuxSeries.one()
@@ -288,3 +291,38 @@ class TestClosedForm:
         p = SeriesPolynomial([X(1), -ONE, ONE])  # no negative leading index
         with pytest.raises(NormalizationError):
             ClosedFormInput.from_polynomial(p)
+
+
+class TestBranchOrder:
+    """``PartialSolution.sort_key`` reads terms only while two series agree;
+    on constructed branches it sorts every arrangement as the eager key."""
+
+    @staticmethod
+    def assert_eager_order(series):
+        branches = [PartialSolution(s, 1, INF) for s in series]
+        for arranged in permutations(branches):
+            lazy = sorted(arranged, key=PartialSolution.sort_key)
+            eager = sorted(arranged, key=eager_partial_key)
+            assert [id(b) for b in lazy] == [id(b) for b in eager]
+
+    def test_a_long_shared_prefix_that_differs_late(self):
+        root2 = sqrt_field(2).generator()
+        prefix = PuiseuxSeries([(F(k, 2), F(k + 1, 3)) for k in range(40)])
+        late = [prefix + X(20, c) for c in (1, F(1, 2), -1)] + [prefix + X(20, root2)]
+        self.assert_eager_order(late)
+        ordered = sorted((PartialSolution(s, 1, INF) for s in late), key=PartialSolution.sort_key)
+        assert [b.series for b in ordered] == [late[2], late[1], late[0], late[3]]
+
+    def test_a_prefix_sorts_before_its_extensions(self):
+        prefix = PuiseuxSeries([(k, k + 1) for k in range(30)])
+        longer = prefix + X(30, -5)
+        self.assert_eager_order([prefix, longer, longer + X(31, 1), prefix.truncate(10)])
+        ordered = sorted([PartialSolution(longer, 1, INF), PartialSolution(prefix, 1, INF)],
+                         key=PartialSolution.sort_key)
+        assert [b.series for b in ordered] == [prefix, longer]
+
+    def test_one_stored_term_under_two_denominators_or_indices(self):
+        # the same (k, n) tuple objects read as 3 + 5x, 3/7 + 5/7x and 3 + 5x^(1/2)
+        nums = ((0, 3), (1, 5))
+        self.assert_eager_order([_make(nums, 1, 1, INF), _make(nums, 7, 1, INF),
+                                 _make(nums, 1, 2, INF)])

@@ -8,12 +8,14 @@ solutions known in closed form must leave no residual at all.
 """
 
 from fractions import Fraction as F
+from itertools import permutations
 from math import comb
 
 import pytest
 
 from puiseux.algebraic import SeriesPolynomial, solve_algebraic
 
+from puiseux import ode, series
 from puiseux.coefficients import ParamPoly
 from puiseux.ode import (
     ALGEBRAIC_TYPE,
@@ -26,6 +28,7 @@ from puiseux.ode import (
     PROPER,
     RESONANT_FREE,
     UNIQUE,
+    SolutionBranch,
     classify,
     continue_proper,
     expand_rational,
@@ -42,7 +45,7 @@ from puiseux.series import INF, BranchError, PuiseuxSeries, SeriesError
 
 import corpora
 from corpora import E_ALG, E_LINEAR, E_MIXED, E_NEGRES, E_SINGULAR, E_SQUARE
-from oracles import branch_count_bound, instantiate, nondecomposable_for
+from oracles import branch_count_bound, eager_branch_key, instantiate, nondecomposable_for
 from test_properties import ode_reports
 
 X = PuiseuxSeries.x_power
@@ -949,3 +952,52 @@ class TestFirstIntegralOracle:
             g = b.residual_guarantee
             assert g >= F(5, 2)
             assert b.series.agrees_with(roots[b.initial.coefficient], g + 1)
+
+
+def counting_format_series(monkeypatch):
+    """Count the calls of ``format_series`` made from the series and ODE modules."""
+    calls = []
+    real = series.format_series
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(series, "format_series", counted)
+    monkeypatch.setattr(ode, "format_series", counted)
+    return calls
+
+
+class TestBranchOrder:
+    def test_a_tie_on_kind_mu_and_case_orders_by_the_text(self, monkeypatch):
+        t = [t for t in initial_terms(E_ALG).terms if t.coefficient == 1][0]
+        texts = [X(F(1, 2), 1) + X(1, c) for c in (F(1, 4), -1, 3)] + [X(F(1, 2), 1) + X(2, 1)]
+        branches = [SolutionBranch(t, s, ALGEBRAIC_TYPE, ALGEBRAIC_TYPE) for s in texts]
+        calls = counting_format_series(monkeypatch)
+        for arranged in permutations(branches):
+            lazy = sorted(arranged, key=SolutionBranch.sort_key)
+            assert [id(b) for b in lazy] == [id(b) for b in sorted(arranged, key=eager_branch_key)]
+        # the eager key formats on every call; the lazy one once per branch
+        assert len(calls) == 24 * len(branches) + len(branches)
+        assert [str(b.series) for b in lazy] == sorted(str(s) for s in texts)
+
+    def test_a_differing_head_formats_nothing(self, monkeypatch):
+        t = initial_terms(E_ALG).terms[0]
+        branches = [SolutionBranch(t, X(k, 1), ALGEBRAIC_TYPE, kind)
+                    for k, kind in ((1, PROPER), (1, ALGEBRAIC_TYPE), (2, ALGEBRAIC_TYPE))]
+        calls = counting_format_series(monkeypatch)
+        assert sorted(branches[::-1], key=SolutionBranch.sort_key) == [branches[i] for i in (1, 2, 0)]
+        assert calls == []
+
+    def test_algebraic_type_branches_are_formatted_once_per_solve(self, monkeypatch):
+        # the top rung of the ode-algebraic-type benchmark: each pair of
+        # branches ties on (kind, mu, case), and solve_algebraic_type sorts
+        # them before solve_all sorts everything again (20 calls before)
+        equations = ["x^(-2)*y^2 - x^(-1)", "-2*x^(-2)*y^2 + 2*x^(-1)", "x^(-2)*y^2 - 4*x^(-1)",
+                     "-3*x^(-2)*y^2 + 3*x^(-1) + 2", "x^(-2)*y^2 - x^(-1) + x"]
+        parsed = [parse_ode("dy/dx = " + text) for text in equations]
+        calls = counting_format_series(monkeypatch)
+        branches = [b for e in parsed for b in solve_all(e, 4).branches]
+        assert len(branches) == 10
+        assert 0 < len(calls) <= 10
+        assert len({id(s) for s in calls}) == len(calls)

@@ -11,6 +11,9 @@ and the tests of other modules that read it share the solves.
   every prefix, substituted by ``SeriesPolynomial.evaluate``, vanishes
   below its residual bound, and exactly when that bound is ``inf``.
 - Printed series over Q re-parse to equal series that print the same text.
+- Both solvers return their branches in the order of the eager reference
+  keys of ``oracles.py``, and their lazy sort keys sort any arrangement of
+  the branches as the eager keys do.
 """
 
 from fractions import Fraction as F
@@ -18,12 +21,14 @@ from functools import cache
 
 import pytest
 
-from puiseux.algebraic import solve_algebraic
-from puiseux.ode import NO_CONTINUATION, PROPER, solve_all, verify_branch
+from puiseux.algebraic import PartialSolution, solve_algebraic
+from puiseux.coefficients import AlgebraicNumber
+from puiseux.ode import NO_CONTINUATION, PROPER, SolutionBranch, solve_all, verify_branch
 from puiseux.parsing import parse_series_text
 from puiseux.series import INF, PoleError, format_series
 
 from corpora import ALGEBRAIC, ODES, canonical_operands, corpus
+from oracles import eager_branch_key, eager_partial_key
 
 
 @cache
@@ -107,3 +112,32 @@ def test_printed_series_over_q_reparse(name):
         again = parse_series_text(printed)
         assert again == s, printed
         assert format_series(again) == printed
+
+
+def ids(branches):
+    return [id(b) for b in branches]
+
+
+def assert_sorted_as_the_reference(branches, lazy, eager):
+    assert ids(sorted(branches, key=eager)) == ids(branches)
+    for arranged in (branches[::-1], branches[1::2] + branches[::2]):
+        assert ids(sorted(arranged, key=lazy)) == ids(sorted(arranged, key=eager))
+
+
+@pytest.mark.parametrize("name", ALGEBRAIC)
+def test_algebraic_branches_come_in_the_eager_order(name):
+    field_reports = 0
+    for _p, result in algebraic_results(name):
+        assert_sorted_as_the_reference(result.branches, PartialSolution.sort_key,
+                                       eager_partial_key)
+        field_reports += any(isinstance(c, AlgebraicNumber)
+                             for b in result.branches for _e, c in b.series.terms)
+    # the corpora that draw the algebraic root mode reach number fields
+    assert field_reports > 0 or not any(mode == "algebraic" for _p, _b, mode in corpus(name))
+
+
+@pytest.mark.parametrize("name", ODES)
+def test_ode_branches_come_in_the_eager_order(name):
+    for _e, report in ode_reports(name):
+        assert_sorted_as_the_reference(report.branches, SolutionBranch.sort_key,
+                                       eager_branch_key)

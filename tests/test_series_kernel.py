@@ -13,11 +13,17 @@ the least ramification index, and an exponent is an int exactly when it
 is integral.  The reference keeps every exponent as a Fraction, so the
 operations on series in x^(1/r), r in 1, 2, 3, 6 and 7, alone and mixed,
 check the ramification index against exponent arithmetic it never does.
+Products over Q(sqrt 2), Q(sqrt -3) and Q(theta), theta^3 - 3 theta + 1 =
+0, which pack their numerators and reduce once per exponent, must also
+give each exponent the type and the stored numerator that pair by pair
+field arithmetic gives it.
 """
 
 from fractions import Fraction as F
 
 from oracles import RefSeries, ref_taylor_shift
+from puiseux import series
+from puiseux.coefficients import AlgebraicNumber
 from puiseux.polyutils import ptaylor_shift
 from puiseux.series import INF, PuiseuxSeries
 
@@ -130,3 +136,46 @@ def test_equal_series_hash_equal():
                 pairs += 1
                 across += (x.nums, x.den) != (a.nums, a.den)
     assert pairs > 500 and across > 20
+
+
+def cancelling_products():
+    """Four 4 x 4 products over the three fields in whose x^1 sum the field
+    elements cancel: before the reduction (theta * -1 + 1 * theta), and only
+    after it (theta^2 - 2, theta^2 + 3, theta * theta^2 + 1 - 3 theta)."""
+    sqrt2, sqrt_3, cubic = (field.generator() for field in corpora.fields()[:3])
+    x = PuiseuxSeries.x_power
+    cases = []
+    for g, b0, b1 in ((sqrt2, sqrt2, -1), (sqrt2, -2, sqrt2), (sqrt_3, 3, sqrt_3),
+                      (cubic, 1 - 3 * cubic, cubic**2)):
+        tail = x(2, 1) + x(3, g)  # ends in a field element, so the product packs
+        cases.append((x(0, g) + x(1) + tail, x(0, b0) + x(1, b1) + tail))
+    return cases
+
+
+def product_types(s):
+    """Each stored numerator's type and value, and the view's coefficient types."""
+    return ([(k, type(n), n) for k, n in s.nums], s.den, s.ram, s.trunc,
+            [type(c) for _e, c in s.terms])
+
+
+def test_number_field_products_match_the_reference(monkeypatch):
+    packed, real = [], series._packed
+    monkeypatch.setattr(series, "_packed", lambda a, b: packed.append(real(a, b)) or packed[-1])
+    cancelling = cancelling_products()
+    results = []
+    for a, b in [*corpora.field_product_operands(20261028, CASES), *cancelling]:
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            result, ref = x * y, RefSeries.of(x) * RefSeries.of(y)
+            assert_matches(result, ref)
+            # a field element wherever one met, a Fraction where only rationals did
+            assert [type(c) for _e, c in result.terms] == [type(c) for _e, c in ref.items()]
+            results.append(((x, y), result))
+    assert sum(p is not None for p in packed) > CASES
+    assert all(p is not None for p in packed[-4 * len(cancelling):])
+    for a, b in cancelling:
+        assert 1 not in [e for e, _c in (a * b).terms]
+    # the same products pair by pair: identical numerators, types included
+    monkeypatch.setattr(series, "_packed", lambda a, b: None)
+    for (x, y), result in results:
+        assert product_types(x * y) == product_types(result)
+    assert {t for (_x, _y), r in results for t in product_types(r)[4]} == {F, AlgebraicNumber}
