@@ -17,7 +17,6 @@ from .algebraic import (
     AlgebraicSolveResult,
     PartialSolution,
     SeriesPolynomial,
-    StepLimitError,
     UnresolvedBranch,
     VertexData,
     breaking_data,

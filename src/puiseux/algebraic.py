@@ -38,8 +38,6 @@ next lattice point.  The lift makes the loop's choices:
   T.  The phantom check can refuse only the first term: the shifted
   coefficients are known below min(t_m + (m - i)*e, m >= i), so once
   the check passed at e no later vertex fails it.
-* Steps.  Each term is one state of the loop: the lift is charged one
-  step per term, so the step limit fires at the same prefix.
 * Number field.  A rational term is lifted into the field of the branch.
 
 A free constant anywhere in q takes the contour route, where the root
@@ -56,6 +54,14 @@ reads the exponent numerators of its x-series over Q, and a branch reads
 its own back over Q times its index.  Correctness never rests on this: a
 breaking point that is not integral in t (truncated data can produce
 one) stays an exact ``Fraction``.
+
+The work follows from the bound alone; no step count caps it.  Every
+state adds a term at an exponent strictly above ``last``.  On the known
+part of the input those exponents are integers in t, as the paragraph
+above shows (``test_exact_polynomials_break_at_ints_in_t`` pins it), so a
+branch takes finitely many states to the bound, and it stops once its
+residual and its next exponent reach the bound.  A lift ends at its
+finite cut, and there are at most N branches.
 """
 
 from __future__ import annotations
@@ -84,14 +90,7 @@ from .series import (
     _exponent,
     _make,
     _scaled,
-    format_series,
 )
-
-_MAX_STEPS = 4000
-
-
-class StepLimitError(SeriesError):
-    """solve_algebraic took more than ``_MAX_STEPS`` branch steps."""
 
 
 @dataclass(frozen=True)
@@ -267,15 +266,7 @@ def _solve_beyond(p: SeriesPolynomial, prefix, last, bound, mode="rational"):
             return AlgebraicSolveResult()
     bound = _exponent(Fraction(bound) * ram)
     back = Fraction(1, ram)
-    try:
-        result = _solve_from(q, prefix, mult, last, bound, mode, contour, _ambient_field(q))
-    except StepLimitError as exc:
-        prefix, last = exc.args
-        raise StepLimitError(
-            f"algebraic solve exceeded the step limit of {_MAX_STEPS} "
-            f"while expanding the prefix {format_series(in_x(prefix))} "
-            f"(last exponent {'none' if last is None else last * back})"
-        ) from None
+    result = _solve_from(q, prefix, mult, last, bound, mode, contour, _ambient_field(q))
     for b in result.branches:
         b.series = in_x(b.series)
         b.residual_bound = _exponent(b.residual_bound * back)
@@ -290,16 +281,11 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour, ambient):
     ``contour`` is ``contour_of(q)``, or None when not built yet.  Each
     state carries the number field of its branch, ``ambient`` (that of
     q's coefficients) at the start and then set by the roots pushed
-    (:func:`_push_root`).  Past ``_MAX_STEPS`` states it raises
-    StepLimitError(prefix, last)."""
+    (:func:`_push_root`)."""
     result = AlgebraicSolveResult()
-    steps = 0
     stack = [(q, prefix, mult, last, contour, ambient)]
     while stack:
         q, prefix, mult, last, contour, ambient = stack.pop()
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise StepLimitError(prefix, last)
         beta0 = q.coeffs[0]
         remaining = mult
         if beta0.is_exact_zero:
@@ -322,13 +308,7 @@ def _solve_from(q, prefix, mult, last, bound, mode, contour, ambient):
             if (residual >= bound and x >= bound) or not _phantom_safe(q, x, residual):
                 result.branches.append(PartialSolution(prefix, 1, residual))
                 continue
-            tail, residual = _lift(q, x, bound, ambient, _MAX_STEPS - steps)
-            steps += len(tail.nums)
-            if steps > _MAX_STEPS:
-                # the state past the limit holds the first j terms of the tail
-                j = len(tail.nums) - steps + _MAX_STEPS + 1
-                head = _canonical(tail.nums[:j], tail.den, tail.ram, INF)
-                raise StepLimitError(prefix + head, head.terms[-1][0])
+            tail, residual = _lift(q, x, bound, ambient)
             result.branches.append(PartialSolution(prefix + tail, 1, residual))
             continue
         if contour is None:
@@ -405,12 +385,10 @@ def _liftable(q):
     )
 
 
-def _lift(q, e, bound, ambient, budget):
+def _lift(q, e, bound, ambient):
     """``(tail, residual)``: the terms of the simple root of the state q
     from the exponent ``e`` on, cut where the contour loop would stop, and
-    the residual there (see the module docstring).  Once more than
-    ``budget`` terms are known to lie below the cut, those come back with
-    the residual None."""
+    the residual there (see the module docstring)."""
     v1, c1 = q.coeffs[1].leading()
     # q at any prefix is known below reach, T in the module docstring
     reach = _exponent(min(
@@ -432,8 +410,6 @@ def _lift(q, e, bound, ambient, budget):
             # valuation v1 plus its exponent
             x = _exp(z.nums[len(rest)][0], z.ram)
             return _in_field(_canonical(rest, z.den, z.ram, INF), ambient), _exponent(v1 + x)
-        if len(z.nums) > budget:
-            return _in_field(z, ambient), None
         # lift past the cut by the largest gap between terms so far, so that
         # the first term past it is likely known
         gap = _exp(max((b[0] - a[0] for a, b in zip(z.nums, z.nums[1:])), default=0), z.ram) or unit
@@ -483,12 +459,11 @@ def _exact(s, below=INF):
 def _push_root(q, prefix, e, root, m, ambient, stack):
     """Push the next state of the branch through the term root*x^e, a root
     of multiplicity m: q recentered there, the longer prefix and e.  A root
-    in a number field sets the branch's field ``ambient``; a rational root
-    is lifted into it, so the whole branch stays in one embedding."""
+    in a number field sets the branch's field ``ambient``; on a branch that
+    already has one, the vertex polynomial was lifted into it, so every root
+    is a field element and the whole branch stays in one embedding."""
     if isinstance(root, AlgebraicNumber):
         ambient = root.field
-    elif ambient is not None:
-        root = ambient.lift(root)
     term = PuiseuxSeries.x_power(e, root)
     stack.append((recenter(q, term), prefix + term, m, e, None, ambient))
 

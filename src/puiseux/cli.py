@@ -47,7 +47,7 @@ from .parsing import (
     parse_ode,
 )
 from .polyutils import pdense
-from .series import INF, PoleError, PuiseuxSeries, SeriesError, format_series
+from .series import INF, PoleError, PuiseuxSeries, SeriesError, _format_exponent, format_series
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -202,10 +202,10 @@ def _run_algebraic(args):
             f"  y = {b['series']}   [mult {b['multiplicity']}, residual "
             f">= {b['residual_bound']}]"
         )
-    for u in unresolved:
+    for u, entry in zip(result.unresolved, unresolved):
         lines.append(
-            f"  unresolved at x^{u['at_exponent']}: vertex polynomial "
-            f"{u['vertex_poly']} (prefix {u['prefix']})"
+            f"  unresolved at {_format_exponent(u.at_exponent)}: vertex polynomial "
+            f"{entry['vertex_poly']} (prefix {entry['prefix']})"
         )
     _emit(args, payload, "\n".join(lines))
     return EXIT_UNRESOLVED if unresolved else EXIT_OK
@@ -279,10 +279,10 @@ def _run_ode(args):
             lines.append(f"      note: {b['note']}")
     for n in report.notes:
         lines.append(f"  note: {n}")
-    for u in unresolved:
+    for u, entry in zip(report.unresolved, unresolved):
         lines.append(
-            f"  unresolved initial term at x^{u['at_exponent']}: vertex "
-            f"polynomial {u['vertex_poly']}"
+            f"  unresolved initial term at {_format_exponent(u.exponent)}: vertex "
+            f"polynomial {entry['vertex_poly']}"
         )
     _emit(args, payload, "\n".join(lines))
     return EXIT_UNRESOLVED if unresolved else EXIT_OK
@@ -375,7 +375,10 @@ def _tower_operand(text, tower):
     text = text.strip()
     tokens = _tokenize(text)
     if len(tokens) > 1 and tokens[0] == "(" and tokens[1] in _SEXPR_OPERATORS:
-        return parse_sexpr(text, tower)
+        try:
+            return parse_sexpr(text, tower)
+        except LiouvilleError as err:
+            raise ParseError(str(err)) from None
     if "O(" in text:
         raise ParseError(
             "tower operands are exact: infix rational functions or s-expressions"

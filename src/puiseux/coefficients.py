@@ -189,7 +189,7 @@ def canonical_sqrt(radicand):
     return sqrt_field(sign * core).generator() * scale
 
 
-def sqrt_field(radicand, label=None):
+def sqrt_field(radicand):
     """Q(sqrt(radicand)) with its positive (or upper-half-plane) root; distinct
     radicands give distinct fields, so prefer :func:`canonical_sqrt`."""
     radicand = Fraction(radicand)
@@ -200,7 +200,7 @@ def sqrt_field(radicand, label=None):
     minpoly = [-radicand, Fraction(0), Fraction(1)]
     hi, zero = max(abs(radicand), Fraction(1)), Fraction(0)
     region = (zero, hi) if radicand > 0 else ((zero, zero), (zero, hi))
-    return NumberField(minpoly, region, label=label or f"sqrt({radicand})")
+    return NumberField(minpoly, region, label=f"sqrt({radicand})")
 
 
 class AlgebraicNumber:

@@ -48,9 +48,6 @@ class Generator:
     minpoly: tuple = None  # monic tuple of Elements, low->high (root)
     branch: int = 0
 
-    def label(self, index):
-        return f"g{index}"
-
 
 class Tower:
     """An ordered registry of generators; grows as expressions are built.
@@ -521,7 +518,7 @@ def _parse_tokens(tokens, tower):
             return tower.x(), rest
         try:
             return tower.rational(Fraction(tok)), rest
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise LiouvilleError(f"unknown atom {tok!r}")
     op = tokens[1]
     if op == "root":

@@ -206,7 +206,10 @@ class _Parser:
         value = self._signed_integer()
         if self.peek()[0] == "/":
             self.take()
-            value /= self.take("num")[1]
+            tok = self.take("num")
+            if not tok[1]:
+                raise ParseError("zero denominator in an exponent", tok[2])
+            value /= tok[1]
         self.take(")")
         return value
 

@@ -5,9 +5,7 @@ import pathlib
 
 import pytest
 
-from puiseux import algebraic
 from puiseux.cli import (
-    EXIT_CLASSIFY,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNRESOLVED,
@@ -38,6 +36,12 @@ class TestAlgebraic:
         code, out, _ = run(capsys, "algebraic", "y^2 - 2*x = 0")
         assert code == EXIT_UNRESOLVED
         assert "unresolved" in out
+
+    def test_unresolved_exponent_prints_as_the_grammar_reads_it(self, capsys):
+        # x^1/3 would read back as x/3
+        code, out, _ = run(capsys, "algebraic", "--bound", "2", "y^3 + x*y - x = 0")
+        assert code == EXIT_UNRESOLVED
+        assert "  unresolved at x^(1/3): vertex polynomial ['1', '1', '1'] (prefix 0)" in out
 
     def test_algebraic_root_mode(self, capsys):
         code, out, _ = run(
@@ -71,16 +75,6 @@ class TestAlgebraic:
         assert code == EXIT_PARSE
         assert out == ""
         assert "parse error: the equation does not involve y" in err
-
-    def test_step_limit_is_a_reported_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(algebraic, "_MAX_STEPS", 3)
-        code, out, err = run(capsys, "algebraic", "y - x*y - x = 0")
-        assert code == EXIT_CLASSIFY
-        assert out == ""
-        assert err.startswith("error: ") and "step limit" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        # the message names the branch that hit the limit
-        assert "while expanding the prefix x + x^2 + x^3 (last exponent 3)" in err
 
 
 class TestOde:
@@ -170,6 +164,14 @@ class TestOde:
             "unresolved initial term at x^0: vertex polynomial ['2', '0', '1']",
             "unresolved initial term at x^0: vertex polynomial ['-3', '0', '1']",
         ]
+
+    def test_unresolved_exponent_prints_as_the_grammar_reads_it(self, capsys):
+        code, out, _ = run(capsys, "ode", "--bound", "2", "dy/dx = y^(-2)")
+        assert code == EXIT_UNRESOLVED
+        assert (
+            "  unresolved initial term at x^(1/3): vertex polynomial ['1', '0', '0', '-1/3']"
+            in out
+        )
 
     def test_conjugate_branches_report_their_root(self, capsys):
         # t = 1 and t = -1 both give c0 = t^2 = 1 and the same printed
@@ -533,3 +535,26 @@ def test_malformed_flag_value_is_a_usage_error(capsys, argv, flag):
     assert exc.value.code == EXIT_PARSE
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err
+
+
+_VERIFY = ["verify", "--ode", "dy/dx = y", "--roots", "0", "--k", "1", "--alpha"]
+_ZERO_DENOMINATOR = "zero denominator in an exponent"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["algebraic", "y - x^(1/0) = 0"], _ZERO_DENOMINATOR),
+    (["ode", "dy/dx = x^(1/0)"], _ZERO_DENOMINATOR),
+    (["wfactor", "P=y^(1/0); Q=1"], _ZERO_DENOMINATOR),
+    (["wfactor", "--w0", "x^(1/0)", "P=1; Q=y"], _ZERO_DENOMINATOR),
+    ([*_VERIFY, "x^(1/0)"], _ZERO_DENOMINATOR),
+    ([*_VERIFY, "(* 1/0 x)"], "unknown atom '1/0'"),
+    ([*_VERIFY, "(+ x"], "unbalanced parentheses"),
+    ([*_VERIFY, "(^ x 1/2)"], "(^ a n) needs an integer power"),
+    ([*_VERIFY, "(exp x)"], "exp only applies to (int f) forms"),
+], ids=["algebraic", "ode", "wfactor", "w0", "alpha-infix", "alpha-atom",
+        "alpha-unbalanced", "alpha-power", "alpha-exp"])
+def test_malformed_number_or_operand_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"parse error: {message}") and err.count("\n") == 1

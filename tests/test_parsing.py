@@ -142,6 +142,12 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_algebraic_equation("y^x - 1 = 0")
 
+    def test_zero_exponent_denominator(self):
+        with pytest.raises(ParseError, match="zero denominator in an exponent at column 10"):
+            parse_algebraic_equation("y - x^(1/0) = 0")
+        with pytest.raises(ParseError, match="zero denominator in an exponent at column 12"):
+            parse_series_text("1 + O(x^(1/0))")
+
 
 class TestSeriesRoundTrip:
     CASES = [

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from puiseux import algebraic
-from puiseux.algebraic import SeriesPolynomial, StepLimitError, solve_algebraic
+from puiseux.algebraic import SeriesPolynomial, solve_algebraic
 from puiseux.cli import main
 from puiseux.coefficients import AlgebraicNumber, ParamPoly, UnsupportedSymbolic, sqrt_field
 from puiseux.parsing import parse_algebraic_equation
@@ -209,14 +209,3 @@ def test_named_ramified_equations(text, bound):
     p = parse_algebraic_equation(text)
     for mode in ("rational", "algebraic"):
         check_branches(p, solve_algebraic(p, bound, mode=mode))
-
-
-def test_step_limit_message_names_the_prefix_and_last_exponent(monkeypatch):
-    monkeypatch.setattr(algebraic, "_MAX_STEPS", 3)
-    p = parse_algebraic_equation("y^3 + x*y - x = 0")
-    with pytest.raises(StepLimitError) as err:
-        solve_algebraic(p, 4)
-    assert str(err.value) == (
-        "algebraic solve exceeded the step limit of 3 while expanding the "
-        "prefix x^(1/3) - 1/3*x^(2/3) + 1/81*x^(4/3) (last exponent 4/3)"
-    )
