@@ -52,10 +52,12 @@ from .series import (
     PuiseuxSeries,
     SeriesError,
     _as_exponent,
-    _coefficient,
+    _canonical,
     _exp,
     _exponent,
+    _kernel,
     _make,
+    _num,
     default_branch,
     format_series,
     miller_step,
@@ -194,6 +196,7 @@ class InitialTerm:
     boundary: bool = False  # mu0 = 0 with nu0 on the derivative line: diagnostic
     root_scale: int = 1  # s with y^(1/s) the branch variable
     branch_root: object = None  # chosen value of c0^(1/s)
+    multiplicity: int = 1  # of c0^(1/s) as a root of the vertex polynomial
 
     def branch_map(self):
         """Root branches for fractional powers of series led by c0."""
@@ -290,7 +293,7 @@ def _vertex_terms(e, mu0, pairs, resonant, mode, result, **fields):
         result.unresolved.append(
             UnresolvedInitial(mu0, tuple(roots.unresolved), s)
         )
-    for t_root, _mult in roots.roots:
+    for t_root, mult in roots.roots:
         c0 = t_root**s if s > 1 else t_root
         scale = _q_scale(e, mu0, c0)
         if not scale:
@@ -306,6 +309,7 @@ def _vertex_terms(e, mu0, pairs, resonant, mode, result, **fields):
                 resonant_index=mu_r,
                 root_scale=s,
                 branch_root=t_root if s > 1 else None,
+                multiplicity=mult,
                 **fields,
             )
         )
@@ -604,11 +608,13 @@ def continue_proper(e: MonomialODE, t: InitialTerm, bound, c_r=None) -> Solution
     it is y = 0 when every sigma is positive, and a no-continuation
     branch ``O(x^0)`` when some sigma is not.
 
-    The level coefficient is computed on demand from the exact prefix
-    (see :class:`_ResidualCoefficients`), so a level costs a number of
-    coefficient operations linear in the number of terms and nothing is
-    truncated.  One lattice, built one least positive generator past the
-    last level walked, also gives the next level, where the series is
+    The walk keeps the prefix as a list of ``(exponent, coefficient)``
+    pairs and appends each level's term; the level coefficient is computed
+    on demand from the pairs (see :class:`_ResidualCoefficients`), so a
+    level costs a number of coefficient operations linear in the number of
+    terms and nothing is truncated.  The series is built once, when the
+    walk returns.  One lattice, built one least positive generator past
+    the last level walked, also gives the next level, where the series is
     truncated.  The guarantee next_level - 1 (``INF`` when the lattice is
     {mu0}) holds by construction: the walk zeroes the residual at every
     level below next_level, it is known below next_level + D - mu0 (every
@@ -643,14 +649,13 @@ def continue_proper(e: MonomialODE, t: InitialTerm, bound, c_r=None) -> Solution
     free_at = None
     if t.coefficient is FREE and (t.case != "a" or c_r is None):
         free_at = mu0
-    series = PuiseuxSeries.x_power(mu0, c0)
     lift = _derivative_level(e, mu0) - mu0
     try:
         residual = _ResidualCoefficients(e, c0, lift, scale, t.branch_map())
     except (UnsupportedSymbolic, BranchError):
         if not has_parameter(c0):
             raise  # a genuine missing root branch, not a symbolic limit
-        return _cut_family(t, series.truncate(mu0), free)
+        return _cut_family(t, PuiseuxSeries.zero(mu0), free)
     # mu0 itself for case c; an absent resonant index (case a) means no
     # zero-shift monomials, so mu_r = 0
     mu_r = t.resonant_index if t.resonant_index is not None else 0
@@ -663,25 +668,27 @@ def continue_proper(e: MonomialODE, t: InitialTerm, bound, c_r=None) -> Solution
     # generator above max(internal_bound, mu0)
     step = min((g for g in _generators(e, mu0, widen) if g > 0), default=0)
     reach = max(internal_bound, mu0) + step
-    elements = index_lattice(e, t, reach, widen=widen).elements
-
+    lattice = index_lattice(e, t, reach, widen=widen)
+    # every walked exponent, and the trunc, is a multiple of 1/ram
+    ram = lcm(mu0.denominator, *(g.denominator for g in lattice.generators))
+    terms = [(mu0, c0)] if c0 else []  # the walked (exponent, coefficient) pairs
     next_level = INF  # no positive generator: the lattice is {mu0}
-    for mu_l in elements[1:]:
+    for mu_l in lattice.elements[1:]:
         if mu_l > internal_bound:
             next_level = mu_l
             break
         # the residual at this level, before c_l is added
-        level_coeff = residual.at(series, mu_l)
+        level_coeff = residual.at(terms, mu_l)
         divisor = mu_l - mu_r
         if divisor:
             if level_coeff:
                 # adding c_l x^mu_l changes the residual at this level by
                 # c_l * (mu_l - mu_r), so cancel exactly:
-                series = series - PuiseuxSeries.x_power(mu_l, level_coeff / divisor)
+                terms.append((mu_l, -level_coeff / divisor))
         elif level_coeff:
             return SolutionBranch(
                 t,
-                series.truncate(mu_l),
+                _walked(terms, ram, mu_l),
                 NEGATIVE_RESONANCE,
                 PROPER,
                 residual_guarantee=mu_l - 1,
@@ -690,20 +697,27 @@ def continue_proper(e: MonomialODE, t: InitialTerm, bound, c_r=None) -> Solution
             )
         elif c_r is None and isinstance(c0, AlgebraicNumber):
             # a formal free constant mixes with no algebraic number
-            return _cut_family(t, series.truncate(mu_l), free)
+            return _cut_family(t, _walked(terms, ram, mu_l), free)
         else:
-            series = series + PuiseuxSeries.x_power(mu_l, free)
+            if free:
+                terms.append((mu_l, free))
             free_at = mu_l
 
     return SolutionBranch(
         t,
-        series.with_trunc(next_level),
+        _walked(terms, ram, next_level),
         UNIQUE if free_at is None else RESONANT_FREE,
         PROPER,
         residual_guarantee=next_level - 1,
         resonant_index=t.resonant_index if free_at is None else free_at,
         free_constant=None if free_at is None else free,
     )
+
+
+def _walked(terms, ram, trunc):
+    """The series of the walked pairs below ``trunc``, over the index ``ram``."""
+    nums = tuple([(_num(x, ram), c) for x, c in terms])  # increasing, nonzero: trusted
+    return _canonical(*_kernel(nums), ram, _num(trunc, ram))
 
 
 def _cut_family(t, series, free):
@@ -726,21 +740,22 @@ class _ResidualCoefficients:
     Hoeven, "Relax, but don't be too lazy", JSC 34, 2002).  Every
     coefficient is divided by A = ``scale`` once, up front.
 
-    ``at(y, level)`` is the residual at x^k, k = level + lift (lift = D -
-    mu0, -1 when Q = 1), for an exact y whose terms all lie below
-    ``level``.  A monomial f*x^nu*y^sigma of P needs [y^sigma] at the
-    offset d = k - nu - sigma*m above sigma*m, m the leading exponent of
-    y; g*x^a*y^b of Q needs (k + 1 - a)/(b + 1) * [x^(k + 1 - a)] y^(b+1),
-    as y^b*y' = (y^(b+1))'/(b+1).  Positive integer powers come from
-    convolution with y, which divides by nothing, so a formal free
-    constant may lead y; every other power from the Miller step of
-    ``pow_rational`` (:func:`puiseux.series.miller_step`), started at the
-    branch it picks, which is seeded at d = 0 from ``c0`` here, so a root
-    or an inverse the walk cannot take fails before any level is walked.
-    An entry is kept once m + d lies below the level: it then depends only
-    on terms of y that no later level changes.  For the same reason the
-    offsets of y are kept, and each level views only the terms added
-    since the last one.
+    ``at(terms, level)`` is the residual at x^k, k = level + lift (lift =
+    D - mu0, -1 when Q = 1), for the exact y of the strictly increasing
+    ``(exponent, coefficient)`` pairs ``terms``, all below ``level``.  A
+    monomial f*x^nu*y^sigma of P needs [y^sigma] at the offset d = k - nu
+    - sigma*m above sigma*m, m the leading exponent of y; g*x^a*y^b of Q
+    needs (k + 1 - a)/(b + 1) * [x^(k + 1 - a)] y^(b+1), as y^b*y' =
+    (y^(b+1))'/(b+1).  Positive integer powers come from convolution with
+    y, which divides by nothing, so a formal free constant may lead y;
+    every other power from the Miller step of ``pow_rational``
+    (:func:`puiseux.series.miller_step`), started at the branch it picks,
+    which is seeded at d = 0 from ``c0`` here, so a root or an inverse the
+    walk cannot take fails before any level is walked.  An entry is kept
+    once m + d lies below the level: it then depends only on terms of y
+    that no later level changes.  For the same reason the offsets of y are
+    kept: the walk only appends to ``terms``, and each level reads only
+    the pairs appended since the last one, so a level adds only new work.
     """
 
     def __init__(self, e: MonomialODE, c0, lift, scale, branches):
@@ -758,18 +773,18 @@ class _ResidualCoefficients:
                 }
         self.offsets, self.lookup = [], {}  # (e - m, coefficient) of y so far
 
-    def at(self, y: PuiseuxSeries, level):
+    def at(self, terms, level):
         target = level + self.lift
         total = as_coefficient(0)
-        if not y.nums:  # a zero start (c_r = 0) until a level adds a term
+        if not terms:  # a zero start (c_r = 0) until a level adds a term
             for mono in self.monomials:
                 if mono.y_exp == 0 and mono.x_exp == target:
                     total = total + mono.coefficient
             return -total
-        m, k0, ram = y.valuation(), y.nums[0][0], y.ram
-        for te, n in y.nums[len(self.offsets):]:
-            self.offsets.append((_exp(te - k0, ram), _coefficient(n, y.den)))
-            self.lookup[self.offsets[-1][0]] = self.offsets[-1][1]
+        m = terms[0][0]
+        for x, c in terms[len(self.offsets):]:
+            self.offsets.append((_exponent(x - m), c))
+            self.lookup[self.offsets[-1][0]] = c
         offsets = self.offsets
         ctx = (offsets, self.lookup, offsets[0][1], level - m)
         for mono in self.monomials:
@@ -825,19 +840,26 @@ class _ResidualCoefficients:
 def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational"):
     """Iterated algebraic solves for an algebraic-type initial term.
 
-    Round k solves P(y) - Q(y)*d/dx(y_{k-1}) = 0 and trusts its root below
-    the coincidence order mu0 + (k+1)*Delta, Delta = D(mu0) - f(mu0), D
-    the derivative level (mu0 - 1 when Q = 1) and f the contour; the
-    recorded coincidence orders grow by exactly Delta per round.
+    Round k solves P(y) - Q(y)*d/dx(y_{k-1}) = 0, cleared to a polynomial
+    in w = y^(1/s), and trusts its root below the coincidence order mu0 +
+    (k+1)*Delta, Delta = D(mu0) - f(mu0), D the derivative level (mu0 - 1
+    when Q = 1) and f the contour; the recorded orders grow by exactly
+    Delta per round.  P's part of the polynomial is built once per call;
+    a round adds only -g*x^a*y'_{k-1} per monomial g*x^a*y^b of Q.  An
+    unknown top coefficient O(x^t) of w-degree N adds O(x^(t + N*mu0/s))
+    near the followed root, so it is folded into the constant coefficient.
 
-    Each round is warm-started in w = y^(1/s): round 0 at the initial
-    term, round k at the exact terms of round k-1's root below its
-    trusted bound, so only the roots through that prefix are solved for
-    (the term-by-term ``solve_algebraic`` from the empty prefix gives the
-    same roots).  A root that leaves the prefix is still rejected by the
-    coincidence check.  Starting at the prefix also keeps a branch whose
-    round polynomial has an unknown constant coefficient, where a solve
-    from the empty prefix could not take its first step.
+    Each round is warm-started in w: round 0 at the initial term, round k
+    at the exact terms of round k-1's root below its trusted bound, so
+    only the roots through that prefix are solved for (the term-by-term
+    ``solve_algebraic`` from the empty prefix gives the same roots), and
+    a root agrees with round k-1's below that bound exactly when its first
+    term past the prefix lies at or above it.  A round whose root fails
+    this check, or is unresolved (the roots through a multiple vertex root
+    can split early), raises ClassificationError.  Starting at the prefix
+    also keeps a branch whose round polynomial has an unknown constant
+    coefficient, where a solve from the empty prefix could not take its
+    first step.
     """
     if classify(e, t) != ALGEBRAIC_TYPE:
         raise ClassificationError("solve_algebraic_type needs an algebraic-type term")
@@ -849,7 +871,13 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
         raise ClassificationError("algebraic-type precondition violated")
     s = _root_scale(e)
     shift = min(0, min(e.sigmas()))
-
+    degree, zero = (lambda sig: int((sig - shift) * s)), PuiseuxSeries.zero()
+    q_parts = [(degree(q.y_exp), PuiseuxSeries.x_power(q.x_exp, -q.coefficient))
+               for q in e.derivative]
+    fixed = pdense([(degree(m.y_exp), PuiseuxSeries.x_power(m.x_exp, m.coefficient))
+                    for m in e.monomials] + [(d, zero) for d, _g in q_parts], zero)
+    v, offset = _exponent(Fraction(mu0, s)), Fraction((s - 1) * mu0, s)
+    branches = t.branch_map()
     t_root = t.branch_root if t.branch_root is not None else t.coefficient
 
     # states track the w = y^(1/s) prefix: the root-branch identity lives
@@ -859,30 +887,35 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
     while states:
         w_prev, prev_bw, k, orders = states.pop()
         c_k = _exponent(mu0 + (k + 1) * delta)
-        y_prev = None
+        coeffs = list(fixed)
         if w_prev is None:
-            last = _exponent(Fraction(mu0, s))
+            last = v
             start = PuiseuxSeries.x_power(last, t_root)
         else:
-            y_prev = w_prev.pow_rational(s).truncate(orders[-1])
             start = _exact(w_prev, prev_bw)
             last = _exp(start.nums[-1][0], start.ram)
-        poly = _modified_polynomial(e, y_prev, s, shift)
-        bound_w = _exponent(c_k - Fraction((s - 1) * mu0, s))
-        res = _solve_beyond(poly, start, last, bound_w, mode=mode)
-        matches = [
-            b
-            for b in res.branches
-            if w_prev is None or b.series.agrees_with(w_prev, prev_bw)
-        ]
-        for b in matches:
+            dy = w_prev.pow_rational(s).truncate(orders[-1]).differentiate()
+            for d, g in q_parts:
+                coeffs[d] = coeffs[d] + g * dy
+            while not coeffs[-1].nums:  # fold an unknown top coefficient
+                top = coeffs.pop()
+                coeffs[0] = coeffs[0].truncate(top.trunc + len(coeffs) * v)
+        bound_w = _exponent(c_k - offset)
+        res = _solve_beyond(SeriesPolynomial(coeffs), start, last, bound_w, mode=mode)
+        if res.unresolved:
+            raise ClassificationError(f"round {k} leaves a root unresolved")
+        for b in res.branches:
+            rest = b.series.nums[len(start.nums):]
+            if w_prev is not None and rest and rest[0][0] < prev_bw * b.series.ram:
+                raise ClassificationError(
+                    f"round {k} splits the start below the coincidence order {orders[-1]}")
             new_orders = orders + (c_k,)
             exact = False
             if b.residual_bound == INF:
                 # the algebraic solve closed exactly; if the full series
                 # also solves the ODE exactly there is nothing to iterate
                 y_k = b.series.pow_rational(s)
-                check = verify_series(e, y_k, branches=t.branch_map())
+                check = verify_series(e, y_k, branches=branches)
                 exact = check.valuation == INF and check.certified_below == INF
             if exact:
                 guarantee = INF
@@ -906,22 +939,6 @@ def solve_algebraic_type(e: MonomialODE, t: InitialTerm, bound, mode="rational")
             )
     out.sort(key=SolutionBranch.sort_key)
     return out
-
-
-def _modified_polynomial(e, y_prev, s, shift):
-    """P(y) - Q(y)*d/dx(y_prev) cleared to a polynomial in w = y^(1/s)."""
-    degree = lambda sig: int((sig - shift) * s)
-    terms = [
-        (degree(m.y_exp), PuiseuxSeries.x_power(m.x_exp, m.coefficient))
-        for m in e.monomials
-    ]
-    if y_prev is not None:
-        dy = y_prev.differentiate()
-        terms += [
-            (degree(q.y_exp), PuiseuxSeries.x_power(q.x_exp, -q.coefficient) * dy)
-            for q in e.derivative
-        ]
-    return SeriesPolynomial(pdense(terms, PuiseuxSeries.zero()))
 
 
 # -- full solve ----------------------------------------------------------------
@@ -980,7 +997,18 @@ def solve_all(e: MonomialODE, bound, resonance="symbolic", mode="rational"):
             ):
                 free_family_seen = True  # the c = 0 instance is y = 0
         elif cls == ALGEBRAIC_TYPE:
-            report.branches.extend(solve_algebraic_type(e, t, bound, mode=mode))
+            try:
+                report.branches.extend(solve_algebraic_type(e, t, bound, mode=mode))
+            except ClassificationError as err:  # the rounds lose a root
+                lead = format_series(PuiseuxSeries.x_power(t.exponent, t.coefficient))
+                report.notes.append(f"the start y = {lead} + ... is not continued: a root "
+                                    f"of multiplicity {t.multiplicity} of its vertex "
+                                    f"polynomial; {err}")
+                root = t.branch_root if t.branch_root is not None else t.coefficient
+                factor = ptaylor_shift([Fraction(0)] * t.multiplicity + [Fraction(1)], -root)
+                report.unresolved.append(
+                    UnresolvedInitial(t.exponent, tuple(factor), t.root_scale)
+                )
         else:
             d0 = _derivative_level(e, 0)  # nu0 = d0 on the boundary
             level = f"+ {-d0}" if d0 <= 0 else f"- {d0}"

@@ -451,7 +451,7 @@ class PuiseuxSeries:
             return PuiseuxSeries.one()
         if type(sigma) is int and sigma > 0:
             # plain ring power: no leading-coefficient root or inverse needed
-            result = ppow(self, sigma, PuiseuxSeries.one())
+            result = self if sigma == 1 else ppow(self, sigma, PuiseuxSeries.one())
             return result if prec is None else result.truncate(prec)
         m, c = self.leading()
         if branch is None:

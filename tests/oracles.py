@@ -3,10 +3,12 @@
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
+from math import comb, gcd, lcm
 
-from puiseux.coefficients import ParamPoly, as_coefficient, coefficient_sort_key
+from puiseux.algebraic import SeriesPolynomial
+from puiseux.coefficients import AlgebraicNumber, ParamPoly, as_coefficient, coefficient_sort_key
 from puiseux.polyutils import (
+    pdense,
     fraction_nth_root,
     pderiv,
     peval,
@@ -299,6 +301,60 @@ def ref_taylor_shift(p, c):
             acc = acc + p[l] * power.scale(Fraction(comb(l, i)))
         out.append(acc)
     return out
+
+
+# -- the canonical form of the series kernel ----------------------------------
+
+
+def follows_exponent_rule(e):
+    """An int exactly when integral, a Fraction otherwise."""
+    if type(e) is int:
+        return True
+    return type(e) is Fraction and e.denominator != 1
+
+
+def assert_canonical(s):
+    """The stored form of ``test_series_kernel``'s docstring, and equal to
+    the series rebuilt from its terms."""
+    fresh = PuiseuxSeries(s.terms, s.trunc)
+    assert s == fresh and hash(s) == hash(fresh)
+    assert s.trunc == INF or follows_exponent_rule(s.trunc)
+    exps = [e for e, _c in s.terms]
+    assert all(follows_exponent_rule(e) for e in exps)
+    assert all(e1 < e2 for e1, e2 in zip(exps, exps[1:]))
+    assert all(e < s.trunc for e in exps)
+    assert all(type(c) in (Fraction, ParamPoly, AlgebraicNumber) and c for _e, c in s.terms)
+    assert len(s.nums) == len(s.terms)
+    # int exponent numerators over the least index that holds every
+    # exponent and a finite trunc
+    assert all(type(k) is int and k == e * s.ram for (k, _n), (e, _c) in zip(s.nums, s.terms))
+    trunc_den = 1 if s.trunc == INF else s.trunc.denominator
+    assert s.ram == lcm(*(e.denominator for e in exps), trunc_den)
+    if all(type(n) is int for _e, n in s.nums):
+        assert type(s.den) is int and s.den > 0 and gcd(s.den, *(n for _e, n in s.nums)) == 1
+    else:
+        assert s.den == 1
+
+
+# -- the algebraic-type round polynomial ---------------------------------------
+
+
+def modified_polynomial(e, y_prev, s, shift):
+    """P(y) - Q(y)*d/dx(y_prev) cleared to a polynomial in w = y^(1/s),
+    rebuilt from every monomial (round 0 when ``y_prev`` is None): the
+    reference for the round polynomials of ``solve_algebraic_type``."""
+    degree = lambda sig: int((sig - shift) * s)
+    terms = [
+        (degree(m.y_exp), PuiseuxSeries.x_power(m.x_exp, m.coefficient))
+        for m in e.monomials
+    ]
+    if y_prev is not None:
+        dy = y_prev.differentiate()
+        terms += [
+            (degree(q.y_exp), PuiseuxSeries.x_power(q.x_exp, -q.coefficient) * dy)
+            for q in e.derivative
+        ]
+    return SeriesPolynomial(pdense(terms, PuiseuxSeries.zero()))
 
 
 # -- the eager branch orders ----------------------------------------------------

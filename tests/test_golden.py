@@ -94,6 +94,15 @@ CASES = {
     "ode-algebraic-type-fractional-sigma": (
         4, ["ode", "--bound", "3",
             "dy/dx = -x^(-2)*y^(-2) - x^(-1)*y^(3/2)"]),
+    # every sigma <= 0: an unknown top coefficient of the round polynomial
+    # is folded into the constant one; the start at x^(-1) needs sqrt(2)
+    "ode-algebraic-type-all-sigma-nonpositive": (
+        4, ["ode", "--bound", "8",
+            "dy/dx = x^(-3)*y^(-2) - 2*x^(-3)*y^(-1) - 3*x^2*y^(-2)"]),
+    # y = x is a double vertex root whose roots split below the
+    # coincidence order: reported as unresolved, exit 4
+    "ode-algebraic-type-double-root": (
+        4, ["ode", "--bound", "3", "dy/dx = x^(-3)*y^2 - 2*x^(-2)*y + x^(-1)"]),
     "ode-power-half": (
         0, ["ode", "--bound", "4", "--resonance", "values=4",
             "dy/dx = y^(1/2) + x"]),

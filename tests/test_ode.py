@@ -45,7 +45,13 @@ from puiseux.series import INF, BranchError, PuiseuxSeries, SeriesError
 
 import corpora
 from corpora import E_ALG, E_LINEAR, E_MIXED, E_NEGRES, E_SINGULAR, E_SQUARE
-from oracles import branch_count_bound, eager_branch_key, instantiate, nondecomposable_for
+from oracles import (
+    branch_count_bound,
+    eager_branch_key,
+    instantiate,
+    modified_polynomial,
+    nondecomposable_for,
+)
 from test_properties import ode_reports
 
 X = PuiseuxSeries.x_power
@@ -481,6 +487,122 @@ class TestWarmStart:
             if any(t.case == "a" for t in initial_terms(e).terms):
                 notes = report.notes
                 assert not [n for n in notes if "nonzero constant" in n], e
+
+
+# the five equations of the ode-algebraic-type benchmark workload
+BENCH_ALGEBRAIC_TYPE = (
+    "dy/dx = x^(-2)*y^2 - x^(-1)",
+    "dy/dx = -2*x^(-2)*y^2 + 2*x^(-1)",
+    "dy/dx = x^(-2)*y^2 - 4*x^(-1)",
+    "dy/dx = -3*x^(-2)*y^2 + 3*x^(-1) + 2",
+    "dy/dx = x^(-2)*y^2 - x^(-1) + x",
+)
+# every sigma <= 0: from round 1 on, the top w-degree holds y' of
+# 1/2 + O(x^2), which has no known term
+ALL_SIGMA_NONPOSITIVE = "dy/dx = x^(-3)*y^(-2) - 2*x^(-3)*y^(-1) - 3*x^2*y^(-2)"
+# c0 = 1 is a double root of the vertex polynomial (c - 1)^2 at mu0 = 1:
+# with y = x + u the equation is 1 + u' = x^(-3)*u^2, so the solutions
+# y = x +- x^(3/2) + ... leave y = x below the coincidence order 2
+DOUBLE_VERTEX_ROOT = "dy/dx = x^(-3)*y^2 - 2*x^(-2)*y + x^(-1)"
+
+
+class TestRoundPolynomial:
+    """A round adds -Q(w)*y'_(k-1) to the part of P built once per solve;
+    the per-round rebuild ``oracles.modified_polynomial`` is the reference."""
+
+    @staticmethod
+    def compare_rounds(monkeypatch, e, bound, mode="rational"):
+        """Solve every algebraic-type term of ``e`` and compare each round
+        polynomial, coefficient by coefficient, with the reference rebuilt
+        at round k-1's root.  Returns the number of rounds compared and the
+        number where the reference raises."""
+        rounds = []
+        warm_start = ode._solve_beyond
+
+        def recorded(p, prefix, last, bound_w, mode="rational"):
+            rounds.append((p, prefix, bound_w))
+            return warm_start(p, prefix, last, bound_w, mode=mode)
+
+        monkeypatch.setattr(ode, "_solve_beyond", recorded)
+        s, shift = ode._root_scale(e), min(0, min(e.sigmas()))
+        compared = raised = 0
+        for t in initial_terms(e, mode=mode).terms:
+            if classify(e, t) != ALGEBRAIC_TYPE:
+                continue
+            mu0 = t.exponent
+            delta = ode._derivative_level(e, mu0) - ode_contour(e).value(mu0)
+            offset = F((s - 1) * mu0, s)
+            rounds.clear()
+            solve_algebraic_type(e, t, bound, mode=mode)
+            for p, prefix, bound_w in rounds:
+                prev_bw, y_prev = bound_w - delta, None
+                if prev_bw != prefix.valuation():  # round k > 0
+                    # the prefix holds round k-1's root below prev_bw; its
+                    # terms past that change its s-th power only at or
+                    # above the coincidence order prev_bw + offset
+                    y_prev = prefix.pow_rational(s).truncate(prev_bw + offset)
+                try:
+                    reference = modified_polynomial(e, y_prev, s, shift)
+                except SeriesError:
+                    raised += 1
+                    continue
+                assert p.coeffs == reference.coeffs, (e, bound_w)
+                compared += 1
+        return compared, raised
+
+    def test_warm_start_rounds_match_the_rebuild(self, monkeypatch):
+        compared = 0
+        for e, _bound in corpora.corpus("warm-start"):
+            for bound in (2, F(7, 2)):
+                done, raised = self.compare_rounds(monkeypatch, e, bound)
+                assert not raised, e
+                compared += done
+        assert compared > 100
+
+    def test_benchmark_rounds_match_the_rebuild(self, monkeypatch):
+        for text in BENCH_ALGEBRAIC_TYPE:
+            compared, raised = self.compare_rounds(monkeypatch, parse_ode(text), 4)
+            assert compared >= 14 and not raised, text
+
+    def test_unknown_top_coefficient_is_folded(self, monkeypatch):
+        e = parse_ode(ALL_SIGMA_NONPOSITIVE)
+        compared, raised = self.compare_rounds(monkeypatch, e, 8)
+        # rounds 1 and 2 fold y' of 1/2 + O(x^2) and 1/2 + O(x^4), where the
+        # rebuild raises; in round 3 y' has the known term -15/2*x^4
+        assert (compared, raised) == (2, 2)
+        rep = solve_all(e, 8)
+        (b,) = rep.branches
+        # by hand: y = 1/2 + u gives y' = -8*x^(-3)*u - 12*x^2 + ..., so
+        # u = -3/2*x^5 + b*x^7 with 5*(-3/2) = -8*b
+        assert str(b.series) == "1/2 - 3/2*x^5 + 15/16*x^7 + O(x^8)"
+        assert b.residual_guarantee == 5
+        assert verify_branch(e, b).meets(5)
+        # the start at x^(-1) needs sqrt(2)
+        assert [(u.exponent, u.vertex_poly) for u in rep.unresolved] == [(-1, (-2, 0, 1))]
+        rep = solve_all(e, 8, mode="algebraic")
+        assert not rep.unresolved and len(rep.branches) == 3
+        assert all(verify_branch(e, b).meets(b.residual_guarantee) for b in rep.branches)
+
+    def test_double_vertex_root_is_reported(self):
+        e = parse_ode(DOUBLE_VERTEX_ROOT)
+        (t,) = initial_terms(e).terms
+        assert (t.exponent, t.coefficient, t.multiplicity) == (1, 1, 2)
+        with pytest.raises(ClassificationError, match="below the coincidence order 2"):
+            solve_algebraic_type(e, t, 3)
+        rep = solve_all(e, 3)
+        assert not rep.branches
+        assert [(u.exponent, u.vertex_poly) for u in rep.unresolved] == [(1, (1, -2, 1))]
+        assert "y = x + ... is not continued: a root of multiplicity 2" in rep.notes[0]
+
+    def test_unresolved_round_root_is_reported(self):
+        # y = x + u gives 1 + u' = 2*x^(-3)*u^2: u = +-x^(3/2)/sqrt(2) + ...
+        e = parse_ode("dy/dx = 2*x^(-3)*y^2 - 4*x^(-2)*y + 2*x^(-1)")
+        rep = solve_all(e, 3)
+        assert not rep.branches and len(rep.unresolved) == 1
+        assert rep.notes[0].endswith("round 1 leaves a root unresolved")
+        rep = solve_all(e, 3, mode="algebraic")
+        assert not rep.branches and len(rep.unresolved) == 1
+        assert "round 1 splits the start" in rep.notes[0]
 
 
 def rescale_y(e: MonomialODE, m: F) -> MonomialODE:

@@ -7,6 +7,8 @@ and the tests of other modules that read it share the solves.
   free-constant family left as ``O(x^0)`` under a negative power of y.
   A proper branch claims exactly the residual order the substitution
   certifies, wherever it certifies one.
+- Every ODE branch series is in the canonical form of the series kernel,
+  however the solver built it.
 - Algebraic branch and unresolved multiplicities sum to the degree, and
   every prefix, substituted by ``SeriesPolynomial.evaluate``, vanishes
   below its residual bound, and exactly when that bound is ``inf``.
@@ -28,7 +30,7 @@ from puiseux.parsing import parse_series_text
 from puiseux.series import INF, PoleError, format_series
 
 from corpora import ALGEBRAIC, ODES, canonical_operands, corpus
-from oracles import eager_branch_key, eager_partial_key
+from oracles import assert_canonical, eager_branch_key, eager_partial_key
 
 
 @cache
@@ -82,6 +84,13 @@ def test_ode_branches_meet_their_guarantee(name):
                 assert b.residual_guarantee == claim, (e, str(b.series))
             checked += 1
     assert checked > len(corpus(name)) // 2
+
+
+@pytest.mark.parametrize("name", ODES)
+def test_ode_branch_series_are_canonical(name):
+    for _e, report in ode_reports(name):
+        for b in report.branches:
+            assert_canonical(b.series)
 
 
 @pytest.mark.parametrize("name", ALGEBRAIC)

@@ -21,14 +21,13 @@ field arithmetic gives it.
 
 from fractions import Fraction as F
 
-from oracles import RefSeries, ref_taylor_shift
+from oracles import RefSeries, assert_canonical, ref_taylor_shift
 from puiseux import series
 from puiseux.coefficients import AlgebraicNumber
 from puiseux.polyutils import ptaylor_shift
 from puiseux.series import INF, PuiseuxSeries
 
 import corpora
-from test_series_properties import assert_canonical
 
 CASES = 150
 

@@ -17,9 +17,9 @@ exponent the ODE layer builds, from monomials to coincidence orders.
 """
 
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd
 
-from puiseux.coefficients import AlgebraicNumber, ParamPoly
+from puiseux.coefficients import ParamPoly
 from puiseux.ode import (
     PROPER,
     classify,
@@ -33,7 +33,7 @@ from puiseux.parsing import parse_series_text
 from puiseux.series import INF, PoleError, PuiseuxSeries
 
 import corpora
-from oracles import plain_value
+from oracles import assert_canonical, follows_exponent_rule, plain_value
 from test_properties import ode_reports
 
 CASES = 200
@@ -91,36 +91,6 @@ def test_power_root_inverse():
         target = base.pow_rational(F(p), prec=3)
         w = min(back.trunc, target.trunc, F(3))
         assert back.agrees_with(target, w)
-
-
-def follows_exponent_rule(e):
-    """An int exactly when integral, a Fraction otherwise."""
-    if type(e) is int:
-        return True
-    return type(e) is F and e.denominator != 1
-
-
-def assert_canonical(s):
-    """The stored form of ``test_series_kernel``'s docstring, and equal to
-    the series rebuilt from its terms."""
-    fresh = PuiseuxSeries(s.terms, s.trunc)
-    assert s == fresh and hash(s) == hash(fresh)
-    assert s.trunc == INF or follows_exponent_rule(s.trunc)
-    exps = [e for e, _c in s.terms]
-    assert all(follows_exponent_rule(e) for e in exps)
-    assert all(e1 < e2 for e1, e2 in zip(exps, exps[1:]))
-    assert all(e < s.trunc for e in exps)
-    assert all(type(c) in (F, ParamPoly, AlgebraicNumber) and c for _e, c in s.terms)
-    assert len(s.nums) == len(s.terms)
-    # int exponent numerators over the least index that holds every
-    # exponent and a finite trunc
-    assert all(type(k) is int and k == e * s.ram for (k, _n), (e, _c) in zip(s.nums, s.terms))
-    trunc_den = 1 if s.trunc == INF else s.trunc.denominator
-    assert s.ram == lcm(*(e.denominator for e in exps), trunc_den)
-    if all(type(n) is int for _e, n in s.nums):
-        assert type(s.den) is int and s.den > 0 and gcd(s.den, *(n for _e, n in s.nums)) == 1
-    else:
-        assert s.den == 1
 
 
 def test_operations_return_canonical_series():
